@@ -14,10 +14,8 @@
 // non-decreasing throughput 16 -> 64 -> 128 -> 256: more client state must
 // not collapse the locks even when parallelism is capped.
 //
-// Two ring-plane comparisons ride along: MPSC submission (S sibling threads
-// feeding one shared ring vs the owner issuing the same calls per-call) and
-// cross-stripe drain overlap (batch_stripe_overlap on vs off on a read-heavy
-// reorderable batch mix at 64 clients).
+// A ring-plane comparison rides along: MPSC submission (S sibling threads
+// feeding one shared ring vs the owner issuing the same calls per-call).
 //
 // Two self-checks (exit status is nonzero if either fails):
 //
@@ -106,9 +104,11 @@ constexpr double kRingGateAt16 = 2.0;
 // flatlines the curve. Enforced on >= 16-core hosts.
 constexpr double kStripeGateAt64 = 1.5;
 // Ring parity gate: at 1 client a batch must never LOSE to per-call issue.
-// (It once did, 0.84x: the batch prologue zeroed ~6KB of per-number stat
-// arrays per flush; the compact accumulator plus the singleton fallthrough
-// fixed it.) 0.95 leaves room for measurement noise only.
+// (It once did, 0.84x, when the batch prologue zeroed ~6KB of per-number
+// stat arrays per flush.) Per-call issue is the dispatch core's count-1
+// batch, so both sides run one code path and the gate measures what a run
+// of entries adds over single calls. 0.95 leaves room for measurement noise
+// only.
 constexpr double kRingParityGateAt1 = 0.95;
 // Pooled curve: client counts multiplexed over at most kPoolWorkerCap worker
 // threads. Monotone gate: each step of the 16->64->128->256 curve must hold
@@ -125,12 +125,6 @@ constexpr double kMonotoneTolerance = 0.95;
 // hosts.
 constexpr double kMpscGateAt16 = 1.5;
 constexpr int kMpscSubmitterCounts[] = {4, 16};
-// Cross-stripe overlap gate: the read-heavy reorderable batch mix at 64
-// clients must run >= 1.3x faster with batch_stripe_overlap on than with the
-// strict in-order dispatcher — one shared stripe acquire per group instead of
-// one per entry. Enforced on >= 16-core hosts.
-constexpr double kOverlapGateAt64 = 1.3;
-
 // Iterations per client, scaled down as the client count grows so the
 // many-client points (and TSan runs, which tax atomics hardest) stay
 // time-bounded; throughput is per-second, so the curve is unaffected.
@@ -507,68 +501,6 @@ MpscPoint MeasureMpscPoint(int submitters) {
   point.mpsc_tp = MeasureWorld(1, 1, ia::KernelConfig{}, factory(true)).throughput;
   point.speedup = point.percall_tp > 0 ? point.mpsc_tp / point.percall_tp : 0;
   return point;
-}
-
-// --- cross-stripe overlap: reorderable batches, overlap on vs off -------------
-//
-// Each client pre-opens four of its private files and per iteration submits
-// ONE 16-entry batch of stat/fstat/lseek/read rows spanning them — exactly
-// the reorder-eligible shape the stripe-grouped dispatcher regroups. The off
-// kernel runs the identical batches through the strict in-order dispatcher.
-int OverlapClientBody(ia::ProcessContext& ctx, int id, const std::atomic<bool>* go,
-                      std::atomic<int>* ready, int iterations) {
-  constexpr int kBatchFiles = 4;
-  const std::string dir = "/data/c" + std::to_string(id);
-  std::string files[kBatchFiles];
-  int fds[kBatchFiles];
-  for (int j = 0; j < kBatchFiles; ++j) {
-    files[j] = dir + "/f" + std::to_string(j);
-    fds[j] = ctx.Open(files[j], ia::kORdonly);
-    if (fds[j] < 0) {
-      return 1;
-    }
-  }
-  ia::BatchClient batch(ctx, 64);
-  ia::Stat st[kBatchFiles];
-  ia::Stat fst[kBatchFiles];
-  char bufs[kBatchFiles][256];
-  ready->fetch_add(1, std::memory_order_acq_rel);
-  while (!go->load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-  for (int it = 0; it < iterations; ++it) {
-    for (int j = 0; j < kBatchFiles; ++j) {
-      batch.PushStat(files[j].c_str(), &st[j], 0);
-      batch.PushFstat(fds[j], &fst[j], 1);
-      batch.PushLseek(fds[j], static_cast<ia::Off>((it + j) % 256), ia::kSeekSet, 2);
-      batch.PushRead(fds[j], bufs[j], static_cast<int64_t>(sizeof bufs[j]), 3);
-    }
-    if (batch.Flush() != 4 * kBatchFiles) {
-      return 2;
-    }
-    for (const ia::SyscallCompletion& c : batch.completions()) {
-      if (c.status < 0) {
-        return 3;
-      }
-    }
-  }
-  for (int j = 0; j < kBatchFiles; ++j) {
-    ctx.Close(fds[j]);
-  }
-  return 0;
-}
-
-double MeasureOverlapPoint(int n, bool overlap) {
-  const int iterations = ItersFor(n, kIterations / 2);
-  ia::KernelConfig config;
-  config.batch_stripe_overlap = overlap;
-  return MeasureWorld(n, n, config,
-                      [iterations](int c, const std::atomic<bool>* go, std::atomic<int>* ready) {
-                        return [c, go, ready, iterations](ia::ProcessContext& ctx) {
-                          return OverlapClientBody(ctx, c, go, ready, iterations);
-                        };
-                      })
-      .throughput;
 }
 
 // --- striped vs single tree lock: the directory-heavy mix ---------------------
@@ -980,29 +912,6 @@ int main() {
                 mpsc_speedup16, cores);
   }
 
-  // --- cross-stripe drain overlap: on vs off at 64 clients --------------------
-  const double overlap_on_tp = MeasureOverlapPoint(64, true);
-  const double overlap_off_tp = MeasureOverlapPoint(64, false);
-  const double overlap_ratio = overlap_off_tp > 0 ? overlap_on_tp / overlap_off_tp : 0;
-  std::printf("\n  cross-stripe drain overlap, 64-client reorderable batch mix:\n");
-  std::printf("    overlap on: %.0f calls/sec; off: %.0f calls/sec (%.2fx)\n", overlap_on_tp,
-              overlap_off_tp, overlap_ratio);
-  if (kUnderTsan) {
-    std::printf("    gate: skipped (ThreadSanitizer run)\n");
-  } else if (cores >= 16) {
-    std::printf("    gate: %.2fx overlap-vs-exact (self-check: >= %.1fx)\n", overlap_ratio,
-                kOverlapGateAt64);
-    if (overlap_ratio < kOverlapGateAt64) {
-      std::printf("    FAIL: stripe-grouped batch execution is not beating strict in-order\n"
-                  "    dispatch on a reorder-eligible read mix\n");
-      ok = false;
-    }
-  } else {
-    std::printf("    gate: skipped (host has %u < 16 hardware threads; per-entry stripe\n"
-                "          acquires cannot contend without real parallelism)\n",
-                cores);
-  }
-
   // --- tree lock: striped vs single-stripe at 64 clients ---------------------
   const double striped_tp = MeasureTreePoint(64, ia::TreeLock::kDefaultStripes);
   const double single_tp = MeasureTreePoint(64, 1);
@@ -1174,11 +1083,6 @@ int main() {
               "\"stripes\":%d,\"striped_calls_per_sec\":%.0f,\"single_calls_per_sec\":%.0f,"
               "\"striped_vs_single\":%.3f}\n",
               ia::TreeLock::kDefaultStripes, striped_tp, single_tp, stripe_ratio);
-  std::printf("{\"bench\":\"bench_scalability\",\"check\":\"stripe_overlap\",\"clients\":64,"
-              "\"overlap_on_calls_per_sec\":%.0f,\"overlap_off_calls_per_sec\":%.0f,"
-              "\"overlap_vs_exact\":%.3f,\"gate\":%.1f,\"enforced\":%s}\n",
-              overlap_on_tp, overlap_off_tp, overlap_ratio, kOverlapGateAt64,
-              (!kUnderTsan && cores >= 16) ? "true" : "false");
   for (const RingPoint& p : ring_curve) {
     std::printf("{\"bench\":\"bench_ring\",\"clients\":%d,"
                 "\"percall_calls_per_sec\":%.0f,\"ring_calls_per_sec\":%.0f,"

@@ -28,7 +28,6 @@ EXPLICIT_DIRECTION = {
     "striped_vs_single": +1,  # stripe scaling factor
     "narrowed_vs_full": +1,   # pay-per-use speedup
     "narrowed_vs_bare": -1,   # overhead factor over the agentless kernel
-    "overlap_vs_exact": +1,   # cross-stripe drain overlap speedup
     "vs_first": +1,           # pooled-curve scaling retention vs its first point
     "socketpair_vs_pipe": +1,  # socket-vs-pipe transfer throughput parity
     "min_step_ratio": +1,     # pooled-curve monotonicity (a ratio, but higher

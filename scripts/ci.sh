@@ -28,6 +28,22 @@ python3 scripts/test_bench_compare.py
 # the property is not an artifact of one seed.)
 ./build/bench/bench_fault_sweep --containment-only --agent-chaos=4242,0.6
 
+# The end-to-end benchmark's output checks guard the dispatch core on every
+# change: ringmix completion values, make output digests, and probe-span
+# coverage. The probe recorder's own test runs first; then each workload gets
+# a short traced run, which must report failed == 0 on its last (JSON) line.
+# Timings from these runs are not compared.
+python3 e2ebench/run.py --selftest
+for workload in make andrew ringmix; do
+  python3 e2ebench/run.py --workload "$workload" --seconds 2 --trace 1 \
+    > "build/e2ebench_$workload.out"
+  if ! tail -n 1 "build/e2ebench_$workload.out" |
+      python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["failed"] != 0)'; then
+    echo "ci.sh: e2ebench $workload reported failed runs"
+    exit 1
+  fi
+done
+
 # bench_scalability self-checks: single-client parity against the forced
 # big-lock regime, the pay-per-use gate (a non-path per-process mix under a
 # footprint-narrowed agent stack must sustain >= 6.5x the throughput of the

@@ -58,7 +58,6 @@ class DirectionTest(unittest.TestCase):
         self.assertEqual(bench_compare.direction_of("narrowed_vs_bare"), -1)
         self.assertEqual(bench_compare.direction_of("narrowed_vs_full"), +1)
         self.assertEqual(bench_compare.direction_of("striped_vs_single"), +1)
-        self.assertEqual(bench_compare.direction_of("overlap_vs_exact"), +1)
         self.assertEqual(bench_compare.direction_of("vs_first"), +1)
         # min_step_ratio contains the lower-is-better "ratio" fragment, but a
         # monotonicity ratio regresses DOWNWARD.

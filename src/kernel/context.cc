@@ -279,8 +279,8 @@ int ProcessContext::DrainRing() {
   {
     DepthGuard guard(syscall_depth_);
     // Runs of consecutive kernel-lane entries accumulate here and flush
-    // through the amortized batch trap. kRunMax bounds both the stack
-    // footprint and the latency of exit/exec checks.
+    // through the kernel's dispatch core as one batch. kRunMax bounds both
+    // the stack footprint and the latency of exit/exec checks.
     constexpr int kRunMax = 64;
     SyscallRequest run[kRunMax];
     SyscallCompletion comps[kRunMax];
@@ -290,18 +290,7 @@ int ProcessContext::DrainRing() {
       if (run_len == 0) {
         return;
       }
-      if (run_len == 1) {
-        // Singleton runs skip the batch machinery entirely: the amortized
-        // prologue cannot pay for itself on one entry, so take the exact
-        // per-call path (this is what keeps 1-client ring issue at parity
-        // with synchronous issue).
-        comps[0].user_data = run[0].user_data;
-        comps[0].result = SyscallResult{};
-        comps[0].status = kernel_->DoSyscall(*proc_, run[0].number, run[0].args, &comps[0].result);
-        comps[0].vtime_usec = kernel_->clock().Now();
-      } else {
-        kernel_->DoSyscallBatch(*proc_, run, comps, run_len);
-      }
+      kernel_->DoSyscallBatch(*proc_, run, comps, run_len);
       for (int i = 0; i < run_len; ++i) {
         ring.PushCompletion(comps[i]);
       }

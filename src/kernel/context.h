@@ -65,10 +65,10 @@ class ProcessContext {
   uint32_t SubmitBatch(const SyscallRequest* reqs, uint32_t count);
 
   // Runs queued submissions in order and pushes one completion each. Runs of
-  // consecutive kernel-lane entries (no interested emulation frame) go through
-  // Kernel::DoSyscallBatch, which amortizes the dispatch prologue; entries an
-  // agent wants are executed one at a time through the compiled route, exactly
-  // like a synchronous call. Signals, a pending exit, and a pending exec are
+  // consecutive kernel-lane entries (no interested emulation frame) go to the
+  // kernel's dispatch core, Kernel::DoSyscallBatch, as one batch that pays the
+  // prologue once; entries an agent wants are executed one at a time through
+  // the compiled route, exactly like a synchronous call. Signals, a pending exit, and a pending exec are
   // honored at batch-run boundaries: the drain stops issuing once exit/exec is
   // pending (remaining submissions stay queued) and the return-to-user-mode
   // boundary runs once when the drain finishes. Returns completions produced.

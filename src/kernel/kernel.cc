@@ -22,7 +22,6 @@ void AddMicros(TimeVal* tv, int64_t micros) {
 
 Kernel::Kernel(const KernelConfig& config) {
   compute_spin_scale_ = config.compute_spin_scale;
-  batch_stripe_overlap_ = config.batch_stripe_overlap;
   // Bootstrap-only stripe configuration: no process threads exist yet.
   fs_.TreeMutex().SetStripeCount(config.tree_lock_stripes);
   clock_.Set(config.epoch_seconds * 1000000);
@@ -418,127 +417,52 @@ void Kernel::ConsumeCpu(Process& proc, int64_t micros) {
 // The trap and dispatcher.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+enum class Lane { kPerProcess, kVfsRead, kBigLock };
+
+// The lane an entry dispatches on. `serialized` (fault plan or ktrace sink
+// installed) sends everything to the big lock; so do out-of-table numbers,
+// whose ENOSYS DispatchLocked produces.
+Lane LaneOf(int number, bool serialized) {
+  if (serialized || number < 0 || number >= kMaxSyscall) {
+    return Lane::kBigLock;
+  }
+  const uint32_t flags = SyscallSpecOf(number).flags;
+  if ((flags & kPerProcess) != 0) {
+    return Lane::kPerProcess;
+  }
+  return (flags & kVfsRead) != 0 ? Lane::kVfsRead : Lane::kBigLock;
+}
+
+}  // namespace
+
 SyscallStatus Kernel::DoSyscall(Process& proc, int number, const SyscallArgs& args,
                                 SyscallResult* rv) {
-  // Prologue, identical for every dispatch lane: charge the call's virtual
-  // cost and account it to the caller. The clock and the filesystem "now" are
-  // atomic; the rusage fields are shared with signal posting and wait4
-  // reaping, so they take the per-process leaf lock.
-  const int64_t vstart = clock_.Now();
-  clock_.Advance(SyscallCost(number));
-  fs_.set_now(clock_.Now() / 1000000);
-  {
-    std::lock_guard<std::mutex> pm(proc.mu);
-    AddMicros(&proc.rusage.ru_stime, SyscallCost(number));
-    proc.rusage.ru_nsyscalls += 1;
-  }
-  // Tallies go to this thread's stat shard — a single shared counter here
-  // was a cache-line serializer at high client counts.
-  StatShard& shard = stat_shards_[StatShardSlot(kStatShards)];
-  shard.total_syscalls.fetch_add(1, std::memory_order_relaxed);
-
-  // Fast paths are legal only while nothing forces global serialization: an
-  // installed fault plan pins the per-(pid, seq) decision stream to the
-  // locked path, and ktrace sinks are not thread-safe.
-  const SyscallSpec& spec = SyscallSpecOf(number);
-  const bool fast_ok = !fault_active_.load(std::memory_order_acquire) &&
-                       ktrace_active_.load(std::memory_order_relaxed) == 0;
-
-  SyscallStatus status = 0;
-  bool handled = false;
-  if (fast_ok && (spec.flags & kPerProcess) != 0) {
-    status = DispatchUnlocked(proc, number, args, rv);
-    handled = true;
-  } else if (fast_ok && (spec.flags & kVfsRead) != 0 &&
-             TryDispatchVfsRead(proc, number, args, rv, &status)) {
-    handled = true;
-  }
-  if (!handled) {
-    Lock lk(mu_);
-    status = DispatchLocked(proc, number, args, rv, lk);
-
-    // Deliver to every attached sink whose abstraction-class filter matches
-    // this row; the record is built once, lazily, on the first match.
-    bool record_built = false;
-    KtraceRecord record;
-    for (KtraceSlot& slot : ktrace_slots_) {
-      KtraceSink* sink = slot.sink.load(std::memory_order_relaxed);
-      if (sink == nullptr ||
-          (spec.flags & slot.filter.load(std::memory_order_relaxed)) == 0) {
-        continue;
-      }
-      if (!record_built) {
-        record.pid = proc.pid;
-        record.syscall = number;
-        record.result = status;
-        record.vtime_usec = clock_.Now();
-        if ((spec.flags & kTakesPath) != 0 && spec.path_arg >= 0) {
-          const char* path = args.Ptr<const char>(spec.path_arg);
-          if (path != nullptr) {
-            record.path = path;
-          }
-        } else if ((spec.flags & kTakesFd) != 0) {
-          record.fd = args.Int(0);
-        }
-        record_built = true;
-      }
-      sink->Record(record);
-    }
-    cv_.notify_all();
-  }
-
-  if (number >= 0 && number < kMaxSyscall) {
-    AtomicSyscallStat& stat = shard.syscall_stats[number];
-    stat.calls.fetch_add(1, std::memory_order_relaxed);
-    if (status < 0) {
-      stat.errors.fetch_add(1, std::memory_order_relaxed);
-    }
-    stat.vtime_usec.fetch_add(clock_.Now() - vstart, std::memory_order_relaxed);
-  }
-  return status;
+  SyscallRequest req;
+  req.number = number;
+  req.args = args;
+  SyscallCompletion comp;
+  DoSyscallBatch(proc, &req, &comp, 1);
+  *rv = comp.result;
+  return comp.status;
 }
 
 void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCompletion* comps,
                             int count) {
-  if (count <= 0) {
-    return;
-  }
-  const bool fast_ok = !fault_active_.load(std::memory_order_acquire) &&
-                       ktrace_active_.load(std::memory_order_relaxed) == 0;
-  if (!fast_ok) {
-    // Global serialization is in force (fault plan / ktrace): run every entry
-    // through the exact per-call path so the per-(pid, seq) fault decision
-    // stream and the trace records are identical to synchronous issue.
-    for (int i = 0; i < count; ++i) {
-      comps[i].user_data = reqs[i].user_data;
-      comps[i].result = SyscallResult{};
-      comps[i].status = DoSyscall(proc, reqs[i].number, reqs[i].args, &comps[i].result);
-      comps[i].vtime_usec = clock_.Now();
-    }
-    return;
-  }
-
-  // Amortized prologue: one clock advance for the batch's summed virtual
-  // cost, one filesystem "now" refresh, one rusage update under the process
-  // leaf lock, one global-counter add.
-  int64_t batch_cost = 0;
-  for (int i = 0; i < count; ++i) {
-    batch_cost += SyscallCost(reqs[i].number);
-  }
-  clock_.Advance(batch_cost);
-  fs_.set_now(clock_.Now() / 1000000);
-  {
-    std::lock_guard<std::mutex> pm(proc.mu);
-    AddMicros(&proc.rusage.ru_stime, batch_cost);
-    proc.rusage.ru_nsyscalls += count;
-  }
+  // Fast lanes are legal only while nothing forces global serialization: an
+  // installed fault plan pins the per-(pid, seq) decision stream to the
+  // locked path, and ktrace sinks are not thread-safe. Serialized entries
+  // also pay the prologue one at a time, so the fault stream and the trace
+  // timestamps are exactly those of synchronous issue.
+  const bool serialized = fault_active_.load(std::memory_order_acquire) ||
+                          ktrace_active_.load(std::memory_order_relaxed) != 0;
+  // Tallies go to this thread's stat shard — a single shared counter here
+  // was a cache-line serializer at high client counts.
   StatShard& shard = stat_shards_[StatShardSlot(kStatShards)];
-  shard.total_syscalls.fetch_add(count, std::memory_order_relaxed);
 
-  // Per-number stats accumulate in a compact distinct-number table (batches
-  // repeat a handful of numbers). The old version zeroed four kMaxSyscall-
-  // sized arrays per flush — ~6KB of setup that made small runs a net loss
-  // against the per-call path.
+  // Per-number tallies collect in a compact distinct-number table (batches
+  // repeat a handful of numbers) and reach the shard once per batch.
   constexpr int kAccSlots = 24;
   struct StatAcc {
     int number;
@@ -548,135 +472,194 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
   };
   StatAcc acc[kAccSlots];
   int acc_n = 0;
-  auto note = [&](int number, SyscallStatus status, int64_t vtime) {
+  auto flush_stats = [&] {
     for (int k = 0; k < acc_n; ++k) {
-      if (acc[k].number == number) {
-        acc[k].calls += 1;
-        acc[k].errors += status < 0 ? 1 : 0;
-        acc[k].vtime += vtime;
-        return;
+      AtomicSyscallStat& stat = shard.syscall_stats[acc[k].number];
+      stat.calls.fetch_add(acc[k].calls, std::memory_order_relaxed);
+      if (acc[k].errors != 0) {
+        stat.errors.fetch_add(acc[k].errors, std::memory_order_relaxed);
       }
+      stat.vtime_usec.fetch_add(acc[k].vtime, std::memory_order_relaxed);
     }
-    if (acc_n < kAccSlots) {
-      acc[acc_n++] = StatAcc{number, 1, status < 0 ? 1 : 0, vtime};
+    acc_n = 0;
+  };
+  // Completes entry i. Its virtual time is its charged cost plus whatever the
+  // clock advanced since the previous entry finished (blocking sleeps), which
+  // is what a synchronous call would have tallied.
+  int64_t last = 0;
+  auto finish = [&](int i, SyscallStatus status) {
+    const int number = reqs[i].number;
+    const int64_t now = clock_.Now();
+    comps[i].status = status;
+    comps[i].vtime_usec = now;
+    const int64_t vtime = SyscallCost(number) + (now - last);
+    last = now;
+    if (number < 0 || number >= kMaxSyscall) {
       return;
     }
-    // Accumulator full (a pathologically diverse batch): flush directly.
-    AtomicSyscallStat& stat = shard.syscall_stats[number];
-    stat.calls.fetch_add(1, std::memory_order_relaxed);
-    if (status < 0) {
-      stat.errors.fetch_add(1, std::memory_order_relaxed);
+    int k = 0;
+    while (k < acc_n && acc[k].number != number) {
+      ++k;
     }
-    stat.vtime_usec.fetch_add(vtime, std::memory_order_relaxed);
+    if (k == acc_n) {
+      if (acc_n == kAccSlots) {
+        flush_stats();  // a pathologically diverse batch
+        k = 0;
+      }
+      acc[k] = StatAcc{number, 0, 0, 0};
+      acc_n = k + 1;
+    }
+    acc[k].calls += 1;
+    acc[k].errors += status < 0 ? 1 : 0;
+    acc[k].vtime += vtime;
   };
 
-  // Per-entry lane dispatch, identical to DoSyscall's.
-  auto execute_one = [&](int i) {
-    const int number = reqs[i].number;
+  for (int i = 0; i < count; ++i) {
     comps[i].user_data = reqs[i].user_data;
     comps[i].result = SyscallResult{};
-    SyscallResult* rv = &comps[i].result;
-    SyscallStatus status;
-    const int64_t ventry = clock_.Now();
-    if (number < 0 || number >= kMaxSyscall) {
-      status = -kENosys;
-    } else {
-      const SyscallSpec& spec = SyscallSpecOf(number);
-      bool handled = false;
-      if ((spec.flags & kPerProcess) != 0) {
-        status = DispatchUnlocked(proc, number, reqs[i].args, rv);
-        handled = true;
-      } else if ((spec.flags & kVfsRead) != 0 &&
-                 TryDispatchVfsRead(proc, number, reqs[i].args, rv, &status)) {
-        handled = true;
+  }
+  // Plans for a batch window: allocated on the batch's first window and
+  // reused by the later ones. A single call never needs them, and building
+  // the array per window cost more than grouping saved.
+  constexpr int kWindow = 64;
+  std::unique_ptr<VfsReadPlan[]> window;
+  int charged = 0;  // entries [0, charged) have paid the prologue
+  for (int i = 0; i < count; ++i) {
+    if (i == charged) {
+      // Prologue: one clock advance for the covered entries' summed virtual
+      // cost, one filesystem "now" refresh, one rusage update under the
+      // process leaf lock (the fields are shared with signal posting and
+      // wait4 reaping), one global-counter add.
+      charged = serialized ? i + 1 : count;
+      int64_t cost = 0;
+      for (int k = i; k < charged; ++k) {
+        cost += SyscallCost(reqs[k].number);
       }
-      if (!handled) {
-        Lock lk(mu_);
-        status = DispatchLocked(proc, number, reqs[i].args, rv, lk);
-        cv_.notify_all();
+      clock_.Advance(cost);
+      last = clock_.Now();
+      fs_.set_now(last / 1000000);
+      {
+        std::lock_guard<std::mutex> pm(proc.mu);
+        AddMicros(&proc.rusage.ru_stime, cost);
+        proc.rusage.ru_nsyscalls += charged - i;
       }
+      shard.total_syscalls.fetch_add(charged - i, std::memory_order_relaxed);
     }
-    comps[i].status = status;
-    comps[i].vtime_usec = clock_.Now();
-    if (number >= 0 && number < kMaxSyscall) {
-      // Per-entry virtual time: the entry's charged cost plus whatever the
-      // dispatch itself advanced (blocking sleeps), matching what the
-      // per-call path would have tallied.
-      note(number, status, SyscallCost(number) + (clock_.Now() - ventry));
-    }
-  };
 
-  if (!batch_stripe_overlap_) {
-    for (int i = 0; i < count; ++i) {
-      execute_one(i);
-    }
-  } else {
-    // Cross-stripe drain overlap: windows of consecutive reorder-eligible
-    // read-only kVfsRead entries execute grouped by tree-lock stripe — one
-    // shared acquire per stripe group instead of one per entry, and far less
-    // lock-word bouncing when many drains run concurrently. Original order is
-    // kept within each stripe, which (together with the plan's hint rules)
-    // preserves every same-fd / same-pathname-stripe dependence; everything
-    // else is a window barrier and runs at its original position. Completions
-    // land at their original indices, so delivery order never changes.
-    constexpr int kOverlapWindow = 64;
-    BatchEntryPlan plans[kOverlapWindow];
-    int i = 0;
-    while (i < count) {
-      int j = i;
-      while (j < count && j - i < kOverlapWindow &&
-             PlanVfsReadEntry(proc, reqs[j], &plans[j - i])) {
-        ++j;
+    const int number = reqs[i].number;
+    SyscallResult* rv = &comps[i].result;
+    SyscallStatus status = 0;
+    const Lane lane = LaneOf(number, serialized);
+    if (lane == Lane::kPerProcess) {
+      status = DispatchUnlocked(proc, number, reqs[i].args, rv);
+    } else if (lane == Lane::kBigLock) {
+      status = DispatchBigLock(proc, number, reqs[i].args, rv);
+    } else {
+      VfsReadPlan plan = ClassifyVfsRead(proc, reqs[i]);
+      int n = 1;
+      if (plan.reorderable && i + 1 < count &&
+          LaneOf(reqs[i + 1].number, serialized) == Lane::kVfsRead) {
+        // A window of consecutive reorderable entries executes grouped by
+        // tree-lock stripe: one shared acquire per stripe group instead of
+        // one per entry, and far less lock-word bouncing when many drains
+        // run concurrently. Original order is kept within each stripe, which
+        // preserves every same-file / same-pathname dependence; any other
+        // entry ends the window and runs at its own position. Completions
+        // land at their original indices.
+        if (window == nullptr) {
+          window = std::make_unique<VfsReadPlan[]>(kWindow);
+        }
+        window[0] = std::move(plan);
+        while (n < kWindow && i + n < count &&
+               LaneOf(reqs[i + n].number, serialized) == Lane::kVfsRead) {
+          window[n] = ClassifyVfsRead(proc, reqs[i + n]);
+          if (!window[n].reorderable) {
+            break;  // classified again at its own position
+          }
+          ++n;
+        }
+        for (int s = 0; n >= 2 && s < fs_.TreeMutex().stripe_count(); ++s) {
+          uint64_t held_hint = 0;
+          bool held = false;
+          for (int k = 0; k < n; ++k) {
+            if (window[k].stripe != s) {
+              continue;
+            }
+            if (!held) {
+              held_hint = window[k].hint;
+              fs_.TreeMutex().lock_shared(held_hint);
+              held = true;
+            }
+            ExecuteVfsRead(proc, reqs[i + k], window[k], &comps[i + k].result, &status);
+            finish(i + k, status);
+          }
+          if (held) {
+            fs_.TreeMutex().unlock_shared(held_hint);
+          }
+        }
+        plan = std::move(window[0]);
+        for (int k = 1; k < n; ++k) {
+          // Drop pre-resolved files promptly: a later close in this batch
+          // must still release the last reference (and any flock) itself.
+          window[k].file.reset();
+        }
       }
-      if (j - i < 2) {
-        execute_one(i);
-        ++i;
+      if (n >= 2) {
+        i += n - 1;
         continue;
       }
-      const int stripes = fs_.TreeMutex().stripe_count();
-      for (int s = 0; s < stripes; ++s) {
-        uint64_t held_hint = 0;
-        bool held = false;
-        for (int k = i; k < j; ++k) {
-          const BatchEntryPlan& plan = plans[k - i];
-          if (static_cast<int>(plan.stripe) != s) {
-            continue;
-          }
-          if (!held) {
-            fs_.TreeMutex().lock_shared(plan.hint);
-            held_hint = plan.hint;
-            held = true;
-          }
-          const int number = reqs[k].number;
-          comps[k].user_data = reqs[k].user_data;
-          comps[k].result = SyscallResult{};
-          const SyscallStatus status =
-              ExecuteVfsReadPlanned(proc, reqs[k], plan, &comps[k].result);
-          comps[k].status = status;
-          comps[k].vtime_usec = clock_.Now();
-          // No planned row blocks or advances the clock, so the entry's
-          // virtual time is exactly its charged cost.
-          note(number, status, SyscallCost(number));
-        }
-        if (held) {
-          fs_.TreeMutex().unlock_shared(held_hint);
-        }
+      // One entry at its own position: it takes its own stripe.
+      bool done = plan.kind == VfsReadPlan::kDone;
+      status = plan.status;
+      if (plan.kind == VfsReadPlan::kStripe) {
+        SharedTreeLock tree(fs_.TreeMutex(), plan.hint);
+        done = ExecuteVfsRead(proc, reqs[i], plan, rv, &status);
+      } else if (plan.kind == VfsReadPlan::kUnlocked) {
+        done = ExecuteVfsRead(proc, reqs[i], plan, rv, &status);
       }
-      for (int k = 0; k < j - i; ++k) {
-        plans[k].file.reset();  // drop pre-resolved refs promptly
+      if (!done) {
+        status = DispatchBigLock(proc, number, reqs[i].args, rv);
       }
-      i = j;
     }
+    finish(i, status);
   }
+  flush_stats();
+}
 
-  for (int k = 0; k < acc_n; ++k) {
-    AtomicSyscallStat& stat = shard.syscall_stats[acc[k].number];
-    stat.calls.fetch_add(acc[k].calls, std::memory_order_relaxed);
-    if (acc[k].errors != 0) {
-      stat.errors.fetch_add(acc[k].errors, std::memory_order_relaxed);
+SyscallStatus Kernel::DispatchBigLock(Process& proc, int number, const SyscallArgs& args,
+                                      SyscallResult* rv) {
+  Lock lk(mu_);
+  const SyscallStatus status = DispatchLocked(proc, number, args, rv, lk);
+
+  // Deliver to every attached sink whose abstraction-class filter matches
+  // this row; the record is built once, lazily, on the first match.
+  const SyscallSpec& spec = SyscallSpecOf(number);
+  bool record_built = false;
+  KtraceRecord record;
+  for (KtraceSlot& slot : ktrace_slots_) {
+    KtraceSink* sink = slot.sink.load(std::memory_order_relaxed);
+    if (sink == nullptr || (spec.flags & slot.filter.load(std::memory_order_relaxed)) == 0) {
+      continue;
     }
-    stat.vtime_usec.fetch_add(acc[k].vtime, std::memory_order_relaxed);
+    if (!record_built) {
+      record.pid = proc.pid;
+      record.syscall = number;
+      record.result = status;
+      record.vtime_usec = clock_.Now();
+      if ((spec.flags & kTakesPath) != 0 && spec.path_arg >= 0) {
+        const char* path = args.Ptr<const char>(spec.path_arg);
+        if (path != nullptr) {
+          record.path = path;
+        }
+      } else if ((spec.flags & kTakesFd) != 0) {
+        record.fd = args.Int(0);
+      }
+      record_built = true;
+    }
+    sink->Record(record);
   }
+  cv_.notify_all();
+  return status;
 }
 
 const std::array<Kernel::SyscallHandler, kMaxSyscall>& Kernel::DispatchTable() {
@@ -749,68 +732,138 @@ SyscallStatus Kernel::DispatchUnlocked(Process& proc, int number, const SyscallA
   return (this->*handler)(proc, args, rv, no_lock);
 }
 
-bool Kernel::TryDispatchVfsRead(Process& proc, int number, const SyscallArgs& args,
-                                SyscallResult* rv, SyscallStatus* out) {
-  switch (number) {
-    // Pure tree walks (plus lseek, which at most reads a file size): the
-    // regular handlers are already read-only against the tree and touch
-    // neither rv-independent kernel state nor the Lock, so run them as-is
-    // under the shared tree lock.
+Kernel::VfsReadPlan Kernel::ClassifyVfsRead(Process& proc, const SyscallRequest& req) {
+  const SyscallArgs& args = req.args;
+  VfsReadPlan plan;
+  auto done = [&plan](SyscallStatus status) {
+    plan.kind = VfsReadPlan::kDone;
+    plan.status = status;
+    return std::move(plan);
+  };
+  auto stripe = [&](uint64_t hint, bool reorderable) {
+    plan.kind = VfsReadPlan::kStripe;
+    plan.reorderable = reorderable;
+    plan.hint = hint;
+    plan.stripe = static_cast<uint8_t>(fs_.TreeMutex().StripeOf(hint));
+    return std::move(plan);
+  };
+  switch (req.number) {
+    // Pure tree walks: the regular handlers are already read-only against the
+    // tree and touch neither the Lock nor other kernel state, so they run
+    // as-is; a null path is the handler's EFAULT.
     case kSysStat:
     case kSysLstat:
     case kSysAccess:
-    case kSysReadlink:
+    case kSysReadlink: {
+      const char* path = args.Ptr<const char>(0);
+      return stripe(path != nullptr ? TreeLock::HintForPath(path) : 0, true);
+    }
+
+    // lseek at most reads a file size; its handler also owns the bad-fd and
+    // pipe (ESPIPE) answers, so only real files are reorderable.
     case kSysLseek: {
-      // Stripe hint: hash the whole pathname for the path walks; lseek is
-      // fd-keyed, so spread by (pid, fd) instead of resolving the inode.
-      const SyscallSpec& spec = SyscallSpecOf(number);
-      uint64_t hint = TreeLock::HintForFd(proc.pid, args.Int(0));
-      if ((spec.flags & kTakesPath) != 0 && spec.path_arg >= 0) {
-        const char* path = args.Ptr<const char>(spec.path_arg);
-        if (path != nullptr) {
-          hint = TreeLock::HintForPath(path);
-        }
+      const OpenFileRef file = proc.fds.Get(args.Int(0));
+      if (file == nullptr || file->inode == nullptr) {
+        return stripe(0, false);
       }
-      SharedTreeLock tree(fs_.TreeMutex(), hint);
-      Lock no_lock;
-      *out = (this->*DispatchTable()[number])(proc, args, rv, no_lock);
-      return true;
+      return stripe(TreeLock::HintForIno(file->inode->ino()), true);
     }
 
     case kSysFstat: {
       OpenFileRef file = proc.fds.Get(args.Int(0));
       if (file == nullptr) {
-        *out = -kEBadf;
-        return true;
+        return done(-kEBadf);
       }
       if (file->inode == nullptr) {
-        return false;  // anonymous pipe: the synthetic stat reads pipe state
+        return plan;  // anonymous pipe: the synthetic stat reads pipe state
       }
-      auto* st = args.Ptr<ia::Stat>(1);
-      if (st == nullptr) {
-        *out = -kEFault;
-        return true;
+      if (args.Ptr<ia::Stat>(1) == nullptr) {
+        return done(-kEFault);
       }
-      SharedTreeLock tree(fs_.TreeMutex(), TreeLock::HintForIno(file->inode->ino()));
-      file->inode->FillStat(st);
-      *out = 0;
-      return true;
+      const uint64_t hint = TreeLock::HintForIno(file->inode->ino());
+      plan.file = std::move(file);
+      return stripe(hint, true);
+    }
+
+    case kSysRead: {
+      OpenFileRef file = proc.fds.Get(args.Int(0));
+      if (file == nullptr || !file->CanRead()) {
+        return done(-kEBadf);
+      }
+      if (args.Ptr<char>(1) == nullptr) {
+        return done(-kEFault);
+      }
+      const int64_t count = args.Long(2);
+      if (count <= 0) {
+        return done(count < 0 ? -kEInval : 0);  // a zero-length read returns 0
+      }
+      if (file->backing->kind() != BackingKind::kVnode) {
+        return plan;  // pipe/socket: may sleep on the condvar
+      }
+      if (file->inode == nullptr) {
+        return done(-kEBadf);
+      }
+      if (file->inode->IsDevice()) {
+        return plan;  // device state belongs to the big lock
+      }
+      const uint64_t hint = TreeLock::HintForIno(file->inode->ino());
+      plan.file = std::move(file);
+      return stripe(hint, true);
     }
 
     case kSysOpen: {
       const char* path = args.Ptr<const char>(0);
       if (path == nullptr) {
-        *out = -kEFault;
-        return true;
+        return done(-kEFault);
       }
+      if ((args.Int(1) & (kOCreat | kOTrunc)) != 0) {
+        return plan;  // may create or resize: tree mutations need the big lock
+      }
+      plan.kind = VfsReadPlan::kUnlocked;
+      plan.hint = TreeLock::HintForPath(path);
+      return plan;
+    }
+
+    case kSysClose: {
+      const OpenFileRef file = proc.fds.Get(args.Int(0));
+      if (file == nullptr) {
+        return done(-kEBadf);
+      }
+      if (file->backing->kind() != BackingKind::kVnode ||
+          file->flock_mode.load(std::memory_order_acquire) != 0) {
+        // Dropping the last reference would detach a pipe end / close a socket
+        // endpoint or release an flock — big-lock transitions that must also
+        // wake condvar sleepers.
+        return plan;
+      }
+      plan.kind = VfsReadPlan::kUnlocked;
+      return plan;
+    }
+
+    default:
+      return plan;
+  }
+}
+
+bool Kernel::ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsReadPlan& plan,
+                            SyscallResult* rv, SyscallStatus* out) {
+  const SyscallArgs& args = req.args;
+  switch (req.number) {
+    case kSysFstat:
+      plan.file->inode->FillStat(args.Ptr<ia::Stat>(1));
+      *out = 0;
+      return true;
+
+    case kSysRead:
+      *out = ReadRegularLocked(proc, *plan.file, args.Ptr<char>(1), args.Long(2), rv);
+      return true;
+
+    case kSysOpen: {
       const int flags = args.Int(1);
-      if ((flags & (kOCreat | kOTrunc)) != 0) {
-        return false;  // may create or resize: tree mutations need the big lock
-      }
       InodeRef inode;
       {
-        SharedTreeLock tree(fs_.TreeMutex(), TreeLock::HintForPath(path));
-        const int err = fs_.Open(EnvOf(proc), path, flags, 0, &inode);
+        SharedTreeLock tree(fs_.TreeMutex(), plan.hint);
+        const int err = fs_.Open(EnvOf(proc), args.Ptr<const char>(0), flags, 0, &inode);
         if (err != 0) {
           *out = err;
           return true;
@@ -828,7 +881,7 @@ bool Kernel::TryDispatchVfsRead(Process& proc, int number, const SyscallArgs& ar
       }
       OpenFileRef file = MakeVnodeFile(inode, flags);
       if ((flags & kOAppend) != 0) {
-        SharedTreeLock tree(fs_.TreeMutex(), TreeLock::HintForIno(inode->ino()));
+        SharedTreeLock tree(fs_.TreeMutex(), plan.hint);
         file->offset = static_cast<Off>(inode->data.size());
       }
       proc.fds.Set(fd, std::move(file));
@@ -837,65 +890,16 @@ bool Kernel::TryDispatchVfsRead(Process& proc, int number, const SyscallArgs& ar
       return true;
     }
 
-    case kSysClose: {
-      const int fd = args.Int(0);
-      OpenFileRef file = proc.fds.Get(fd);
-      if (file == nullptr) {
-        *out = -kEBadf;
-        return true;
-      }
-      if (file->backing->kind() != BackingKind::kVnode ||
-          file->flock_mode.load(std::memory_order_acquire) != 0) {
-        // Dropping the last reference would detach a pipe end / close a socket
-        // endpoint or release an flock — big-lock transitions that must also
-        // wake condvar sleepers.
-        return false;
-      }
-      file.reset();
-      *out = proc.fds.Close(fd);
+    case kSysClose:
+      *out = proc.fds.Close(args.Int(0));
+      return true;
+
+    default: {
+      // stat/lstat/access/readlink/lseek: the regular handler, no big lock.
+      Lock no_lock;
+      *out = (this->*DispatchTable()[req.number])(proc, args, rv, no_lock);
       return true;
     }
-
-    case kSysRead: {
-      const int fd = args.Int(0);
-      char* buf = args.Ptr<char>(1);
-      const int64_t count = args.Long(2);
-      OpenFileRef file = proc.fds.Get(fd);
-      if (file == nullptr || !file->CanRead()) {
-        *out = -kEBadf;
-        return true;
-      }
-      if (buf == nullptr) {
-        *out = -kEFault;
-        return true;
-      }
-      if (count < 0) {
-        *out = -kEInval;
-        return true;
-      }
-      if (count == 0) {
-        rv->rv[0] = 0;
-        *out = 0;
-        return true;
-      }
-      if (file->backing->kind() != BackingKind::kVnode) {
-        return false;  // pipe/socket: may sleep on the condvar
-      }
-      const InodeRef inode = file->inode;
-      if (inode == nullptr) {
-        *out = -kEBadf;
-        return true;
-      }
-      if (inode->IsDevice()) {
-        return false;  // device state belongs to the big lock
-      }
-      SharedTreeLock tree(fs_.TreeMutex(), TreeLock::HintForIno(inode->ino()));
-      *out = ReadRegularLocked(proc, *file, buf, count, rv);
-      return true;
-    }
-
-    default:
-      return false;
   }
 }
 
@@ -918,98 +922,6 @@ SyscallStatus Kernel::ReadRegularLocked(Process& proc, OpenFile& file, char* buf
   }
   rv->rv[0] = n;
   return static_cast<SyscallStatus>(n);
-}
-
-bool Kernel::PlanVfsReadEntry(Process& proc, const SyscallRequest& req, BatchEntryPlan* plan) {
-  const int number = req.number;
-  if (number < 0 || number >= kMaxSyscall) {
-    return false;
-  }
-  uint64_t hint = 0;
-  switch (number) {
-    // Path walks: the stripe is keyed on the whole pathname, so two entries
-    // naming the same path always group together in original order.
-    case kSysStat:
-    case kSysLstat:
-    case kSysAccess:
-    case kSysReadlink: {
-      const char* path = req.args.Ptr<const char>(0);
-      if (path == nullptr) {
-        return false;
-      }
-      hint = TreeLock::HintForPath(path);
-      break;
-    }
-
-    // Descriptor rows: the stripe is keyed on the OpenFile object itself, not
-    // the fd number — dup'd descriptors share one OpenFile (and its offset),
-    // so identity-keying is what keeps lseek/read/fstat chains on an aliased
-    // descriptor in submission order.
-    case kSysLseek:
-    case kSysFstat: {
-      OpenFileRef file = proc.fds.Get(req.args.Int(0));
-      if (file == nullptr || file->inode == nullptr) {
-        return false;  // bad fd / pipe: synthetic handling at original position
-      }
-      hint = reinterpret_cast<uintptr_t>(file.get());
-      plan->file = std::move(file);
-      break;
-    }
-
-    case kSysRead: {
-      char* buf = req.args.Ptr<char>(1);
-      const int64_t count = req.args.Long(2);
-      if (buf == nullptr || count <= 0) {
-        return false;
-      }
-      OpenFileRef file = proc.fds.Get(req.args.Int(0));
-      if (file == nullptr || !file->CanRead() || file->backing->kind() != BackingKind::kVnode ||
-          file->inode == nullptr || file->inode->IsDevice()) {
-        return false;  // needs the big lock (or error handling) at its position
-      }
-      hint = reinterpret_cast<uintptr_t>(file.get());
-      plan->file = std::move(file);
-      break;
-    }
-
-    default:
-      return false;
-  }
-  plan->reorderable = true;
-  plan->hint = hint;
-  plan->stripe = static_cast<uint8_t>(fs_.TreeMutex().StripeOf(hint));
-  return true;
-}
-
-SyscallStatus Kernel::ExecuteVfsReadPlanned(Process& proc, const SyscallRequest& req,
-                                            const BatchEntryPlan& plan, SyscallResult* rv) {
-  switch (req.number) {
-    // Same shape as TryDispatchVfsRead's path-walk case, minus the per-entry
-    // lock acquisition (the caller holds the group's stripe).
-    case kSysStat:
-    case kSysLstat:
-    case kSysAccess:
-    case kSysReadlink:
-    case kSysLseek: {
-      Lock no_lock;
-      return (this->*DispatchTable()[req.number])(proc, req.args, rv, no_lock);
-    }
-
-    case kSysFstat: {
-      auto* st = req.args.Ptr<ia::Stat>(1);
-      if (st == nullptr) {
-        return -kEFault;
-      }
-      plan.file->inode->FillStat(st);
-      return 0;
-    }
-
-    case kSysRead:
-      return ReadRegularLocked(proc, *plan.file, req.args.Ptr<char>(1), req.args.Long(2), rv);
-
-    default:
-      return -kENosys;  // unreachable: PlanVfsReadEntry never plans other rows
-  }
 }
 
 namespace {

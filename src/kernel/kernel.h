@@ -1,43 +1,46 @@
 // The simulated 4.3BSD kernel.
 //
 // Each simulated process runs on a host thread and enters the kernel through
-// DoSyscall(). Kernel-mode execution is serialized at three granularities:
+// one dispatch core, DoSyscallBatch(); DoSyscall() is its count-1 case. The
+// core pays the prologue (clock advance, filesystem "now", rusage, stat
+// shard), picks a lane per entry (LaneOf), and tallies the stats epilogue.
+// Kernel-mode execution is serialized at three granularities, one per lane:
 //
 //   * the big lock (mu_) still owns all cross-process state — the process
 //     table, fork/exec/exit/wait, signal delivery, pipes, devices, flock, and
 //     every blocking sleep (kBlocking rows park on the kernel-wide condvar
-//     and honor signals with EINTR, as 4.3BSD does);
+//     and honor signals with EINTR, as 4.3BSD does). Big-lock handlers for
+//     non-blocking rows additionally hold EVERY tree stripe EXCLUSIVELY,
+//     which is what excludes them from concurrent shared-mode readers;
 //   * syscalls flagged kPerProcess in syscalls.def (getpid/umask/sigblock/
 //     gettimeofday/getrusage/...) dispatch through DispatchUnlocked and never
 //     touch mu_ — they rely on Process::mu, per-field atomics, and the atomic
 //     VirtualClock;
 //   * syscalls flagged kVfsRead (stat/access/readlink/open/read/lseek/fstat/
-//     close) first try a lock-free fast path holding ONE stripe of the VFS
-//     tree lock in SHARED mode (see TreeLock in vfs.h), falling back to the
-//     big lock for the cases that mutate shared state (O_CREAT/O_TRUNC opens,
-//     fifos/pipes, devices, flocked files). Big-lock handlers for
-//     non-blocking rows additionally hold EVERY tree stripe EXCLUSIVELY,
-//     which is what excludes them from concurrent shared-mode readers.
+//     close) are classified by ClassifyVfsRead into a stripe hint of the VFS
+//     tree lock (see TreeLock in vfs.h), an immediate status, or "needs the
+//     big lock" (O_CREAT/O_TRUNC opens, fifos/pipes, devices, flocked files).
+//     ExecuteVfsRead runs a classified row with its stripe held SHARED: a
+//     single call takes its own stripe, and a batch window of read-only rows
+//     is grouped by stripe (one shared acquire per stripe group). Grouping
+//     keeps every dependent pair — same file, same pathname — in
+//     submission order, and completions are always delivered in submission
+//     order. Open and close do their descriptor-slot work outside any stripe.
 //
 // Calls arrive either synchronously through ProcessContext::Syscall, or as
 // SyscallRequest batches drained from a per-process submission/completion
-// ring (see ring.h): DoSyscallBatch runs each entry through the same lanes
-// but pays the dispatch prologue (clock/rusage/stats accounting) once per
-// batch instead of once per call. With batch_stripe_overlap on it may also
-// execute independent read-only kVfsRead entries grouped by tree-lock stripe
-// (one shared acquire per stripe group instead of per entry); dependent
-// entries — same fd, same pathname stripe, anything mutating — keep exact
-// submission order, and completions are always delivered in submission order.
+// ring (see ring.h). A batch pays the prologue once for all its entries.
 //
 // Lock order (outer to inner): mu_ -> tree stripe(s) (ascending index) ->
 // name cache mutex, and independently {mu_ or nothing} -> Process::mu and
-// {mu_ or nothing} -> FdTable's internal leaf mutex. Nothing acquires mu_
-// while holding any of the others.
+// {mu_ or nothing, or a shared tree stripe} -> FdTable's internal leaf mutex.
+// Nothing acquires mu_ while holding any of the others.
 //
-// Fast paths (and the batched prologue) are disabled entirely while a fault
-// plan is installed (fault decisions must stay deterministic per (pid,
-// per-process syscall sequence), and the injector is guarded by mu_) and
-// while a ktrace sink is attached (sinks are not required to be thread-safe).
+// While a fault plan is installed (fault decisions must stay deterministic per
+// (pid, per-process syscall sequence), and the injector is guarded by mu_) or
+// a ktrace sink is attached (sinks are not required to be thread-safe), every
+// entry takes the big-lock lane and pays its own prologue, so fault streams
+// and trace timestamps are identical to synchronous issue.
 #ifndef SRC_KERNEL_KERNEL_H_
 #define SRC_KERNEL_KERNEL_H_
 
@@ -77,13 +80,6 @@ struct KernelConfig {
   // rounded down to a power of two). 1 reproduces the old single
   // shared_mutex; the default spreads shared-mode readers across cache lines.
   int tree_lock_stripes = TreeLock::kDefaultStripes;
-  // Cross-stripe drain overlap (DESIGN.md §11): DoSyscallBatch may execute
-  // *independent* read-only kVfsRead entries grouped by tree-lock stripe
-  // instead of in strict submission order (dependence = same fd or same
-  // pathname stripe; mutating, agent-routed, fault-plan and ktrace entries
-  // always keep exact order). Completions are still delivered in submission
-  // order. Off reproduces the strict in-order batch dispatcher.
-  bool batch_stripe_overlap = true;
 };
 
 // Per-syscall observability counters, indexed by syscall number.
@@ -136,12 +132,10 @@ class Kernel {
   // --- the trap ------------------------------------------------------------------
   SyscallStatus DoSyscall(Process& proc, int number, const SyscallArgs& args, SyscallResult* rv);
 
-  // Batched trap for ring drains: runs `count` kernel-lane requests in order,
-  // filling one completion per request. While the fast paths are legal (no
-  // fault plan, no ktrace sink) the dispatch prologue — clock advance, rusage
-  // accounting, stats tallies — is paid once for the whole batch; otherwise
-  // every entry takes the exact per-call DoSyscall path, which keeps fault
-  // decision streams and ktrace records identical to synchronous issue.
+  // The dispatch core: runs `count` kernel-lane requests and fills one
+  // completion per request, in submission order (see the lane comment at the
+  // top of this file). Ring drains call it with whole runs of entries;
+  // DoSyscall is the count-1 case.
   void DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCompletion* comps,
                       int count);
 
@@ -268,40 +262,43 @@ class Kernel {
   SyscallStatus DispatchUnlocked(Process& proc, int number, const SyscallArgs& args,
                                  SyscallResult* rv);
 
-  // The kVfsRead fast path: attempts the call under the VFS tree lock in
-  // shared mode. Returns true with *out filled when the call completed;
-  // returns false when the case needs the big lock (creat/trunc opens, pipes
-  // and fifos, devices, flocked closes), and the caller re-dispatches.
-  bool TryDispatchVfsRead(Process& proc, int number, const SyscallArgs& args, SyscallResult* rv,
-                          SyscallStatus* out);
+  // The big-lock lane: DispatchLocked under mu_, then delivery to every
+  // attached ktrace slot whose filter matches, then a condvar wakeup.
+  SyscallStatus DispatchBigLock(Process& proc, int number, const SyscallArgs& args,
+                                SyscallResult* rv);
 
-  // --- cross-stripe drain overlap (DoSyscallBatch) ------------------------------
-  // Classification of one batch entry: read-only kVfsRead rows whose grouped
-  // (stripe-ordered) execution is provably result-identical to submission
-  // order. Fd-keyed rows (read/lseek/fstat) all derive their stripe from
-  // HintForFd, path rows from HintForPath, so two entries on the same fd or
-  // the same pathname always share a stripe — and grouping is stable within
-  // a stripe, which is what preserves every dependent pair's order. Rows that
-  // allocate or release descriptor slots (open/close) are excluded: slot
-  // numbering is order-sensitive across distinct fds.
-  struct BatchEntryPlan {
+  // The classification of one kVfsRead row. kStripe rows run in
+  // ExecuteVfsRead under the stripe `hint` selects, held shared; path rows
+  // key the hint on the whole pathname and descriptor rows on the file's
+  // inode (dup'd descriptors share one OpenFile, and so one inode), so
+  // dependent rows always share a stripe. `reorderable` marks read-only rows a batch window
+  // may group by stripe. Open and close allocate or release descriptor slots,
+  // whose numbering is order-sensitive, so they keep their position; they are
+  // kUnlocked, because holding a stripe across the slot work makes them queue
+  // behind writers (on a 4-thread host, ringmix's close tail grew from 1.6 us
+  // to 24 us).
+  struct VfsReadPlan {
+    enum Kind : uint8_t { kStripe, kUnlocked, kDone, kBigLock };
+    Kind kind = kBigLock;
     bool reorderable = false;
-    uint8_t stripe = 0;   // tree-lock stripe index (the group key)
-    uint64_t hint = 0;    // representative hint for the stripe lock
-    OpenFileRef file;     // pre-resolved file for fd-keyed rows
+    uint8_t stripe = 0;         // kStripe: TreeLock::StripeOf(hint)
+    SyscallStatus status = 0;   // kDone: the call's result
+    uint64_t hint = 0;          // kStripe, and open's walk: tree-lock stripe hint
+    OpenFileRef file;           // kStripe: pre-resolved descriptor (read/fstat)
   };
-  // Fills `plan` and returns true when the entry is reorder-eligible. The
-  // pre-checks are strict enough that ExecuteVfsReadPlanned never needs the
-  // big-lock fallback (pipes, devices and malformed args all classify as
-  // not-reorderable and run at their original position instead).
-  bool PlanVfsReadEntry(Process& proc, const SyscallRequest& req, BatchEntryPlan* plan);
-  // Executes a planned entry; the caller holds the plan's tree stripe shared.
-  SyscallStatus ExecuteVfsReadPlanned(Process& proc, const SyscallRequest& req,
-                                      const BatchEntryPlan& plan, SyscallResult* rv);
-  // The regular-file read body shared by TryDispatchVfsRead, the planned
-  // executor, and VnodeBacking. Preconditions: `file` is a readable
-  // vnode-backed regular/symlink descriptor, buf != nullptr, count > 0, and
-  // the caller holds a tree stripe in shared mode.
+  VfsReadPlan ClassifyVfsRead(Process& proc, const SyscallRequest& req);
+  // Runs a kStripe row with the plan's stripe already held shared by the
+  // caller, or a kUnlocked row with no stripe held: open takes its path stripe
+  // around the walk itself, and close touches only the descriptor table.
+  // Returns false, with nothing done, when the row turns out to need the big
+  // lock (an open that resolved to a fifo); reorderable rows always return
+  // true.
+  bool ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsReadPlan& plan,
+                      SyscallResult* rv, SyscallStatus* out);
+  // The regular-file read body shared by ExecuteVfsRead and VnodeBacking.
+  // Preconditions: `file` is a readable vnode-backed regular/symlink
+  // descriptor, buf != nullptr, count > 0, and the caller holds a tree stripe
+  // in shared mode.
   SyscallStatus ReadRegularLocked(Process& proc, OpenFile& file, char* buf, int64_t count,
                                   SyscallResult* rv);
   // The regular-file write body (append positioning, kEFbig ceiling, disk
@@ -451,7 +448,7 @@ class Kernel {
   RandomDevice random_dev_;
 
   double compute_spin_scale_ = 0.0;
-  // Atomics: read by every DoSyscall to gate the fast paths, written rarely.
+  // Atomics: read by every dispatch to gate the fast lanes, written rarely.
   // ktrace_active_ mirrors the number of attached sinks so the per-call gate
   // stays a single load regardless of slot count.
   struct KtraceSlot {
@@ -495,8 +492,6 @@ class Kernel {
   // exit-rate, not call-rate, so they stay unsharded.
   std::atomic<int64_t> route_lookups_{0};
   std::atomic<int64_t> route_builds_{0};
-  // See KernelConfig::batch_stripe_overlap. Immutable after construction.
-  bool batch_stripe_overlap_ = true;
 
   // --- containment plane state -------------------------------------------------
   // Emits a kAgentQuarantined/kAgentReinstated record to every kProcess-

@@ -5,9 +5,10 @@
 // to drain (each entry runs through the emulation stack's compiled route
 // exactly as a synchronous call would — agents see nothing new), and reaps
 // SyscallCompletion entries carrying value/errno/vtime asynchronously. The
-// drain amortizes the dispatch prologue — lane selection, route lookup, clock
-// and rusage accounting, stats tallies — across a whole batch via
-// Kernel::DoSyscallBatch instead of paying it per call.
+// drain hands each run of kernel-lane entries to the kernel's one dispatch
+// core, Kernel::DoSyscallBatch (a synchronous call is its count-1 case), so
+// the route lookup and the prologue — clock and rusage accounting — are paid
+// once per run instead of once per call.
 //
 // Threading: the submission queue is MULTI-producer/single-consumer, so a
 // thread-pool server can share one process's ring — any number of host

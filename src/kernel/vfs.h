@@ -111,16 +111,10 @@ class TreeLock {
     return h;
   }
   static uint64_t HintForIno(Ino ino) { return static_cast<uint64_t>(ino); }
-  // For fd-keyed read rows where resolving the inode first would defeat the
-  // fast path: spread by (pid, fd) so distinct clients avoid each other.
-  static uint64_t HintForFd(Pid pid, int fd) {
-    return static_cast<uint64_t>(pid) * 61ULL + static_cast<uint64_t>(fd);
-  }
 
-  // The stripe a hint selects. Exposed so the batched dispatcher can group
-  // reorderable read entries by stripe (same hint always lands on the same
-  // stripe — the property the cross-stripe drain-overlap dependence rules
-  // are built on).
+  // The stripe a hint selects. Exposed so a batch window can group
+  // reorderable vfs-read entries by stripe (same hint always lands on the
+  // same stripe — the property the grouping's dependence rules are built on).
   size_t StripeOf(uint64_t hint) const { return IndexOf(hint); }
 
  private:

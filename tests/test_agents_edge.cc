@@ -512,6 +512,10 @@ struct SandboxOpCase {
   std::function<int(ProcessContext&)> attempt;  // returns the syscall status
 };
 
+// Prints the case by name, so the parameter's printed form (which test
+// discovery folds into the test name) does not depend on load addresses.
+void PrintTo(const SandboxOpCase& c, std::ostream* os) { *os << c.name; }
+
 class SandboxWriteOps : public ::testing::TestWithParam<SandboxOpCase> {};
 
 TEST_P(SandboxWriteOps, DeniedOutsideWritePrefixes) {

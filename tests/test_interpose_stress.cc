@@ -5,12 +5,14 @@
 #include "tests/test_helpers.h"
 
 #include <atomic>
+#include <bitset>
 #include <climits>
 
 #include "src/agents/chaos.h"
 #include "src/agents/monitor.h"
 #include "src/agents/sandbox.h"
 #include "src/agents/trace.h"
+#include "src/base/prng.h"
 #include "src/base/strings.h"
 #include "src/toolkit/toolkit.h"
 
@@ -523,6 +525,55 @@ TEST(Routes, ChaosQuiesceEndsInjectionWindow) {
   });
   EXPECT_EQ(WExitStatus(status), 0);
   EXPECT_GE(chaos->TotalInjected(), 1);
+}
+
+TEST(Routes, CompiledRoutesMatchTheUncompiledReferenceScan) {
+  // The route oracle: seeded random Push/Pop/SetInterest sequences, and after
+  // every step each number's compiled route must list exactly the frames the
+  // uncompiled NextInterestedBelow chain visits from the top of the stack.
+  // Rows: seed, steps, deepest stack, percent of numbers each frame wants.
+  struct Case {
+    uint64_t seed;
+    int steps;
+    int max_depth;
+    uint64_t interest_pct;
+  };
+  const Case kCases[] = {
+      {1, 120, 4, 5}, {0x5eed, 120, 8, 30}, {42, 160, 16, 60}, {0xfeed, 80, 3, 95},
+  };
+  for (const Case& c : kCases) {
+    Prng prng(c.seed);
+    auto random_interest = [&prng, &c] {
+      std::bitset<kMaxSyscall> interest;
+      for (int n = 0; n < kMaxSyscall; ++n) {
+        interest.set(static_cast<size_t>(n), prng.Below(100) < c.interest_pct);
+      }
+      return interest;
+    };
+    EmulationStack stack;
+    for (int step = 0; step < c.steps; ++step) {
+      const uint64_t op = prng.Below(3);
+      if (op == 0 && stack.Depth() < c.max_depth) {
+        EmulationFrame frame;
+        frame.syscall_interest = random_interest();
+        stack.Push(std::move(frame));
+      } else if (op == 1) {
+        stack.Pop();
+      } else if (!stack.Empty()) {
+        const int index = static_cast<int>(prng.Below(static_cast<uint64_t>(stack.Depth())));
+        stack.SetInterest(index, random_interest(), 0);
+      }
+      for (int n = 0; n < kMaxSyscall; ++n) {
+        std::vector<int16_t> expected;
+        for (int f = stack.NextInterestedBelow(stack.Depth(), n); f >= 0;
+             f = stack.NextInterestedBelow(f, n)) {
+          expected.push_back(static_cast<int16_t>(f));
+        }
+        ASSERT_EQ(stack.RouteFor(n).hops, expected)
+            << "seed " << c.seed << " step " << step << " number " << n;
+      }
+    }
+  }
 }
 
 TEST(Stress, RouteChurnManyClientsStaysCoherent) {

@@ -254,7 +254,7 @@ TEST(Ring, RingloadProgramExitsClean) {
 
 // The mixed per-iteration workload both variants issue: open (synchronous —
 // its fd feeds the fd-keyed entries), then stat/fstat/lseek/read/getpid/close.
-// Returns a digest line per call: "number:status:rv0".
+// Returns a digest line per call, "number:status:rv0", and the read buffer.
 std::string RunMixedWorkload(ProcessContext& ctx, bool via_ring, int iterations) {
   const std::string file = "/tmp/mixed.dat";
   std::string payload(512, '\0');
@@ -268,6 +268,7 @@ std::string RunMixedWorkload(ProcessContext& ctx, bool via_ring, int iterations)
   ia::Stat st{};
   ia::Stat fst{};
   for (int it = 0; it < iterations; ++it) {
+    std::memset(buf, 0, sizeof(buf));
     const int fd = ctx.Open(file, kORdonly);
     if (fd < 0) {
       digest += StringPrintf("open:%d\n", fd);
@@ -311,6 +312,8 @@ std::string RunMixedWorkload(ProcessContext& ctx, bool via_ring, int iterations)
                                static_cast<long long>(rv.rv[0]));
       }
     }
+    digest.append(buf, sizeof(buf));  // the bytes prove the read's offset
+    digest += '\n';
   }
   return digest;
 }
@@ -415,9 +418,9 @@ std::string KtraceDigest(const VectorKtraceSink& sink) {
 }
 
 TEST(RingDeterminism, KtraceDigestIdenticalToSynchronousIssue) {
-  // With a sink attached the batch trap falls back to the exact per-call
-  // path, so the trace — pids, paths, results, fds, even virtual timestamps —
-  // must be byte-identical between ring and synchronous issue.
+  // With a sink attached every batch entry takes the big-lock lane and pays
+  // its own prologue, so the trace — pids, paths, results, fds, even virtual
+  // timestamps — must be byte-identical between ring and synchronous issue.
   std::string results[2];
   std::string traces[2];
   for (int run = 0; run < 2; ++run) {
@@ -973,23 +976,27 @@ TEST(Ring, RingloadConcurrentSubmittersExitsClean) {
   EXPECT_EQ(WExitStatus(status), 0);
 }
 
-// --- cross-stripe drain overlap ----------------------------------------------
+// --- the grouped vfs-read lane and the kernel-lane digest matrix -------------
 
-// A read-heavy batch whose rows are reorderable across stripes: kFiles files
-// (distinct pathname stripes), each contributing stat + fstat + lseek + read
-// on its own descriptor, all submitted as ONE batch so the stripe-grouped
-// dispatcher actually has something to regroup. Returns a digest line per
-// completion: "index:number:status:rv0", plus the read buffers, so any
+// The reorder-eligible workload: per iteration, stat/fstat/lseek/read rows
+// on eight files, each on its own descriptor, issued as ONE batch so the
+// stripe-grouped vfs-read lane actually has something to regroup — or, with
+// via_ring false, call by call, the exact-order reference. Returns a digest
+// line per completion: "index:tag:status:rv0", plus the read buffers, so any
 // reordering that leaked into results (wrong offsets, swapped completions,
 // crossed fd streams) breaks the comparison.
-std::string RunReorderableBatchWorkload(ProcessContext& ctx, int iterations) {
+std::string RunReorderableBatchWorkload(ProcessContext& ctx, bool via_ring, int iterations) {
   constexpr int kFiles = 8;
   std::string digest;
   ctx.Mkdir("/ov");
   std::vector<std::string> paths;
   for (int f = 0; f < kFiles; ++f) {
     paths.push_back(StringPrintf("/ov/f%d.dat", f));
-    std::string payload(256 + 16 * f, static_cast<char>('a' + f));
+    // Position-dependent bytes: a read at the wrong offset reads other data.
+    std::string payload(256 + 16 * f, '\0');
+    for (size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<char>('a' + (i + 3 * f) % 26);
+    }
     ctx.WriteWholeFile(paths.back(), payload);
   }
   int fds[kFiles];
@@ -1003,16 +1010,42 @@ std::string RunReorderableBatchWorkload(ProcessContext& ctx, int iterations) {
   ia::Stat st[kFiles];
   ia::Stat fst[kFiles];
   char bufs[kFiles][64];
-  for (int it = 0; it < iterations; ++it) {
-    uint64_t tag = 0;
-    for (int f = 0; f < kFiles; ++f) {
-      batch.PushStat(paths[static_cast<size_t>(f)].c_str(), &st[f], tag++);
-      batch.PushFstat(fds[f], &fst[f], tag++);
-      batch.PushLseek(fds[f], static_cast<Off>((it * 7 + f) % 64), kSeekSet, tag++);
-      batch.PushRead(fds[f], bufs[f], static_cast<int64_t>(sizeof(bufs[f])), tag++);
+  std::vector<SyscallRequest> reqs;
+  auto push = [&reqs](int number, std::initializer_list<uint64_t> args) {
+    SyscallRequest req;
+    req.number = number;
+    req.user_data = reqs.size();
+    int i = 0;
+    for (const uint64_t arg : args) {
+      req.args.arg[i++] = arg;
     }
-    batch.Flush();
-    const std::vector<SyscallCompletion>& comps = batch.completions();
+    reqs.push_back(req);
+  };
+  auto ptr = [](const void* p) { return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(p)); };
+  for (int it = 0; it < iterations; ++it) {
+    reqs.clear();
+    for (int f = 0; f < kFiles; ++f) {
+      const auto fd = static_cast<uint64_t>(fds[f]);
+      push(kSysStat, {ptr(paths[static_cast<size_t>(f)].c_str()), ptr(&st[f])});
+      push(kSysFstat, {fd, ptr(&fst[f])});
+      push(kSysLseek, {fd, static_cast<uint64_t>((it * 7 + f) % 64), kSeekSet});
+      push(kSysRead, {fd, ptr(bufs[f]), sizeof(bufs[f])});
+    }
+    std::vector<SyscallCompletion> comps;
+    if (via_ring) {
+      for (const SyscallRequest& req : reqs) {
+        batch.Push(req.number, req.args, req.user_data);
+      }
+      batch.Flush();
+      comps = batch.completions();
+    } else {
+      for (const SyscallRequest& req : reqs) {
+        SyscallCompletion comp;
+        comp.user_data = req.user_data;
+        comp.status = ctx.Syscall(req.number, req.args, &comp.result);
+        comps.push_back(comp);
+      }
+    }
     for (size_t i = 0; i < comps.size(); ++i) {
       digest += StringPrintf("%zu:%llu:%lld:%lld\n", i,
                              static_cast<unsigned long long>(comps[i].user_data),
@@ -1043,20 +1076,65 @@ class PassthroughFrame final : public SyscallHandler {
   }
 };
 
+// The kernel-lane differential matrix: {mixed, reorderable} workload x
+// {per-call, ring} issue x {fast lanes, forced big lock}. An empty FaultPlan
+// injects nothing but sends every entry down the big-lock lane. Every cell
+// must reproduce the per-call, fast-lane digest byte for byte.
+enum class DigestWorkload { kMixed, kReorderable };
+void PrintTo(DigestWorkload workload, std::ostream* os) {
+  *os << (workload == DigestWorkload::kMixed ? "Mixed" : "Reorderable");
+}
+using DigestCell = std::tuple<DigestWorkload, bool /*via_ring*/, bool /*forced_big_lock*/>;
+
+std::string RunDigestCell(DigestWorkload workload, bool via_ring, bool forced_big_lock) {
+  auto kernel = MakeWorld();
+  if (forced_big_lock) {
+    kernel->SetFaultPlan(FaultPlan{});
+  }
+  std::string digest;
+  const int code = ExitCodeOf(*kernel, [&](ProcessContext& ctx) {
+    digest = workload == DigestWorkload::kMixed
+                 ? RunMixedWorkload(ctx, via_ring, /*iterations=*/12)
+                 : RunReorderableBatchWorkload(ctx, via_ring, /*iterations=*/10);
+    return 0;
+  });
+  EXPECT_EQ(code, 0);
+  return digest;
+}
+
+class DigestMatrix : public ::testing::TestWithParam<DigestCell> {};
+
+TEST_P(DigestMatrix, MatchesPerCallFastLanes) {
+  const auto [workload, via_ring, forced_big_lock] = GetParam();
+  const std::string reference = RunDigestCell(workload, /*via_ring=*/false,
+                                              /*forced_big_lock=*/false);
+  EXPECT_FALSE(reference.empty());
+  EXPECT_NE(reference, "open-failed");
+  EXPECT_EQ(RunDigestCell(workload, via_ring, forced_big_lock), reference);
+}
+
+std::string DigestCellName(const ::testing::TestParamInfo<DigestCell>& info) {
+  const auto [workload, via_ring, forced_big_lock] = info.param;
+  return ::testing::PrintToString(workload) + (via_ring ? "Ring" : "PerCall") +
+         (forced_big_lock ? "BigLock" : "FastLanes");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RingDeterminism, DigestMatrix,
+    ::testing::Combine(::testing::Values(DigestWorkload::kMixed, DigestWorkload::kReorderable),
+                       ::testing::Bool(), ::testing::Bool()),
+    DigestCellName);
+
 TEST(RingDeterminism, StripeOverlapResultsIdenticalToExactOrder) {
-  // The same reorderable batch against batch_stripe_overlap on and off:
-  // stripe-grouped execution must be result-identical per fd stream —
-  // completions land at their original indices with the values exact-order
-  // dispatch would have produced.
+  // The same reorderable batch through the ring and call by call: stripe-
+  // grouped execution must be result-identical per fd stream — completions
+  // land at their original indices with the values exact-order issue gives.
   std::string digests[2];
   for (int run = 0; run < 2; ++run) {
-    KernelConfig config;
-    config.batch_stripe_overlap = run == 1;
-    Kernel kernel(config);
-    InstallStandardPrograms(kernel);
+    auto kernel = MakeWorld();
     std::string digest;
-    const int code = ExitCodeOf(kernel, [&digest](ProcessContext& ctx) {
-      digest = RunReorderableBatchWorkload(ctx, /*iterations=*/10);
+    const int code = ExitCodeOf(*kernel, [&digest, run](ProcessContext& ctx) {
+      digest = RunReorderableBatchWorkload(ctx, /*via_ring=*/run == 1, /*iterations=*/10);
       return 0;
     });
     EXPECT_EQ(code, 0);
@@ -1070,20 +1148,17 @@ TEST(RingDeterminism, StripeOverlapResultsIdenticalToExactOrder) {
 TEST(RingDeterminism, StripeOverlapWithAgentFrameIdenticalToExactOrder) {
   // With a frame interposed on stat, every fourth row of the batch is an
   // agent-routed barrier: the dispatcher must regroup only the windows
-  // between barriers and still produce byte-identical results.
+  // between barriers and still match per-call issue byte for byte.
   std::string digests[2];
   for (int run = 0; run < 2; ++run) {
-    KernelConfig config;
-    config.batch_stripe_overlap = run == 1;
-    Kernel kernel(config);
-    InstallStandardPrograms(kernel);
+    auto kernel = MakeWorld();
     std::string digest;
-    const int code = ExitCodeOf(kernel, [&digest](ProcessContext& ctx) {
+    const int code = ExitCodeOf(*kernel, [&digest, run](ProcessContext& ctx) {
       EmulationFrame frame;
       frame.handler = std::make_shared<PassthroughFrame>();
       frame.syscall_interest.set(kSysStat);
       ctx.emulation().Push(std::move(frame));
-      digest = RunReorderableBatchWorkload(ctx, /*iterations=*/6);
+      digest = RunReorderableBatchWorkload(ctx, /*via_ring=*/run == 1, /*iterations=*/6);
       ctx.emulation().Pop();
       return 0;
     });
@@ -1095,31 +1170,28 @@ TEST(RingDeterminism, StripeOverlapWithAgentFrameIdenticalToExactOrder) {
 }
 
 TEST(RingDeterminism, StripeOverlapUnderFaultPlanKeepsExactOrder) {
-  // An installed FaultPlan forces the exact per-call batch path regardless of
-  // the overlap config: result digests AND the recorded fault decision stream
-  // must match between overlap-on and overlap-off kernels.
+  // An installed FaultPlan serializes every batch entry through the big-lock
+  // lane with its own prologue: result digests AND the recorded fault
+  // decision stream must match per-call issue.
   std::string digests[2];
   std::string traces[2];
   for (int run = 0; run < 2; ++run) {
-    KernelConfig config;
-    config.batch_stripe_overlap = run == 1;
-    Kernel kernel(config);
-    InstallStandardPrograms(kernel);
+    auto kernel = MakeWorld();
     FaultPlan plan;
     plan.seed = 0x51ab;
     plan.eintr_probability = 0.15;
     plan.short_probability = 0.3;
     plan.class_rules.push_back({kTakesPath, 0.2, kENoent});
     plan.record_trace = true;
-    kernel.SetFaultPlan(plan);
+    kernel->SetFaultPlan(plan);
     std::string digest;
-    const int code = ExitCodeOf(kernel, [&digest](ProcessContext& ctx) {
-      digest = RunReorderableBatchWorkload(ctx, /*iterations=*/8);
+    const int code = ExitCodeOf(*kernel, [&digest, run](ProcessContext& ctx) {
+      digest = RunReorderableBatchWorkload(ctx, /*via_ring=*/run == 1, /*iterations=*/8);
       return 0;
     });
     EXPECT_EQ(code, 0);
     digests[run] = digest;
-    traces[run] = kernel.FaultTraceText();
+    traces[run] = kernel->FaultTraceText();
   }
   EXPECT_FALSE(traces[0].empty());
   EXPECT_EQ(digests[0], digests[1]);
@@ -1175,8 +1247,8 @@ TEST(KernelStats, ShardedCountersFoldExactlyAfterQuiesce) {
 }
 
 TEST(KernelStats, BatchPathFoldsIntoTheSameShardedTallies) {
-  // The batched dispatcher's compact accumulator must flush into the shards
-  // with the same totals the per-call path would have produced.
+  // A batch must tally into the shards exactly what the same calls issued
+  // one at a time would have tallied, virtual time included.
   auto kernel = MakeWorld();
   const std::array<SyscallStat, kMaxSyscall> base = kernel->SyscallStats();
   const int code = ExitCodeOf(*kernel, [](ProcessContext& ctx) {

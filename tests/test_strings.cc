@@ -48,6 +48,10 @@ struct PathCase {
   const char* dirname;
 };
 
+// Prints the case by its input path, so the parameter's printed form (which
+// test discovery folds into the test name) does not depend on load addresses.
+void PrintTo(const PathCase& c, std::ostream* os) { *os << "input=" << c.input; }
+
 class PathParamTest : public ::testing::TestWithParam<PathCase> {};
 
 TEST_P(PathParamTest, LexicalOps) {
