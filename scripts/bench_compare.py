@@ -42,11 +42,11 @@ LOWER_IS_BETTER = ("_us", "seconds", "ratio")
 # hosts' pooled rows must still pair by client count.
 SKIP_METRICS = {
     "clients", "stripes", "syscalls", "route_lookups", "route_builds", "gate",
-    "workers", "mpsc_submitters",
+    "workers",
 }
 # Numeric fields that ARE identity (alongside every string field): without
 # them, rows that differ only by these would collapse onto one key.
-NUMERIC_IDENTITY = ("clients", "stripes", "mpsc_submitters")
+NUMERIC_IDENTITY = ("clients", "stripes")
 
 
 def direction_of(name):

@@ -44,16 +44,16 @@ for workload in make andrew ringmix; do
   fi
 done
 
-# bench_scalability self-checks: single-client parity against the forced
-# big-lock regime, the pay-per-use gate (a non-path per-process mix under a
-# footprint-narrowed agent stack must sustain >= 6.5x the throughput of the
-# same stack forced to whole-interface interest), and the compiled-route gate
-# (the same mix under the narrowed 7-agent stack must run at most 3% over the
-# agentless kernel — dispatch follows precompiled routes, not a per-frame
-# interest scan). New in the ring PR: the 64-client curve, the batched-vs-
-# per-call ring gate at 16 clients, and the striped-vs-single tree-lock gate
-# at 64 clients. The scaling/ring/stripe gates self-skip on small hosts; all
-# perf gates self-skip under TSan — this run is the enforced one.
+# bench_scalability self-checks (the bench's header lists them). Enforced on
+# any host: single_client_parity (fast paths within 1.10x of the forced
+# big-lock regime per op, and a 1-client ring batch >= 0.95x of per-call
+# issue), pay_per_use (a footprint-narrowed agent stack >= 6.5x the same stack
+# forced to whole-interface interest), compiled_routes (that narrowed stack
+# at most 3% over the agentless kernel) and socketpair_ping_pong (socketpair
+# transfers >= 0.5x of pipe transfers). Self-skipping below their host size:
+# the 8-client curve speedup (>= 8 threads), the pooled monotone curve, the
+# 16-client ring speedup and the 64-client striped tree lock (>= 16 threads).
+# All perf gates self-skip under TSan — this run is the enforced one.
 #
 # The stdout is teed and its JSON lines split into two repo-root artifacts:
 # BENCH_scalability.json (curve + parity + stripe + route rows) and

@@ -101,13 +101,6 @@ class RowKeyTest(unittest.TestCase):
         b = {"clients": 4, "wall_us": 99.0, "op": "stat", "bench": "b"}
         self.assertEqual(bench_compare.row_key(a), bench_compare.row_key(b))
 
-    def test_mpsc_rows_keyed_by_submitter_count(self):
-        a = {"bench": "bench_ring", "check": "mpsc_ring", "mpsc_submitters": 4,
-             "mpsc_speedup": 1.1}
-        b = {"bench": "bench_ring", "check": "mpsc_ring", "mpsc_submitters": 16,
-             "mpsc_speedup": 1.6}
-        self.assertNotEqual(bench_compare.row_key(a), bench_compare.row_key(b))
-
     def test_pooled_rows_pair_across_differing_worker_caps(self):
         # The worker cap is host-derived bookkeeping: a baseline from a 32-way
         # host must pair with a candidate from an 8-way host at the same

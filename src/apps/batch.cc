@@ -1,9 +1,6 @@
 #include "src/apps/batch.h"
 
-#include <atomic>
 #include <cstdlib>
-#include <memory>
-#include <thread>
 
 namespace ia {
 
@@ -78,18 +75,6 @@ void BatchClient::PushGetpid(uint64_t tag) {
   Push(kSysGetpid, SyscallArgs{}, tag);
 }
 
-void BatchClient::SubmitBlocking(SyscallRing& ring, int number, const SyscallArgs& args,
-                                 uint64_t tag) {
-  SyscallRequest req;
-  req.number = number;
-  req.user_data = tag;
-  req.args = args;
-  while (!ring.Submit(req)) {
-    // Full: the owner's drain/reap loop is freeing in-flight slots.
-    std::this_thread::yield();
-  }
-}
-
 size_t BatchClient::Flush() {
   completions_.clear();
   completions_.reserve(queued_.size());
@@ -120,126 +105,15 @@ size_t BatchClient::Flush() {
 // ringload — the ring-driven mixed workload program.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// The --submitters=N mode: N sibling host threads share the owning process's
-// MPSC ring. Only the owner executes anything (the drain) — the siblings
-// merely enqueue, which is exactly the thread-pool-server shape the
-// multi-producer submission queue exists for.
-int RingLoadConcurrent(ProcessContext& ctx, const std::string& base, int iterations,
-                       int submitters) {
-  const std::string file = base + "/ringload.dat";
-  const std::string payload(1024, 'r');
-  if (ctx.WriteWholeFile(file, payload) < 0) {
-    return 1;
-  }
-  // One pre-opened descriptor per submitter; fd-keyed rows are safe from
-  // sibling threads because execution happens only on the owner's drain.
-  std::vector<int> fds(static_cast<size_t>(submitters));
-  for (int t = 0; t < submitters; ++t) {
-    fds[static_cast<size_t>(t)] = ctx.Open(file, kORdonly);
-    if (fds[static_cast<size_t>(t)] < 0) {
-      return 1;
-    }
-  }
-  SyscallRing& ring = ctx.Ring();
-
-  struct SubmitterState {
-    ia::Stat st{};
-    ia::Stat fst{};
-    char buf[256] = {};
-  };
-  std::vector<std::unique_ptr<SubmitterState>> states;
-  for (int t = 0; t < submitters; ++t) {
-    states.push_back(std::make_unique<SubmitterState>());
-  }
-
-  constexpr int kOpsPerIter = 4;
-  const uint64_t expected =
-      static_cast<uint64_t>(submitters) * static_cast<uint64_t>(iterations) * kOpsPerIter;
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(submitters));
-  for (int t = 0; t < submitters; ++t) {
-    threads.emplace_back([&ring, &file, &states, &fds, iterations, t] {
-      SubmitterState& s = *states[static_cast<size_t>(t)];
-      const int fd = fds[static_cast<size_t>(t)];
-      const uint64_t tag_base = static_cast<uint64_t>(t) << 32;
-      for (int it = 0; it < iterations; ++it) {
-        SyscallArgs args;
-        args.SetPtr(0, file.c_str());
-        args.SetPtr(1, &s.st);
-        BatchClient::SubmitBlocking(ring, kSysStat, args, tag_base | 1);
-        args = SyscallArgs{};
-        args.SetInt(0, fd);
-        args.SetPtr(1, &s.fst);
-        BatchClient::SubmitBlocking(ring, kSysFstat, args, tag_base | 2);
-        args = SyscallArgs{};
-        args.SetInt(0, fd);
-        args.SetInt(1, 0);
-        args.SetInt(2, kSeekSet);
-        BatchClient::SubmitBlocking(ring, kSysLseek, args, tag_base | 3);
-        args = SyscallArgs{};
-        args.SetInt(0, fd);
-        args.SetPtr(1, s.buf);
-        args.SetInt(2, static_cast<int64_t>(sizeof(s.buf)));
-        BatchClient::SubmitBlocking(ring, kSysRead, args, tag_base | 4);
-      }
-    });
-  }
-
-  // Owner: drain and reap until every submitted entry has completed.
-  uint64_t completed = 0;
-  int failures = 0;
-  SyscallCompletion comps[64];
-  while (completed < expected) {
-    ctx.DrainRing();
-    const uint32_t n = ctx.ReapBatch(comps, 64);
-    if (n == 0) {
-      std::this_thread::yield();
-      continue;
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      if (comps[i].status < 0) {
-        ++failures;
-      }
-      if ((comps[i].user_data & 0xffffffffULL) == 4 &&
-          comps[i].result.rv[0] != static_cast<int64_t>(sizeof(SubmitterState::buf))) {
-        ++failures;
-      }
-    }
-    completed += n;
-  }
-  for (std::thread& th : threads) {
-    th.join();
-  }
-  for (const int fd : fds) {
-    ctx.Close(fd);
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-}  // namespace
-
 int RingLoadMain(ProcessContext& ctx) {
   const std::vector<std::string>& argv = ctx.argv();
   std::string base = "/tmp";
   int iterations = 64;
-  int submitters = 0;
-  int positional = 0;
-  for (size_t i = 1; i < argv.size(); ++i) {
-    const std::string& arg = argv[i];
-    if (arg.rfind("--submitters=", 0) == 0) {
-      submitters = std::atoi(arg.c_str() + 13);
-    } else if (positional == 0) {
-      base = arg;
-      ++positional;
-    } else if (positional == 1) {
-      iterations = std::atoi(arg.c_str());
-      ++positional;
-    }
+  if (argv.size() > 1) {
+    base = argv[1];
   }
-  if (submitters > 0) {
-    return RingLoadConcurrent(ctx, base, iterations, submitters);
+  if (argv.size() > 2) {
+    iterations = std::atoi(argv[2].c_str());
   }
 
   const std::string file = base + "/ringload.dat";

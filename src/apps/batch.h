@@ -54,19 +54,6 @@ class BatchClient {
   // Completions from the last Flush(), in submission order.
   const std::vector<SyscallCompletion>& completions() const { return completions_; }
 
-  // --- concurrent-submitter mode ----------------------------------------------
-  // The submission queue is multi-producer (see ring.h), so a thread-pool
-  // server can share the owning process's ring: the owner materializes it
-  // with ring(), hands the reference to sibling host threads, and keeps
-  // draining/reaping while they submit. Push*/Flush stay owner-only.
-  SyscallRing& ring() { return ctx_.Ring(ring_entries_); }
-
-  // Thread-safe submission of one request from any host thread; spins
-  // (yielding) while the ring is full. Pointer arguments must stay alive
-  // until the matching completion is reaped.
-  static void SubmitBlocking(SyscallRing& ring, int number, const SyscallArgs& args,
-                             uint64_t tag = 0);
-
  private:
   ProcessContext& ctx_;
   uint32_t ring_entries_;
@@ -75,14 +62,10 @@ class BatchClient {
 };
 
 // The ring-driven workload program:
-//   ringload [--submitters=N] <base-dir> <iterations>
+//   ringload <base-dir> <iterations>
 // Runs the scalability bench's mixed file workload (stat/open/read/fstat/
-// close/getpid) through the ring in batches instead of call-by-call.
-// With --submitters=N it instead starts N sibling host threads that submit
-// concurrently into the shared MPSC ring (stat/fstat/lseek/read per
-// iteration, one pre-opened descriptor per submitter) while the owning
-// thread drains and reaps. Exits 0 when every completion matches the
-// synchronous expectation.
+// close/getpid) through the ring in batches instead of call-by-call. Exits 0
+// when every completion matches the synchronous expectation.
 int RingLoadMain(ProcessContext& ctx);
 
 }  // namespace ia

@@ -312,7 +312,10 @@ int ProcessContext::DrainRing() {
       }
       if (kernel_lane) {
         run[run_len++] = req;
-        if (run_len == kRunMax) {
+        // exit/exec end the run: the flush sees the pending state and stops
+        // the drain before any later entry runs, as synchronous issue would.
+        if (run_len == kRunMax || req.number == kSysExit || req.number == kSysExecve ||
+            req.number == kSysExecv) {
           flush();
         }
         continue;
@@ -328,8 +331,8 @@ int ProcessContext::DrainRing() {
         comp.status = ExecuteRequest(req, &comp.result);
       } catch (const ExitUnwind&) {
         // Process control flow: complete the claimed entry (EINTR, as a call
-        // cut short at the boundary) so in_flight_ stays balanced, then let
-        // the unwind continue to the trampoline.
+        // cut short at the boundary) so every submission still completes,
+        // then let the unwind continue to the trampoline.
         comp.status = -kEIntr;
         comp.vtime_usec = kernel_->clock().Now();
         ring.PushCompletion(comp);
@@ -342,7 +345,7 @@ int ProcessContext::DrainRing() {
       } catch (...) {
         // Poisoned entry: an UNCONTAINED frame (raw emulation().Push(), or
         // containment disabled by policy) threw out of the drain. Complete
-        // the entry with EIO instead of leaving its in_flight_ slot reserved
+        // the entry with EIO instead of leaving its ring slot in flight
         // forever; the drain itself stays usable.
         comp.status = -kEIo;
       }
@@ -426,6 +429,9 @@ void ProcessContext::ProcessBoundary() {
     if (!proc_->pending_exec.preserve_emulation) {
       proc_->emulation.Clear();
     }
+    // The ring belongs to the image: its queued entries point into the image
+    // being unwound, and its completions answer that image's submissions.
+    proc_->ring.reset();
     throw ExecveUnwind{};
   }
 }

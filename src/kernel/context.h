@@ -57,6 +57,7 @@ class ProcessContext {
 
   // The process's ring, created on first use with `entries` capacity
   // (subsequent calls return the existing ring regardless of `entries`).
+  // A successful exec drops it; the new image starts with no ring.
   SyscallRing& Ring(uint32_t entries = SyscallRing::kDefaultEntries);
   bool HasRing() const { return proc_->ring != nullptr; }
 
@@ -68,10 +69,11 @@ class ProcessContext {
   // consecutive kernel-lane entries (no interested emulation frame) go to the
   // kernel's dispatch core, Kernel::DoSyscallBatch, as one batch that pays the
   // prologue once; entries an agent wants are executed one at a time through
-  // the compiled route, exactly like a synchronous call. Signals, a pending exit, and a pending exec are
-  // honored at batch-run boundaries: the drain stops issuing once exit/exec is
-  // pending (remaining submissions stay queued) and the return-to-user-mode
-  // boundary runs once when the drain finishes. Returns completions produced.
+  // the compiled route, exactly like a synchronous call. An exit or exec entry
+  // ends its run, and the drain stops issuing once exit/exec is pending
+  // (remaining submissions stay queued, as synchronous issue never reaches
+  // them); signals and the return-to-user-mode boundary run once when the
+  // drain finishes. Returns completions produced.
   int DrainRing();
 
   // Pops completions (in submission order). Reap returns false when empty.

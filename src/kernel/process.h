@@ -100,8 +100,8 @@ class Process {
 
   // --- resources ----------------------------------------------------------------
   // Slot array internally guarded by FdTable's own leaf mutex, so fd-heavy
-  // ring batches submitted by a sibling thread don't serialize on Process::mu
-  // (the OpenFiles inside are shared; see fdtable.h).
+  // ring drains don't serialize on Process::mu (the OpenFiles inside are
+  // shared; see fdtable.h).
   FdTable fds;
   InodeRef cwd;            // [owner]
   InodeRef root;           // [owner]
@@ -156,10 +156,12 @@ class Process {
   EmulationStack emulation;
 
   // --- batched submission ---------------------------------------------------------------
-  // The submission/completion ring, created lazily by ProcessContext::Ring().
-  // The ring object itself is internally synchronized (SPSC atomics); the
-  // pointer is [owner] (installed by the owning thread before any sibling
-  // submitter is handed a reference).
+  // The submission/completion ring, created lazily by ProcessContext::Ring()
+  // and dropped by a successful exec (it belongs to the image). The ring is
+  // single-producer/single-consumer (ring.h): the owner drains and reaps, and
+  // at most one thread submits. The pointer is [owner]: installed by the
+  // owning thread before a sibling submitter is handed a reference, and reset
+  // only after that submitter is joined.
   std::unique_ptr<SyscallRing> ring;
 
   // Scratch for the fault plane's readv/writev short-transfer clamp: the

@@ -17,102 +17,36 @@ uint32_t RoundUpPow2(uint32_t n) {
 SyscallRing::SyscallRing(uint32_t entries) {
   capacity_ = RoundUpPow2(entries < 2 ? 2 : entries);
   mask_ = capacity_ - 1;
-  sq_slots_ = std::make_unique<SqSlot[]>(capacity_);
-  for (uint32_t i = 0; i < capacity_; ++i) {
-    sq_slots_[i].seq.store(i, std::memory_order_relaxed);
-  }
+  sq_slots_.resize(capacity_);
   cq_slots_.resize(capacity_);
 }
 
-bool SyscallRing::Submit(const SyscallRequest& req) {
-  // in_flight_ is the single source of truth for fullness: it covers queued
-  // submissions, entries mid-drain, and unreaped completions. The CAS makes
-  // the check-and-reserve atomic, so concurrent producers cannot both take
-  // the last slot; success with acquire pairs with Reap's release decrement,
-  // so observing room after a full wrap means the reaper's reads of the slots
-  // about to be reused have completed.
-  uint32_t cur = in_flight_.load(std::memory_order_acquire);
-  for (;;) {
-    if (cur >= capacity_) {
-      return false;
-    }
-    if (in_flight_.compare_exchange_weak(cur, cur + 1, std::memory_order_acquire,
-                                         std::memory_order_acquire)) {
-      break;
-    }
-  }
-  // Claim a submission slot. The reservation above bounds live producers plus
-  // undrained entries by capacity_, which guarantees the slot at the current
-  // tail has been freed by the consumer (or its freeing store is in flight),
-  // so this loop cannot stall on a genuinely full queue — only retry on a
-  // lost claim race or a not-yet-visible free.
-  uint32_t pos = sq_tail_.load(std::memory_order_relaxed);
-  for (;;) {
-    SqSlot& slot = sq_slots_[pos & mask_];
-    const uint32_t seq = slot.seq.load(std::memory_order_acquire);
-    if (seq == pos) {
-      // Free for this lap: claim it. compare_exchange reloads `pos` on
-      // failure (another producer won the slot).
-      if (sq_tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-        slot.req = req;
-        // Commit: the release publishes the slot write; the consumer's
-        // acquire load of seq is what makes the entry claimable.
-        slot.seq.store(pos + 1, std::memory_order_release);
-        return true;
-      }
-    } else {
-      pos = sq_tail_.load(std::memory_order_relaxed);
-    }
-  }
-}
+bool SyscallRing::Submit(const SyscallRequest& req) { return SubmitBatch(&req, 1) == 1; }
 
 uint32_t SyscallRing::SubmitBatch(const SyscallRequest* reqs, uint32_t count) {
-  if (count == 0) {
-    return 0;
-  }
-  // One reservation for as much of the batch as fits, then one tail claim for
-  // the whole range — 2 atomic RMWs total instead of 2 per entry, which is
-  // what keeps an uncontended single client at parity with per-call issue.
-  uint32_t cur = in_flight_.load(std::memory_order_acquire);
-  uint32_t n;
-  for (;;) {
-    if (cur >= capacity_) {
-      return 0;
-    }
-    n = count < capacity_ - cur ? count : capacity_ - cur;
-    if (in_flight_.compare_exchange_weak(cur, cur + n, std::memory_order_acquire,
-                                         std::memory_order_acquire)) {
-      break;
-    }
-  }
-  // Unconditional range claim. The reservation bounds claimed-but-unpopped
-  // slots by capacity_ even counting this range, so every claimed slot has
-  // already been freed by the consumer — the seq spin below only waits out
-  // store propagation, never future consumer progress — and a concurrent
-  // Submit's compare_exchange on the tail composes with this fetch_add.
-  const uint32_t pos = sq_tail_.fetch_add(n, std::memory_order_relaxed);
+  // In flight is sq_tail_ - cq_head_: every submission yields exactly one
+  // completion, so an entry leaves flight only when it is reaped. The acquire
+  // pairs with the reaper's release of cq_head_, which in turn follows the
+  // drainer's reads of the submission slots being reused here (the drainer
+  // pops an entry before it publishes that entry's completion).
+  const uint32_t tail = sq_tail_.load(std::memory_order_relaxed);
+  const uint32_t room = capacity_ - (tail - cq_head_.load(std::memory_order_acquire));
+  const uint32_t n = count < room ? count : room;
   for (uint32_t i = 0; i < n; ++i) {
-    SqSlot& slot = sq_slots_[(pos + i) & mask_];
-    while (slot.seq.load(std::memory_order_acquire) != pos + i) {
-    }
-    slot.req = reqs[i];
-    slot.seq.store(pos + i + 1, std::memory_order_release);
+    sq_slots_[(tail + i) & mask_] = reqs[i];
+  }
+  if (n > 0) {
+    sq_tail_.store(tail + n, std::memory_order_release);
   }
   return n;
 }
 
 bool SyscallRing::PopRequest(SyscallRequest* out) {
   const uint32_t head = sq_head_.load(std::memory_order_relaxed);
-  SqSlot& slot = sq_slots_[head & mask_];
-  if (slot.seq.load(std::memory_order_acquire) != head + 1) {
-    // Empty, or the next slot is claimed but not yet committed — either way
-    // nothing is consumable at the head (later committed entries stay queued
-    // until their predecessor commits, preserving claim order).
+  if (head == sq_tail_.load(std::memory_order_acquire)) {
     return false;
   }
-  *out = slot.req;
-  // Free the slot for the producer that will claim it next lap.
-  slot.seq.store(head + capacity_, std::memory_order_release);
+  *out = sq_slots_[head & mask_];
   sq_head_.store(head + 1, std::memory_order_release);
   return true;
 }
@@ -123,18 +57,7 @@ void SyscallRing::PushCompletion(const SyscallCompletion& comp) {
   cq_tail_.store(tail + 1, std::memory_order_release);
 }
 
-bool SyscallRing::Reap(SyscallCompletion* out) {
-  const uint32_t head = cq_head_.load(std::memory_order_relaxed);
-  if (head == cq_tail_.load(std::memory_order_acquire)) {
-    return false;
-  }
-  *out = cq_slots_[head & mask_];
-  cq_head_.store(head + 1, std::memory_order_release);
-  // Release so a submitter that sees the freed capacity also sees this
-  // thread's prior read of the cq slot it will eventually overwrite.
-  in_flight_.fetch_sub(1, std::memory_order_release);
-  return true;
-}
+bool SyscallRing::Reap(SyscallCompletion* out) { return ReapBatch(out, 1) == 1; }
 
 uint32_t SyscallRing::ReapBatch(SyscallCompletion* out, uint32_t max) {
   const uint32_t head = cq_head_.load(std::memory_order_relaxed);
@@ -144,9 +67,8 @@ uint32_t SyscallRing::ReapBatch(SyscallCompletion* out, uint32_t max) {
     out[i] = cq_slots_[(head + i) & mask_];
   }
   if (n > 0) {
+    // Release: the producer that sees this room also sees the reads above.
     cq_head_.store(head + n, std::memory_order_release);
-    // One release decrement for the whole batch (see Reap for the ordering).
-    in_flight_.fetch_sub(n, std::memory_order_release);
   }
   return n;
 }

@@ -10,27 +10,26 @@
 // the route lookup and the prologue — clock and rusage accounting — are paid
 // once per run instead of once per call.
 //
-// Threading: the submission queue is MULTI-producer/single-consumer, so a
-// thread-pool server can share one process's ring — any number of host
-// threads may call Submit/SubmitBatch concurrently while the owning process
-// thread drains. Producers claim a slot by CAS on the tail and commit it with
-// a per-slot published-sequence store (the Vyukov bounded-queue protocol), so
-// the single consumer only ever observes fully written entries and entries
-// drain in claim order. The completion queue stays single-producer (the
-// draining thread) / single-consumer (the reaper); reaping from multiple
-// threads is not supported.
+// Threading: single-producer/single-consumer, like the paper's one caller
+// per process. One thread submits (the owning process thread, or one sibling
+// host thread it hands the ring to); the owning process thread drains and
+// reaps. Each index has one writer and is published with a release store that
+// the other side reads with acquire — no read-modify-write anywhere.
 //
-// Capacity: Submit reserves in-flight room (submitted and not yet reaped)
-// with a CAS so concurrent producers cannot oversubscribe; the reservation
-// guarantees both a free submission slot now and completion-queue room later,
-// which is why PushCompletion can never fail and completions are never
-// dropped.
+// Capacity: every submission produces exactly one completion, so the number
+// in flight (submitted and not yet reaped) is sq_tail - cq_head. Submit admits
+// an entry only while that is below capacity, which reserves both a free
+// submission slot now and completion-queue room later: PushCompletion can
+// never fail and completions are never dropped.
+//
+// Lifetime: the ring belongs to the process image, like its address space.
+// A successful exec drops it (queued entries hold pointers into the old
+// image), so a sibling submitter must be joined before the owner execs.
 #ifndef SRC_KERNEL_RING_H_
 #define SRC_KERNEL_RING_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/kernel/types.h"
@@ -70,24 +69,23 @@ class SyscallRing {
 
   uint32_t capacity() const { return capacity_; }
 
-  // --- submission side (any number of concurrent producers) -------------------
-  // False when the ring is full (capacity() requests in flight).
-  bool Submit(const SyscallRequest& req);
+  // --- submission side (one producer thread) ---------------------------------
   // Enqueues as many of the `count` requests as fit; returns how many.
   uint32_t SubmitBatch(const SyscallRequest* reqs, uint32_t count);
+  // The count-1 batch: false when the ring is full (capacity() in flight).
+  bool Submit(const SyscallRequest& req);
 
   // --- drain side (the owning process thread) ---------------------------------
   bool PopRequest(SyscallRequest* out);
-  // Never fails: Submit's in-flight accounting reserved the slot.
+  // Never fails: Submit admitted the entry only with completion room.
   void PushCompletion(const SyscallCompletion& comp);
 
-  // --- reap side (single consumer) ---------------------------------------------
-  bool Reap(SyscallCompletion* out);
+  // --- reap side (the owning process thread) ----------------------------------
   uint32_t ReapBatch(SyscallCompletion* out, uint32_t max);
+  // The count-1 batch.
+  bool Reap(SyscallCompletion* out);
 
   // --- introspection ------------------------------------------------------------
-  // Claimed minus consumed; may transiently include slots a producer has
-  // claimed but not yet committed (the consumer skips those until published).
   uint32_t SubmissionsPending() const {
     return sq_tail_.load(std::memory_order_acquire) -
            sq_head_.load(std::memory_order_acquire);
@@ -97,30 +95,24 @@ class SyscallRing {
            cq_head_.load(std::memory_order_acquire);
   }
   // Submitted and not yet reaped (includes entries currently being drained).
-  uint32_t InFlight() const { return in_flight_.load(std::memory_order_relaxed); }
+  // cq_head_ is read first: it never passes sq_tail_, so the later tail read
+  // cannot make the difference wrap.
+  uint32_t InFlight() const {
+    const uint32_t reaped = cq_head_.load(std::memory_order_acquire);
+    return sq_tail_.load(std::memory_order_acquire) - reaped;
+  }
 
  private:
-  // One submission slot plus its publish sequence. The sequence encodes the
-  // slot's lap state: `seq == pos` means free for the producer claiming
-  // logical position `pos`; `seq == pos + 1` means committed and consumable;
-  // the consumer frees it for the next lap with `seq = pos + capacity`.
-  struct SqSlot {
-    std::atomic<uint32_t> seq{0};
-    SyscallRequest req;
-  };
-
   uint32_t capacity_ = 0;
   uint32_t mask_ = 0;
-  std::unique_ptr<SqSlot[]> sq_slots_;
+  std::vector<SyscallRequest> sq_slots_;
   std::vector<SyscallCompletion> cq_slots_;
-  // Hot indices on their own cache lines: producers hammer sq_tail_, the
-  // drainer owns sq_head_/cq_tail_, the reaper owns cq_head_.
+  // Each index on its own cache line with its one writer: the producer owns
+  // sq_tail_, the drainer owns sq_head_/cq_tail_, the reaper owns cq_head_.
   alignas(64) std::atomic<uint32_t> sq_tail_{0};
   alignas(64) std::atomic<uint32_t> sq_head_{0};
   alignas(64) std::atomic<uint32_t> cq_tail_{0};
   alignas(64) std::atomic<uint32_t> cq_head_{0};
-  // Submit-side reservation counter; see the capacity comment at the top.
-  alignas(64) std::atomic<uint32_t> in_flight_{0};
 };
 
 }  // namespace ia
