@@ -7,13 +7,6 @@
 // kVfsRead rows walking under the shared-mode tree lock, throughput should
 // scale with host cores.
 //
-// Beyond the per-thread curve, a POOLED curve extends the client count to
-// 256: a bounded worker pool (so the world stays runnable under TSan and on
-// modest hosts) multiplexes the per-client working sets — worker w executes
-// clients {w, w+W, ...} round-robin. The curve gates on monotone
-// non-decreasing throughput 16 -> 64 -> 128 -> 256: more client state must
-// not collapse the locks even when parallelism is capped.
-//
 // Self-checks (exit status is nonzero if any fails). The host-independent
 // ones are enforced everywhere except under ThreadSanitizer:
 //
@@ -35,11 +28,7 @@
 // "skipped" (the rows are still printed and emitted) below it:
 //
 //   - 8-client speedup >= 2.5x over 1 client (>= 8 threads).
-//   - pooled_monotone: each step of the 16 -> 256 pooled curve holds
-//     >= 0.95x of the previous point (>= 16 threads).
 //   - batch_speedup_at_16: 16 ring clients >= 2x per-call issue (>= 16).
-//   - tree_stripes: the striped tree lock >= 1.5x one stripe at 64 clients
-//     (>= 16 threads).
 //
 // Alongside the human table the bench emits one JSON object per line
 // (clients/throughput/speedup and one per parity row) so future changes can
@@ -108,11 +97,6 @@ constexpr double kCompiledRouteGate = 1.03;
 // prologue (one clock advance / rusage update / stats flush per run) is what
 // the submission ring buys under contention. Enforced on >= 16-core hosts.
 constexpr double kRingGateAt16 = 2.0;
-// Stripe gate: a 64-client directory-heavy mix on the default striped tree
-// lock must scale at least 1.5x over the same kernel pinned to one stripe
-// (the pre-change single shared_mutex), whose reader-count cacheline
-// flatlines the curve. Enforced on >= 16-core hosts.
-constexpr double kStripeGateAt64 = 1.5;
 // Ring parity gate: at 1 client a batch must never LOSE to per-call issue.
 // (It once did, 0.84x, when the batch prologue zeroed ~6KB of per-number
 // stat arrays per flush.) Per-call issue is the dispatch core's count-1
@@ -120,14 +104,6 @@ constexpr double kStripeGateAt64 = 1.5;
 // of entries adds over single calls. 0.95 leaves room for measurement noise
 // only.
 constexpr double kRingParityGateAt1 = 0.95;
-// Pooled curve: client counts multiplexed over at most kPoolWorkerCap worker
-// threads. Monotone gate: each step of the 16->64->128->256 curve must hold
-// at least kMonotoneTolerance of the previous point's throughput — growing
-// the client population (more directories, more descriptors, more cache
-// state) must not collapse aggregate throughput.
-constexpr int kPooledClientCounts[] = {16, 64, 128, 256};
-constexpr int kPoolWorkerCap = IA_UNDER_TSAN ? 8 : 32;
-constexpr double kMonotoneTolerance = 0.95;
 // Iterations per client, scaled down as the client count grows so the
 // many-client points (and TSan runs, which tax atomics hardest) stay
 // time-bounded; throughput is per-second, so the curve is unaffected.
@@ -190,18 +166,15 @@ struct Point {
 };
 
 // Runs one timed world: N client processes built by `make_body(id)` racing
-// against a shared kernel configured by `config`, with a tree installed for
-// `tree_clients` client directories (== n except for the pooled curve, where
-// fewer workers multiplex more client working sets). Returns the
-// best-of-kAttempts point.
-Point MeasureWorld(int n, int tree_clients, const ia::KernelConfig& config,
-                   const std::function<std::function<int(ia::ProcessContext&)>(
-                       int, const std::atomic<bool>*, std::atomic<int>*)>& make_body) {
+// against a shared kernel, with a tree installed for N client directories.
+// Returns the best-of-kAttempts point.
+Point MeasureWorld(int n, const std::function<std::function<int(ia::ProcessContext&)>(
+                              int, const std::atomic<bool>*, std::atomic<int>*)>& make_body) {
   Point best;
   best.clients = n;
   for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    ia::Kernel kernel(config);
-    BuildTree(kernel, tree_clients);
+    ia::Kernel kernel;
+    BuildTree(kernel, n);
     std::atomic<bool> go{false};
     std::atomic<int> ready{0};
     std::vector<ia::Pid> pids;
@@ -237,73 +210,11 @@ Point MeasureWorld(int n, int tree_clients, const ia::KernelConfig& config,
 
 Point MeasureClients(int n) {
   const int iterations = ItersFor(n, kIterations);
-  return MeasureWorld(n, n, ia::KernelConfig{},
-                      [iterations](int c, const std::atomic<bool>* go, std::atomic<int>* ready) {
-                        return [c, go, ready, iterations](ia::ProcessContext& ctx) {
-                          return ClientBody(ctx, c, go, ready, iterations);
-                        };
-                      });
-}
-
-// --- pooled curve: 256 client working sets over a bounded worker pool ---------
-//
-// Worker w multiplexes clients {w, w+W, w+2W, ...}: each pass of its loop runs
-// one iteration of the standard 9-syscall mix for each assigned client. The
-// syscall stream the kernel sees is the same as the per-thread curve's — only
-// the host-thread count is capped, which is what lets a 256-client world run
-// under TSan and on small hosts at all.
-int PooledWorkerBody(ia::ProcessContext& ctx, int worker, int workers, int clients,
-                     const std::atomic<bool>* go, std::atomic<int>* ready, int iterations) {
-  ready->fetch_add(1, std::memory_order_acq_rel);
-  while (!go->load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-  char buf[1024];
-  ia::Stat st;
-  ia::TimeVal tv;
-  for (int it = 0; it < iterations; ++it) {
-    for (int c = worker; c < clients; c += workers) {
-      const std::string dir = "/data/c" + std::to_string(c);
-      const std::string file = dir + "/f" + std::to_string(it % kFilesPerClient);
-      ctx.Getpid();
-      ctx.Getpid();
-      ctx.Gettimeofday(&tv, nullptr);
-      if (ctx.Stat(file, &st) != 0 || ctx.Stat("/etc/motd", &st) != 0) {
-        return 1;
-      }
-      const int fd = ctx.Open(file, ia::kORdonly);
-      if (fd < 0 || ctx.Read(fd, buf, sizeof buf) != static_cast<int64_t>(sizeof buf)) {
-        return 2;
-      }
-      if (ctx.Fstat(fd, &st) != 0 || ctx.Close(fd) != 0) {
-        return 3;
-      }
-    }
-  }
-  return 0;
-}
-
-struct PooledPoint {
-  int clients = 0;
-  int workers = 0;
-  double throughput = 0;
-};
-
-PooledPoint MeasurePooledClients(int n) {
-  const int workers = std::min(n, kPoolWorkerCap);
-  const int iterations = ItersFor(n, kIterations);
-  const Point p = MeasureWorld(
-      workers, n, ia::KernelConfig{},
-      [workers, n, iterations](int w, const std::atomic<bool>* go, std::atomic<int>* ready) {
-        return [w, workers, n, go, ready, iterations](ia::ProcessContext& ctx) {
-          return PooledWorkerBody(ctx, w, workers, n, go, ready, iterations);
-        };
-      });
-  PooledPoint point;
-  point.clients = n;
-  point.workers = workers;
-  point.throughput = p.throughput;
-  return point;
+  return MeasureWorld(n, [iterations](int c, const std::atomic<bool>* go, std::atomic<int>* ready) {
+    return [c, go, ready, iterations](ia::ProcessContext& ctx) {
+      return ClientBody(ctx, c, go, ready, iterations);
+    };
+  });
 }
 
 // --- ring vs per-call: the batched mixed workload -----------------------------
@@ -374,61 +285,10 @@ RingPoint MeasureRingPoint(int n) {
   };
   RingPoint point;
   point.clients = n;
-  point.percall_tp = MeasureWorld(n, n, ia::KernelConfig{}, factory(false)).throughput;
-  point.ring_tp = MeasureWorld(n, n, ia::KernelConfig{}, factory(true)).throughput;
+  point.percall_tp = MeasureWorld(n, factory(false)).throughput;
+  point.ring_tp = MeasureWorld(n, factory(true)).throughput;
   point.speedup = point.percall_tp > 0 ? point.ring_tp / point.percall_tp : 0;
   return point;
-}
-
-// --- striped vs single tree lock: the directory-heavy mix ---------------------
-//
-// Pure shared-mode VFS reads (stat/access/open+close), the regime where every
-// client previously bumped the reader count of ONE shared_mutex cacheline.
-// The same kernel pinned to tree_lock_stripes=1 reproduces that world.
-//
-// Clients touch ONLY their own subtree. The earlier variant statted a shared
-// /etc/motd every iteration, which hashed every client onto the same stripe's
-// lock word — the striped kernel was paying single-stripe contention on a
-// third of its path walks, and the measured striped-vs-single ratio flatlined
-// near 1.0x. The gate measures stripe relief, so the workload has to actually
-// spread across stripes the way per-client working sets do.
-int DirHeavyBody(ia::ProcessContext& ctx, int id, const std::atomic<bool>* go,
-                 std::atomic<int>* ready, int iterations) {
-  ready->fetch_add(1, std::memory_order_acq_rel);
-  while (!go->load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-  ia::Stat st;
-  const std::string dir = "/data/c" + std::to_string(id);
-  for (int it = 0; it < iterations; ++it) {
-    const std::string file = dir + "/f" + std::to_string(it % kFilesPerClient);
-    const std::string file2 = dir + "/f" + std::to_string((it + 1) % kFilesPerClient);
-    if (ctx.Stat(file, &st) != 0 || ctx.Stat(dir, &st) != 0 || ctx.Stat(file2, &st) != 0) {
-      return 1;
-    }
-    if (ctx.Access(file, 0) != 0) {
-      return 2;
-    }
-    const int fd = ctx.Open(file, ia::kORdonly);
-    if (fd < 0) {
-      return 3;
-    }
-    ctx.Close(fd);
-  }
-  return 0;
-}
-
-double MeasureTreePoint(int n, int stripes) {
-  const int iterations = ItersFor(n, kIterations / 2);
-  ia::KernelConfig config;
-  config.tree_lock_stripes = stripes;
-  return MeasureWorld(n, n, config,
-                      [iterations](int c, const std::atomic<bool>* go, std::atomic<int>* ready) {
-                        return [c, go, ready, iterations](ia::ProcessContext& ctx) {
-                          return DirHeavyBody(ctx, c, go, ready, iterations);
-                        };
-                      })
-      .throughput;
 }
 
 struct ParityOp {
@@ -648,44 +508,6 @@ int main() {
                 speedup8, cores);
   }
 
-  // --- pooled curve to 256 clients ------------------------------------------
-  std::vector<PooledPoint> pooled;
-  for (const int n : kPooledClientCounts) {
-    pooled.push_back(MeasurePooledClients(n));
-  }
-  const double pooled_base = pooled.front().throughput;
-  std::printf("\n  pooled curve (client working sets over <= %d worker threads):\n",
-              kPoolWorkerCap);
-  std::printf("    clients  workers    calls/sec    vs 16\n");
-  for (const PooledPoint& p : pooled) {
-    std::printf("    %7d  %7d  %11.0f  %6.2fx\n", p.clients, p.workers, p.throughput,
-                pooled_base > 0 ? p.throughput / pooled_base : 0);
-  }
-  double min_step_ratio = 1e18;
-  for (size_t i = 1; i < pooled.size(); ++i) {
-    if (pooled[i - 1].throughput > 0) {
-      min_step_ratio = std::min(min_step_ratio,
-                                pooled[i].throughput / pooled[i - 1].throughput);
-    }
-  }
-  if (kUnderTsan) {
-    std::printf("    gate: skipped (min step ratio %.2f; ThreadSanitizer run)\n",
-                min_step_ratio);
-  } else if (cores >= 16) {
-    std::printf("    gate: min step ratio %.2f (self-check: >= %.2f — throughput must not\n"
-                "          collapse as the client population grows under capped workers)\n",
-                min_step_ratio, kMonotoneTolerance);
-    if (min_step_ratio < kMonotoneTolerance) {
-      std::printf("    FAIL: pooled throughput dropped more than %.0f%% on a curve step —\n"
-                  "    per-client state is colliding on a shared serializer\n",
-                  (1 - kMonotoneTolerance) * 100);
-      ok = false;
-    }
-  } else {
-    std::printf("    gate: skipped (min step ratio %.2f; host has %u < 16 hardware threads)\n",
-                min_step_ratio, cores);
-  }
-
   // --- ring: batched vs per-call issue --------------------------------------
   std::vector<RingPoint> ring_curve;
   for (const int n : {1, 4, 16, 64}) {
@@ -751,28 +573,6 @@ int main() {
                   "    prologue costs more than the per-call dispatch it amortizes\n");
       ok = false;
     }
-  }
-
-  // --- tree lock: striped vs single-stripe at 64 clients ---------------------
-  const double striped_tp = MeasureTreePoint(64, ia::TreeLock::kDefaultStripes);
-  const double single_tp = MeasureTreePoint(64, 1);
-  const double stripe_ratio = single_tp > 0 ? striped_tp / single_tp : 0;
-  std::printf("\n  tree lock, 64-client directory-heavy mix:\n");
-  std::printf("    %d stripes: %.0f calls/sec; 1 stripe: %.0f calls/sec (%.2fx)\n",
-              ia::TreeLock::kDefaultStripes, striped_tp, single_tp, stripe_ratio);
-  if (kUnderTsan) {
-    std::printf("    gate: skipped (ThreadSanitizer run)\n");
-  } else if (cores >= 16) {
-    std::printf("    gate: %.2fx striped-vs-single (self-check: >= %.1fx)\n", stripe_ratio,
-                kStripeGateAt64);
-    if (stripe_ratio < kStripeGateAt64) {
-      std::printf("    FAIL: striping is not relieving the shared tree-lock cacheline\n");
-      ok = false;
-    }
-  } else {
-    std::printf("    gate: skipped (host has %u < 16 hardware threads; a single reader\n"
-                "          cacheline cannot flatline without real parallelism)\n",
-                cores);
   }
 
   // --- single-client parity: fast paths vs forced big-lock dispatch ---------
@@ -910,20 +710,6 @@ int main() {
                 p.clients, static_cast<long long>(p.syscalls), p.seconds, p.throughput,
                 base > 0 ? p.throughput / base : 0);
   }
-  for (const PooledPoint& p : pooled) {
-    std::printf("{\"bench\":\"bench_scalability\",\"mode\":\"pooled\",\"clients\":%d,"
-                "\"workers\":%d,\"throughput_calls_per_sec\":%.0f,\"vs_first\":%.3f}\n",
-                p.clients, p.workers, p.throughput,
-                pooled_base > 0 ? p.throughput / pooled_base : 0);
-  }
-  std::printf("{\"bench\":\"bench_scalability\",\"check\":\"pooled_monotone\","
-              "\"min_step_ratio\":%.3f,\"gate\":%.2f,\"enforced\":%s}\n",
-              min_step_ratio, kMonotoneTolerance,
-              (!kUnderTsan && cores >= 16) ? "true" : "false");
-  std::printf("{\"bench\":\"bench_scalability\",\"check\":\"tree_stripes\",\"clients\":64,"
-              "\"stripes\":%d,\"striped_calls_per_sec\":%.0f,\"single_calls_per_sec\":%.0f,"
-              "\"striped_vs_single\":%.3f}\n",
-              ia::TreeLock::kDefaultStripes, striped_tp, single_tp, stripe_ratio);
   for (const RingPoint& p : ring_curve) {
     std::printf("{\"bench\":\"bench_ring\",\"clients\":%d,"
                 "\"percall_calls_per_sec\":%.0f,\"ring_calls_per_sec\":%.0f,"

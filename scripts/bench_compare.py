@@ -25,28 +25,19 @@ import sys
 
 # Exact metric names whose direction the fragments below would get wrong.
 EXPLICIT_DIRECTION = {
-    "striped_vs_single": +1,  # stripe scaling factor
-    "narrowed_vs_full": +1,   # pay-per-use speedup
-    "narrowed_vs_bare": -1,   # overhead factor over the agentless kernel
-    "vs_first": +1,           # pooled-curve scaling retention vs its first point
+    "narrowed_vs_full": +1,    # pay-per-use speedup
+    "narrowed_vs_bare": -1,    # overhead factor over the agentless kernel
     "socketpair_vs_pipe": +1,  # socket-vs-pipe transfer throughput parity
-    "min_step_ratio": +1,     # pooled-curve monotonicity (a ratio, but higher
-                              # is better — "ratio" fragment would flip it)
 }
 # Metric-name fragments that mean "higher is better".
 HIGHER_IS_BETTER = ("per_sec", "throughput", "speedup", "hit_rate")
 # Metric-name fragments that mean "lower is better".
 LOWER_IS_BETTER = ("_us", "seconds", "ratio")
-# Numeric fields that are identity or bookkeeping, never compared. `workers`
-# is bookkeeping, NOT identity: the pooled worker cap is host-derived, and two
-# hosts' pooled rows must still pair by client count.
-SKIP_METRICS = {
-    "clients", "stripes", "syscalls", "route_lookups", "route_builds", "gate",
-    "workers",
-}
+# Numeric fields that are identity or bookkeeping, never compared.
+SKIP_METRICS = {"clients", "syscalls", "route_lookups", "route_builds", "gate"}
 # Numeric fields that ARE identity (alongside every string field): without
 # them, rows that differ only by these would collapse onto one key.
-NUMERIC_IDENTITY = ("clients", "stripes")
+NUMERIC_IDENTITY = ("clients",)
 
 
 def direction_of(name):

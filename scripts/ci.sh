@@ -51,15 +51,15 @@ done
 # forced to whole-interface interest), compiled_routes (that narrowed stack
 # at most 3% over the agentless kernel) and socketpair_ping_pong (socketpair
 # transfers >= 0.5x of pipe transfers). Self-skipping below their host size:
-# the 8-client curve speedup (>= 8 threads), the pooled monotone curve, the
-# 16-client ring speedup and the 64-client striped tree lock (>= 16 threads).
+# the 8-client curve speedup (>= 8 threads) and the 16-client ring speedup
+# (>= 16 threads).
 # All perf gates self-skip under TSan — this run is the enforced one.
 #
 # The stdout is teed and its JSON lines split into two repo-root artifacts:
-# BENCH_scalability.json (curve + parity + stripe + route rows) and
-# BENCH_ring.json (batched-vs-per-call rows). A previous artifact, if any, is
-# kept as *.prev and diffed advisorily by scripts/bench_compare.py — a
-# regression prints a warning but does not fail CI (wall-clock numbers are
+# BENCH_scalability.json (curve + parity + pay-per-use + route + socketpair
+# rows) and BENCH_ring.json (batched-vs-per-call rows). A previous artifact,
+# if any, is kept as *.prev and diffed advisorily by scripts/bench_compare.py
+# — a regression prints a warning but does not fail CI (wall-clock numbers are
 # host-dependent; the enforced perf checks are the bench's own gates).
 for artifact in BENCH_scalability.json BENCH_ring.json; do
   if [ -f "$artifact" ]; then

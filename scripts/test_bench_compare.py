@@ -57,11 +57,6 @@ class DirectionTest(unittest.TestCase):
         # nothing in the name says "_us" or "seconds".
         self.assertEqual(bench_compare.direction_of("narrowed_vs_bare"), -1)
         self.assertEqual(bench_compare.direction_of("narrowed_vs_full"), +1)
-        self.assertEqual(bench_compare.direction_of("striped_vs_single"), +1)
-        self.assertEqual(bench_compare.direction_of("vs_first"), +1)
-        # min_step_ratio contains the lower-is-better "ratio" fragment, but a
-        # monotonicity ratio regresses DOWNWARD.
-        self.assertEqual(bench_compare.direction_of("min_step_ratio"), +1)
         # socketpair_vs_pipe is a throughput-parity factor: no fragment
         # matches it, so without the explicit entry it would not be compared.
         self.assertEqual(bench_compare.direction_of("socketpair_vs_pipe"), +1)
@@ -99,16 +94,6 @@ class RowKeyTest(unittest.TestCase):
     def test_field_order_does_not_matter(self):
         a = {"bench": "b", "op": "stat", "clients": 4, "wall_us": 1.0}
         b = {"clients": 4, "wall_us": 99.0, "op": "stat", "bench": "b"}
-        self.assertEqual(bench_compare.row_key(a), bench_compare.row_key(b))
-
-    def test_pooled_rows_pair_across_differing_worker_caps(self):
-        # The worker cap is host-derived bookkeeping: a baseline from a 32-way
-        # host must pair with a candidate from an 8-way host at the same
-        # client count.
-        a = {"bench": "bench_scalability", "mode": "pooled", "clients": 256,
-             "workers": 32, "throughput_calls_per_sec": 5e6}
-        b = {"bench": "bench_scalability", "mode": "pooled", "clients": 256,
-             "workers": 8, "throughput_calls_per_sec": 4e6}
         self.assertEqual(bench_compare.row_key(a), bench_compare.row_key(b))
 
 

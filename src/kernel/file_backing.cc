@@ -21,9 +21,9 @@ void FileBacking::PostSignal(Kernel& k, Process& p, int signo) { k.PostSignalLoc
 SyscallStatus FileBacking::ReadRegular(Kernel& k, Process& p, OpenFile& f, char* buf,
                                        int64_t count, SyscallResult* rv) {
   // read() is a kBlocking row, so DispatchLocked did not take the tree lock;
-  // hold one stripe shared around the data section to coexist with the
-  // fast-path readers and exclude writers.
-  SharedTreeLock tree(k.fs_.TreeMutex(), TreeLock::HintForIno(f.inode->ino()));
+  // hold it shared around the data section to coexist with the fast-path
+  // readers and exclude writers.
+  std::shared_lock<std::shared_mutex> tree(k.fs_.TreeMutex());
   return k.ReadRegularLocked(p, f, buf, count, rv);
 }
 
@@ -31,7 +31,7 @@ SyscallStatus FileBacking::WriteRegular(Kernel& k, Process& p, OpenFile& f, cons
                                         int64_t count, SyscallResult* rv) {
   // write() is a kBlocking row, so DispatchLocked did not take the tree lock;
   // hold it exclusively around the resize/copy to exclude fast-path readers.
-  std::unique_lock<TreeLock> tree(k.fs_.TreeMutex());
+  std::unique_lock<std::shared_mutex> tree(k.fs_.TreeMutex());
   return k.WriteRegularLocked(p, f, buf, count, rv);
 }
 

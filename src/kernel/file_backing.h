@@ -3,7 +3,7 @@
 // An OpenFile no longer discriminates between an inode and a pipe end by
 // hand; it holds exactly one FileBacking, and the kernel's data-plane
 // handlers (read/write/fstat/lseek, the kVfsRead fast paths, the ring
-// batcher's reorder planner) dispatch through it. Three implementations:
+// batcher's vfs-read windows) dispatch through it. Three implementations:
 //
 //   VnodeBacking   - regular files, directories, devices (everything the VFS
 //                    tree names); stateless, shared as a singleton
@@ -49,14 +49,14 @@ class FileBacking {
   virtual ~FileBacking() = default;
 
   // Identity for the fast-path gates: only kVnode files may take the shared
-  // tree-lock read/close/reorder routes; everything else needs the big lock
+  // tree-lock read/close routes; everything else needs the big lock
   // (its state lives behind the CV protocol).
   virtual BackingKind kind() const = 0;
 
   // Scalar transfer hooks. Entered from big-lock handlers with `lk` holding
   // the big kernel lock; the caller has already validated fd/buf/count and
-  // rejected count <= 0. Vnode backings drop into tree-stripe locking
-  // internally; pipe/socket backings may sleep on `lk`.
+  // rejected count <= 0. Vnode backings take the tree lock internally;
+  // pipe/socket backings may sleep on `lk`.
   virtual SyscallStatus Read(Kernel& k, Process& p, OpenFile& f, char* buf, int64_t count,
                              SyscallResult* rv, KernelLock& lk) = 0;
   virtual SyscallStatus Write(Kernel& k, Process& p, OpenFile& f, const char* buf, int64_t count,
@@ -85,9 +85,8 @@ class FileBacking {
   static void SleepOnKernel(Kernel& k, KernelLock& lk);
   static void WakeKernel(Kernel& k);
   static void PostSignal(Kernel& k, Process& p, int signo);
-  // Regular-file transfer under the proper tree-lock mode (shared stripe for
-  // reads, exclusive for writes — identical locking to the pre-backing
-  // handlers).
+  // Regular-file transfer under the proper tree-lock mode (shared for reads,
+  // exclusive for writes — identical locking to the pre-backing handlers).
   static SyscallStatus ReadRegular(Kernel& k, Process& p, OpenFile& f, char* buf, int64_t count,
                                    SyscallResult* rv);
   static SyscallStatus WriteRegular(Kernel& k, Process& p, OpenFile& f, const char* buf,

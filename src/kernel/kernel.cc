@@ -22,8 +22,6 @@ void AddMicros(TimeVal* tv, int64_t micros) {
 
 Kernel::Kernel(const KernelConfig& config) {
   compute_spin_scale_ = config.compute_spin_scale;
-  // Bootstrap-only stripe configuration: no process threads exist yet.
-  fs_.TreeMutex().SetStripeCount(config.tree_lock_stripes);
   clock_.Set(config.epoch_seconds * 1000000);
   fs_.set_now(config.epoch_seconds);
   console_.set_echo_to_host(config.console_echo_to_host);
@@ -71,7 +69,7 @@ void Kernel::InstallProgram(const std::string& path, const std::string& image, P
   programs_.Register(image, std::move(main));
   // Tree mutation outside the syscall dispatchers: take the tree lock so a
   // program installed while processes run cannot race fast-path readers.
-  std::unique_lock<TreeLock> tree(fs_.TreeMutex());
+  std::unique_lock<std::shared_mutex> tree(fs_.TreeMutex());
   InodeRef file = fs_.InstallFile(path, StringPrintf("\177IMG %s\n", image.c_str()), mode);
   if (file != nullptr) {
     file->exec_image = image;
@@ -518,9 +516,9 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
     comps[i].user_data = reqs[i].user_data;
     comps[i].result = SyscallResult{};
   }
-  // Plans for a batch window: allocated on the batch's first window and
-  // reused by the later ones. A single call never needs them, and building
-  // the array per window cost more than grouping saved.
+  // Plans for a batch window's later entries: allocated on the batch's first
+  // window and reused by the later ones. A single call never needs them, and
+  // building the array per window cost more than one shared hold saved.
   constexpr int kWindow = 64;
   std::unique_ptr<VfsReadPlan[]> window;
   int charged = 0;  // entries [0, charged) have paid the prologue
@@ -556,65 +554,44 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
       status = DispatchBigLock(proc, number, reqs[i].args, rv);
     } else {
       VfsReadPlan plan = ClassifyVfsRead(proc, reqs[i]);
-      int n = 1;
-      if (plan.reorderable && i + 1 < count &&
-          LaneOf(reqs[i + 1].number, serialized) == Lane::kVfsRead) {
-        // A window of consecutive reorderable entries executes grouped by
-        // tree-lock stripe: one shared acquire per stripe group instead of
-        // one per entry, and far less lock-word bouncing when many drains
-        // run concurrently. Original order is kept within each stripe, which
-        // preserves every same-file / same-pathname dependence; any other
-        // entry ends the window and runs at its own position. Completions
-        // land at their original indices.
-        if (window == nullptr) {
-          window = std::make_unique<VfsReadPlan[]>(kWindow);
-        }
-        window[0] = std::move(plan);
+      if (plan.kind == VfsReadPlan::kShared) {
+        // A window: this entry and the consecutive shared-lock entries after
+        // it run in submission order under one shared hold, instead of one
+        // acquire per entry, with far less lock-word bouncing when many
+        // drains run concurrently. Any other entry ends the window and runs
+        // at its own position. Window entries never touch the descriptor
+        // table, so plans classified up front stay valid.
+        int n = 1;
         while (n < kWindow && i + n < count &&
                LaneOf(reqs[i + n].number, serialized) == Lane::kVfsRead) {
+          if (window == nullptr) {
+            window = std::make_unique<VfsReadPlan[]>(kWindow);
+          }
           window[n] = ClassifyVfsRead(proc, reqs[i + n]);
-          if (!window[n].reorderable) {
+          if (window[n].kind != VfsReadPlan::kShared) {
             break;  // classified again at its own position
           }
           ++n;
         }
-        for (int s = 0; n >= 2 && s < fs_.TreeMutex().stripe_count(); ++s) {
-          uint64_t held_hint = 0;
-          bool held = false;
+        {
+          std::shared_lock<std::shared_mutex> tree(fs_.TreeMutex());
           for (int k = 0; k < n; ++k) {
-            if (window[k].stripe != s) {
-              continue;
-            }
-            if (!held) {
-              held_hint = window[k].hint;
-              fs_.TreeMutex().lock_shared(held_hint);
-              held = true;
-            }
-            ExecuteVfsRead(proc, reqs[i + k], window[k], &comps[i + k].result, &status);
+            ExecuteVfsRead(proc, reqs[i + k], k == 0 ? plan : window[k], &comps[i + k].result,
+                           &status);
             finish(i + k, status);
           }
-          if (held) {
-            fs_.TreeMutex().unlock_shared(held_hint);
-          }
         }
-        plan = std::move(window[0]);
         for (int k = 1; k < n; ++k) {
           // Drop pre-resolved files promptly: a later close in this batch
           // must still release the last reference (and any flock) itself.
           window[k].file.reset();
         }
-      }
-      if (n >= 2) {
         i += n - 1;
         continue;
       }
-      // One entry at its own position: it takes its own stripe.
       bool done = plan.kind == VfsReadPlan::kDone;
       status = plan.status;
-      if (plan.kind == VfsReadPlan::kStripe) {
-        SharedTreeLock tree(fs_.TreeMutex(), plan.hint);
-        done = ExecuteVfsRead(proc, reqs[i], plan, rv, &status);
-      } else if (plan.kind == VfsReadPlan::kUnlocked) {
+      if (plan.kind == VfsReadPlan::kUnlocked) {
         done = ExecuteVfsRead(proc, reqs[i], plan, rv, &status);
       }
       if (!done) {
@@ -718,9 +695,9 @@ SyscallStatus Kernel::DispatchLocked(Process& p, int number, const SyscallArgs& 
     // tree lock; they take it internally around the inode-data sections only.
     return (this->*handler)(p, *dispatch_args, rv, lk);
   }
-  // Holding the tree lock exclusively (every stripe) is what excludes
-  // big-lock handlers from the kVfsRead fast path's shared-mode readers.
-  std::unique_lock<TreeLock> tree(fs_.TreeMutex());
+  // Holding the tree lock exclusively is what excludes big-lock handlers from
+  // the kVfsRead fast path's shared-mode readers.
+  std::unique_lock<std::shared_mutex> tree(fs_.TreeMutex());
   return (this->*handler)(p, *dispatch_args, rv, lk);
 }
 
@@ -740,34 +717,21 @@ Kernel::VfsReadPlan Kernel::ClassifyVfsRead(Process& proc, const SyscallRequest&
     plan.status = status;
     return std::move(plan);
   };
-  auto stripe = [&](uint64_t hint, bool reorderable) {
-    plan.kind = VfsReadPlan::kStripe;
-    plan.reorderable = reorderable;
-    plan.hint = hint;
-    plan.stripe = static_cast<uint8_t>(fs_.TreeMutex().StripeOf(hint));
+  auto shared = [&plan]() {
+    plan.kind = VfsReadPlan::kShared;
     return std::move(plan);
   };
   switch (req.number) {
     // Pure tree walks: the regular handlers are already read-only against the
     // tree and touch neither the Lock nor other kernel state, so they run
-    // as-is; a null path is the handler's EFAULT.
+    // as-is; a null path is the handler's EFAULT. lseek at most reads a file
+    // size; its handler also owns the bad-fd and pipe (ESPIPE) answers.
     case kSysStat:
     case kSysLstat:
     case kSysAccess:
-    case kSysReadlink: {
-      const char* path = args.Ptr<const char>(0);
-      return stripe(path != nullptr ? TreeLock::HintForPath(path) : 0, true);
-    }
-
-    // lseek at most reads a file size; its handler also owns the bad-fd and
-    // pipe (ESPIPE) answers, so only real files are reorderable.
-    case kSysLseek: {
-      const OpenFileRef file = proc.fds.Get(args.Int(0));
-      if (file == nullptr || file->inode == nullptr) {
-        return stripe(0, false);
-      }
-      return stripe(TreeLock::HintForIno(file->inode->ino()), true);
-    }
+    case kSysReadlink:
+    case kSysLseek:
+      return shared();
 
     case kSysFstat: {
       OpenFileRef file = proc.fds.Get(args.Int(0));
@@ -780,9 +744,8 @@ Kernel::VfsReadPlan Kernel::ClassifyVfsRead(Process& proc, const SyscallRequest&
       if (args.Ptr<ia::Stat>(1) == nullptr) {
         return done(-kEFault);
       }
-      const uint64_t hint = TreeLock::HintForIno(file->inode->ino());
       plan.file = std::move(file);
-      return stripe(hint, true);
+      return shared();
     }
 
     case kSysRead: {
@@ -806,9 +769,8 @@ Kernel::VfsReadPlan Kernel::ClassifyVfsRead(Process& proc, const SyscallRequest&
       if (file->inode->IsDevice()) {
         return plan;  // device state belongs to the big lock
       }
-      const uint64_t hint = TreeLock::HintForIno(file->inode->ino());
       plan.file = std::move(file);
-      return stripe(hint, true);
+      return shared();
     }
 
     case kSysOpen: {
@@ -820,7 +782,6 @@ Kernel::VfsReadPlan Kernel::ClassifyVfsRead(Process& proc, const SyscallRequest&
         return plan;  // may create or resize: tree mutations need the big lock
       }
       plan.kind = VfsReadPlan::kUnlocked;
-      plan.hint = TreeLock::HintForPath(path);
       return plan;
     }
 
@@ -862,7 +823,7 @@ bool Kernel::ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsR
       const int flags = args.Int(1);
       InodeRef inode;
       {
-        SharedTreeLock tree(fs_.TreeMutex(), plan.hint);
+        std::shared_lock<std::shared_mutex> tree(fs_.TreeMutex());
         const int err = fs_.Open(EnvOf(proc), args.Ptr<const char>(0), flags, 0, &inode);
         if (err != 0) {
           *out = err;
@@ -881,7 +842,7 @@ bool Kernel::ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsR
       }
       OpenFileRef file = MakeVnodeFile(inode, flags);
       if ((flags & kOAppend) != 0) {
-        SharedTreeLock tree(fs_.TreeMutex(), plan.hint);
+        std::shared_lock<std::shared_mutex> tree(fs_.TreeMutex());
         file->offset = static_cast<Off>(inode->data.size());
       }
       proc.fds.Set(fd, std::move(file));

@@ -10,30 +10,28 @@
 //     table, fork/exec/exit/wait, signal delivery, pipes, devices, flock, and
 //     every blocking sleep (kBlocking rows park on the kernel-wide condvar
 //     and honor signals with EINTR, as 4.3BSD does). Big-lock handlers for
-//     non-blocking rows additionally hold EVERY tree stripe EXCLUSIVELY,
+//     non-blocking rows additionally hold the VFS tree lock EXCLUSIVELY,
 //     which is what excludes them from concurrent shared-mode readers;
 //   * syscalls flagged kPerProcess in syscalls.def (getpid/umask/sigblock/
 //     gettimeofday/getrusage/...) dispatch through DispatchUnlocked and never
 //     touch mu_ — they rely on Process::mu, per-field atomics, and the atomic
 //     VirtualClock;
 //   * syscalls flagged kVfsRead (stat/access/readlink/open/read/lseek/fstat/
-//     close) are classified by ClassifyVfsRead into a stripe hint of the VFS
-//     tree lock (see TreeLock in vfs.h), an immediate status, or "needs the
-//     big lock" (O_CREAT/O_TRUNC opens, fifos/pipes, devices, flocked files).
-//     ExecuteVfsRead runs a classified row with its stripe held SHARED: a
-//     single call takes its own stripe, and a batch window of read-only rows
-//     is grouped by stripe (one shared acquire per stripe group). Grouping
-//     keeps every dependent pair — same file, same pathname — in
-//     submission order, and completions are always delivered in submission
-//     order. Open and close do their descriptor-slot work outside any stripe.
+//     close) are classified by ClassifyVfsRead into "run under the tree lock
+//     held shared" (see TreeMutex in vfs.h), "run unlocked", an immediate
+//     status, or "needs the big lock" (O_CREAT/O_TRUNC opens, fifos/pipes,
+//     devices, flocked files). A single shared-lock row takes the lock
+//     itself; a batch window of consecutive shared-lock rows runs in
+//     submission order under one shared hold. Open and close do their
+//     descriptor-slot work outside the lock.
 //
 // Calls arrive either synchronously through ProcessContext::Syscall, or as
 // SyscallRequest batches drained from a per-process submission/completion
 // ring (see ring.h). A batch pays the prologue once for all its entries.
 //
-// Lock order (outer to inner): mu_ -> tree stripe(s) (ascending index) ->
-// name cache mutex, and independently {mu_ or nothing} -> Process::mu and
-// {mu_ or nothing, or a shared tree stripe} -> FdTable's internal leaf mutex.
+// Lock order (outer to inner): mu_ -> tree lock -> name cache mutex, and
+// independently {mu_ or nothing} -> Process::mu and {mu_ or nothing, or the
+// tree lock held shared} -> FdTable's internal leaf mutex.
 // Nothing acquires mu_ while holding any of the others.
 //
 // While a fault plan is installed (fault decisions must stay deterministic per
@@ -76,10 +74,6 @@ struct KernelConfig {
   // benchmarks see applications that do "real work" between system calls (the
   // paper's Scribe run is compute-dominated).
   double compute_spin_scale = 0.0;
-  // Number of VFS tree-lock stripes (clamped to [1, TreeLock::kMaxStripes],
-  // rounded down to a power of two). 1 reproduces the old single
-  // shared_mutex; the default spreads shared-mode readers across cache lines.
-  int tree_lock_stripes = TreeLock::kDefaultStripes;
 };
 
 // Per-syscall observability counters, indexed by syscall number.
@@ -267,37 +261,30 @@ class Kernel {
   SyscallStatus DispatchBigLock(Process& proc, int number, const SyscallArgs& args,
                                 SyscallResult* rv);
 
-  // The classification of one kVfsRead row. kStripe rows run in
-  // ExecuteVfsRead under the stripe `hint` selects, held shared; path rows
-  // key the hint on the whole pathname and descriptor rows on the file's
-  // inode (dup'd descriptors share one OpenFile, and so one inode), so
-  // dependent rows always share a stripe. `reorderable` marks read-only rows a batch window
-  // may group by stripe. Open and close allocate or release descriptor slots,
-  // whose numbering is order-sensitive, so they keep their position; they are
-  // kUnlocked, because holding a stripe across the slot work makes them queue
-  // behind writers (on a 4-thread host, ringmix's close tail grew from 1.6 us
-  // to 24 us).
+  // The classification of one kVfsRead row. kShared rows run in
+  // ExecuteVfsRead with the tree lock held shared; a batch window runs
+  // consecutive kShared rows in submission order under one hold. Open and
+  // close allocate or release descriptor slots; they are kUnlocked, because
+  // holding the tree lock across the slot work makes them queue behind
+  // writers (on a 4-thread host, ringmix's close tail grew from 1.6 us to
+  // 24 us).
   struct VfsReadPlan {
-    enum Kind : uint8_t { kStripe, kUnlocked, kDone, kBigLock };
+    enum Kind : uint8_t { kShared, kUnlocked, kDone, kBigLock };
     Kind kind = kBigLock;
-    bool reorderable = false;
-    uint8_t stripe = 0;         // kStripe: TreeLock::StripeOf(hint)
-    SyscallStatus status = 0;   // kDone: the call's result
-    uint64_t hint = 0;          // kStripe, and open's walk: tree-lock stripe hint
-    OpenFileRef file;           // kStripe: pre-resolved descriptor (read/fstat)
+    SyscallStatus status = 0;  // kDone: the call's result
+    OpenFileRef file;          // kShared: pre-resolved descriptor (read/fstat)
   };
   VfsReadPlan ClassifyVfsRead(Process& proc, const SyscallRequest& req);
-  // Runs a kStripe row with the plan's stripe already held shared by the
-  // caller, or a kUnlocked row with no stripe held: open takes its path stripe
-  // around the walk itself, and close touches only the descriptor table.
-  // Returns false, with nothing done, when the row turns out to need the big
-  // lock (an open that resolved to a fifo); reorderable rows always return
-  // true.
+  // Runs a kShared row with the tree lock already held shared by the caller,
+  // or a kUnlocked row with no lock held: open takes the lock shared around
+  // the walk itself, and close touches only the descriptor table. Returns
+  // false, with nothing done, when the row turns out to need the big lock
+  // (an open that resolved to a fifo); kShared rows always return true.
   bool ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsReadPlan& plan,
                       SyscallResult* rv, SyscallStatus* out);
   // The regular-file read body shared by ExecuteVfsRead and VnodeBacking.
   // Preconditions: `file` is a readable vnode-backed regular/symlink
-  // descriptor, buf != nullptr, count > 0, and the caller holds a tree stripe
+  // descriptor, buf != nullptr, count > 0, and the caller holds the tree lock
   // in shared mode.
   SyscallStatus ReadRegularLocked(Process& proc, OpenFile& file, char* buf, int64_t count,
                                   SyscallResult* rv);

@@ -3,9 +3,9 @@
 // All socket state is big-lock-guarded; blocking rows (accept/send/recv and
 // friends) are marked kBlocking in syscalls.def, so DispatchLocked hands them
 // the big lock without the tree lock and they park on the kernel condition
-// variable. Non-blocking rows (socket/bind/connect/listen/...) run with every
-// tree stripe held exclusively, which covers bind's node creation and
-// connect's pathname walk.
+// variable. Non-blocking rows (socket/bind/connect/listen/...) run with the
+// tree lock held exclusively, which covers bind's node creation and connect's
+// pathname walk.
 #include "src/kernel/socket.h"
 
 #include <algorithm>

@@ -39,7 +39,7 @@ inline constexpr uint32_t kPerProcess = 1u << 8;
 inline constexpr uint32_t kVfsRead = 1u << 9;
 // The socket interface class (paper Section 2.3's descriptor calls, restricted
 // to the AF_UNIX rows): socket-layer agents build their footprint from this
-// flag, and the ring batcher treats blocking members as reorder barriers.
+// flag, and the ring batcher treats blocking members as window barriers.
 inline constexpr uint32_t kSocket = 1u << 10;
 
 // Default virtual-clock cost for calls the paper's Table 3-5 did not measure.

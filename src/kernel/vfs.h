@@ -3,33 +3,24 @@
 //
 // All VFS entry points report errors as negative BSD errno values.
 //
-// Synchronization is provided by the caller through TreeMutex(), a *striped*
-// reader/writer lock over the whole inode graph (entries, data, metadata):
-// read-only walks (stat/access/readlink/open-for-read/regular-file reads)
-// hold ONE stripe shared — chosen by a hash hint (whole-pathname hash for
-// path walks, inode number for descriptor I/O) so unrelated subtrees land on
-// different cache lines — and proceed concurrently; any mutation (create/
-// unlink/rename/write/resize/chmod/...) holds EVERY stripe exclusively, in
-// ascending index order. Because an exclusive holder owns all stripes, the
-// semantics are identical to the old single shared_mutex (a mutator excludes
-// every reader regardless of which stripe the reader hashed to); striping
-// only removes reader-reader cacheline contention, which is what flatlined
-// the 64-client read-heavy curve. Symlinks, "..", hard links, and rename make
-// true per-subtree exclusive ownership deadlock-prone, which is why writers
-// take the brlock-style all-stripes path instead.
+// Synchronization is provided by the caller through TreeMutex(), one
+// reader/writer lock over the whole inode graph (entries, data, metadata),
+// as in 4.3BSD, where one lock guards the name space: read-only walks
+// (stat/access/readlink/open-for-read/regular-file reads) hold it shared and
+// proceed concurrently; any mutation (create/unlink/rename/write/resize/
+// chmod/...) holds it exclusively.
 //
 // The kernel's dispatcher takes the exclusive lock around every big-lock
-// handler and a shared stripe around the lock-free read fast paths, so VFS
+// handler and the shared lock around the lock-free read fast paths, so VFS
 // method bodies themselves stay lock-free. Inode timestamps are atomics
-// because read paths update atime while holding only a shared stripe. The
+// because read paths update atime while holding the lock only shared. The
 // name cache carries its own internal mutex, and its grace-period reclaim
-// still keys off the exclusive mode: all-stripes-exclusive implies no
-// lock-free cache reader is in flight (see namecache.h).
-// Lock order: kernel mu_ -> tree stripe(s) (ascending) -> cache.
+// keys off the exclusive mode: an exclusive holder implies no lock-free
+// cache reader is in flight (see namecache.h).
+// Lock order: kernel mu_ -> tree lock -> cache.
 #ifndef SRC_KERNEL_VFS_H_
 #define SRC_KERNEL_VFS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -50,109 +41,6 @@ class Inode;
 class Pipe;
 class Socket;
 using InodeRef = std::shared_ptr<Inode>;
-
-// The striped tree lock (see the file comment for the locking story).
-//
-// Exclusive mode is BasicLockable (lock()/unlock() take every stripe in
-// ascending order), so `std::unique_lock<TreeLock>` / `std::lock_guard`
-// work unchanged at the big-lock call sites. Shared mode takes exactly one
-// stripe selected by a caller-supplied hash hint; use SharedTreeLock for
-// RAII. With SetStripeCount(1) the lock degenerates to the old single
-// shared_mutex — the bench uses that to demonstrate the flatline.
-class TreeLock {
- public:
-  static constexpr int kMaxStripes = 16;
-  static constexpr int kDefaultStripes = 8;
-
-  // Exclusive: all stripes, ascending. Two exclusive acquirers both start at
-  // stripe 0, so they serialize without deadlock; a shared holder owns one
-  // stripe and never waits while holding it.
-  void lock() {
-    for (int i = 0; i < count_; ++i) {
-      stripes_[i].mu.lock();
-    }
-  }
-  void unlock() {
-    for (int i = count_ - 1; i >= 0; --i) {
-      stripes_[i].mu.unlock();
-    }
-  }
-
-  // Shared: one stripe, chosen by `hint`. Pass the same hint to unlock.
-  void lock_shared(uint64_t hint) { stripes_[IndexOf(hint)].mu.lock_shared(); }
-  void unlock_shared(uint64_t hint) { stripes_[IndexOf(hint)].mu.unlock_shared(); }
-
-  int stripe_count() const { return count_; }
-
-  // Bootstrap-only (before any concurrent holder exists): `n` is clamped to
-  // [1, kMaxStripes] and rounded down to a power of two.
-  void SetStripeCount(int n) {
-    if (n < 1) {
-      n = 1;
-    }
-    if (n > kMaxStripes) {
-      n = kMaxStripes;
-    }
-    while ((n & (n - 1)) != 0) {
-      n &= n - 1;  // drop lowest set bit until a power of two remains
-    }
-    count_ = n;
-    mask_ = static_cast<uint64_t>(n) - 1;
-  }
-
-  // --- stripe-selection hints ---------------------------------------------------
-  // FNV-1a over the whole pathname: per-client working directories spread
-  // across stripes even when they share every prefix component.
-  static uint64_t HintForPath(std::string_view path) {
-    uint64_t h = 1469598103934665603ULL;
-    for (const char c : path) {
-      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
-    }
-    return h;
-  }
-  static uint64_t HintForIno(Ino ino) { return static_cast<uint64_t>(ino); }
-
-  // The stripe a hint selects. Exposed so a batch window can group
-  // reorderable vfs-read entries by stripe (same hint always lands on the
-  // same stripe — the property the grouping's dependence rules are built on).
-  size_t StripeOf(uint64_t hint) const { return IndexOf(hint); }
-
- private:
-  size_t IndexOf(uint64_t hint) const {
-    // SplitMix-style finalize so low-entropy hints (small inode numbers)
-    // still spread; mask_ selects among the power-of-two stripes.
-    uint64_t x = hint;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    return static_cast<size_t>(x & mask_);
-  }
-
-  // Cache-line-aligned so stripe i's reader traffic does not false-share with
-  // stripe i+1 — the whole point of striping.
-  struct alignas(64) Stripe {
-    std::shared_mutex mu;
-  };
-  std::array<Stripe, kMaxStripes> stripes_;
-  int count_ = kDefaultStripes;
-  uint64_t mask_ = kDefaultStripes - 1;
-};
-
-// RAII shared holder of one tree stripe.
-class SharedTreeLock {
- public:
-  SharedTreeLock(TreeLock& lock, uint64_t hint) : lock_(&lock), hint_(hint) {
-    lock_->lock_shared(hint_);
-  }
-  ~SharedTreeLock() { lock_->unlock_shared(hint_); }
-
-  SharedTreeLock(const SharedTreeLock&) = delete;
-  SharedTreeLock& operator=(const SharedTreeLock&) = delete;
-
- private:
-  TreeLock* lock_;
-  uint64_t hint_;
-};
 
 // Character-device operations; instances are registered with the Filesystem and
 // referenced by device inodes. Not owned by inodes.
@@ -289,12 +177,11 @@ class Filesystem {
 
   InodeRef root() const { return root_; }
 
-  // The striped reader/writer lock over the inode graph. The kernel
-  // dispatcher holds it exclusively (all stripes) around mutating syscall
-  // handlers and holds one hashed stripe shared around the read-only fast
-  // paths; VFS method bodies assume the caller holds it in the appropriate
-  // mode (exclusive for every method that mutates the tree).
-  TreeLock& TreeMutex() const { return tree_mu_; }
+  // The reader/writer lock over the inode graph. The kernel dispatcher holds
+  // it exclusively around mutating syscall handlers and shared around the
+  // read-only fast paths; VFS method bodies assume the caller holds it in the
+  // appropriate mode (exclusive for every method that mutates the tree).
+  std::shared_mutex& TreeMutex() const { return tree_mu_; }
 
   // Current file time, in seconds; set by the kernel each tick. Atomic so
   // shared-mode readers can stamp atimes while the dispatcher advances it.
@@ -372,7 +259,7 @@ class Filesystem {
   int LookupComponent(const NameiEnv& env, const InodeRef& dir, std::string_view name,
                       InodeRef* out) const;
 
-  mutable TreeLock tree_mu_;
+  mutable std::shared_mutex tree_mu_;
   InodeRef root_;
   // Guarded by TreeMutex() exclusive (only mutators allocate inodes).
   Ino next_ino_ = 2;  // ino 2 is the root, per UFS convention

@@ -4,8 +4,8 @@
 // fallbacks, the ring's exit/exec semantics (the drain stops after an exit or
 // exec entry; exec drops the image's ring), the determinism gates (ring-
 // submitted batches are result- and ktrace- and fault-stream-identical to
-// synchronous issue), the aggregated RouteStats() counters, the striped VFS
-// tree lock under concurrent clients, and the FdTable leaf mutex.
+// synchronous issue), the aggregated RouteStats() counters, the VFS tree lock
+// under concurrent clients, and the FdTable leaf mutex.
 #include "tests/test_helpers.h"
 
 #include <atomic>
@@ -701,10 +701,11 @@ TEST(RingStress, SiblingSubmitterWhileOwnerDrains) {
 }
 
 TEST(StripeStress, ParallelReadersAcrossDirectorySubtrees) {
-  // Eight clients hammer the shared-stripe VFS read path against their own
-  // subtrees (distinct stripes by path hash) plus one shared file. Under
-  // TSan this validates the striped lock order; the assertions validate that
-  // striping didn't change what readers see.
+  // Eight clients hammer the shared-lock VFS read path against their own
+  // subtrees plus one shared file: many shared holders of the one tree
+  // rwlock at once, with open/close doing their descriptor-slot work outside
+  // it. Under TSan this validates the lock order; the assertions validate
+  // what concurrent readers see.
   auto kernel = MakeWorld();
   constexpr int kClients = 8;
   constexpr int kIters = 150;
@@ -757,9 +758,9 @@ TEST(StripeStress, ParallelReadersAcrossDirectorySubtrees) {
 }
 
 TEST(StripeStress, ReadersScanWhileWritersChurnTheTree) {
-  // Shared single-stripe readers racing exclusive all-stripe writers
-  // (create/unlink churn). Correctness: readers of the stable file never see
-  // a torn result, and the churned files resolve to a consistent final state.
+  // Shared readers racing exclusive writers (create/unlink churn) on the one
+  // tree rwlock. Correctness: readers of the stable file never see a torn
+  // result, and the churned files resolve to a consistent final state.
   auto kernel = MakeWorld();
   const std::string payload(128, 's');
   const int setup = ExitCodeOf(*kernel, [&payload](ProcessContext& ctx) {
@@ -813,38 +814,6 @@ TEST(StripeStress, ReadersScanWhileWritersChurnTheTree) {
   }
   EXPECT_EQ(FileContents(*kernel, "/mix/final0"), "done");
   EXPECT_EQ(FileContents(*kernel, "/mix/final1"), "done");
-}
-
-TEST(TreeLock, StripeCountClampsAndRoundsToPowerOfTwo) {
-  TreeLock lock;
-  EXPECT_EQ(lock.stripe_count(), TreeLock::kDefaultStripes);
-  lock.SetStripeCount(0);
-  EXPECT_EQ(lock.stripe_count(), 1);
-  lock.SetStripeCount(5);
-  EXPECT_EQ(lock.stripe_count(), 4);
-  lock.SetStripeCount(100);
-  EXPECT_EQ(lock.stripe_count(), TreeLock::kMaxStripes);
-  lock.SetStripeCount(8);
-  EXPECT_EQ(lock.stripe_count(), 8);
-}
-
-TEST(TreeLock, SingleStripeConfigBehavesIdentically) {
-  // stripes=1 reproduces the old single shared_mutex; the whole mixed
-  // workload (including the ring path) must behave exactly the same.
-  for (const int stripes : {1, 16}) {
-    KernelConfig config;
-    config.tree_lock_stripes = stripes;
-    Kernel kernel(config);
-    InstallStandardPrograms(kernel);
-    EXPECT_EQ(kernel.fs().TreeMutex().stripe_count(), stripes);
-    std::string digest;
-    const int code = ExitCodeOf(kernel, [&digest](ProcessContext& ctx) {
-      digest = RunMixedWorkload(ctx, /*via_ring=*/true, /*iterations=*/6);
-      return 0;
-    });
-    EXPECT_EQ(code, 0) << "stripes=" << stripes;
-    EXPECT_FALSE(digest.empty());
-  }
 }
 
 TEST(FdTableStress, LeafMutexSurvivesConcurrentMutation) {
@@ -945,15 +914,18 @@ TEST(RingUnit, WraparoundAcrossProducerDrainerAndReaperThreads) {
   EXPECT_FALSE(ring.Reap(&comp));
 }
 
-// --- the grouped vfs-read lane and the kernel-lane digest matrix -------------
+// --- the windowed vfs-read lane and the kernel-lane digest matrix ------------
 
-// The reorder-eligible workload: per iteration, stat/fstat/lseek/read rows
-// on eight files, each on its own descriptor, issued as ONE batch so the
-// stripe-grouped vfs-read lane actually has something to regroup — or, with
-// via_ring false, call by call, the exact-order reference. Returns a digest
-// line per completion: "index:tag:status:rv0", plus the read buffers, so any
-// reordering that leaked into results (wrong offsets, swapped completions,
-// crossed fd streams) breaks the comparison.
+// The vfs-read window workload: per iteration, stat/fstat/lseek/read rows on
+// eight files, each on its own descriptor, issued as ONE batch so the
+// vfs-read lane runs them as shared-lock windows — or, with via_ring false,
+// call by call, the exact-order reference. Every file's atime is reset to a
+// past value before each batch, so a stat that ran after its file's read
+// (out of submission order) reports the read's atime instead. Returns a
+// digest line per completion: "index:tag:status:rv0", the read buffers, and
+// each stat/fstat result, so any reordering that leaked into results (stale
+// or fresh atimes, wrong offsets, swapped completions, crossed fd streams)
+// breaks the comparison.
 std::string RunReorderableBatchWorkload(ProcessContext& ctx, bool via_ring, int iterations) {
   constexpr int kFiles = 8;
   std::string digest;
@@ -991,7 +963,11 @@ std::string RunReorderableBatchWorkload(ProcessContext& ctx, bool via_ring, int 
     reqs.push_back(req);
   };
   auto ptr = [](const void* p) { return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(p)); };
+  const TimeVal past[2] = {{1, 0}, {1, 0}};
   for (int it = 0; it < iterations; ++it) {
+    for (const std::string& path : paths) {
+      ctx.Utimes(path, past);
+    }
     reqs.clear();
     for (int f = 0; f < kFiles; ++f) {
       const auto fd = static_cast<uint64_t>(fds[f]);
@@ -1023,6 +999,11 @@ std::string RunReorderableBatchWorkload(ProcessContext& ctx, bool via_ring, int 
     }
     for (int f = 0; f < kFiles; ++f) {
       digest.append(bufs[f], sizeof(bufs[f]));
+      for (const ia::Stat* s : {&st[f], &fst[f]}) {
+        digest += StringPrintf(" %lld/%lld/%lld", static_cast<long long>(s->st_atime_sec),
+                               static_cast<long long>(s->st_size),
+                               static_cast<long long>(s->st_ino));
+      }
       digest += '\n';
     }
   }
@@ -1095,9 +1076,10 @@ INSTANTIATE_TEST_SUITE_P(
     DigestCellName);
 
 TEST(RingDeterminism, StripeOverlapResultsIdenticalToExactOrder) {
-  // The same reorderable batch through the ring and call by call: stripe-
-  // grouped execution must be result-identical per fd stream — completions
-  // land at their original indices with the values exact-order issue gives.
+  // The same vfs-read batch through the ring and call by call: windowed
+  // execution must be result-identical to submission order — completions
+  // land at their original indices with the values exact-order issue gives,
+  // and no stat sees its file's later read.
   std::string digests[2];
   for (int run = 0; run < 2; ++run) {
     auto kernel = MakeWorld();
@@ -1116,8 +1098,8 @@ TEST(RingDeterminism, StripeOverlapResultsIdenticalToExactOrder) {
 
 TEST(RingDeterminism, StripeOverlapWithAgentFrameIdenticalToExactOrder) {
   // With a frame interposed on stat, every fourth row of the batch is an
-  // agent-routed barrier: the dispatcher must regroup only the windows
-  // between barriers and still match per-call issue byte for byte.
+  // agent-routed barrier: the dispatcher must window only the runs between
+  // barriers and still match per-call issue byte for byte.
   std::string digests[2];
   for (int run = 0; run < 2; ++run) {
     auto kernel = MakeWorld();
