@@ -14,7 +14,7 @@
 // end: the resulting filesystem is byte-identical to the fault-free build.
 //
 // Part 3 reports the cost of the *disabled* hook (no plan installed — one null
-// pointer test per dispatch) against an installed-but-empty plan, on the
+// pointer test per batch) against an installed-but-empty plan, on the
 // Table 3-5 null-call row.
 //
 // Part 4 is the containment gate (DESIGN.md §12): the make workload runs under

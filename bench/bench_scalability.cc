@@ -10,13 +10,8 @@
 // Self-checks (exit status is nonzero if any fails). The host-independent
 // ones are enforced everywhere except under ThreadSanitizer:
 //
-//   - single_client_parity: the uncontended fast paths must not cost more
-//     than the big-lock-only dispatch they replaced. Installing an EMPTY
-//     fault plan forces every dispatch through the big-lock regime (see
-//     kernel.h), so the same binary measures both worlds on the same host:
-//     fast-path latency must be <= 1.10x the big-lock latency for each
-//     Table 3-5-style operation. The ring's row of the same name requires a
-//     1-client batch to reach >= 0.95x of per-call issue.
+//   - single_client_parity (the ring's row): a 1-client batch must reach
+//     >= 0.95x of per-call issue.
 //   - pay_per_use: a footprint-narrowed agent stack must beat the same stack
 //     interested in the whole interface by >= 6.5x on a non-path mix.
 //   - compiled_routes: that narrowed stack must dispatch within 1.03x of the
@@ -31,7 +26,7 @@
 //   - batch_speedup_at_16: 16 ring clients >= 2x per-call issue (>= 16).
 //
 // Alongside the human table the bench emits one JSON object per line
-// (clients/throughput/speedup and one per parity row) so future changes can
+// (clients/throughput/speedup and one per self-check) so future changes can
 // track the scaling curve the way the Table 3-5 rows are tracked.
 #include <algorithm>
 #include <atomic>
@@ -80,10 +75,9 @@ constexpr int kIterations = 4000;  // mix iterations per client (9 syscalls each
 constexpr int kAttempts = 3;       // best-of-N against host scheduling noise
 // The pay-per-use/compiled-route gates compare two sub-µs measurements whose
 // ratio sits within a 3% margin, so the mix takes more attempts to converge on
-// the true minimum than the coarser curve/parity measurements need.
+// the true minimum than the coarser curve measurements need.
 constexpr int kMixAttempts = 6;
 constexpr double kSpeedupGateAt8 = 2.5;
-constexpr double kParityMargin = 1.10;
 // Tightened from 5.0 when dispatch moved to compiled routes: the narrowed
 // stack no longer pays the per-frame interest scan, so the measured margin
 // rose from ~5.9x to ~7.7x. 6.5 keeps headroom for host noise.
@@ -289,35 +283,6 @@ RingPoint MeasureRingPoint(int n) {
   point.ring_tp = MeasureWorld(n, factory(true)).throughput;
   point.speedup = point.percall_tp > 0 ? point.ring_tp / point.percall_tp : 0;
   return point;
-}
-
-struct ParityOp {
-  const char* name;
-  std::function<void(ia::ProcessContext&)> op;
-};
-
-void BuildParityTree(ia::Kernel& kernel) {
-  BuildTree(kernel, 1);
-  kernel.fs().MkdirAll("/usr/local/lib/deep/nested");
-  kernel.fs().InstallFile("/usr/local/lib/deep/nested/file", "x");
-}
-
-// Measures the Table 3-5-style single-client latencies on both kernels,
-// INTERLEAVED (fast, big-lock, fast, ...) with min-of-attempts per cell, so
-// host frequency/cache drift cannot skew one column against the other.
-void MeasureParity(ia::Kernel& fast, ia::Kernel& biglock, const std::vector<ParityOp>& ops,
-                   std::vector<double>* fast_us, std::vector<double>* biglock_us) {
-  fast_us->assign(ops.size(), 1e18);
-  biglock_us->assign(ops.size(), 1e18);
-  const std::vector<ia::AgentRef> no_agents;
-  for (int attempt = 0; attempt < kAttempts; ++attempt) {
-    for (size_t i = 0; i < ops.size(); ++i) {
-      (*fast_us)[i] =
-          std::min((*fast_us)[i], ia::bench::MeasurePerCallMicros(fast, no_agents, ops[i].op));
-      (*biglock_us)[i] = std::min((*biglock_us)[i],
-                                  ia::bench::MeasurePerCallMicros(biglock, no_agents, ops[i].op));
-    }
-  }
 }
 
 // --- pay-per-use: footprint-narrowed stack vs the same stack full-interface ---
@@ -575,53 +540,6 @@ int main() {
     }
   }
 
-  // --- single-client parity: fast paths vs forced big-lock dispatch ---------
-  std::vector<ParityOp> ops;
-  ops.push_back({"getpid", [](ia::ProcessContext& ctx) { ctx.Getpid(); }});
-  ops.push_back({"gettimeofday", [](ia::ProcessContext& ctx) {
-                   ia::TimeVal tv;
-                   ctx.Gettimeofday(&tv, nullptr);
-                 }});
-  ops.push_back({"stat [6 components]", [](ia::ProcessContext& ctx) {
-                   ia::Stat st;
-                   ctx.Stat("/usr/local/lib/deep/nested/file", &st);
-                 }});
-  ops.push_back({"open+read-1K+close", [](ia::ProcessContext& ctx) {
-                   char buf[1024];
-                   const int fd = ctx.Open("/data/c0/f0", ia::kORdonly);
-                   ctx.Read(fd, buf, sizeof buf);
-                   ctx.Close(fd);
-                 }});
-
-  ia::Kernel fast;
-  BuildParityTree(fast);
-  ia::Kernel biglock;
-  BuildParityTree(biglock);
-  biglock.SetFaultPlan(ia::FaultPlan{});  // inert plan: forces big-lock dispatch
-  std::vector<double> fast_us;
-  std::vector<double> biglock_us;
-  MeasureParity(fast, biglock, ops, &fast_us, &biglock_us);
-
-  std::printf("\n  single-client parity (fast paths vs big-lock-only dispatch):\n");
-  std::printf("    %-22s %10s %12s %8s\n", "operation", "fast µs", "big-lock µs", "ratio");
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const double ratio = biglock_us[i] > 0 ? fast_us[i] / biglock_us[i] : 0;
-    std::printf("    %-22s %10.3f %12.3f %7.2fx\n", ops[i].name, fast_us[i], biglock_us[i],
-                ratio);
-    if (!kUnderTsan && fast_us[i] > biglock_us[i] * kParityMargin) {
-      std::printf("    FAIL: %s fast path regressed more than %.0f%% over the big-lock path\n",
-                  ops[i].name, (kParityMargin - 1) * 100);
-      ok = false;
-    }
-  }
-  if (kUnderTsan) {
-    std::printf("    (self-check: skipped under ThreadSanitizer — ratios reported only)\n");
-  } else {
-    std::printf("    (self-check: each ratio <= %.2fx — the uncontended path must not pay\n"
-                "     for the scalability it bought)\n",
-                kParityMargin);
-  }
-
   // --- pay-per-use: narrowed footprints vs whole-interface interest ---------
   PayPerUseResult bare_mix, narrowed_mix, full_mix;
   MeasurePayPerUseMixes(&bare_mix, &narrowed_mix, &full_mix);
@@ -723,12 +641,6 @@ int main() {
   std::printf("{\"bench\":\"bench_ring\",\"check\":\"single_client_parity\","
               "\"speedup\":%.3f,\"gate\":%.2f,\"enforced\":%s}\n",
               ring_parity1, kRingParityGateAt1, !kUnderTsan ? "true" : "false");
-  for (size_t i = 0; i < ops.size(); ++i) {
-    std::printf("{\"bench\":\"bench_scalability\",\"check\":\"single_client_parity\","
-                "\"op\":\"%s\",\"fast_us\":%.3f,\"biglock_us\":%.3f,\"ratio\":%.3f}\n",
-                ops[i].name, fast_us[i], biglock_us[i],
-                biglock_us[i] > 0 ? fast_us[i] / biglock_us[i] : 0);
-  }
 
   std::printf("{\"bench\":\"bench_scalability\",\"check\":\"pay_per_use\","
               "\"bare_us\":%.3f,\"narrowed_us\":%.3f,\"full_us\":%.3f,"

@@ -32,13 +32,15 @@ case "$MODE" in
     # in-flight count) and its stress and determinism tests a few extra
     # rounds so short races get more chances to interleave. StripeStress.*
     # are the direct stress tests of the tree rwlock (shared readers against
-    # each other and against exclusive writers), so they repeat too. World
+    # each other and against exclusive writers), so they repeat too, as does
+    # FastLaneDeterminism.* (4 clients on the fast lanes under one fault plan
+    # and one ktrace sink: the injector's and ktrace_mu_'s leaf locks). World
     # sizes self-cap under TSan (the tests read __has_feature(thread_sanitizer)
     # via IA_TEST_UNDER_TSAN), so this stays fast even with the
     # instrumentation slowdown.
     TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
       "$BUILD_DIR"/tests/ia_tests \
-      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*' \
+      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*' \
       --gtest_repeat=3
 
     # The socket plane is the newest blocking subsystem: condvar sleeps under

@@ -45,8 +45,7 @@ for workload in make andrew ringmix; do
 done
 
 # bench_scalability self-checks (the bench's header lists them). Enforced on
-# any host: single_client_parity (fast paths within 1.10x of the forced
-# big-lock regime per op, and a 1-client ring batch >= 0.95x of per-call
+# any host: single_client_parity (a 1-client ring batch >= 0.95x of per-call
 # issue), pay_per_use (a footprint-narrowed agent stack >= 6.5x the same stack
 # forced to whole-interface interest), compiled_routes (that narrowed stack
 # at most 3% over the agentless kernel) and socketpair_ping_pong (socketpair
@@ -56,9 +55,9 @@ done
 # All perf gates self-skip under TSan — this run is the enforced one.
 #
 # The stdout is teed and its JSON lines split into two repo-root artifacts:
-# BENCH_scalability.json (curve + parity + pay-per-use + route + socketpair
-# rows) and BENCH_ring.json (batched-vs-per-call rows). A previous artifact,
-# if any, is kept as *.prev and diffed advisorily by scripts/bench_compare.py
+# BENCH_scalability.json (curve + pay-per-use + route + socketpair rows) and
+# BENCH_ring.json (batched-vs-per-call rows). A previous artifact, if any, is
+# kept as *.prev and diffed advisorily by scripts/bench_compare.py
 # — a regression prints a warning but does not fail CI (wall-clock numbers are
 # host-dependent; the enforced perf checks are the bench's own gates).
 for artifact in BENCH_scalability.json BENCH_ring.json; do

@@ -58,18 +58,11 @@ uint64_t ChaosAgent::NextSeq(Pid pid) {
   return ++seq_[pid];
 }
 
-std::array<FaultStat, kMaxSyscall> ChaosAgent::FaultStats() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return injector_.stats();
-}
+std::array<FaultStat, kMaxSyscall> ChaosAgent::FaultStats() const { return injector_.stats(); }
 
-std::string ChaosAgent::FaultTraceText() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return injector_.FormatTrace();
-}
+std::string ChaosAgent::FaultTraceText() const { return injector_.FormatTrace(); }
 
 int64_t ChaosAgent::TotalInjected() const {
-  std::lock_guard<std::mutex> guard(mu_);
   int64_t total = 0;
   for (const FaultStat& stat : injector_.stats()) {
     total += stat.Total();
@@ -92,27 +85,9 @@ SyscallStatus ChaosAgent::syscall(AgentCall& call) {
   }
   const Pid pid = call.ctx().process().pid;
   const uint64_t seq = NextSeq(pid);
-  const bool vector_row = number == kSysReadv || number == kSysWritev;
   FaultEnv env;
-  if (number == kSysRead || number == kSysWrite || number == kSysSend || number == kSysRecv ||
-      number == kSysSendto || number == kSysRecvfrom) {
-    env.transfer_count = call.args().Long(2);
-  } else if (vector_row) {
-    const auto* iov = call.args().Ptr<const IoVec>(1);
-    const int iovcnt = call.args().Int(2);
-    if (iov != nullptr && iovcnt > 0 && iovcnt <= kMaxIoVecs) {
-      int64_t total = 0;
-      for (int i = 0; i < iovcnt; ++i) {
-        total += iov[i].iov_len > 0 ? iov[i].iov_len : 0;
-      }
-      env.transfer_count = total;
-    }
-  }
-  FaultDecision decision;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    decision = injector_.Decide(static_cast<uint64_t>(pid), seq, number, env);
-  }
+  env.transfer_count = TransferCount(number, call.args());
+  const FaultDecision decision = injector_.Decide(static_cast<uint64_t>(pid), seq, number, env);
   switch (decision.action) {
     case FaultAction::kErrnoReturn:
     case FaultAction::kExhaustion:
@@ -120,32 +95,11 @@ SyscallStatus ChaosAgent::syscall(AgentCall& call) {
     case FaultAction::kEintrReturn:
       return -kEIntr;
     case FaultAction::kShortTransfer: {
+      // CallDown is synchronous, so stack-local clamped copies outlive the
+      // whole downward call chain.
       SyscallArgs clamped = call.args();
-      if (vector_row) {
-        // arg 2 is iovcnt, not a byte count: clamp the vector itself to a
-        // clamp_len-byte prefix. CallDown is synchronous, so a stack-local
-        // clamped copy outlives the whole downward call chain.
-        IoVec clamped_iov[kMaxIoVecs];
-        const auto* iov = call.args().Ptr<const IoVec>(1);
-        const int iovcnt = call.args().Int(2);
-        int64_t budget = decision.clamp_len;
-        int out_cnt = 0;
-        for (int i = 0; i < iovcnt && budget > 0; ++i) {
-          IoVec seg = iov[i];
-          if (seg.iov_len <= 0) {
-            continue;
-          }
-          if (seg.iov_len > budget) {
-            seg.iov_len = budget;
-          }
-          budget -= seg.iov_len;
-          clamped_iov[out_cnt++] = seg;
-        }
-        clamped.SetPtr(1, clamped_iov);
-        clamped.SetInt(2, out_cnt);
-        return call.CallDown(clamped);
-      }
-      clamped.SetInt(2, decision.clamp_len);
+      IoVec scratch[kMaxIoVecs];
+      ClampTransfer(number, decision.clamp_len, &clamped, scratch);
       return call.CallDown(clamped);
     }
     case FaultAction::kNone:

@@ -64,9 +64,9 @@ class ChaosAgent final : public SymbolicSyscall {
 
   FaultPlan plan_;
   std::atomic<bool> quiesced_{false};  // set once by Quiesce(); never cleared
-  mutable std::mutex mu_;
+  std::mutex mu_;  // guards seq_
   std::map<Pid, uint64_t> seq_;
-  FaultInjector injector_;  // counters + trace only; decisions go via DecideFault
+  FaultInjector injector_;  // counters + trace only (internally locked)
 };
 
 }  // namespace ia

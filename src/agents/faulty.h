@@ -9,8 +9,7 @@
 // watchdog fires. Decisions come from FaultPlan's agent-plane regime via
 // DecideAgentFault — a pure function of (seed, pid, frame, seq) — so a
 // containment run is byte-reproducible from its seed. The plan is held by the
-// agent itself and never installed into the kernel, so the kernel fast paths
-// stay enabled.
+// agent itself and never installed into the kernel.
 #ifndef SRC_AGENTS_FAULTY_H_
 #define SRC_AGENTS_FAULTY_H_
 

@@ -1,5 +1,7 @@
 #include "src/kernel/faultplan.h"
 
+#include <algorithm>
+
 #include "src/base/prng.h"
 #include "src/base/strings.h"
 
@@ -103,6 +105,47 @@ FaultDecision DecideFault(const FaultPlan& plan, uint64_t stream, uint64_t seq, 
   return decision;
 }
 
+int64_t TransferCount(int number, const SyscallArgs& args) {
+  if (number == kSysRead || number == kSysWrite || number == kSysSend || number == kSysRecv ||
+      number == kSysSendto || number == kSysRecvfrom) {
+    return args.Long(2);
+  }
+  const auto* iov = args.Ptr<const IoVec>(1);
+  const int iovcnt = args.Int(2);
+  if ((number != kSysReadv && number != kSysWritev) || iov == nullptr || iovcnt <= 0 ||
+      iovcnt > kMaxIoVecs) {
+    return -1;
+  }
+  int64_t total = 0;
+  for (int i = 0; i < iovcnt; ++i) {
+    total += iov[i].iov_len > 0 ? iov[i].iov_len : 0;
+  }
+  return total;
+}
+
+void ClampTransfer(int number, int64_t len, SyscallArgs* args, IoVec* scratch) {
+  if (number != kSysReadv && number != kSysWritev) {
+    args->SetInt(2, len);
+    return;
+  }
+  // The handler's normal segment loop then transfers exactly the prefix and
+  // leaves the offset consistent.
+  const auto* iov = args->Ptr<const IoVec>(1);
+  const int iovcnt = args->Int(2);
+  int out_cnt = 0;
+  for (int i = 0; i < iovcnt && len > 0; ++i) {
+    IoVec seg = iov[i];
+    if (seg.iov_len <= 0) {
+      continue;
+    }
+    seg.iov_len = std::min(seg.iov_len, len);
+    len -= seg.iov_len;
+    scratch[out_cnt++] = seg;
+  }
+  args->SetPtr(1, scratch);
+  args->SetInt(2, out_cnt);
+}
+
 AgentFaultAction DecideAgentFault(const FaultPlan& plan, uint64_t stream, uint64_t frame,
                                   uint64_t seq) {
   if (plan.agent_throw_probability <= 0 && plan.agent_garble_probability <= 0 &&
@@ -130,12 +173,31 @@ AgentFaultAction DecideAgentFault(const FaultPlan& plan, uint64_t stream, uint64
 FaultDecision FaultInjector::Decide(uint64_t stream, uint64_t seq, int number,
                                     const FaultEnv& env) {
   const FaultDecision decision = DecideFault(plan_, stream, seq, number, env);
-  if (decision.action == FaultAction::kNone || number < 0 || number >= kMaxSyscall) {
-    return decision;
+  if (decision.action != FaultAction::kNone) {
+    const bool is_short = decision.action == FaultAction::kShortTransfer;
+    std::lock_guard<std::mutex> lk(mu_);
+    CountLocked(static_cast<Pid>(stream), number, decision.action,
+                is_short ? static_cast<int32_t>(decision.clamp_len) : decision.errno_value);
+  }
+  return decision;
+}
+
+void FaultInjector::CountShortTransfer(Pid pid, int number, int64_t clamped_len) {
+  std::lock_guard<std::mutex> lk(mu_);
+  CountLocked(pid, number, FaultAction::kShortTransfer, static_cast<int32_t>(clamped_len));
+}
+
+void FaultInjector::CountExhaustion(Pid pid, int number, int errno_value) {
+  std::lock_guard<std::mutex> lk(mu_);
+  CountLocked(pid, number, FaultAction::kExhaustion, errno_value);
+}
+
+void FaultInjector::CountLocked(Pid pid, int number, FaultAction action, int32_t value) {
+  if (number < 0 || number >= kMaxSyscall) {
+    return;
   }
   FaultStat& stat = stats_[static_cast<size_t>(number)];
-  int32_t value = decision.errno_value;
-  switch (decision.action) {
+  switch (action) {
     case FaultAction::kErrnoReturn:
       stat.injected_errno += 1;
       break;
@@ -144,7 +206,6 @@ FaultDecision FaultInjector::Decide(uint64_t stream, uint64_t seq, int number,
       break;
     case FaultAction::kShortTransfer:
       stat.short_transfers += 1;
-      value = static_cast<int32_t>(decision.clamp_len);
       break;
     case FaultAction::kExhaustion:
       stat.exhaustion += 1;
@@ -152,38 +213,19 @@ FaultDecision FaultInjector::Decide(uint64_t stream, uint64_t seq, int number,
     case FaultAction::kNone:
       break;
   }
-  Record(static_cast<Pid>(stream), number, decision.action, value);
-  return decision;
-}
-
-void FaultInjector::CountShortTransfer(Pid pid, int number, int64_t clamped_len) {
-  if (number < 0 || number >= kMaxSyscall) {
-    return;
-  }
-  stats_[static_cast<size_t>(number)].short_transfers += 1;
-  Record(pid, number, FaultAction::kShortTransfer, static_cast<int32_t>(clamped_len));
-}
-
-void FaultInjector::CountExhaustion(Pid pid, int number, int errno_value) {
-  if (number < 0 || number >= kMaxSyscall) {
-    return;
-  }
-  stats_[static_cast<size_t>(number)].exhaustion += 1;
-  Record(pid, number, FaultAction::kExhaustion, errno_value);
-}
-
-void FaultInjector::Record(Pid pid, int number, FaultAction action, int32_t value) {
-  if (!plan_.record_trace) {
-    return;
-  }
   // Bounded: a runaway plan must not turn the trace into the workload.
-  if (trace_.size() >= (1u << 16)) {
-    return;
+  if (plan_.record_trace && trace_.size() < (1u << 16)) {
+    trace_.push_back(FaultEvent{pid, static_cast<int16_t>(number), action, value});
   }
-  trace_.push_back(FaultEvent{pid, static_cast<int16_t>(number), action, value});
+}
+
+std::array<FaultStat, kMaxSyscall> FaultInjector::stats() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return stats_;
 }
 
 std::string FaultInjector::FormatTrace() const {
+  std::lock_guard<std::mutex> lk(mu_);
   std::string out;
   for (const FaultEvent& event : trace_) {
     const bool is_errno = event.action == FaultAction::kErrnoReturn ||

@@ -1,10 +1,10 @@
 // The deterministic fault-injection plane.
 //
 // A FaultPlan describes which system calls should fail, how, and how often.
-// The kernel consults it at the DispatchLocked choke point — while a plan is
-// installed the lock-free dispatch fast paths are disabled, so every call
-// funnels through there — and the chaos agent consults the same plan *above*
-// the kernel, so kernel-level and agent-level injection share one vocabulary
+// The kernel's dispatch core consults it once per call, before the call's
+// lane, so an installed plan leaves every lane (lock-free, shared tree lock,
+// big lock) in use; the chaos agent consults the same plan *above* the
+// kernel, so kernel-level and agent-level injection share one vocabulary
 // and can be composed or compared.
 //
 // Determinism is the whole point: every decision is a pure function of
@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -74,8 +75,7 @@ struct FaultPlan {
   // completion, or spins past its per-call down-call budget. These knobs are
   // consumed ONLY by agent fixtures (FaultyAgent holds its own plan); the
   // kernel injector never reads them, so they are deliberately excluded from
-  // ActiveAnywhere() — a plan carrying only agent knobs leaves the kernel's
-  // fast paths enabled.
+  // ActiveAnywhere().
   double agent_throw_probability = 0.0;
   double agent_garble_probability = 0.0;
   double agent_overrun_probability = 0.0;
@@ -120,6 +120,18 @@ struct FaultEnv {
 FaultDecision DecideFault(const FaultPlan& plan, uint64_t stream, uint64_t seq, int number,
                           const FaultEnv& env = FaultEnv{});
 
+// The byte count a read/write-family call asks to move, the short-transfer
+// regime's input: arg 2 for the flat rows, the summed vector for
+// readv/writev. -1 for other rows and malformed vectors, which disables the
+// regime and leaves the real errno to the handler.
+int64_t TransferCount(int number, const SyscallArgs& args);
+
+// Rewrites a read/write-family call's `args` to move only its first `len`
+// bytes: arg 2 for the flat rows; for readv/writev (whose arg 2 is the
+// segment count), copies the vector's `len`-byte prefix into `scratch`
+// (kMaxIoVecs entries, which must outlive the call) and points `args` at it.
+void ClampTransfer(int number, int64_t len, SyscallArgs* args, IoVec* scratch);
+
 // What a deliberately faulty agent frame should do on one intercepted call.
 enum class AgentFaultAction : uint8_t {
   kNone = 0,
@@ -156,8 +168,11 @@ struct FaultEvent {
 };
 
 // Bookkeeping wrapper the kernel (and tests) use around a plan: owns the
-// counters and the bounded event trace. Not thread-safe by itself — the kernel
-// only touches it under the big lock.
+// counters and the bounded event trace. Thread-safe: the plan is immutable,
+// and a leaf mutex guards the counters and the trace, so concurrent
+// processes may consult one injector from any dispatch lane. Events land in
+// the trace in the order their calls consulted the plan; one process's
+// events keep its own call order.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan) : plan_(plan) {}
@@ -172,17 +187,19 @@ class FaultInjector {
   void CountShortTransfer(Pid pid, int number, int64_t clamped_len);
   void CountExhaustion(Pid pid, int number, int errno_value);
 
-  const std::array<FaultStat, kMaxSyscall>& stats() const { return stats_; }
-  const std::vector<FaultEvent>& trace() const { return trace_; }
+  // A snapshot of the per-syscall counters.
+  std::array<FaultStat, kMaxSyscall> stats() const;
 
   // Renders the trace one event per line ("pid 3 write short 17") — two runs
   // from the same seed must produce byte-identical text.
   std::string FormatTrace() const;
 
  private:
-  void Record(Pid pid, int number, FaultAction action, int32_t value);
+  // Counts and records one injection; the caller holds mu_.
+  void CountLocked(Pid pid, int number, FaultAction action, int32_t value);
 
-  FaultPlan plan_;
+  const FaultPlan plan_;
+  mutable std::mutex mu_;
   std::array<FaultStat, kMaxSyscall> stats_{};
   std::vector<FaultEvent> trace_;
 };

@@ -20,7 +20,7 @@ void FileBacking::PostSignal(Kernel& k, Process& p, int signo) { k.PostSignalLoc
 
 SyscallStatus FileBacking::ReadRegular(Kernel& k, Process& p, OpenFile& f, char* buf,
                                        int64_t count, SyscallResult* rv) {
-  // read() is a kBlocking row, so DispatchLocked did not take the tree lock;
+  // read() is a kBlocking row, so DispatchBigLock did not take the tree lock;
   // hold it shared around the data section to coexist with the fast-path
   // readers and exclude writers.
   std::shared_lock<std::shared_mutex> tree(k.fs_.TreeMutex());
@@ -29,7 +29,7 @@ SyscallStatus FileBacking::ReadRegular(Kernel& k, Process& p, OpenFile& f, char*
 
 SyscallStatus FileBacking::WriteRegular(Kernel& k, Process& p, OpenFile& f, const char* buf,
                                         int64_t count, SyscallResult* rv) {
-  // write() is a kBlocking row, so DispatchLocked did not take the tree lock;
+  // write() is a kBlocking row, so DispatchBigLock did not take the tree lock;
   // hold it exclusively around the resize/copy to exclude fast-path readers.
   std::unique_lock<std::shared_mutex> tree(k.fs_.TreeMutex());
   return k.WriteRegularLocked(p, f, buf, count, rv);

@@ -419,11 +419,10 @@ namespace {
 
 enum class Lane { kPerProcess, kVfsRead, kBigLock };
 
-// The lane an entry dispatches on. `serialized` (fault plan or ktrace sink
-// installed) sends everything to the big lock; so do out-of-table numbers,
-// whose ENOSYS DispatchLocked produces.
-Lane LaneOf(int number, bool serialized) {
-  if (serialized || number < 0 || number >= kMaxSyscall) {
+// The lane an entry dispatches on, from its number alone. Out-of-table
+// numbers take the big lock, whose DispatchBigLock produces their ENOSYS.
+Lane LaneOf(int number) {
+  if (number < 0 || number >= kMaxSyscall) {
     return Lane::kBigLock;
   }
   const uint32_t flags = SyscallSpecOf(number).flags;
@@ -448,16 +447,29 @@ SyscallStatus Kernel::DoSyscall(Process& proc, int number, const SyscallArgs& ar
 
 void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCompletion* comps,
                             int count) {
-  // Fast lanes are legal only while nothing forces global serialization: an
-  // installed fault plan pins the per-(pid, seq) decision stream to the
-  // locked path, and ktrace sinks are not thread-safe. Serialized entries
-  // also pay the prologue one at a time, so the fault stream and the trace
-  // timestamps are exactly those of synchronous issue.
-  const bool serialized = fault_active_.load(std::memory_order_acquire) ||
-                          ktrace_active_.load(std::memory_order_relaxed) != 0;
   // Tallies go to this thread's stat shard — a single shared counter here
   // was a cache-line serializer at high client counts.
   StatShard& shard = stat_shards_[StatShardSlot(kStatShards)];
+
+  // Prologue, once for the whole batch: one clock advance for the entries'
+  // summed virtual cost, one filesystem "now" refresh, one rusage update
+  // under the process leaf lock (the fields are shared with signal posting
+  // and wait4 reaping), one global-counter add.
+  int64_t cost = 0;
+  for (int i = 0; i < count; ++i) {
+    cost += SyscallCost(reqs[i].number);
+  }
+  clock_.Advance(cost);
+  int64_t last = clock_.Now();
+  fs_.set_now(last / 1000000);
+  int64_t seq = 0;  // entry i is the process's call number seq + i + 1
+  {
+    std::lock_guard<std::mutex> pm(proc.mu);
+    AddMicros(&proc.rusage.ru_stime, cost);
+    seq = proc.rusage.ru_nsyscalls;
+    proc.rusage.ru_nsyscalls += count;
+  }
+  shard.total_syscalls.fetch_add(count, std::memory_order_relaxed);
 
   // Per-number tallies collect in a compact distinct-number table (batches
   // repeat a handful of numbers) and reach the shard once per batch.
@@ -483,8 +495,10 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
   };
   // Completes entry i. Its virtual time is its charged cost plus whatever the
   // clock advanced since the previous entry finished (blocking sleeps), which
-  // is what a synchronous call would have tallied.
-  int64_t last = 0;
+  // is what a synchronous call would have tallied. Its ktrace record is
+  // stamped with the time synchronous issue would give: the clock minus the
+  // pre-charged cost of the entries after it.
+  int64_t later_cost = cost;
   auto finish = [&](int i, SyscallStatus status) {
     const int number = reqs[i].number;
     const int64_t now = clock_.Now();
@@ -492,6 +506,22 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
     comps[i].vtime_usec = now;
     const int64_t vtime = SyscallCost(number) + (now - last);
     last = now;
+    later_cost -= SyscallCost(number);
+    if (ktrace_active_.load(std::memory_order_acquire)) {
+      const SyscallSpec& spec = SyscallSpecOf(number);
+      KtraceRecord record;
+      record.pid = proc.pid;
+      record.syscall = number;
+      record.result = status;
+      record.vtime_usec = now - later_cost;
+      if ((spec.flags & kTakesPath) != 0 && spec.path_arg >= 0) {
+        const char* path = reqs[i].args.Ptr<const char>(spec.path_arg);
+        record.path = path != nullptr ? path : "";
+      } else if ((spec.flags & kTakesFd) != 0) {
+        record.fd = reqs[i].args.Int(0);
+      }
+      DeliverKtrace(spec.flags, record);
+    }
     if (number < 0 || number >= kMaxSyscall) {
       return;
     }
@@ -516,86 +546,50 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
     comps[i].user_data = reqs[i].user_data;
     comps[i].result = SyscallResult{};
   }
-  // Plans for a batch window's later entries: allocated on the batch's first
-  // window and reused by the later ones. A single call never needs them, and
-  // building the array per window cost more than one shared hold saved.
-  constexpr int kWindow = 64;
-  std::unique_ptr<VfsReadPlan[]> window;
-  int charged = 0;  // entries [0, charged) have paid the prologue
+  // The fault plane, read once per batch. Each entry consults the plan once,
+  // in submission order, before its lane: an injected status completes it,
+  // and a short transfer dispatches `clamped`, the request's rewritten copy,
+  // on the entry's normal lane.
+  FaultInjector* const injector = fault_.load(std::memory_order_acquire);
+  SyscallRequest clamped;
+  // A window: consecutive shared-lock vfs-read entries run in submission
+  // order under one shared hold of the tree lock, instead of one acquire per
+  // entry, with far less lock-word bouncing when many drains run
+  // concurrently. Any other entry releases the hold first.
+  std::shared_lock<std::shared_mutex> window(fs_.TreeMutex(), std::defer_lock);
   for (int i = 0; i < count; ++i) {
-    if (i == charged) {
-      // Prologue: one clock advance for the covered entries' summed virtual
-      // cost, one filesystem "now" refresh, one rusage update under the
-      // process leaf lock (the fields are shared with signal posting and
-      // wait4 reaping), one global-counter add.
-      charged = serialized ? i + 1 : count;
-      int64_t cost = 0;
-      for (int k = i; k < charged; ++k) {
-        cost += SyscallCost(reqs[k].number);
-      }
-      clock_.Advance(cost);
-      last = clock_.Now();
-      fs_.set_now(last / 1000000);
-      {
-        std::lock_guard<std::mutex> pm(proc.mu);
-        AddMicros(&proc.rusage.ru_stime, cost);
-        proc.rusage.ru_nsyscalls += charged - i;
-      }
-      shard.total_syscalls.fetch_add(charged - i, std::memory_order_relaxed);
+    VfsReadPlan plan;  // the big lock, unless the vfs-read lane classifies it
+    FaultOutcome outcome = FaultOutcome::kNone;
+    if (injector != nullptr) {
+      clamped = reqs[i];
+      outcome = InjectFault(*injector, proc, static_cast<uint64_t>(seq + i + 1), &clamped,
+                            &plan.status);
     }
-
-    const int number = reqs[i].number;
+    const SyscallRequest& req = outcome == FaultOutcome::kClamped ? clamped : reqs[i];
+    const Lane lane = LaneOf(req.number);
+    if (outcome == FaultOutcome::kInjected) {
+      plan.kind = VfsReadPlan::kDone;
+    } else if (lane == Lane::kVfsRead) {
+      plan = ClassifyVfsRead(proc, req);
+    }
     SyscallResult* rv = &comps[i].result;
     SyscallStatus status = 0;
-    const Lane lane = LaneOf(number, serialized);
-    if (lane == Lane::kPerProcess) {
-      status = DispatchUnlocked(proc, number, reqs[i].args, rv);
-    } else if (lane == Lane::kBigLock) {
-      status = DispatchBigLock(proc, number, reqs[i].args, rv);
+    if (plan.kind == VfsReadPlan::kShared) {
+      if (!window.owns_lock()) {
+        window.lock();
+      }
+      ExecuteVfsRead(proc, req, plan, rv, &status);
     } else {
-      VfsReadPlan plan = ClassifyVfsRead(proc, reqs[i]);
-      if (plan.kind == VfsReadPlan::kShared) {
-        // A window: this entry and the consecutive shared-lock entries after
-        // it run in submission order under one shared hold, instead of one
-        // acquire per entry, with far less lock-word bouncing when many
-        // drains run concurrently. Any other entry ends the window and runs
-        // at its own position. Window entries never touch the descriptor
-        // table, so plans classified up front stay valid.
-        int n = 1;
-        while (n < kWindow && i + n < count &&
-               LaneOf(reqs[i + n].number, serialized) == Lane::kVfsRead) {
-          if (window == nullptr) {
-            window = std::make_unique<VfsReadPlan[]>(kWindow);
-          }
-          window[n] = ClassifyVfsRead(proc, reqs[i + n]);
-          if (window[n].kind != VfsReadPlan::kShared) {
-            break;  // classified again at its own position
-          }
-          ++n;
-        }
-        {
-          std::shared_lock<std::shared_mutex> tree(fs_.TreeMutex());
-          for (int k = 0; k < n; ++k) {
-            ExecuteVfsRead(proc, reqs[i + k], k == 0 ? plan : window[k], &comps[i + k].result,
-                           &status);
-            finish(i + k, status);
-          }
-        }
-        for (int k = 1; k < n; ++k) {
-          // Drop pre-resolved files promptly: a later close in this batch
-          // must still release the last reference (and any flock) itself.
-          window[k].file.reset();
-        }
-        i += n - 1;
-        continue;
+      if (window.owns_lock()) {
+        window.unlock();
       }
-      bool done = plan.kind == VfsReadPlan::kDone;
-      status = plan.status;
-      if (plan.kind == VfsReadPlan::kUnlocked) {
-        done = ExecuteVfsRead(proc, reqs[i], plan, rv, &status);
-      }
-      if (!done) {
-        status = DispatchBigLock(proc, number, reqs[i].args, rv);
+      if (plan.kind == VfsReadPlan::kDone) {
+        status = plan.status;
+      } else if (lane == Lane::kPerProcess) {
+        status = DispatchUnlocked(proc, req.number, req.args, rv);
+      } else if (plan.kind != VfsReadPlan::kUnlocked ||
+                 !ExecuteVfsRead(proc, req, plan, rv, &status)) {
+        status = DispatchBigLock(proc, req.number, req.args, rv);
       }
     }
     finish(i, status);
@@ -603,40 +597,53 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
   flush_stats();
 }
 
-SyscallStatus Kernel::DispatchBigLock(Process& proc, int number, const SyscallArgs& args,
+SyscallStatus Kernel::DispatchBigLock(Process& p, int number, const SyscallArgs& a,
                                       SyscallResult* rv) {
+  const SyscallHandler handler = ImplementsSyscall(number) ? DispatchTable()[number] : nullptr;
+  if (handler == nullptr) {
+    return -kENosys;
+  }
   Lock lk(mu_);
-  const SyscallStatus status = DispatchLocked(proc, number, args, rv, lk);
-
-  // Deliver to every attached sink whose abstraction-class filter matches
-  // this row; the record is built once, lazily, on the first match.
-  const SyscallSpec& spec = SyscallSpecOf(number);
-  bool record_built = false;
-  KtraceRecord record;
-  for (KtraceSlot& slot : ktrace_slots_) {
-    KtraceSink* sink = slot.sink.load(std::memory_order_relaxed);
-    if (sink == nullptr || (spec.flags & slot.filter.load(std::memory_order_relaxed)) == 0) {
-      continue;
-    }
-    if (!record_built) {
-      record.pid = proc.pid;
-      record.syscall = number;
-      record.result = status;
-      record.vtime_usec = clock_.Now();
-      if ((spec.flags & kTakesPath) != 0 && spec.path_arg >= 0) {
-        const char* path = args.Ptr<const char>(spec.path_arg);
-        if (path != nullptr) {
-          record.path = path;
-        }
-      } else if ((spec.flags & kTakesFd) != 0) {
-        record.fd = args.Int(0);
-      }
-      record_built = true;
-    }
-    sink->Record(record);
+  SyscallStatus status;
+  if ((SyscallSpecOf(number).flags & kBlocking) != 0) {
+    // Blocking handlers park on cv_, which drops mu_ but could not drop the
+    // tree lock; they take it internally around the inode-data sections only.
+    status = (this->*handler)(p, a, rv, lk);
+  } else {
+    // Holding the tree lock exclusively is what excludes big-lock handlers
+    // from the kVfsRead fast path's shared-mode readers.
+    std::unique_lock<std::shared_mutex> tree(fs_.TreeMutex());
+    status = (this->*handler)(p, a, rv, lk);
   }
   cv_.notify_all();
   return status;
+}
+
+void Kernel::DeliverKtrace(uint32_t flags, const KtraceRecord& record) {
+  std::lock_guard<std::mutex> lk(ktrace_mu_);
+  for (KtraceSlot& slot : ktrace_slots_) {
+    KtraceSink* sink = slot.sink.load(std::memory_order_acquire);
+    if (sink != nullptr && (flags & slot.filter.load(std::memory_order_relaxed)) != 0) {
+      sink->Record(record);
+    }
+  }
+}
+
+void Kernel::SetKtraceSlot(int slot, KtraceSink* sink, uint32_t flag_filter) {
+  if (slot < 0 || slot >= kKtraceSlots) {
+    return;
+  }
+  // Under ktrace_mu_, so a detached sink receives nothing once this returns.
+  // The filter is stored before the sink is published, so a delivery that
+  // sees the new sink also sees its filter.
+  std::lock_guard<std::mutex> lk(ktrace_mu_);
+  ktrace_slots_[slot].filter.store(flag_filter, std::memory_order_relaxed);
+  ktrace_slots_[slot].sink.store(sink, std::memory_order_release);
+  bool active = false;
+  for (const KtraceSlot& each : ktrace_slots_) {
+    active = active || each.sink.load(std::memory_order_relaxed) != nullptr;
+  }
+  ktrace_active_.store(active, std::memory_order_release);
 }
 
 const std::array<Kernel::SyscallHandler, kMaxSyscall>& Kernel::DispatchTable() {
@@ -667,38 +674,6 @@ std::array<SyscallStat, kMaxSyscall> Kernel::SyscallStats() {
     }
   }
   return out;
-}
-
-SyscallStatus Kernel::DispatchLocked(Process& p, int number, const SyscallArgs& a,
-                                     SyscallResult* rv, Lock& lk) {
-  if (number < 0 || number >= kMaxSyscall) {
-    return -kENosys;
-  }
-  const SyscallHandler handler = DispatchTable()[number];
-  if (handler == nullptr) {
-    return -kENosys;
-  }
-  SyscallArgs clamped;
-  const SyscallArgs* dispatch_args = &a;
-  if (fault_ != nullptr) {
-    bool use_clamped = false;
-    SyscallStatus injected = 0;
-    if (MaybeInjectFaultLocked(p, number, a, &clamped, &use_clamped, &injected)) {
-      return injected;
-    }
-    if (use_clamped) {
-      dispatch_args = &clamped;
-    }
-  }
-  if ((SyscallSpecOf(number).flags & kBlocking) != 0) {
-    // Blocking handlers park on cv_, which drops mu_ but could not drop the
-    // tree lock; they take it internally around the inode-data sections only.
-    return (this->*handler)(p, *dispatch_args, rv, lk);
-  }
-  // Holding the tree lock exclusively is what excludes big-lock handlers from
-  // the kVfsRead fast path's shared-mode readers.
-  std::unique_lock<std::shared_mutex> tree(fs_.TreeMutex());
-  return (this->*handler)(p, *dispatch_args, rv, lk);
 }
 
 SyscallStatus Kernel::DispatchUnlocked(Process& proc, int number, const SyscallArgs& args,
@@ -811,8 +786,7 @@ bool Kernel::ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsR
   const SyscallArgs& args = req.args;
   switch (req.number) {
     case kSysFstat:
-      plan.file->inode->FillStat(args.Ptr<ia::Stat>(1));
-      *out = 0;
+      *out = plan.file->backing->Fstat(*this, *plan.file, args.Ptr<ia::Stat>(1));
       return true;
 
     case kSysRead:
@@ -855,12 +829,10 @@ bool Kernel::ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsR
       *out = proc.fds.Close(args.Int(0));
       return true;
 
-    default: {
+    default:
       // stat/lstat/access/readlink/lseek: the regular handler, no big lock.
-      Lock no_lock;
-      *out = (this->*DispatchTable()[req.number])(proc, args, rv, no_lock);
+      *out = DispatchUnlocked(proc, req.number, args, rv);
       return true;
-    }
   }
 }
 
@@ -925,9 +897,10 @@ bool AllocatesNode(int number, const SyscallArgs& a) {
 
 }  // namespace
 
-bool Kernel::MaybeInjectFaultLocked(Process& p, int number, const SyscallArgs& a,
-                                    SyscallArgs* clamped, bool* use_clamped,
-                                    SyscallStatus* out_status) {
+Kernel::FaultOutcome Kernel::InjectFault(FaultInjector& injector, Process& p, uint64_t seq,
+                                         SyscallRequest* req, SyscallStatus* status) {
+  const int number = req->number;
+  const SyscallArgs& a = req->args;
   FaultEnv env;
   env.fd_allocating = AllocatesDescriptor(number, a);
   env.creates_node = AllocatesNode(number, a);
@@ -935,106 +908,48 @@ bool Kernel::MaybeInjectFaultLocked(Process& p, int number, const SyscallArgs& a
     env.open_fds = p.fds.OpenCount();
   }
   env.fs_bytes = fs_.total_bytes();
-  if (number == kSysRead || number == kSysWrite || number == kSysSend || number == kSysRecv ||
-      number == kSysSendto || number == kSysRecvfrom) {
-    env.transfer_count = a.Long(2);
-  } else if (number == kSysReadv || number == kSysWritev) {
-    // Vector rows expose their summed byte count so the short-transfer regime
-    // can clamp mid-iovec. Malformed vectors keep transfer_count at 0, which
-    // disables the short regime and lets the handler produce the real errno.
-    const auto* iov = a.Ptr<const IoVec>(1);
-    const int iovcnt = a.Int(2);
-    if (iov != nullptr && iovcnt > 0 && iovcnt <= kMaxIoVecs) {
-      int64_t total = 0;
-      for (int i = 0; i < iovcnt; ++i) {
-        total += iov[i].iov_len > 0 ? iov[i].iov_len : 0;
-      }
-      env.transfer_count = total;
-    }
-  }
-  // ru_nsyscalls was already bumped for this call, so it is a 1-based
-  // per-process sequence number — the decision stream is per-pid and immune to
-  // cross-process interleaving.
-  const FaultDecision decision = fault_->Decide(static_cast<uint64_t>(p.pid),
-                                                static_cast<uint64_t>(p.rusage.ru_nsyscalls),
-                                                number, env);
+  env.transfer_count = TransferCount(number, a);
+  // `seq` is the call's 1-based per-process sequence number, so the decision
+  // stream is per-pid and immune to cross-process interleaving.
+  const FaultDecision decision = injector.Decide(static_cast<uint64_t>(p.pid), seq, number, env);
   switch (decision.action) {
     case FaultAction::kErrnoReturn:
     case FaultAction::kExhaustion:
-      *out_status = -decision.errno_value;
-      return true;
     case FaultAction::kEintrReturn:
-      *out_status = -kEIntr;
-      return true;
+      *status = -decision.errno_value;
+      return FaultOutcome::kInjected;
     case FaultAction::kShortTransfer:
-      *clamped = a;
-      if (number == kSysReadv || number == kSysWritev) {
-        // Clamp the vector to a clamp_len-byte prefix: copy the surviving
-        // segments into the per-process scratch (stable for the duration of
-        // the dispatch — we hold the big lock and the owner is in-call) and
-        // point the clamped args at it. The handler's normal segment loop
-        // then transfers exactly the prefix and leaves the offset consistent.
-        const auto* iov = a.Ptr<const IoVec>(1);
-        const int iovcnt = a.Int(2);
-        int64_t budget = decision.clamp_len;
-        int out_cnt = 0;
-        for (int i = 0; i < iovcnt && budget > 0; ++i) {
-          IoVec seg = iov[i];
-          if (seg.iov_len <= 0) {
-            continue;
-          }
-          if (seg.iov_len > budget) {
-            seg.iov_len = budget;
-          }
-          budget -= seg.iov_len;
-          p.iov_fault_scratch[static_cast<size_t>(out_cnt++)] = seg;
-        }
-        clamped->SetPtr(1, p.iov_fault_scratch.data());
-        clamped->SetInt(2, out_cnt);
-      } else {
-        clamped->SetInt(2, decision.clamp_len);
-      }
-      *use_clamped = true;
-      return false;
+      // The per-process scratch outlives the dispatch: only the owning
+      // thread dispatches, and the clamped request runs before the next
+      // entry consults the plan.
+      ClampTransfer(number, decision.clamp_len, &req->args, p.iov_fault_scratch.data());
+      return FaultOutcome::kClamped;
     case FaultAction::kNone:
       break;
   }
-  return false;
+  return FaultOutcome::kNone;
 }
 
 void Kernel::SetFaultPlan(const FaultPlan& plan) {
   Lock lk(mu_);
-  fault_ = std::make_unique<FaultInjector>(plan);
-  // Release-publish after the injector exists: once a fast path observes the
-  // flag, the locked path it falls into sees a fully-constructed injector.
-  // Calls already past their gate check complete uninjected — install plans
-  // before the workload starts (as every bench and test does) for full
-  // coverage from the first call.
-  fault_active_.store(true, std::memory_order_release);
+  injectors_.push_back(std::make_unique<FaultInjector>(plan));
+  // Release-publish after the injector exists. A batch reads the pointer
+  // once, so calls already past that read complete uninjected — install
+  // plans before the workload starts (as every bench and test does) for
+  // full coverage from the first call.
+  fault_.store(injectors_.back().get(), std::memory_order_release);
 }
 
-void Kernel::ClearFaultPlan() {
-  Lock lk(mu_);
-  fault_active_.store(false, std::memory_order_release);
-  fault_.reset();
-}
-
-bool Kernel::HasFaultPlan() {
-  Lock lk(mu_);
-  return fault_ != nullptr;
-}
+void Kernel::ClearFaultPlan() { fault_.store(nullptr, std::memory_order_release); }
 
 std::array<FaultStat, kMaxSyscall> Kernel::FaultStats() {
-  Lock lk(mu_);
-  if (fault_ == nullptr) {
-    return std::array<FaultStat, kMaxSyscall>{};
-  }
-  return fault_->stats();
+  FaultInjector* injector = fault_.load(std::memory_order_acquire);
+  return injector == nullptr ? std::array<FaultStat, kMaxSyscall>{} : injector->stats();
 }
 
 std::string Kernel::FaultTraceText() {
-  Lock lk(mu_);
-  return fault_ == nullptr ? std::string() : fault_->FormatTrace();
+  FaultInjector* injector = fault_.load(std::memory_order_acquire);
+  return injector == nullptr ? std::string() : injector->FormatTrace();
 }
 
 // ---------------------------------------------------------------------------
@@ -1117,35 +1032,17 @@ void Kernel::NoteReinstate(const FrameHealth& health) {
 }
 
 void Kernel::EmitContainmentRecord(const FrameHealth& health, KtraceEventKind kind, int number) {
-  if (ktrace_active_.load(std::memory_order_acquire) == 0) {
+  if (!ktrace_active_.load(std::memory_order_acquire)) {
     return;
   }
-  // Sinks are not required to be thread-safe; deliver under the big lock like
-  // the syscall path does. Containment events are rare, so the lock cost is
-  // irrelevant.
-  Lock lk(mu_);
-  bool built = false;
   KtraceRecord record;
-  for (int slot = 0; slot < kKtraceSlots; ++slot) {
-    KtraceSink* sink = ktrace_slots_[slot].sink.load(std::memory_order_acquire);
-    if (sink == nullptr) {
-      continue;
-    }
-    const uint32_t filter = ktrace_slots_[slot].filter.load(std::memory_order_acquire);
-    if ((filter & kProcess) == 0) {
-      continue;  // agent lifecycle events ride the process slice
-    }
-    if (!built) {
-      record.kind = kind;
-      record.pid = health.pid;
-      record.syscall = number;
-      record.fd = health.frame;      // frame index (documented in ktrace.h)
-      record.path = health.agent;    // agent name
-      record.vtime_usec = clock_.Now();
-      built = true;
-    }
-    sink->Record(record);
-  }
+  record.kind = kind;
+  record.pid = health.pid;
+  record.syscall = number;
+  record.fd = health.frame;    // frame index (documented in ktrace.h)
+  record.path = health.agent;  // agent name
+  record.vtime_usec = clock_.Now();
+  DeliverKtrace(kProcess, record);  // agent lifecycle events ride the process slice
 }
 
 // ---------------------------------------------------------------------------
@@ -1262,18 +1159,19 @@ SyscallStatus Kernel::WriteRegularLocked(Process& p, OpenFile& file, const char*
     return -kEFbig;
   }
   int64_t wcount = std::min<int64_t>(count, kMaxFileBytes - off);
-  if (fault_ != nullptr && fault_->plan().disk_budget_bytes >= 0) {
+  FaultInjector* const injector = fault_.load(std::memory_order_acquire);
+  if (injector != nullptr && injector->plan().disk_budget_bytes >= 0) {
     const int64_t grow = off + wcount - static_cast<int64_t>(inode->data.size());
     if (grow > 0) {
       const int64_t remaining =
-          std::max<int64_t>(fault_->plan().disk_budget_bytes - fs_.total_bytes(), 0);
+          std::max<int64_t>(injector->plan().disk_budget_bytes - fs_.total_bytes(), 0);
       if (remaining < grow) {
         wcount -= grow - remaining;
         if (wcount <= 0) {
-          fault_->CountExhaustion(p.pid, kSysWrite, kENospc);
+          injector->CountExhaustion(p.pid, kSysWrite, kENospc);
           return -kENospc;
         }
-        fault_->CountShortTransfer(p.pid, kSysWrite, wcount);
+        injector->CountShortTransfer(p.pid, kSysWrite, wcount);
       }
     }
   }

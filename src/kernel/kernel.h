@@ -2,8 +2,10 @@
 //
 // Each simulated process runs on a host thread and enters the kernel through
 // one dispatch core, DoSyscallBatch(); DoSyscall() is its count-1 case. The
-// core pays the prologue (clock advance, filesystem "now", rusage, stat
-// shard), picks a lane per entry (LaneOf), and tallies the stats epilogue.
+// core pays the prologue once per batch (clock advance, filesystem "now",
+// rusage, stat shard), consults the fault plan per entry, picks a lane per
+// entry from its number alone (LaneOf), and per completed entry delivers the
+// ktrace record and tallies the stats epilogue.
 // Kernel-mode execution is serialized at three granularities, one per lane:
 //
 //   * the big lock (mu_) still owns all cross-process state — the process
@@ -31,14 +33,18 @@
 //
 // Lock order (outer to inner): mu_ -> tree lock -> name cache mutex, and
 // independently {mu_ or nothing} -> Process::mu and {mu_ or nothing, or the
-// tree lock held shared} -> FdTable's internal leaf mutex.
+// tree lock held shared} -> FdTable's internal leaf mutex. Two more leaves:
+// {nothing, or the tree lock held shared} -> ktrace_mu_ (window entries
+// finish under the shared hold), and {nothing, the tree lock held shared,
+// or mu_ -> tree lock} -> the FaultInjector's mutex (entries consult the plan
+// inside a window's hold; the disk-budget clamp runs inside a write handler).
 // Nothing acquires mu_ while holding any of the others.
 //
-// While a fault plan is installed (fault decisions must stay deterministic per
-// (pid, per-process syscall sequence), and the injector is guarded by mu_) or
-// a ktrace sink is attached (sinks are not required to be thread-safe), every
-// entry takes the big-lock lane and pays its own prologue, so fault streams
-// and trace timestamps are identical to synchronous issue.
+// Observing a path does not change it: a fault plan or a ktrace sink changes
+// no lane and no prologue. Fault decisions are keyed on (pid, per-process
+// call sequence), so they are identical to synchronous issue on every lane,
+// and each ktrace record is stamped with the virtual time synchronous issue
+// would give.
 #ifndef SRC_KERNEL_KERNEL_H_
 #define SRC_KERNEL_KERNEL_H_
 
@@ -174,27 +180,17 @@ class Kernel {
     return stats;
   }
 
-  // In-kernel tracing (the monolithic DFSTrace stand-in). Not owned. While any
-  // sink is attached every syscall takes the big-lock path, so sinks need no
-  // internal synchronization. Each slot carries its own abstraction-class
-  // filter: a record is delivered when the row's flags intersect the slot's
-  // mask. Slot 0 with kFileRef is the classic DFSTrace file-reference slice;
+  // In-kernel tracing (the monolithic DFSTrace stand-in). Not owned. Every
+  // lane delivers records, one at a time under ktrace_mu_, so sinks need no
+  // internal synchronization; once SetKtraceSlot detaches a sink it receives
+  // no further records. Each slot carries its own abstraction-class filter:
+  // a record is delivered when the row's flags intersect the slot's mask.
+  // Slot 0 with kFileRef is the classic DFSTrace file-reference slice;
   // SetKtrace() keeps that historical shape. A second slot filtered on
   // kProcess yields the fork/exec/exit lifecycle slice.
   static constexpr int kKtraceSlots = 2;
   void SetKtrace(KtraceSink* sink) { SetKtraceSlot(0, sink, kFileRef); }
-  void SetKtraceSlot(int slot, KtraceSink* sink, uint32_t flag_filter) {
-    if (slot < 0 || slot >= kKtraceSlots) {
-      return;
-    }
-    KtraceSink* prev = ktrace_slots_[slot].sink.exchange(sink, std::memory_order_release);
-    ktrace_slots_[slot].filter.store(flag_filter, std::memory_order_release);
-    if (prev == nullptr && sink != nullptr) {
-      ktrace_active_.fetch_add(1, std::memory_order_release);
-    } else if (prev != nullptr && sink == nullptr) {
-      ktrace_active_.fetch_sub(1, std::memory_order_release);
-    }
-  }
+  void SetKtraceSlot(int slot, KtraceSink* sink, uint32_t flag_filter);
 
   // Per-syscall virtual-time costs (µsec); defaults approximate paper Table 3-5.
   void SetSyscallCost(int number, int32_t micros);
@@ -202,11 +198,10 @@ class Kernel {
 
   // --- fault injection ---------------------------------------------------------
   // Installs `plan` (replacing any previous one and resetting its counters);
-  // every subsequent dispatch consults it. With no plan installed the fault
-  // path is a single null-pointer test.
+  // every subsequent batch consults it, on every lane. With no plan installed
+  // the fault path is a single null-pointer test per batch.
   void SetFaultPlan(const FaultPlan& plan);
   void ClearFaultPlan();
-  bool HasFaultPlan();
 
   // Snapshot of the per-syscall injected-fault counters (all zero when no plan
   // is or was installed).
@@ -247,17 +242,16 @@ class Kernel {
 
   NameiEnv EnvOf(Process& proc) const { return NameiEnv{proc.root, proc.cwd, &proc.cred}; }
 
-  SyscallStatus DispatchLocked(Process& proc, int number, const SyscallArgs& args,
-                               SyscallResult* rv, Lock& lk);
-
-  // The kPerProcess fast path: runs the row's handler with no kernel lock
-  // held (the handler touches only the calling process's state, Process::mu-
-  // guarded fields, and atomics). `number` is already validated.
+  // Runs the row's handler with no big lock (an empty Lock): the kPerProcess
+  // lane (the handler touches only the calling process's state, Process::mu-
+  // guarded fields, and atomics) and the vfs-read lane's pure tree walks.
+  // `number` is already validated.
   SyscallStatus DispatchUnlocked(Process& proc, int number, const SyscallArgs& args,
                                  SyscallResult* rv);
 
-  // The big-lock lane: DispatchLocked under mu_, then delivery to every
-  // attached ktrace slot whose filter matches, then a condvar wakeup.
+  // The big-lock lane: the row's handler under mu_ (and, for non-blocking
+  // rows, the tree lock held exclusively), then a condvar wakeup. Out-of-
+  // table and unimplemented numbers return ENOSYS.
   SyscallStatus DispatchBigLock(Process& proc, int number, const SyscallArgs& args,
                                 SyscallResult* rv);
 
@@ -294,13 +288,18 @@ class Kernel {
   SyscallStatus WriteRegularLocked(Process& proc, OpenFile& file, const char* buf, int64_t count,
                                    SyscallResult* rv);
 
-  // Consults the installed fault plan for this dispatch. Returns true when the
-  // call is consumed (out_status holds the injected result); on a short
-  // transfer, rewrites `args` into `clamped` and leaves consumption to the
-  // real handler.
-  bool MaybeInjectFaultLocked(Process& proc, int number, const SyscallArgs& args,
-                              SyscallArgs* clamped, bool* use_clamped,
-                              SyscallStatus* out_status);
+  // Consults `injector` for `*req`, the process's `seq`-th call. kInjected:
+  // the plan consumed the call and *status holds its result. kClamped: a
+  // short transfer rewrote *req (the caller's copy) to the clamped count,
+  // and the real handler runs it.
+  enum class FaultOutcome : uint8_t { kNone, kInjected, kClamped };
+  FaultOutcome InjectFault(FaultInjector& injector, Process& proc, uint64_t seq,
+                           SyscallRequest* req, SyscallStatus* status);
+
+  // The one ktrace delivery loop: under ktrace_mu_, hands `record` to every
+  // attached slot whose filter intersects `flags`. Callers test
+  // ktrace_active_ first.
+  void DeliverKtrace(uint32_t flags, const KtraceRecord& record);
 
   // Uniform handler signature: the dense dispatch array built from
   // syscalls.def holds one of these per implemented syscall number.
@@ -435,20 +434,22 @@ class Kernel {
   RandomDevice random_dev_;
 
   double compute_spin_scale_ = 0.0;
-  // Atomics: read by every dispatch to gate the fast lanes, written rarely.
-  // ktrace_active_ mirrors the number of attached sinks so the per-call gate
-  // stays a single load regardless of slot count.
+  // ktrace: slots are written under ktrace_mu_ (filter first, then the sink
+  // with release) and read under it by the delivery loop. ktrace_active_
+  // says whether any sink is attached, so a call with nothing attached pays
+  // one load and no lock.
   struct KtraceSlot {
     std::atomic<KtraceSink*> sink{nullptr};
     std::atomic<uint32_t> filter{0};
   };
   KtraceSlot ktrace_slots_[kKtraceSlots];
-  std::atomic<int> ktrace_active_{0};
-  std::unique_ptr<FaultInjector> fault_;  // null = fault plane off; guarded by mu_
-  // Mirrors fault_ != nullptr so the fast-path gate needs no lock. While true,
-  // every dispatch serializes under mu_, keeping the per-(pid, seq) fault
-  // decision stream identical to the pre-fast-path kernel.
-  std::atomic<bool> fault_active_{false};
+  std::atomic<bool> ktrace_active_{false};
+  std::mutex ktrace_mu_;  // leaf; serializes delivery and slot changes
+  // The installed injector (null = fault plane off), read once per batch.
+  // Every injector ever installed stays in injectors_ (guarded by mu_) until
+  // ~Kernel, so a batch still holding a replaced one never dangles.
+  std::atomic<FaultInjector*> fault_{nullptr};
+  std::vector<std::unique_ptr<FaultInjector>> injectors_;
   int32_t syscall_cost_[kMaxSyscall] = {};
 
   // Observability counters, updated by concurrent lock-free dispatches.
@@ -482,7 +483,7 @@ class Kernel {
 
   // --- containment plane state -------------------------------------------------
   // Emits a kAgentQuarantined/kAgentReinstated record to every kProcess-
-  // filtered ktrace slot (no-op when no sink is attached). Takes mu_.
+  // filtered ktrace slot (no-op when no sink is attached).
   void EmitContainmentRecord(const FrameHealth& health, KtraceEventKind kind, int number);
 
   // Event counters: rare (failures only), so contention is irrelevant.

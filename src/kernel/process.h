@@ -166,7 +166,7 @@ class Process {
 
   // Scratch for the fault plane's readv/writev short-transfer clamp: the
   // clamped iovec prefix must outlive the dispatch, and the caller's vector
-  // is const. [big-lock] (the fault path serializes every dispatch).
+  // is const. [owner] (only the owning thread dispatches its calls).
   std::array<IoVec, kMaxIoVecs> iov_fault_scratch;
 
   // --- host-side execution -----------------------------------------------------------

@@ -1,7 +1,7 @@
 // AF_UNIX socket endpoints and the kernel handlers for the socket rows.
 //
 // All socket state is big-lock-guarded; blocking rows (accept/send/recv and
-// friends) are marked kBlocking in syscalls.def, so DispatchLocked hands them
+// friends) are marked kBlocking in syscalls.def, so DispatchBigLock hands them
 // the big lock without the tree lock and they park on the kernel condition
 // variable. Non-blocking rows (socket/bind/connect/listen/...) run with the
 // tree lock held exclusively, which covers bind's node creation and connect's

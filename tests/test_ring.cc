@@ -9,7 +9,9 @@
 #include "tests/test_helpers.h"
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <map>
 #include <thread>
 
 #include "src/apps/batch.h"
@@ -241,11 +243,11 @@ TEST(Ring, BatchClientSplitsOversizedBatches) {
 }
 
 TEST(Ring, RingloadProgramExitsClean) {
-  // Both dispatch regimes: the fast lanes, and the big lock forced by an
-  // installed empty FaultPlan (which injects nothing).
-  for (const bool forced_big_lock : {false, true}) {
+  // With no plan, and with an inert FaultPlan installed (consulted on every
+  // call, injecting nothing).
+  for (const bool inert_plan : {false, true}) {
     auto kernel = MakeWorld();
-    if (forced_big_lock) {
+    if (inert_plan) {
       kernel->SetFaultPlan(FaultPlan{});
     }
     SpawnOptions options;
@@ -254,8 +256,8 @@ TEST(Ring, RingloadProgramExitsClean) {
     const Pid pid = kernel->Spawn(options);
     ASSERT_GT(pid, 0);
     const int status = kernel->HostWaitPid(pid);
-    ASSERT_TRUE(WifExited(status)) << "forced_big_lock=" << forced_big_lock;
-    EXPECT_EQ(WExitStatus(status), 0) << "forced_big_lock=" << forced_big_lock;
+    ASSERT_TRUE(WifExited(status)) << "inert_plan=" << inert_plan;
+    EXPECT_EQ(WExitStatus(status), 0) << "inert_plan=" << inert_plan;
   }
 }
 
@@ -493,9 +495,10 @@ std::string KtraceDigest(const VectorKtraceSink& sink) {
 }
 
 TEST(RingDeterminism, KtraceDigestIdenticalToSynchronousIssue) {
-  // With a sink attached every batch entry takes the big-lock lane and pays
-  // its own prologue, so the trace — pids, paths, results, fds, even virtual
-  // timestamps — must be byte-identical between ring and synchronous issue.
+  // An attached sink changes no lane and no prologue, and each record is
+  // stamped with the virtual time synchronous issue would give, so the trace
+  // — pids, paths, results, fds, even virtual timestamps — must be
+  // byte-identical between ring and synchronous issue.
   std::string results[2];
   std::string traces[2];
   for (int run = 0; run < 2; ++run) {
@@ -1027,18 +1030,18 @@ class PassthroughFrame final : public SyscallHandler {
 };
 
 // The kernel-lane differential matrix: {mixed, reorderable} workload x
-// {per-call, ring} issue x {fast lanes, forced big lock}. An empty FaultPlan
-// injects nothing but sends every entry down the big-lock lane. Every cell
-// must reproduce the per-call, fast-lane digest byte for byte.
+// {per-call, ring} issue x {no plan, inert plan}. Every cell runs the fast
+// lanes; an empty FaultPlan is consulted on every call but injects nothing.
+// Every cell must reproduce the per-call, no-plan digest byte for byte.
 enum class DigestWorkload { kMixed, kReorderable };
 void PrintTo(DigestWorkload workload, std::ostream* os) {
   *os << (workload == DigestWorkload::kMixed ? "Mixed" : "Reorderable");
 }
-using DigestCell = std::tuple<DigestWorkload, bool /*via_ring*/, bool /*forced_big_lock*/>;
+using DigestCell = std::tuple<DigestWorkload, bool /*via_ring*/, bool /*inert_plan*/>;
 
-std::string RunDigestCell(DigestWorkload workload, bool via_ring, bool forced_big_lock) {
+std::string RunDigestCell(DigestWorkload workload, bool via_ring, bool inert_plan) {
   auto kernel = MakeWorld();
-  if (forced_big_lock) {
+  if (inert_plan) {
     kernel->SetFaultPlan(FaultPlan{});
   }
   std::string digest;
@@ -1055,18 +1058,18 @@ std::string RunDigestCell(DigestWorkload workload, bool via_ring, bool forced_bi
 class DigestMatrix : public ::testing::TestWithParam<DigestCell> {};
 
 TEST_P(DigestMatrix, MatchesPerCallFastLanes) {
-  const auto [workload, via_ring, forced_big_lock] = GetParam();
+  const auto [workload, via_ring, inert_plan] = GetParam();
   const std::string reference = RunDigestCell(workload, /*via_ring=*/false,
-                                              /*forced_big_lock=*/false);
+                                              /*inert_plan=*/false);
   EXPECT_FALSE(reference.empty());
   EXPECT_NE(reference, "open-failed");
-  EXPECT_EQ(RunDigestCell(workload, via_ring, forced_big_lock), reference);
+  EXPECT_EQ(RunDigestCell(workload, via_ring, inert_plan), reference);
 }
 
 std::string DigestCellName(const ::testing::TestParamInfo<DigestCell>& info) {
-  const auto [workload, via_ring, forced_big_lock] = info.param;
+  const auto [workload, via_ring, inert_plan] = info.param;
   return ::testing::PrintToString(workload) + (via_ring ? "Ring" : "PerCall") +
-         (forced_big_lock ? "BigLock" : "FastLanes");
+         (inert_plan ? "FastLanesInertPlan" : "FastLanes");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1121,9 +1124,10 @@ TEST(RingDeterminism, StripeOverlapWithAgentFrameIdenticalToExactOrder) {
 }
 
 TEST(RingDeterminism, StripeOverlapUnderFaultPlanKeepsExactOrder) {
-  // An installed FaultPlan serializes every batch entry through the big-lock
-  // lane with its own prologue: result digests AND the recorded fault
-  // decision stream must match per-call issue.
+  // An installed FaultPlan is consulted per entry, in submission order,
+  // before the entry's own lane: an injected entry ends a window, a clamped
+  // read runs in it with its clamped count. Result digests AND the recorded
+  // fault decision stream must match per-call issue.
   std::string digests[2];
   std::string traces[2];
   for (int run = 0; run < 2; ++run) {
@@ -1147,6 +1151,174 @@ TEST(RingDeterminism, StripeOverlapUnderFaultPlanKeepsExactOrder) {
   EXPECT_FALSE(traces[0].empty());
   EXPECT_EQ(digests[0], digests[1]);
   EXPECT_EQ(traces[0], traces[1]);
+}
+
+// --- lane differentials --------------------------------------------------------
+
+// Issues the same opens and reads through one of two implementations, chosen
+// by the inputs alone: open(O_RDONLY) takes the vfs-read lane, while
+// open(O_RDONLY|O_CREAT) of an existing file takes the big-lock SysOpen; read
+// takes the vfs-read lane, while a one-segment readv takes the big-lock
+// SysReadv. Returns a digest line per call, with the bytes read and each fstat.
+std::string RunOpenReadLaneWorkload(ProcessContext& ctx, bool big_lock_forms) {
+  std::string digest;
+  std::vector<char> buf(6000);
+  auto read = [&](const char* what, int fd, void* dst, int64_t count) {
+    IoVec iov{dst, count};
+    const int64_t n = big_lock_forms ? ctx.Readv(fd, &iov, 1) : ctx.Read(fd, dst, count);
+    digest += StringPrintf("%s:%lld\n", what, static_cast<long long>(n));
+    digest.append(buf.data(), n > 0 ? static_cast<size_t>(n) : 0);
+  };
+  for (const char* path : {"/lanes/small", "/lanes/empty", "/lanes/big", "/lanes/link",
+                           "/lanes/dir/../small"}) {
+    const int fd = ctx.Open(path, big_lock_forms ? (kORdonly | kOCreat) : kORdonly);
+    digest += StringPrintf("open %s:%d\n", path, fd);
+    for (const int64_t count : {0, 1, 100, 4096, 6000}) {
+      read("read", fd, buf.data(), count);
+    }
+    ctx.Lseek(fd, 10, kSeekSet);
+    read("read@10", fd, buf.data(), 50);
+    ctx.Lseek(fd, 100000, kSeekSet);
+    read("read@eof", fd, buf.data(), 50);
+    read("read-null", fd, nullptr, 8);
+    read("read-negative", fd, buf.data(), -1);
+    ia::Stat st{};
+    digest += StringPrintf("fstat:%d %lld/%lld/%o close:%d\n", ctx.Fstat(fd, &st),
+                           static_cast<long long>(st.st_size), static_cast<long long>(st.st_ino),
+                           static_cast<unsigned>(st.st_mode), ctx.Close(fd));
+    read("read-closed", fd, buf.data(), 8);
+  }
+  for (const int flags : {kORdonly, kOWronly}) {
+    const int fd = ctx.Open(flags == kORdonly ? "/lanes/dir" : "/lanes/small", flags);
+    read("read-dir-or-wronly", fd, buf.data(), 8);
+    ctx.Close(fd);
+  }
+  return digest;
+}
+
+TEST(LaneDifferential, OpenAndReadImplementationsAgree) {
+  std::string digests[2];
+  for (const bool big_lock_forms : {false, true}) {
+    auto kernel = MakeWorld();
+    kernel->fs().MkdirAll("/lanes/dir");
+    std::string small;
+    while (small.size() < 300) {
+      small += static_cast<char>('a' + small.size() % 26);
+    }
+    kernel->fs().InstallFile("/lanes/small", small);
+    kernel->fs().InstallFile("/lanes/empty", "");
+    kernel->fs().InstallFile("/lanes/big", std::string(5000, 'B') + "tail");
+    std::string& digest = digests[big_lock_forms ? 1 : 0];
+    EXPECT_EQ(ExitCodeOf(*kernel, [&digest, big_lock_forms](ProcessContext& ctx) {
+                if (ctx.Symlink("/lanes/small", "/lanes/link") != 0) {
+                  return 1;
+                }
+                digest = RunOpenReadLaneWorkload(ctx, big_lock_forms);
+                return 0;
+              }),
+              0);
+  }
+  EXPECT_NE(digests[0].find("open /lanes/link:3"), std::string::npos) << digests[0];
+  EXPECT_EQ(digests[0], digests[1]);
+}
+
+// --- concurrent determinism on the fast lanes --------------------------------
+
+// One client of the concurrent-determinism test: per iteration it opens three
+// of the shared files without closing (the fd_table_limit regime denies the
+// third), runs a batch of stat/fstat/lseek/read rows (vfs-read windows), then
+// one synchronous read and stat, and closes what it opened.
+int FaultMixClient(ProcessContext& ctx) {
+  const char* const paths[] = {"/mix/f0", "/mix/f1", "/mix/f2", "/mix/f3"};
+  BatchClient batch(ctx, /*ring_entries=*/32);
+  ia::Stat st[3];
+  char bufs[3][96];
+  for (int it = 0; it < (IA_TEST_UNDER_TSAN ? 10 : 40); ++it) {
+    int fds[3];
+    for (int k = 0; k < 3; ++k) {
+      fds[k] = ctx.Open(paths[(it + k) % 4], kORdonly);
+      batch.PushStat(paths[(it + k) % 4], &st[k]);
+      batch.PushFstat(fds[k], &st[k]);
+      batch.PushLseek(fds[k], (it * 5 + k) % 200, kSeekSet);
+      batch.PushRead(fds[k], bufs[k], sizeof(bufs[k]));
+    }
+    batch.Flush();
+    ctx.Read(fds[0], bufs[0], sizeof(bufs[0]));
+    ctx.Stat(paths[it % 4], &st[0]);
+    for (const int fd : fds) {
+      ctx.Close(fd);
+    }
+  }
+  return 0;
+}
+
+// Runs four FaultMixClients under one recorded plan (errno, EINTR, short and
+// fd_table_limit regimes) and one ktrace sink, concurrently or one after
+// another. Returns each pid's fault-trace lines and ktrace records (every
+// field but vtime_usec), keyed by pid.
+std::pair<std::map<Pid, std::string>, std::map<Pid, std::string>> RunFaultMixClients(
+    bool concurrent) {
+  auto kernel = MakeWorld();
+  kernel->fs().MkdirAll("/mix");
+  for (size_t f = 0; f < 4; ++f) {
+    std::string payload;
+    while (payload.size() < 200 + 40 * f) {
+      payload += static_cast<char>('A' + (payload.size() + 7 * f) % 26);
+    }
+    kernel->fs().InstallFile(StringPrintf("/mix/f%zu", f), payload);
+  }
+  FaultPlan plan;
+  plan.seed = 0xc0c0;
+  plan.class_rules.push_back({kTakesPath, 0.1, kENoent});
+  plan.eintr_probability = 0.15;
+  plan.short_probability = 0.3;
+  plan.fd_table_limit = 5;  // stdio holds 3: the third open of an iteration fails
+  plan.record_trace = true;
+  kernel->SetFaultPlan(plan);
+  VectorKtraceSink sink;
+  kernel->SetKtrace(&sink);
+  std::vector<Pid> pids;
+  for (int c = 0; c < 4; ++c) {
+    SpawnOptions options;
+    options.body = FaultMixClient;
+    pids.push_back(kernel->Spawn(options));
+    if (!concurrent) {
+      EXPECT_EQ(kernel->HostWaitPid(pids.back()), 0);
+    }
+  }
+  for (size_t c = 0; concurrent && c < pids.size(); ++c) {
+    EXPECT_EQ(kernel->HostWaitPid(pids[c]), 0);
+  }
+  kernel->SetKtrace(nullptr);
+  std::map<Pid, std::string> faults;
+  for (const std::string& line : Split(kernel->FaultTraceText(), '\n')) {
+    int pid = 0;
+    if (std::sscanf(line.c_str(), "pid %d ", &pid) == 1) {
+      faults[pid] += line + "\n";
+    }
+  }
+  std::map<Pid, std::string> records;
+  for (const KtraceRecord& r : sink.records()) {
+    records[r.pid] += StringPrintf("%d:%d:%lld:%d:%s\n", static_cast<int>(r.kind), r.syscall,
+                                   static_cast<long long>(r.result), r.fd, r.path.c_str());
+  }
+  return {faults, records};
+}
+
+TEST(FastLaneDeterminism, ConcurrentFaultAndKtraceStreamsMatchSequentialRuns) {
+  // Each pid's fault decisions and trace records depend on its own call
+  // sequence only, not on whether its neighbours run at the same time.
+  const auto [faults, records] = RunFaultMixClients(/*concurrent=*/true);
+  const auto [sequential_faults, sequential_records] = RunFaultMixClients(false);
+  ASSERT_EQ(sequential_faults.size(), 4u);
+  ASSERT_EQ(sequential_records.size(), 4u);
+  for (const auto& [pid, lines] : sequential_faults) {
+    for (const char* regime : {"errno", "eintr", "short", "EMFILE"}) {
+      EXPECT_NE(lines.find(regime), std::string::npos) << "pid " << pid << " never hit " << regime;
+    }
+  }
+  EXPECT_EQ(faults, sequential_faults);
+  EXPECT_EQ(records, sequential_records);
 }
 
 // --- sharded statistics ------------------------------------------------------
