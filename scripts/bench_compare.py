@@ -2,7 +2,7 @@
 """Diff two bench JSON artifacts and flag regressions beyond a threshold.
 
 The bench binaries emit one JSON object per line (BENCH_scalability.json,
-BENCH_ring.json via scripts/ci.sh). This tool pairs rows between a baseline
+BENCH_ring.json and BENCH_table33.json via scripts/ci.sh). This tool pairs rows between a baseline
 and a candidate file by their identity fields (bench/check/op/clients/...),
 compares the metric fields, and reports any metric that moved in the bad
 direction by more than --threshold (default 10%).
@@ -28,16 +28,17 @@ EXPLICIT_DIRECTION = {
     "narrowed_vs_full": +1,    # pay-per-use speedup
     "narrowed_vs_bare": -1,    # overhead factor over the agentless kernel
     "socketpair_vs_pipe": +1,  # socket-vs-pipe transfer throughput parity
+    "all_vs_one": -1,          # make on all CPUs over make on one CPU
 }
 # Metric-name fragments that mean "higher is better".
 HIGHER_IS_BETTER = ("per_sec", "throughput", "speedup", "hit_rate")
 # Metric-name fragments that mean "lower is better".
 LOWER_IS_BETTER = ("_us", "seconds", "ratio")
 # Numeric fields that are identity or bookkeeping, never compared.
-SKIP_METRICS = {"clients", "syscalls", "route_lookups", "route_builds", "gate"}
+SKIP_METRICS = {"clients", "cpus", "syscalls", "route_lookups", "route_builds", "gate"}
 # Numeric fields that ARE identity (alongside every string field): without
 # them, rows that differ only by these would collapse onto one key.
-NUMERIC_IDENTITY = ("clients",)
+NUMERIC_IDENTITY = ("clients", "cpus")
 
 
 def direction_of(name):

@@ -34,16 +34,18 @@ case "$MODE" in
     # are the direct stress tests of the tree rwlock (shared readers against
     # each other and against exclusive writers), so they repeat too, as does
     # FastLaneDeterminism.* (4 clients on the fast lanes under one fault plan
-    # and one ktrace sink: the injector's and ktrace_mu_'s leaf locks). World
-    # sizes self-cap under TSan (the tests read __has_feature(thread_sanitizer)
-    # via IA_TEST_UNDER_TSAN), so this stays fast even with the
-    # instrumentation slowdown.
+    # and one ktrace sink: the injector's and ktrace_mu_'s leaf locks), and so
+    # do WaitChannels.* (each sleeper class against its waker; the racing
+    # case runs every sleeper against its waker with no host sleep, many
+    # rounds). World sizes self-cap under TSan (the tests read
+    # __has_feature(thread_sanitizer) via IA_TEST_UNDER_TSAN), so this stays
+    # fast even with the instrumentation slowdown.
     TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
       "$BUILD_DIR"/tests/ia_tests \
-      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*' \
+      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*' \
       --gtest_repeat=3
 
-    # The socket plane is the newest blocking subsystem: condvar sleeps under
+    # The socket plane is the newest blocking subsystem: channel sleeps under
     # the big lock, cross-process peer close/EOF accounting, accept racing
     # client-side slams, and pathname rendezvous against VFS churn. Repeat the
     # stress suite so those windows get extra interleavings.

@@ -56,11 +56,14 @@ done
 #
 # The stdout is teed and its JSON lines split into two repo-root artifacts:
 # BENCH_scalability.json (curve + pay-per-use + route + socketpair rows) and
-# BENCH_ring.json (batched-vs-per-call rows). A previous artifact, if any, is
-# kept as *.prev and diffed advisorily by scripts/bench_compare.py
-# — a regression prints a warning but does not fail CI (wall-clock numbers are
-# host-dependent; the enforced perf checks are the bench's own gates).
-for artifact in BENCH_scalability.json BENCH_ring.json; do
+# BENCH_ring.json (batched-vs-per-call rows). bench_table33_make adds a third,
+# BENCH_table33.json: the reported, ungated "more cores must not be slower"
+# row (bare make on every CPU against bare make pinned to one CPU). A
+# previous artifact, if any, is kept as *.prev and diffed advisorily by
+# scripts/bench_compare.py — a regression prints a warning but does not fail
+# CI (wall-clock numbers are host-dependent; the enforced perf checks are the
+# bench's own gates).
+for artifact in BENCH_scalability.json BENCH_ring.json BENCH_table33.json; do
   if [ -f "$artifact" ]; then
     mv "$artifact" "$artifact.prev"
   fi
@@ -68,7 +71,9 @@ done
 ./build/bench/bench_scalability | tee build/bench_scalability.out
 grep '^{"bench":"bench_scalability"' build/bench_scalability.out > BENCH_scalability.json
 grep '^{"bench":"bench_ring"' build/bench_scalability.out > BENCH_ring.json
-for artifact in BENCH_scalability.json BENCH_ring.json; do
+./build/bench/bench_table33_make | tee build/bench_table33.out
+grep '^{"bench":"bench_table33"' build/bench_table33.out > BENCH_table33.json
+for artifact in BENCH_scalability.json BENCH_ring.json BENCH_table33.json; do
   if [ -f "$artifact.prev" ]; then
     python3 scripts/bench_compare.py --advisory "$artifact.prev" "$artifact" || true
   fi

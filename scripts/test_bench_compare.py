@@ -77,6 +77,18 @@ class DirectionTest(unittest.TestCase):
         self.assertNotIn(("enforced", True), key)
         self.assertNotIn(("gate", 0.5), key)
 
+    def test_more_cores_row_compares(self):
+        # The emitted more_cores_not_slower row: both medians and the
+        # all-CPUs-over-one-CPU ratio are lower-is-better, and the CPU count
+        # is identity, so rows from hosts of different sizes never pair.
+        row = {"bench": "bench_table33", "check": "more_cores_not_slower", "cpus": 4,
+               "all_cpus_seconds": 0.02, "one_cpu_seconds": 0.02, "all_vs_one": 1.0,
+               "enforced": False}
+        self.assertEqual(bench_compare.direction_of("all_vs_one"), -1)
+        self.assertEqual(bench_compare.direction_of("all_cpus_seconds"), -1)
+        self.assertEqual(bench_compare.direction_of("one_cpu_seconds"), -1)
+        self.assertIn(("cpus", 4), bench_compare.row_key(row))
+
     def test_skip_and_unknown_metrics_are_not_compared(self):
         for name in sorted(bench_compare.SKIP_METRICS):
             self.assertEqual(bench_compare.direction_of(name), 0, name)

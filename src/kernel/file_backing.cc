@@ -12,10 +12,6 @@ namespace ia {
 // The narrow kernel API (FileBacking is a friend of Kernel).
 // ---------------------------------------------------------------------------
 
-void FileBacking::SleepOnKernel(Kernel& k, KernelLock& lk) { k.cv_.wait(lk); }
-
-void FileBacking::WakeKernel(Kernel& k) { k.cv_.notify_all(); }
-
 void FileBacking::PostSignal(Kernel& k, Process& p, int signo) { k.PostSignalLocked(p, signo); }
 
 SyscallStatus FileBacking::ReadRegular(Kernel& k, Process& p, OpenFile& f, char* buf,
@@ -137,28 +133,26 @@ PipeBacking::~PipeBacking() {
   } else {
     pipe_->readers -= 1;
   }
+  pipe_->chan.notify_all();
 }
 
-SyscallStatus PipeBacking::Read(Kernel& k, Process& p, OpenFile& f, char* buf, int64_t count,
+SyscallStatus PipeBacking::Read(Kernel& /*k*/, Process& p, OpenFile& f, char* buf, int64_t count,
                                 SyscallResult* rv, KernelLock& lk) {
   for (;;) {
     if (pipe_->BytesBuffered() > 0) {
       const int64_t n = pipe_->ReadSome(buf, count);
       rv->rv[0] = n;
-      WakeKernel(k);
+      pipe_->chan.notify_all();
       return static_cast<SyscallStatus>(n);
     }
     if (pipe_->writers == 0) {
       rv->rv[0] = 0;
       return 0;  // EOF
     }
-    if ((f.flags & kONonblock) != 0) {
-      return -kEWouldblock;
+    const SyscallStatus slept = Sleep(p, pipe_->chan, lk, SleepModeOf(f));
+    if (slept != 0) {
+      return slept;
     }
-    if (p.HasDeliverableSignal()) {
-      return -kEIntr;
-    }
-    SleepOnKernel(k, lk);
   }
 }
 
@@ -173,27 +167,20 @@ SyscallStatus PipeBacking::Write(Kernel& k, Process& p, OpenFile& f, const char*
     const int64_t n = pipe_->WriteSome(buf + total, count - total);
     if (n > 0) {
       total += n;
-      WakeKernel(k);
+      pipe_->chan.notify_all();
     }
     if (total == count) {
       rv->rv[0] = total;
       return static_cast<SyscallStatus>(total);
     }
-    if ((f.flags & kONonblock) != 0) {
+    const SyscallStatus slept = Sleep(p, pipe_->chan, lk, SleepModeOf(f));
+    if (slept != 0) {
       if (total > 0) {
         rv->rv[0] = total;
         return static_cast<SyscallStatus>(total);
       }
-      return -kEWouldblock;
+      return slept;
     }
-    if (p.HasDeliverableSignal()) {
-      if (total > 0) {
-        rv->rv[0] = total;
-        return static_cast<SyscallStatus>(total);
-      }
-      return -kEIntr;
-    }
-    SleepOnKernel(k, lk);
   }
 }
 
@@ -213,14 +200,6 @@ SyscallStatus PipeBacking::Fstat(Kernel& /*k*/, OpenFile& f, Stat* st) {
 SyscallStatus PipeBacking::Lseek(Kernel& /*k*/, OpenFile& /*f*/, Off /*offset*/, int /*whence*/,
                                  SyscallResult* /*rv*/) {
   return -kESpipe;
-}
-
-bool PipeBacking::ReadReady(const OpenFile& /*f*/) const {
-  return pipe_->BytesBuffered() > 0 || pipe_->writers == 0;
-}
-
-bool PipeBacking::WriteReady(const OpenFile& /*f*/) const {
-  return pipe_->SpaceAvailable() > 0 || pipe_->readers == 0;
 }
 
 }  // namespace ia

@@ -12,14 +12,14 @@
 //                    end-of-life accounting is exact at OpenFile granularity
 //   SocketBacking  - one endpoint of an AF_UNIX socket (src/kernel/socket.h)
 //
-// Blocking stays kernel-owned: a backing that must sleep parks on the
-// kernel's big-lock condition variable through the narrow protected API below
-// (FileBacking is a friend of Kernel; derived classes reach kernel internals
-// only through these hooks). Vector transfers (readv/writev) decompose onto
-// the scalar Read/Write hooks in the kernel's segment loop, as 4.3BSD's
-// fo_rw did. The close hook is the destructor: dup() and fork() share the
-// OpenFile (and therefore the backing), so the last reference dropping is
-// exactly the descriptor-object close event.
+// A backing that must block sleeps on its object's wait channel (Sleep in
+// process.h); its state changes, close included, wake that channel.
+// FileBacking is a friend of Kernel; derived classes reach kernel internals
+// only through the protected hooks below. Vector transfers (readv/writev)
+// decompose onto the scalar Read/Write hooks in the kernel's segment loop, as
+// 4.3BSD's fo_rw did. The close hook is the destructor: dup() and fork()
+// share the OpenFile (and therefore the backing), so the last reference
+// dropping is exactly the descriptor-object close event.
 #ifndef SRC_KERNEL_FILE_BACKING_H_
 #define SRC_KERNEL_FILE_BACKING_H_
 
@@ -49,8 +49,8 @@ class FileBacking {
   virtual ~FileBacking() = default;
 
   // Identity for the fast-path gates: only kVnode files may take the shared
-  // tree-lock read/close routes; everything else needs the big lock
-  // (its state lives behind the CV protocol).
+  // tree-lock read/close routes; everything else needs the big lock, which
+  // guards its state and its wait channel.
   virtual BackingKind kind() const = 0;
 
   // Scalar transfer hooks. Entered from big-lock handlers with `lk` holding
@@ -72,18 +72,10 @@ class FileBacking {
   virtual SyscallStatus Lseek(Kernel& k, OpenFile& f, Off offset, int whence,
                               SyscallResult* rv) = 0;
 
-  // Poll-style readiness (select-shaped; also what the blocking loops test
-  // before parking). "Ready" includes terminal states — EOF and closed-peer
-  // conditions are readable/writable-with-error, never a sleep.
-  virtual bool ReadReady(const OpenFile& f) const = 0;
-  virtual bool WriteReady(const OpenFile& f) const = 0;
-
  protected:
-  // The narrow kernel services a backing may use (the big-lock CV protocol
-  // plus the vnode data plane). FileBacking is a friend of Kernel; these are
-  // the only doors it opens to subclasses.
-  static void SleepOnKernel(Kernel& k, KernelLock& lk);
-  static void WakeKernel(Kernel& k);
+  // The narrow kernel services a backing may use (signal posting plus the
+  // vnode data plane). FileBacking is a friend of Kernel; these are the only
+  // doors it opens to subclasses.
   static void PostSignal(Kernel& k, Process& p, int signo);
   // Regular-file transfer under the proper tree-lock mode (shared for reads,
   // exclusive for writes — identical locking to the pre-backing handlers).
@@ -106,14 +98,12 @@ class VnodeBacking final : public FileBacking {
                       SyscallResult* rv, KernelLock& lk) override;
   SyscallStatus Fstat(Kernel& k, OpenFile& f, Stat* st) override;
   SyscallStatus Lseek(Kernel& k, OpenFile& f, Off offset, int whence, SyscallResult* rv) override;
-  bool ReadReady(const OpenFile& /*f*/) const override { return true; }
-  bool WriteReady(const OpenFile& /*f*/) const override { return true; }
 };
 
 // One end of a bounded Pipe (anonymous pipe or fifo). Construction registers
 // the end with the pipe; destruction — always under the big lock, the close
-// fast path refuses non-vnode files — deregisters it, which is what turns
-// the last write-end close into EOF and the last read-end close into EPIPE.
+// fast path refuses non-vnode files — deregisters it and wakes the pipe, so
+// the last write-end close is EOF and the last read-end close EPIPE.
 class PipeBacking final : public FileBacking {
  public:
   PipeBacking(std::shared_ptr<Pipe> pipe, bool write_end);
@@ -126,8 +116,6 @@ class PipeBacking final : public FileBacking {
                       SyscallResult* rv, KernelLock& lk) override;
   SyscallStatus Fstat(Kernel& k, OpenFile& f, Stat* st) override;
   SyscallStatus Lseek(Kernel& k, OpenFile& f, Off offset, int whence, SyscallResult* rv) override;
-  bool ReadReady(const OpenFile& f) const override;
-  bool WriteReady(const OpenFile& f) const override;
 
   const std::shared_ptr<Pipe>& pipe() const { return pipe_; }
   bool write_end() const { return write_end_; }

@@ -210,10 +210,9 @@ void Kernel::Shutdown() {
   shutting_down_ = true;
   for (const auto& [pid, proc] : table_) {
     if (proc->state != ProcState::kZombie) {
-      PostSignalLocked(*proc, kSigKill);
+      PostSignalLocked(*proc, kSigKill);  // wakes the channel it sleeps on
     }
   }
-  cv_.notify_all();
   while (!table_.empty()) {
     Pid victim = 0;
     for (const auto& [pid, proc] : table_) {
@@ -285,7 +284,9 @@ void Kernel::PostSignalLocked(Process& target, int signo) {
     std::lock_guard<std::mutex> pm(target.mu);
     target.rusage.ru_nsignals += 1;
   }
-  cv_.notify_all();
+  if (target.wchan != nullptr) {
+    target.wchan->notify_all();
+  }
 }
 
 int Kernel::KillOneLocked(Process& sender, Process& target, int signo) {
@@ -340,14 +341,6 @@ int Kernel::TakeDeliverableSignal(Process& proc) {
   return 0;
 }
 
-bool Kernel::HasDeliverableSignal(Process& proc) {
-  if (proc.sig_pending.load(std::memory_order_acquire) == 0) {
-    return false;
-  }
-  Lock lk(mu_);
-  return proc.HasDeliverableSignal();
-}
-
 void Kernel::FinalizeExit(Process& proc, int wait_status) {
   Lock lk(mu_);
   if (proc.state == ProcState::kZombie) {
@@ -361,18 +354,25 @@ void Kernel::FinalizeExit(Process& proc, int wait_status) {
   route_lookups_.fetch_add(proc.emulation.route_lookups(), std::memory_order_relaxed);
   route_builds_.fetch_add(proc.emulation.route_builds(), std::memory_order_relaxed);
   proc.emulation.Clear();
+  // Host threads reap only host children: this exit wakes them if it makes
+  // a zombie with the host as its parent, or once Shutdown waits for all.
+  bool host_reaps = proc.ppid == 0 || shutting_down_;
   for (const auto& [pid, other] : table_) {
     if (other->ppid == proc.pid) {
       other->ppid = 0;  // orphans re-parent to the host ("init")
+      host_reaps = host_reaps || other->state == ProcState::kZombie;
     }
   }
   proc.exit_status = wait_status;
   proc.state = ProcState::kZombie;
+  // The SIGCHLD post is also the parent's wait4 wakeup.
   ProcessRef parent = FindLocked(proc.ppid);
   if (parent != nullptr) {
     PostSignalLocked(*parent, kSigChld);
   }
-  cv_.notify_all();
+  if (host_reaps) {
+    cv_.notify_all();
+  }
 }
 
 void Kernel::StopSelf(Process& proc) {
@@ -383,13 +383,11 @@ void Kernel::StopSelf(Process& proc) {
   if (parent != nullptr) {
     PostSignalLocked(*parent, kSigChld);
   }
-  cv_.notify_all();
-  cv_.wait(lk, [&] {
-    return proc.sigcont_pending || (proc.sig_pending & SigMask(kSigKill)) != 0 || shutting_down_;
-  });
+  while (!proc.sigcont_pending && (proc.sig_pending & SigMask(kSigKill)) == 0) {
+    Sleep(proc, proc.chan, lk, SleepMode::kUninterruptible);
+  }
   proc.sigcont_pending = false;
   proc.state = ProcState::kRunning;
-  cv_.notify_all();
 }
 
 void Kernel::ConsumeCpu(Process& proc, int64_t micros) {
@@ -606,8 +604,9 @@ SyscallStatus Kernel::DispatchBigLock(Process& p, int number, const SyscallArgs&
   Lock lk(mu_);
   SyscallStatus status;
   if ((SyscallSpecOf(number).flags & kBlocking) != 0) {
-    // Blocking handlers park on cv_, which drops mu_ but could not drop the
-    // tree lock; they take it internally around the inode-data sections only.
+    // Blocking handlers sleep on a channel, which drops mu_ but could not
+    // drop the tree lock; they take it internally around the inode-data
+    // sections only.
     status = (this->*handler)(p, a, rv, lk);
   } else {
     // Holding the tree lock exclusively is what excludes big-lock handlers
@@ -615,7 +614,6 @@ SyscallStatus Kernel::DispatchBigLock(Process& p, int number, const SyscallArgs&
     std::unique_lock<std::shared_mutex> tree(fs_.TreeMutex());
     status = (this->*handler)(p, a, rv, lk);
   }
-  cv_.notify_all();
   return status;
 }
 
@@ -736,7 +734,7 @@ Kernel::VfsReadPlan Kernel::ClassifyVfsRead(Process& proc, const SyscallRequest&
         return done(count < 0 ? -kEInval : 0);  // a zero-length read returns 0
       }
       if (file->backing->kind() != BackingKind::kVnode) {
-        return plan;  // pipe/socket: may sleep on the condvar
+        return plan;  // pipe/socket: may sleep on its channel
       }
       if (file->inode == nullptr) {
         return done(-kEBadf);
@@ -768,8 +766,8 @@ Kernel::VfsReadPlan Kernel::ClassifyVfsRead(Process& proc, const SyscallRequest&
       if (file->backing->kind() != BackingKind::kVnode ||
           file->flock_mode.load(std::memory_order_acquire) != 0) {
         // Dropping the last reference would detach a pipe end / close a socket
-        // endpoint or release an flock — big-lock transitions that must also
-        // wake condvar sleepers.
+        // endpoint (which wakes the object's channel) or release an flock:
+        // big-lock transitions.
         return plan;
       }
       plan.kind = VfsReadPlan::kUnlocked;
@@ -1630,7 +1628,6 @@ SyscallStatus Kernel::SysFlock(Process& p, const SyscallArgs& a, SyscallResult* 
   };
   if ((op & kLockUn) != 0) {
     release();
-    cv_.notify_all();
     return 0;
   }
   const bool exclusive = (op & kLockEx) != 0;
@@ -1743,6 +1740,9 @@ SyscallStatus Kernel::SysMknod(Process& p, const SyscallArgs& a, SyscallResult* 
 SyscallStatus Kernel::SysFork(Process& p, const SyscallArgs& /*a*/, SyscallResult* rv, Lock& /*lk*/) {
   std::function<int(ProcessContext&)> body = std::move(p.pending_fork_body);
   p.pending_fork_body = nullptr;
+  if (shutting_down_) {
+    return -kEAgain;  // Shutdown's SIGKILLs went out already; a child would miss them
+  }
 
   Process& child = CreateProcessLocked(p.pid);
   child.pgrp = p.pgrp.load();
@@ -1954,10 +1954,10 @@ SyscallStatus Kernel::SysWait4(Process& p, const SyscallArgs& a, SyscallResult* 
       rv->rv[0] = 0;
       return 0;
     }
-    if (p.HasDeliverableSignal()) {
-      return -kEIntr;
+    const SyscallStatus slept = Sleep(p, p.chan, lk);
+    if (slept != 0) {
+      return slept;
     }
-    cv_.wait(lk);
   }
 }
 
@@ -2235,8 +2235,8 @@ SyscallStatus Kernel::SysSigsetmask(Process& p, const SyscallArgs& a, SyscallRes
   const auto mask = static_cast<uint32_t>(a.U64(0));
   rv->rv[0] = p.sig_mask;
   p.sig_mask = mask & ~(SigMask(kSigKill) | SigMask(kSigStop));
-  // No condvar notify: only the owner sleeps on its own mask, and the owner
-  // is here. (Removing it is also what lets this row run kPerProcess.)
+  // No wakeup: only the owner sleeps on its own mask, and the owner is here.
+  // (That is also what lets this row run kPerProcess.)
   return 0;
 }
 
@@ -2245,8 +2245,9 @@ SyscallStatus Kernel::SysSigpause(Process& p, const SyscallArgs& a, SyscallResul
   p.sigpause_saved_mask = p.sig_mask;
   p.sigpause_restore = true;
   p.sig_mask = mask & ~(SigMask(kSigKill) | SigMask(kSigStop));
-  cv_.notify_all();
-  cv_.wait(lk, [&] { return p.HasDeliverableSignal() || shutting_down_; });
+  while (Sleep(p, p.chan, lk) == 0) {
+    // until a signal is deliverable
+  }
   // The temporary mask stays in force until the woken signal's handler has run;
   // ProcessContext's boundary restores the saved mask afterwards.
   return -kEIntr;  // sigpause always returns EINTR after a signal

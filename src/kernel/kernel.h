@@ -10,8 +10,9 @@
 //
 //   * the big lock (mu_) still owns all cross-process state — the process
 //     table, fork/exec/exit/wait, signal delivery, pipes, devices, flock, and
-//     every blocking sleep (kBlocking rows park on the kernel-wide condvar
-//     and honor signals with EINTR, as 4.3BSD does). Big-lock handlers for
+//     every blocking sleep (kBlocking rows sleep on the wait channel of the
+//     object they wait for, and honor signals with EINTR, as 4.3BSD does;
+//     see Sleep in process.h). Big-lock handlers for
 //     non-blocking rows additionally hold the VFS tree lock EXCLUSIVELY,
 //     which is what excludes them from concurrent shared-mode readers;
 //   * syscalls flagged kPerProcess in syscalls.def (getpid/umask/sigblock/
@@ -142,7 +143,6 @@ class Kernel {
   // --- support used by ProcessContext ---------------------------------------------
   // Picks, clears, and returns the next deliverable pending signal, or 0.
   int TakeDeliverableSignal(Process& proc);
-  bool HasDeliverableSignal(Process& proc);
   // Finishes a process: close fds, reparent children, zombie + SIGCHLD. Thread-safe.
   void FinalizeExit(Process& proc, int wait_status);
   // Blocks the calling process in the stopped state until SIGCONT/SIGKILL.
@@ -250,8 +250,8 @@ class Kernel {
                                  SyscallResult* rv);
 
   // The big-lock lane: the row's handler under mu_ (and, for non-blocking
-  // rows, the tree lock held exclusively), then a condvar wakeup. Out-of-
-  // table and unimplemented numbers return ENOSYS.
+  // rows, the tree lock held exclusively); it wakes no one. Out-of-table and
+  // unimplemented numbers return ENOSYS.
   SyscallStatus DispatchBigLock(Process& proc, int number, const SyscallArgs& args,
                                 SyscallResult* rv);
 
@@ -417,7 +417,7 @@ class Kernel {
   int ResolveExecutableLocked(Process& p, const std::string& path, PendingExec* out);
 
   std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;  // host threads wait here for exits they reap
   std::map<Pid, ProcessRef> table_;
   std::map<Pid, std::thread> threads_;
   Pid next_pid_ = 1;

@@ -1,10 +1,12 @@
 // Bounded pipe buffer with 4.3BSD semantics (4KB capacity, EOF on writer close,
-// EPIPE/SIGPIPE on reader close). Blocking is implemented by the kernel, which owns
-// the big lock and condition variable; this object is passive data.
+// EPIPE/SIGPIPE on reader close), guarded by the kernel big lock. Blocked
+// readers and writers sleep on `chan`; PipeBacking wakes it on every transfer
+// and on each end's close.
 #ifndef SRC_KERNEL_PIPE_H_
 #define SRC_KERNEL_PIPE_H_
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 
@@ -75,6 +77,7 @@ class Pipe {
 
   int readers = 0;  // open read ends (struct-file granularity)
   int writers = 0;  // open write ends
+  std::condition_variable chan;
 
   int64_t total_written() const { return total_written_; }
 

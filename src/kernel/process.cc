@@ -6,6 +6,19 @@ namespace ia {
 
 Process::~Process() = default;
 
+SyscallStatus Sleep(Process& p, std::condition_variable& chan, KernelLock& lk, SleepMode mode) {
+  if (mode == SleepMode::kNonblock) {
+    return -kEWouldblock;
+  }
+  if (mode == SleepMode::kInterruptible && p.HasDeliverableSignal()) {
+    return -kEIntr;
+  }
+  p.wchan = &chan;
+  chan.wait(lk);
+  p.wchan = nullptr;
+  return 0;
+}
+
 SigDefault DefaultActionFor(int signo) {
   switch (signo) {
     case kSigUrg:

@@ -23,6 +23,7 @@
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -92,6 +93,10 @@ class Process {
 
   // --- state ------------------------------------------------------------------
   ProcState state = ProcState::kEmbryo;  // [big-lock]
+  // wait4, sigpause and the stopped state sleep on `chan`; `wchan` is the
+  // channel the process sleeps on now, or null, for signal posts. [big-lock]
+  std::condition_variable chan;
+  std::condition_variable* wchan = nullptr;
   int exit_status = 0;                   // [big-lock] wait4 encoding, valid when kZombie
   bool sigcont_pending = false;          // [big-lock]
   bool host_owned = false;               // [big-lock] spawned (and reaped) by the host harness
@@ -139,7 +144,7 @@ class Process {
   // on that same thread. Signal *posting* from other processes touches only
   // sig_pending, which is atomic so the owner's boundary check and the fast
   // paths can test it without any lock (kill(2) posts it under the big lock
-  // and notifies the kernel-wide condvar).
+  // and wakes `wchan`).
   std::array<SignalAction, kNumSignals> actions;
   std::atomic<uint32_t> sig_pending{0};  // [atomic]
   uint32_t sig_mask = 0;                 // [owner]
@@ -207,6 +212,24 @@ class Process {
 };
 
 using ProcessRef = std::shared_ptr<Process>;
+
+// How Sleep treats O_NONBLOCK and signals (4.3BSD's sleep priority).
+enum class SleepMode : uint8_t {
+  kInterruptible,    // a syscall sleep: EINTR once a signal is deliverable
+  kNonblock,         // an O_NONBLOCK descriptor: EWOULDBLOCK instead of a sleep
+  kUninterruptible,  // the stopped state: only SIGCONT or SIGKILL ends it
+};
+
+inline SleepMode SleepModeOf(const OpenFile& f) {
+  return (f.flags & kONonblock) != 0 ? SleepMode::kNonblock : SleepMode::kInterruptible;
+}
+
+// The one way a process blocks, 4.3BSD's sleep(chan), with `lk` holding the
+// big lock that every waker of `chan` holds too. Returns -kEWouldblock or
+// -kEIntr as `mode` says, or 0 after one wakeup (recorded in p.wchan while
+// asleep); the caller re-tests its condition and holds `chan`'s owner.
+SyscallStatus Sleep(Process& p, std::condition_variable& chan, KernelLock& lk,
+                    SleepMode mode = SleepMode::kInterruptible);
 
 }  // namespace ia
 

@@ -2,8 +2,8 @@
 //
 // All socket state is big-lock-guarded; blocking rows (accept/send/recv and
 // friends) are marked kBlocking in syscalls.def, so DispatchBigLock hands them
-// the big lock without the tree lock and they park on the kernel condition
-// variable. Non-blocking rows (socket/bind/connect/listen/...) run with the
+// the big lock without the tree lock and they sleep on the endpoint's wait
+// channel. Non-blocking rows (socket/bind/connect/listen/...) run with the
 // tree lock held exclusively, which covers bind's node creation and connect's
 // pathname walk.
 #include "src/kernel/socket.h"
@@ -57,10 +57,12 @@ void FillSockAddr(const std::string& path, SockAddr* addr, int* addrlen) {
   *addrlen = static_cast<int>(sizeof(int16_t) + n + 1);
 }
 
-// Detaches one side of a connection from its peer (close and orphaning).
+// Detaches one side of a connection from its peer (close and orphaning) and
+// wakes the peer, whose recv now sees EOF and whose send takes EPIPE.
 void DetachPeer(Socket& s) {
   if (s.peer != nullptr) {
     s.peer->peer_closed = true;
+    s.peer->chan.notify_all();
     s.peer->peer.reset();
     s.peer.reset();
   }
@@ -101,7 +103,7 @@ OpenFileRef MakeSocketFile(std::shared_ptr<Socket> socket) {
 // SocketBacking: the data plane (read()/write() and recv()/send() share it).
 // ---------------------------------------------------------------------------
 
-SyscallStatus SocketBacking::Read(Kernel& k, Process& p, OpenFile& f, char* buf, int64_t count,
+SyscallStatus SocketBacking::Read(Kernel& /*k*/, Process& p, OpenFile& f, char* buf, int64_t count,
                                   SyscallResult* rv, KernelLock& lk) {
   Socket& s = *socket_;
   if (s.state != Socket::State::kConnected) {
@@ -111,7 +113,9 @@ SyscallStatus SocketBacking::Read(Kernel& k, Process& p, OpenFile& f, char* buf,
     if (s.recv.size() > 0) {
       const int64_t n = s.recv.ReadSome(buf, count);
       rv->rv[0] = n;
-      WakeKernel(k);  // the peer may be parked on a full ring
+      if (s.peer != nullptr) {
+        s.peer->chan.notify_all();  // the peer's send may be waiting for room
+      }
       return static_cast<SyscallStatus>(n);
     }
     if (s.shut_rd) {
@@ -122,13 +126,10 @@ SyscallStatus SocketBacking::Read(Kernel& k, Process& p, OpenFile& f, char* buf,
       rv->rv[0] = 0;
       return 0;  // EOF: the writing side is gone for good
     }
-    if ((f.flags & kONonblock) != 0) {
-      return -kEWouldblock;
+    const SyscallStatus slept = Sleep(p, s.chan, lk, SleepModeOf(f));
+    if (slept != 0) {
+      return slept;
     }
-    if (p.HasDeliverableSignal()) {
-      return -kEIntr;
-    }
-    SleepOnKernel(k, lk);
   }
 }
 
@@ -151,27 +152,20 @@ SyscallStatus SocketBacking::Write(Kernel& k, Process& p, OpenFile& f, const cha
     const int64_t n = s.peer->recv.WriteSome(buf + total, count - total);
     if (n > 0) {
       total += n;
-      WakeKernel(k);
+      s.peer->chan.notify_all();
     }
     if (total == count) {
       rv->rv[0] = total;
       return static_cast<SyscallStatus>(total);
     }
-    if ((f.flags & kONonblock) != 0) {
+    const SyscallStatus slept = Sleep(p, s.chan, lk, SleepModeOf(f));
+    if (slept != 0) {
       if (total > 0) {
         rv->rv[0] = total;
         return static_cast<SyscallStatus>(total);
       }
-      return -kEWouldblock;
+      return slept;
     }
-    if (p.HasDeliverableSignal()) {
-      if (total > 0) {
-        rv->rv[0] = total;
-        return static_cast<SyscallStatus>(total);
-      }
-      return -kEIntr;
-    }
-    SleepOnKernel(k, lk);
   }
 }
 
@@ -191,10 +185,6 @@ SyscallStatus SocketBacking::Lseek(Kernel& /*k*/, OpenFile& /*f*/, Off /*offset*
                                    SyscallResult* /*rv*/) {
   return -kESpipe;
 }
-
-bool SocketBacking::ReadReady(const OpenFile& /*f*/) const { return socket_->ReadReadyNow(); }
-
-bool SocketBacking::WriteReady(const OpenFile& /*f*/) const { return socket_->WriteReadyNow(); }
 
 // ---------------------------------------------------------------------------
 // Kernel handlers.
@@ -330,7 +320,7 @@ SyscallStatus Kernel::SysConnect(Process& p, const SyscallArgs& a, SyscallResult
   sock->peer = server_end;
   sock->state = Socket::State::kConnected;
   listener->pending.push_back(std::move(server_end));
-  cv_.notify_all();  // accept sleepers
+  listener->chan.notify_all();
   return 0;
 }
 
@@ -373,18 +363,11 @@ SyscallStatus Kernel::SysAccept(Process& p, const SyscallArgs& a, SyscallResult*
                    a.Ptr<SockAddr>(1), a.Ptr<int>(2));
       p.fds.Set(fd, MakeSocketFile(std::move(accepted)));
       rv->rv[0] = fd;
-      cv_.notify_all();  // a refused-on-backlog client may be polling
       return fd;
     }
-    if ((file->flags & kONonblock) != 0) {
-      return -kEWouldblock;
-    }
-    if (p.HasDeliverableSignal()) {
-      return -kEIntr;
-    }
-    cv_.wait(lk);
-    if (sock->state != Socket::State::kListening) {
-      return -kEInval;  // the listener vanished under us (e.g. dup'd fd closed)
+    const SyscallStatus slept = Sleep(p, sock->chan, lk, SleepModeOf(*file));
+    if (slept != 0) {
+      return slept;
     }
   }
 }
@@ -565,7 +548,10 @@ SyscallStatus Kernel::SysShutdown(Process& p, const SyscallArgs& a, SyscallResul
   if (how == kShutWr || how == kShutRdWr) {
     sock->shut_wr = true;
   }
-  cv_.notify_all();  // the peer's readers must re-evaluate EOF
+  sock->chan.notify_all();  // either bit ends sleeps on both ends
+  if (sock->peer != nullptr) {
+    sock->peer->chan.notify_all();
+  }
   return 0;
 }
 

@@ -1,8 +1,6 @@
 // AF_UNIX stream sockets (4.3BSD's unpcb/socket pair, collapsed to one
-// object). Like Pipe, a Socket is passive data guarded by the kernel big
-// lock; blocking (accept with an empty queue, send against a full peer ring,
-// recv against an empty one) parks on the kernel's condition variable through
-// the FileBacking protocol.
+// object). Like Pipe, a Socket is big-lock-guarded data plus a wait channel
+// that accept, send and recv sleep on and every change they wait for wakes.
 //
 // Topology: every connected endpoint holds a shared_ptr to its peer. The
 // reference cycle this creates is broken deterministically at close time —
@@ -14,6 +12,7 @@
 #ifndef SRC_KERNEL_SOCKET_H_
 #define SRC_KERNEL_SOCKET_H_
 
+#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <string>
@@ -62,19 +61,12 @@ class Socket {
   std::string bound_path;
   InodeRef bound_inode;
 
-  // Readiness in the FileBacking sense: terminal states count as ready.
-  bool ReadReadyNow() const {
-    return recv.size() > 0 || shut_rd || peer_closed || state != State::kConnected ||
-           (peer != nullptr && peer->shut_wr);
-  }
-  bool WriteReadyNow() const {
-    return shut_wr || peer_closed || state != State::kConnected ||
-           (peer != nullptr && (peer->recv.space() > 0 || peer->shut_rd));
-  }
+  // recv, send and accept on this endpoint sleep here (DESIGN.md §13).
+  std::condition_variable chan;
 
   // The descriptor-object close event (big lock held): detaches the peer in
   // both directions, orphans pending connections, and unhooks the bound VFS
-  // node so later connect(2)s refuse cleanly.
+  // node so later connect(2)s refuse cleanly. Wakes each detached peer.
   void EndClosed();
 };
 
@@ -92,8 +84,6 @@ class SocketBacking final : public FileBacking {
                       SyscallResult* rv, KernelLock& lk) override;
   SyscallStatus Fstat(Kernel& k, OpenFile& f, Stat* st) override;
   SyscallStatus Lseek(Kernel& k, OpenFile& f, Off offset, int whence, SyscallResult* rv) override;
-  bool ReadReady(const OpenFile& f) const override;
-  bool WriteReady(const OpenFile& f) const override;
 
   const std::shared_ptr<Socket>& socket() const { return socket_; }
 

@@ -28,8 +28,8 @@ inline constexpr uint32_t kImplemented = 1u << 6;    // has a kernel handler + d
 inline constexpr uint32_t kAlias = 1u << 7;          // shares another row's method/handler
 // Touches only the calling process's private state (or the monotonic clock):
 // the kernel dispatches these rows without taking the big lock. Incompatible
-// with kBlocking (a sleep needs mu_/cv_); tests/test_concurrency.cc pins the
-// disjointness.
+// with kBlocking (a sleep waits on a channel under mu_);
+// tests/test_concurrency.cc pins the disjointness.
 inline constexpr uint32_t kPerProcess = 1u << 8;
 // Read-only against the VFS tree in the common case: the kernel first tries
 // these rows under the tree lock in shared mode (no big lock), falling back

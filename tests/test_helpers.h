@@ -12,6 +12,19 @@
 #include "src/interpose/agent.h"
 #include "src/kernel/kernel.h"
 
+// 1 in a ThreadSanitizer build: stress tests shrink their worlds under the
+// instrumentation slowdown.
+#if defined(__SANITIZE_THREAD__)
+#define IA_TEST_UNDER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define IA_TEST_UNDER_TSAN 1
+#endif
+#endif
+#ifndef IA_TEST_UNDER_TSAN
+#define IA_TEST_UNDER_TSAN 0
+#endif
+
 namespace ia {
 namespace test {
 

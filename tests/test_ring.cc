@@ -855,17 +855,6 @@ TEST(FdTableStress, LeafMutexSurvivesConcurrentMutation) {
 
 // --- the single-producer ring across threads ---------------------------------
 
-#if defined(__SANITIZE_THREAD__)
-#define IA_TEST_UNDER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define IA_TEST_UNDER_TSAN 1
-#endif
-#endif
-#ifndef IA_TEST_UNDER_TSAN
-#define IA_TEST_UNDER_TSAN 0
-#endif
-
 TEST(RingUnit, WraparoundAcrossProducerDrainerAndReaperThreads) {
   // One producer, one drainer and one reaper, each on its own thread, over a
   // capacity-4 ring that wraps hundreds of times. In flight is derived from
