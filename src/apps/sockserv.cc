@@ -12,7 +12,6 @@
 // the server reads to EOF, replies with "ok:" + request, and closes.
 #include <algorithm>
 #include <cstdlib>
-#include <thread>
 
 #include "src/apps/apps.h"
 #include "src/base/strings.h"
@@ -125,11 +124,10 @@ int SockClientMain(ProcessContext& ctx) {
     if (err != -kENoent && err != -kEConnrefused && err != -kEIntr) {
       return SockFail(ctx, "sockclient", path, err);
     }
-    // Compute charges virtual time only; the host yield keeps a spinning
-    // dialer from starving the listener's thread of real cycles (the same
-    // idiom batch.cc uses while polling completions).
+    // Compute charges virtual time only; the yield keeps a spinning dialer
+    // from starving the listener, which may share its host thread.
     ctx.Compute(500);
-    std::this_thread::yield();
+    ctx.Yield();
   }
   if (fd < 0) {
     return SockFail(ctx, "sockclient", path, -kEConnrefused);

@@ -541,6 +541,8 @@ void ProcessContext::RunToCompletion() {
   }
 }
 
+void ProcessContext::Yield() { FiberHost::Yield(); }
+
 void ProcessContext::Exit(int code) {
   SyscallArgs args;
   args.SetInt(0, code);

@@ -22,7 +22,7 @@ namespace ia {
 
 class Kernel;
 
-// Thrown to unwind a process thread back to its image trampoline.
+// Thrown to unwind a process back to its image trampoline.
 struct ExecveUnwind {};
 struct ExitUnwind {
   int wait_status = 0;
@@ -222,6 +222,13 @@ class ProcessContext {
   // Consumes virtual CPU time (models application "real work" deterministically).
   void Compute(int64_t micros);
 
+  // Lets the other runnable processes on this host thread run, then returns
+  // (fiber.h). A process that waits for another without a blocking call must
+  // call this in its wait loop: the processes of one tree share a host
+  // thread, and a sibling runs only while this one sleeps or yields. Hold no
+  // lock across it.
+  void Yield();
+
   // ---------------------------------------------------------------------------
   // Higher-level conveniences built purely on the syscalls above.
   // ---------------------------------------------------------------------------
@@ -236,7 +243,7 @@ class ProcessContext {
   // fork + execve + wait4 (the system(3) shape used by make-style workloads).
   int Spawn(const std::string& path, const std::vector<std::string>& argv_in, int* status);
 
-  // Runs the process's image trampoline; called on the process's host thread.
+  // Runs the process's image trampoline; it is the body of the process's fiber.
   void RunToCompletion();
 
   // --- internals shared with the kernel ----------------------------------------

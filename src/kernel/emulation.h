@@ -51,7 +51,7 @@ class SyscallHandler {
   // with ctx.ForwardSignal(frame, signo) to preserve delivery.
   virtual void HandleSignal(ProcessContext& ctx, int frame, int signo) = 0;
 
-  // Containment hook: invoked on the owning process's thread when this frame's
+  // Containment hook: invoked in the owning process when this frame's
   // circuit breaker trips (see containment.h). Implementations must re-narrow
   // the frame's interest so the quarantined handler stops receiving
   // application calls. The default clears the interest sets entirely;
@@ -84,7 +84,7 @@ struct CompiledRoute {
 
 // The per-process emulation state. Frame index 0 is closest to the kernel; the
 // highest index is closest to the application. Structural mutation and route
-// compilation run on the owning process's thread (the same discipline as the
+// compilation run in the owning process (the same discipline as the
 // frame vector itself); the route-stat tallies are relaxed atomics only so the
 // kernel can aggregate them at exit without assumptions.
 class EmulationStack {

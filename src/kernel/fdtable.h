@@ -77,7 +77,7 @@ struct FdEntry {
 // ~OpenFile can touch pipe/flock state that belongs to other locking domains.
 // Entry() is the one unguarded escape hatch, for big-lock handlers that
 // mutate a slot's flags in place (fcntl FD_CLOEXEC); callers must be the
-// owning thread or hold the kernel big lock.
+// owning process or hold the kernel big lock.
 class FdTable {
  public:
   FdTable() = default;
@@ -102,7 +102,7 @@ class FdTable {
     return slots_[fd].file;
   }
 
-  // Unguarded raw slot access — owning thread or big lock only (see above).
+  // Unguarded raw slot access — owning process or big lock only (see above).
   FdEntry* Entry(int fd) {
     if (fd < 0 || fd >= kMaxFilesPerProcess) {
       return nullptr;

@@ -133,7 +133,7 @@ PipeBacking::~PipeBacking() {
   } else {
     pipe_->readers -= 1;
   }
-  pipe_->chan.notify_all();
+  pipe_->chan.Wakeup();
 }
 
 SyscallStatus PipeBacking::Read(Kernel& /*k*/, Process& p, OpenFile& f, char* buf, int64_t count,
@@ -142,7 +142,7 @@ SyscallStatus PipeBacking::Read(Kernel& /*k*/, Process& p, OpenFile& f, char* bu
     if (pipe_->BytesBuffered() > 0) {
       const int64_t n = pipe_->ReadSome(buf, count);
       rv->rv[0] = n;
-      pipe_->chan.notify_all();
+      pipe_->chan.Wakeup();
       return static_cast<SyscallStatus>(n);
     }
     if (pipe_->writers == 0) {
@@ -167,7 +167,7 @@ SyscallStatus PipeBacking::Write(Kernel& k, Process& p, OpenFile& f, const char*
     const int64_t n = pipe_->WriteSome(buf + total, count - total);
     if (n > 0) {
       total += n;
-      pipe_->chan.notify_all();
+      pipe_->chan.Wakeup();
     }
     if (total == count) {
       rv->rv[0] = total;

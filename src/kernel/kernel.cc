@@ -88,9 +88,10 @@ Process& Kernel::CreateProcessLocked(Pid ppid) {
   return *proc;
 }
 
-void Kernel::StartProcessThreadLocked(const ProcessRef& proc) {
+void Kernel::StartProcessLocked(const ProcessRef& proc, FiberHost* host) {
   proc->state = ProcState::kRunning;
-  threads_[proc->pid] = std::thread([proc] { proc->context->RunToCompletion(); });
+  proc->host = host;
+  proc->fiber = host->Add([proc] { proc->context->RunToCompletion(); });
 }
 
 Pid Kernel::Spawn(const SpawnOptions& options) {
@@ -140,7 +141,10 @@ Pid Kernel::Spawn(const SpawnOptions& options) {
     proc.pending_exec = std::move(pending);
   }
 
-  StartProcessThreadLocked(table_[proc.pid]);
+  auto host = std::make_unique<FiberHost>();
+  StartProcessLocked(table_[proc.pid], host.get());
+  host->Start();
+  hosts_.push_back(std::move(host));
   return proc.pid;
 }
 
@@ -159,17 +163,23 @@ int Kernel::ReapLocked(Pid pid, Lock& lk, Rusage* child_usage) {
     std::lock_guard<std::mutex> pm(proc->mu);
     *child_usage = proc->rusage;
   }
-  std::thread thread;
-  auto tit = threads_.find(pid);
-  if (tit != threads_.end()) {
-    thread = std::move(tit->second);
-    threads_.erase(tit);
-  }
+  FiberHost* host = proc->host;
   table_.erase(pid);
-  lk.unlock();
-  if (thread.joinable()) {
-    thread.join();
+  for (const auto& [other_pid, other] : table_) {
+    if (other->host == host) {
+      return status;  // the host still runs (or will reap) others
+    }
   }
+  // The last process of its tree: its fiber finishes without blocking, and
+  // then the host thread ends. Only a host thread gets here, as a fiber
+  // reaps only its own children, which share its host.
+  auto it = std::find_if(hosts_.begin(), hosts_.end(),
+                         [host](const std::unique_ptr<FiberHost>& h) { return h.get() == host; });
+  std::unique_ptr<FiberHost> finished = std::move(*it);
+  hosts_.erase(it);
+  lk.unlock();
+  finished->Join();
+  finished.reset();
   lk.lock();
   return status;
 }
@@ -285,7 +295,7 @@ void Kernel::PostSignalLocked(Process& target, int signo) {
     target.rusage.ru_nsignals += 1;
   }
   if (target.wchan != nullptr) {
-    target.wchan->notify_all();
+    target.wchan->Wake(target.fiber);  // the target alone, not its co-sleepers
   }
 }
 
@@ -309,7 +319,7 @@ int Kernel::KillOneLocked(Process& sender, Process& target, int signo) {
 }
 
 int Kernel::TakeDeliverableSignal(Process& proc) {
-  // Called on proc's own thread at every syscall boundary: the lock-free
+  // Called by proc itself at every syscall boundary: the lock-free
   // early-out keeps the fast paths from queueing on mu_ when (as almost
   // always) nothing is pending.
   if (proc.sig_pending.load(std::memory_order_acquire) == 0) {
@@ -393,7 +403,10 @@ void Kernel::StopSelf(Process& proc) {
 void Kernel::ConsumeCpu(Process& proc, int64_t micros) {
   // No big lock: the clock and fs "now" are atomic, utime takes the leaf lock.
   clock_.Advance(micros);
-  fs_.set_now(clock_.Now() / 1000000);
+  const int64_t second = clock_.Now() / 1000000;
+  if (fs_.now() != second) {
+    fs_.set_now(second);
+  }
   {
     std::lock_guard<std::mutex> pm(proc.mu);
     AddMicros(&proc.rusage.ru_utime, micros);
@@ -459,7 +472,11 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
   }
   clock_.Advance(cost);
   int64_t last = clock_.Now();
-  fs_.set_now(last / 1000000);
+  // The filesystem clock is one word every client shares: store it only when
+  // the second changes, so most batches only read its cache line.
+  if (fs_.now() != last / 1000000) {
+    fs_.set_now(last / 1000000);
+  }
   int64_t seq = 0;  // entry i is the process's call number seq + i + 1
   {
     std::lock_guard<std::mutex> pm(proc.mu);
@@ -1764,7 +1781,7 @@ SyscallStatus Kernel::SysFork(Process& p, const SyscallArgs& /*a*/, SyscallResul
   child.pending_exec.path = p.image_path;
   child.pending_exec.valid = true;
 
-  StartProcessThreadLocked(table_[child.pid]);
+  StartProcessLocked(table_[child.pid], p.host);  // runs once the parent sleeps or yields
 
   rv->rv[0] = child.pid;
   rv->rv[1] = 0;  // parent side; 4.3BSD sets rv[1]=1 in the child

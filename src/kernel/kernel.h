@@ -1,11 +1,12 @@
 // The simulated 4.3BSD kernel.
 //
-// Each simulated process runs on a host thread and enters the kernel through
-// one dispatch core, DoSyscallBatch(); DoSyscall() is its count-1 case. The
-// core pays the prologue once per batch (clock advance, filesystem "now",
-// rusage, stat shard), consults the fault plan per entry, picks a lane per
-// entry from its number alone (LaneOf), and per completed entry delivers the
-// ktrace record and tallies the stats epilogue.
+// Each simulated process runs as a fiber on its root's host thread (fiber.h)
+// and enters the kernel through one dispatch core, DoSyscallBatch();
+// DoSyscall() is its count-1 case. The core pays the prologue once per batch
+// (clock advance, filesystem "now", rusage, stat shard), consults the fault
+// plan per entry, picks a lane per entry from its number alone (LaneOf), and
+// per completed entry delivers the ktrace record and tallies the stats
+// epilogue.
 // Kernel-mode execution is serialized at three granularities, one per lane:
 //
 //   * the big lock (mu_) still owns all cross-process state — the process
@@ -39,7 +40,10 @@
 // finish under the shared hold), and {nothing, the tree lock held shared,
 // or mu_ -> tree lock} -> the FaultInjector's mutex (entries consult the plan
 // inside a window's hold; the disk-budget clamp runs inside a write handler).
-// Nothing acquires mu_ while holding any of the others.
+// Nothing acquires mu_ while holding any of the others. A FiberHost's own
+// mutex (its run queue) is a leaf, taken under mu_ by wakeups. Fibers of one
+// host share its thread, so mu_ is the only lock held across a sleep (Sleep
+// drops it before switching), and no lock is held across a Yield.
 //
 // Observing a path does not change it: a fault plan or a ktrace sink changes
 // no lane and no prologue. Fault decisions are keyed on (pid, per-process
@@ -57,7 +61,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -121,13 +124,17 @@ class Kernel {
                       Mode mode = 0755);
 
   // --- host-side process control -----------------------------------------------
+  // Starts a root process on a new host thread; every process it forks runs
+  // as a fiber on that same thread (fiber.h).
   Pid Spawn(const SpawnOptions& options);
 
   // Blocks the *host* until `pid` (a host-spawned process) exits; reaps it.
-  // Returns the wait-status or negative errno.
+  // Returns the wait-status or negative errno. Called from a process body,
+  // it would block that process's whole host thread.
   int HostWaitPid(Pid pid);
 
-  // Kills everything and joins all threads. Idempotent; called by the destructor.
+  // Kills everything and joins every host thread. Idempotent; called by the
+  // destructor.
   void Shutdown();
 
   // --- the trap ------------------------------------------------------------------
@@ -405,21 +412,27 @@ class Kernel {
   void PostSignalLocked(Process& target, int signo);
   int KillOneLocked(Process& sender, Process& target, int signo);
 
-  // Reaps `pid` (zombie): joins its thread with the lock dropped. Returns status.
+  // Reaps `pid` (zombie). When it was the last table entry on its host
+  // thread, joins that thread with the lock dropped. Returns status.
   int ReapLocked(Pid pid, Lock& lk, Rusage* child_usage);
   void ReapHostOrphansLocked(Lock& lk);
 
   ProcessRef FindLocked(Pid pid);
 
   Process& CreateProcessLocked(Pid ppid);
-  void StartProcessThreadLocked(const ProcessRef& proc);
+  // Starts `proc` as a fiber on `host`: a new root's host, or the forking
+  // parent's.
+  void StartProcessLocked(const ProcessRef& proc, FiberHost* host);
 
   int ResolveExecutableLocked(Process& p, const std::string& path, PendingExec* out);
 
   std::mutex mu_;
   std::condition_variable cv_;  // host threads wait here for exits they reap
   std::map<Pid, ProcessRef> table_;
-  std::map<Pid, std::thread> threads_;
+  // One host thread per host-spawned root, running that root's process tree
+  // as fibers. A host leaves here, and is joined, when the last table entry
+  // placed on it is reaped.
+  std::vector<std::unique_ptr<FiberHost>> hosts_;
   Pid next_pid_ = 1;
   bool shutting_down_ = false;
 

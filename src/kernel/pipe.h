@@ -6,10 +6,10 @@
 #define SRC_KERNEL_PIPE_H_
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 
+#include "src/kernel/fiber.h"
 #include "src/kernel/types.h"
 
 namespace ia {
@@ -77,7 +77,7 @@ class Pipe {
 
   int readers = 0;  // open read ends (struct-file granularity)
   int writers = 0;  // open write ends
-  std::condition_variable chan;
+  WaitChannel chan;
 
   int64_t total_written() const { return total_written_; }
 

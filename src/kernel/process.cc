@@ -6,7 +6,7 @@ namespace ia {
 
 Process::~Process() = default;
 
-SyscallStatus Sleep(Process& p, std::condition_variable& chan, KernelLock& lk, SleepMode mode) {
+SyscallStatus Sleep(Process& p, WaitChannel& chan, KernelLock& lk, SleepMode mode) {
   if (mode == SleepMode::kNonblock) {
     return -kEWouldblock;
   }
@@ -14,7 +14,10 @@ SyscallStatus Sleep(Process& p, std::condition_variable& chan, KernelLock& lk, S
     return -kEIntr;
   }
   p.wchan = &chan;
-  chan.wait(lk);
+  chan.Add(p.fiber);
+  lk.unlock();
+  FiberHost::Suspend();  // a wakeup has queued us, and the host resumed us
+  lk.lock();
   p.wchan = nullptr;
   return 0;
 }

@@ -1,17 +1,19 @@
 // Process objects for the simulated 4.3BSD kernel.
 //
-// Each live process runs on a dedicated host thread. Cross-process kernel work
+// Each live process runs as a fiber on the host thread of the root it
+// descends from (fiber.h): Kernel::Spawn starts a host thread per root, and
+// fork(2) places the child on its parent's thread. Cross-process kernel work
 // (the process table, wait/signal delivery, pipes, blocking sleeps) is still
 // serialized by the kernel big lock, but syscalls flagged kPerProcess in
 // syscalls.def dispatch without it, so each Process carries its own locking
 // story. Fields fall into four classes, annotated below:
 //
-//   [owner]      touched only by the owning process's thread (plus the parent
-//                before the thread starts, and the kernel after it joins) —
+//   [owner]      touched only by the owning process's fiber (plus the parent
+//                before the fiber starts, and the kernel after it finishes) —
 //                no locking needed;
 //   [proc-mu]    touched by the owner without the big lock AND by other
-//                threads (signal posting, wait4 reaping, cross-process kill/
-//                setpgrp checks) — guarded by Process::mu;
+//                processes or host threads (signal posting, wait4 reaping,
+//                cross-process kill/setpgrp checks) — guarded by Process::mu;
 //   [atomic]     single words with the same cross-thread exposure, kept as
 //                relaxed atomics instead of taking mu for one load;
 //   [big-lock]   only ever touched under the kernel big lock.
@@ -23,17 +25,16 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/kernel/cred.h"
 #include "src/kernel/emulation.h"
 #include "src/kernel/fdtable.h"
+#include "src/kernel/fiber.h"
 #include "src/kernel/programs.h"
 #include "src/kernel/ring.h"
 #include "src/kernel/types.h"
@@ -43,7 +44,7 @@ namespace ia {
 class ProcessContext;
 
 enum class ProcState {
-  kEmbryo,   // created, thread not yet running user code
+  kEmbryo,   // created, fiber not yet started
   kRunning,  // executing (or blocked in a syscall)
   kStopped,  // stopped by SIGSTOP/SIGTSTP, waiting for SIGCONT
   kZombie,   // exited, awaiting wait4() by the parent
@@ -94,9 +95,10 @@ class Process {
   // --- state ------------------------------------------------------------------
   ProcState state = ProcState::kEmbryo;  // [big-lock]
   // wait4, sigpause and the stopped state sleep on `chan`; `wchan` is the
-  // channel the process sleeps on now, or null, for signal posts. [big-lock]
-  std::condition_variable chan;
-  std::condition_variable* wchan = nullptr;
+  // channel the process last went to sleep on, or null once it resumed, for
+  // signal posts. [big-lock]
+  WaitChannel chan;
+  WaitChannel* wchan = nullptr;
   int exit_status = 0;                   // [big-lock] wait4 encoding, valid when kZombie
   bool sigcont_pending = false;          // [big-lock]
   bool host_owned = false;               // [big-lock] spawned (and reaped) by the host harness
@@ -139,12 +141,12 @@ class Process {
 
   // --- signals ----------------------------------------------------------------------
   // actions and sig_mask are [owner]: sigvec/sigblock/sigsetmask mutate them on
-  // the owning thread (kPerProcess fast path), and every reader — delivery at
-  // the owner's syscall boundary, the owner's blocking-sleep predicates — runs
-  // on that same thread. Signal *posting* from other processes touches only
-  // sig_pending, which is atomic so the owner's boundary check and the fast
-  // paths can test it without any lock (kill(2) posts it under the big lock
-  // and wakes `wchan`).
+  // the owning process (kPerProcess fast path), and every reader — delivery
+  // at the owner's syscall boundary, the owner's blocking-sleep predicates —
+  // runs in that same process. Signal *posting* from other processes touches
+  // only sig_pending, which is atomic so the owner's boundary check and the
+  // fast paths can test it without any lock (kill(2) posts it under the big
+  // lock and wakes `wchan`).
   std::array<SignalAction, kNumSignals> actions;
   std::atomic<uint32_t> sig_pending{0};  // [atomic]
   uint32_t sig_mask = 0;                 // [owner]
@@ -165,25 +167,28 @@ class Process {
   // and dropped by a successful exec (it belongs to the image). The ring is
   // single-producer/single-consumer (ring.h): the owner drains and reaps, and
   // at most one thread submits. The pointer is [owner]: installed by the
-  // owning thread before a sibling submitter is handed a reference, and reset
+  // owning process before a sibling submitter is handed a reference, and reset
   // only after that submitter is joined.
   std::unique_ptr<SyscallRing> ring;
 
   // Scratch for the fault plane's readv/writev short-transfer clamp: the
   // clamped iovec prefix must outlive the dispatch, and the caller's vector
-  // is const. [owner] (only the owning thread dispatches its calls).
+  // is const. [owner] (only the owning process dispatches its calls).
   std::array<IoVec, kMaxIoVecs> iov_fault_scratch;
 
   // --- host-side execution -----------------------------------------------------------
   std::unique_ptr<ProcessContext> context;
-  std::thread thread;
+  // The host thread this process runs on, and its fiber (valid while the
+  // process is not a zombie). [big-lock]
+  FiberHost* host = nullptr;
+  Fiber* fiber = nullptr;
 
   bool HasPendingSignal(int signo) const {
     return (sig_pending.load(std::memory_order_acquire) & SigMask(signo)) != 0;
   }
 
   // A signal that would be acted upon if we hit a delivery point now: pending,
-  // unblocked, and not effectively ignored. Called on the owning thread only
+  // unblocked, and not effectively ignored. Called by the owning process only
   // (sig_mask/actions are [owner]); the pending word is an acquire load so a
   // cross-thread post is seen promptly.
   bool HasDeliverableSignal() const {
@@ -226,9 +231,11 @@ inline SleepMode SleepModeOf(const OpenFile& f) {
 
 // The one way a process blocks, 4.3BSD's sleep(chan), with `lk` holding the
 // big lock that every waker of `chan` holds too. Returns -kEWouldblock or
-// -kEIntr as `mode` says, or 0 after one wakeup (recorded in p.wchan while
-// asleep); the caller re-tests its condition and holds `chan`'s owner.
-SyscallStatus Sleep(Process& p, std::condition_variable& chan, KernelLock& lk,
+// -kEIntr as `mode` says, or 0 after one wakeup; the caller re-tests its
+// condition and holds `chan`'s owner. Asleep, the process is on `chan`'s
+// list (and in p.wchan) with the big lock dropped, and its host thread runs
+// its other fibers. The big lock is the only lock a caller may hold here.
+SyscallStatus Sleep(Process& p, WaitChannel& chan, KernelLock& lk,
                     SleepMode mode = SleepMode::kInterruptible);
 
 }  // namespace ia

@@ -11,9 +11,8 @@
 // once per run instead of once per call.
 //
 // Threading: single-producer/single-consumer, like the paper's one caller
-// per process. One thread submits (the owning process thread, or one sibling
-// host thread it hands the ring to); the owning process thread drains and
-// reaps. Each index has one writer and is published with a release store that
+// per process. One thread submits (the owning process, or one sibling host
+// thread it hands the ring to); the owning process drains and reaps. Each index has one writer and is published with a release store that
 // the other side reads with acquire — no read-modify-write anywhere.
 //
 // Capacity: every submission produces exactly one completion, so the number
@@ -75,12 +74,12 @@ class SyscallRing {
   // The count-1 batch: false when the ring is full (capacity() in flight).
   bool Submit(const SyscallRequest& req);
 
-  // --- drain side (the owning process thread) ---------------------------------
+  // --- drain side (the owning process) ----------------------------------------
   bool PopRequest(SyscallRequest* out);
   // Never fails: Submit admitted the entry only with completion room.
   void PushCompletion(const SyscallCompletion& comp);
 
-  // --- reap side (the owning process thread) ----------------------------------
+  // --- reap side (the owning process) -----------------------------------------
   uint32_t ReapBatch(SyscallCompletion* out, uint32_t max);
   // The count-1 batch.
   bool Reap(SyscallCompletion* out);

@@ -62,7 +62,7 @@ void FillSockAddr(const std::string& path, SockAddr* addr, int* addrlen) {
 void DetachPeer(Socket& s) {
   if (s.peer != nullptr) {
     s.peer->peer_closed = true;
-    s.peer->chan.notify_all();
+    s.peer->chan.Wakeup();
     s.peer->peer.reset();
     s.peer.reset();
   }
@@ -114,7 +114,7 @@ SyscallStatus SocketBacking::Read(Kernel& /*k*/, Process& p, OpenFile& f, char* 
       const int64_t n = s.recv.ReadSome(buf, count);
       rv->rv[0] = n;
       if (s.peer != nullptr) {
-        s.peer->chan.notify_all();  // the peer's send may be waiting for room
+        s.peer->chan.Wakeup();  // the peer's send may be waiting for room
       }
       return static_cast<SyscallStatus>(n);
     }
@@ -152,7 +152,7 @@ SyscallStatus SocketBacking::Write(Kernel& k, Process& p, OpenFile& f, const cha
     const int64_t n = s.peer->recv.WriteSome(buf + total, count - total);
     if (n > 0) {
       total += n;
-      s.peer->chan.notify_all();
+      s.peer->chan.Wakeup();
     }
     if (total == count) {
       rv->rv[0] = total;
@@ -320,7 +320,7 @@ SyscallStatus Kernel::SysConnect(Process& p, const SyscallArgs& a, SyscallResult
   sock->peer = server_end;
   sock->state = Socket::State::kConnected;
   listener->pending.push_back(std::move(server_end));
-  listener->chan.notify_all();
+  listener->chan.Wakeup();
   return 0;
 }
 
@@ -548,9 +548,9 @@ SyscallStatus Kernel::SysShutdown(Process& p, const SyscallArgs& a, SyscallResul
   if (how == kShutWr || how == kShutRdWr) {
     sock->shut_wr = true;
   }
-  sock->chan.notify_all();  // either bit ends sleeps on both ends
+  sock->chan.Wakeup();  // either bit ends sleeps on both ends
   if (sock->peer != nullptr) {
-    sock->peer->chan.notify_all();
+    sock->peer->chan.Wakeup();
   }
   return 0;
 }

@@ -12,12 +12,12 @@
 #ifndef SRC_KERNEL_SOCKET_H_
 #define SRC_KERNEL_SOCKET_H_
 
-#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <string>
 
 #include "src/kernel/fdtable.h"
+#include "src/kernel/fiber.h"
 #include "src/kernel/file_backing.h"
 #include "src/kernel/pipe.h"
 #include "src/kernel/types.h"
@@ -62,7 +62,7 @@ class Socket {
   InodeRef bound_inode;
 
   // recv, send and accept on this endpoint sleep here (DESIGN.md §13).
-  std::condition_variable chan;
+  WaitChannel chan;
 
   // The descriptor-object close event (big lock held): detaches the peer in
   // both directions, orphans pending connections, and unhooks the bound VFS

@@ -156,7 +156,8 @@ int Filesystem::Namei(const NameiEnv& env, std::string_view path, NameiOp op, bo
   // stay alive for the whole walk — the caller owns `path`, and symlink
   // inodes stay linked into the tree, which no one can mutate mid-call
   // (the walker holds the tree lock at least shared for the whole call).
-  // thread_local because walks now run concurrently on many process threads.
+  // thread_local because walks run concurrently on many host threads; a walk
+  // never sleeps, so fibers sharing a thread never interleave inside one.
   thread_local std::vector<std::string_view> namei_comps;
   std::vector<std::string_view>& comps = namei_comps;
   comps.clear();

@@ -465,7 +465,7 @@ TEST(SocketStress, AcceptVersusClientCloseRaces) {
           c.Close(fd);
           --i;  // backlog momentarily full: redial
           c.Compute(50);
-          std::this_thread::yield();  // give the accepting thread host cycles
+          c.Yield();  // the accepting parent shares this host thread
           continue;
         }
         if (err != 0) {
@@ -563,9 +563,9 @@ TEST(SocketStress, PathnameRendezvousUnderVfsChurn) {
             return 1;
           }
           // Compute only advances the virtual clock; the yield hands real host
-          // cycles to the server thread racing to bind and accept.
+          // cycles to the server racing to bind and accept.
           ctx.Compute(100);
-          std::this_thread::yield();
+          ctx.Yield();
         }
         if (fd < 0) {
           return 2;

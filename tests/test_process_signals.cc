@@ -272,13 +272,15 @@ TEST(Signals, EintrOnBlockedRead) {
               // short of read() when a finite barrage ends — the coalesced
               // pending bit is then consumed at a pre-read boundary and the
               // read blocks forever. The parent's SIGKILL ends the loop (kill
-              // is a delivery point for the child's own pending signals).
+              // is a delivery point for the child's own pending signals). The
+              // child yields each round: it shares the parent's host thread.
               const Pid child = ctx.Fork([parent](ProcessContext& c) -> int {
                 for (;;) {
                   c.Compute(200);
                   if (c.Kill(parent, kSigUsr1) < 0) {
                     break;
                   }
+                  c.Yield();
                 }
                 return 0;
               });

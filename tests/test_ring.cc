@@ -695,7 +695,7 @@ TEST(RingStress, SiblingSubmitterWhileOwnerDrains) {
         }
         ++reaped;
       }
-      std::this_thread::yield();
+      ctx.Yield();
     }
     submitter.join();
     return bad == 0 ? 0 : 1;

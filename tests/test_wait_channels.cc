@@ -31,10 +31,11 @@ struct Probe {
   }
 
   // Waker side: returns once the sleeper has had ample time to fall asleep,
-  // so the wakeup under test happens during the sleep, not before it.
-  void AwaitSleeper() const {
+  // so the wakeup under test happens during the sleep, not before it. The
+  // sleeper shares the waker's host thread, so the waker yields to it.
+  void AwaitSleeper(ProcessContext& ctx) const {
     while (!entered) {
-      std::this_thread::yield();
+      ctx.Yield();
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
@@ -53,12 +54,12 @@ struct Probe {
 };
 
 // Keeps a waker alive, its descriptors open, until Shutdown's SIGKILL. It
-// makes no system call, so no later call of the waker's can stand in for the
-// wakeup under test; Compute is a signal-delivery point.
+// blocks in sigpause, which touches no object a sleeper waits on, so no
+// later call of the waker's can stand in for the wakeup under test; and it
+// leaves its host thread to the sleeper, which shares it.
 int StayAlive(ProcessContext& ctx) {
   for (;;) {
-    ctx.Compute(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ctx.Sigpause(0);
   }
 }
 
@@ -95,7 +96,7 @@ TEST(WaitChannels, PipeReaderWokenByLastWriterClose) {
       return 0;
     });
     ctx.Close(fds[0]);
-    probe->AwaitSleeper();
+    probe->AwaitSleeper(ctx);
     ctx.Close(fds[1]);  // the last write end: EOF
     return StayAlive(ctx);
   });
@@ -124,7 +125,7 @@ TEST(WaitChannels, FullPipeWriterWokenByLastReaderClose) {
       return 0;
     });
     ctx.Close(fds[1]);
-    probe->AwaitSleeper();
+    probe->AwaitSleeper(ctx);
     ctx.Close(fds[0]);  // the last read end: EPIPE and SIGPIPE
     return StayAlive(ctx);
   });
@@ -147,7 +148,7 @@ TEST(WaitChannels, SocketReaderWokenByPeerClose) {
       return 0;
     });
     ctx.Close(sv[0]);
-    probe->AwaitSleeper();
+    probe->AwaitSleeper(ctx);
     ctx.Close(sv[1]);  // the peer endpoint closes: EOF
     return StayAlive(ctx);
   });
@@ -169,7 +170,7 @@ TEST(WaitChannels, SocketReaderWokenByPeerShutdown) {
       return 0;
     });
     ctx.Close(sv[0]);
-    probe->AwaitSleeper();
+    probe->AwaitSleeper(ctx);
     ctx.Shutdown(sv[1], kShutWr);  // EOF, with the peer still open
     return StayAlive(ctx);
   });
@@ -191,7 +192,7 @@ TEST(WaitChannels, AcceptWokenByConnect) {
       probe->Finish(c.Accept(listener));
       return 0;
     });
-    probe->AwaitSleeper();
+    probe->AwaitSleeper(ctx);
     const int client = ctx.Socket(kAfUnix, kSockStream, 0);
     if (ctx.ConnectUnix(client, "/tmp/wchan.sock") != 0) {
       probe->Finish(-2000);
@@ -207,8 +208,8 @@ TEST(WaitChannels, Wait4WokenByChildExitWhileSiblingRuns) {
   auto kernel = MakeWorld();
   SpawnRoot(*kernel, [probe](ProcessContext& ctx) {
     ctx.Fork([](ProcessContext& c) { return StayAlive(c); });  // never exits
-    const Pid exiting = ctx.Fork([probe](ProcessContext&) {
-      probe->AwaitSleeper();
+    const Pid exiting = ctx.Fork([probe](ProcessContext& c) {
+      probe->AwaitSleeper(c);
       return 7;
     });
     int status = 0;
@@ -231,7 +232,7 @@ TEST(WaitChannels, SigpauseWokenByKill) {
       probe->Finish(c.Sigpause(0));
       return 0;
     });
-    probe->AwaitSleeper();
+    probe->AwaitSleeper(ctx);
     ctx.Kill(sleeper, kSigUsr1);
     return StayAlive(ctx);
   });
