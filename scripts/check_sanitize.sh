@@ -38,13 +38,16 @@ case "$MODE" in
     # do WaitChannels.* (each sleeper class against its waker; the racing
     # case runs every sleeper against its waker with no host sleep, many
     # rounds) and Fibers.* (fork/exec/wait4 trees switching fibers on one
-    # host thread, two roots on two, and Yield). World sizes self-cap under
+    # host thread, two roots on two, and Yield), and ProcessOwnership.* (two
+    # roots on two host threads across the only cross-process edges, the big
+    # lock and single-word atomics: a cred writer off the big lock or a
+    # signal counted at its post is a race). World sizes self-cap under
     # TSan (the tests read __has_feature(thread_sanitizer) via
     # IA_TEST_UNDER_TSAN), so this stays fast even with the instrumentation
     # slowdown.
     TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
       "$BUILD_DIR"/tests/ia_tests \
-      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*' \
+      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*' \
       --gtest_repeat=3
 
     # The socket plane is the newest blocking subsystem: channel sleeps under

@@ -80,20 +80,24 @@ size_t BatchClient::Flush() {
   completions_.reserve(queued_.size());
   SyscallRing& ring = ctx_.Ring(ring_entries_);
   size_t submitted = 0;
-  SyscallCompletion comps[64];
+  size_t reaped = 0;
   while (submitted < queued_.size()) {
     const uint32_t accepted = ring.SubmitBatch(
         queued_.data() + submitted, static_cast<uint32_t>(queued_.size() - submitted));
     submitted += accepted;
     ctx_.DrainRing();
-    for (;;) {
-      const uint32_t reaped = ctx_.ReapBatch(comps, 64);
-      if (reaped == 0) {
+    // Reap straight into place: room for every submitted entry's completion.
+    completions_.resize(submitted);
+    while (reaped < submitted) {
+      const uint32_t n = ctx_.ReapBatch(completions_.data() + reaped,
+                                        static_cast<uint32_t>(submitted - reaped));
+      if (n == 0) {
         break;
       }
-      completions_.insert(completions_.end(), comps, comps + reaped);
+      reaped += n;
     }
-    if (accepted == 0 && completions_.size() < submitted) {
+    completions_.resize(reaped);
+    if (accepted == 0 && reaped < submitted) {
       break;  // ring wedged (drain stopped on pending exit/exec); bail out
     }
   }

@@ -275,15 +275,18 @@ int ProcessContext::DrainRing() {
     return 0;
   }
   SyscallRing& ring = *proc_->ring;
+  if (drain_run_ == nullptr) {
+    drain_run_ = std::make_unique<DrainRun>();
+  }
   int completed = 0;
   {
     DepthGuard guard(syscall_depth_);
     // Runs of consecutive kernel-lane entries accumulate here and flush
-    // through the kernel's dispatch core as one batch. kRunMax bounds both
-    // the stack footprint and the latency of exit/exec checks.
-    constexpr int kRunMax = 64;
-    SyscallRequest run[kRunMax];
-    SyscallCompletion comps[kRunMax];
+    // through the kernel's dispatch core as one batch. kRunMax bounds the
+    // latency of exit/exec checks.
+    constexpr int kRunMax = DrainRun::kRunMax;
+    SyscallRequest* const run = drain_run_->reqs;
+    SyscallCompletion* const comps = drain_run_->comps;
     int run_len = 0;
     bool stop = false;
     auto flush = [&]() {
@@ -300,22 +303,22 @@ int ProcessContext::DrainRing() {
         stop = true;  // stop claiming entries; the rest stay queued
       }
     };
-    SyscallRequest req;
-    while (!stop && ring.PopRequest(&req)) {
+    // Each entry is popped straight into the run's next slot.
+    while (!stop && ring.PopRequest(&run[run_len])) {
+      const int number = run[run_len].number;
       // Route amortization: with no emulation frames at all (the common
       // batch-client shape) skip the route lookup entirely; otherwise one
       // compiled-route consultation decides the lane.
       bool kernel_lane = false;
-      if (req.number >= 0 && req.number < kMaxSyscall) {
-        kernel_lane = proc_->emulation.Empty() ||
-                      proc_->emulation.RouteFor(req.number).hops.empty();
+      if (number >= 0 && number < kMaxSyscall) {
+        kernel_lane = proc_->emulation.Empty() || proc_->emulation.RouteFor(number).hops.empty();
       }
       if (kernel_lane) {
-        run[run_len++] = req;
+        ++run_len;
         // exit/exec end the run: the flush sees the pending state and stops
         // the drain before any later entry runs, as synchronous issue would.
-        if (run_len == kRunMax || req.number == kSysExit || req.number == kSysExecve ||
-            req.number == kSysExecv) {
+        if (run_len == kRunMax || number == kSysExit || number == kSysExecve ||
+            number == kSysExecv) {
           flush();
         }
         continue;
@@ -323,7 +326,9 @@ int ProcessContext::DrainRing() {
       // Agent-routed (or out-of-table) entry: flush the pending run so
       // completions keep submission order, then execute it through the
       // emulation stack exactly like a synchronous call (already claimed, so
-      // it completes even if the flush just set `stop`).
+      // it completes even if the flush just set `stop`). It leaves the run,
+      // which a nested drain may reuse.
+      const SyscallRequest req = run[run_len];
       flush();
       SyscallCompletion comp;
       comp.user_data = req.user_data;

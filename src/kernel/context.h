@@ -13,6 +13,7 @@
 #define SRC_KERNEL_CONTEXT_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -286,11 +287,24 @@ class ProcessContext {
   void ProcessBoundary();  // return-to-user-mode work: pending exec, signals
   [[noreturn]] void TerminateBySignal(int signo);
 
+  // DrainRing's run: up to kRunMax kernel-lane entries and their
+  // completions. Allocated on the first drain and reused: built on the stack,
+  // the run constructed (and zeroed) 7 KB of entries on every drain, which
+  // cost a 1-client batch its edge over per-call issue. Only this process
+  // drains its ring, and a nested drain (from an agent-routed entry) starts
+  // with the run empty.
+  struct DrainRun {
+    static constexpr int kRunMax = 64;
+    SyscallRequest reqs[kRunMax];
+    SyscallCompletion comps[kRunMax];
+  };
+
   Kernel* kernel_;
   Process* proc_;
   int syscall_depth_ = 0;
   int signal_depth_ = 0;
   ActiveFrameBudget* active_budget_ = nullptr;
+  std::unique_ptr<DrainRun> drain_run_;
 };
 
 }  // namespace ia

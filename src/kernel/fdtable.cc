@@ -32,27 +32,10 @@ OpenFileRef MakePipeEnd(std::shared_ptr<Pipe> pipe, bool write_end) {
   return file;
 }
 
-FdTable::FdTable(FdTable&& other) {
-  std::lock_guard<std::mutex> guard(other.mu_);
-  slots_ = std::move(other.slots_);
-}
-
-FdTable& FdTable::operator=(FdTable&& other) {
-  if (this != &other) {
-    // Replaced files destruct after both locks are released.
-    std::array<FdEntry, kMaxFilesPerProcess> replaced;
-    std::scoped_lock guard(mu_, other.mu_);
-    replaced = std::move(slots_);
-    slots_ = std::move(other.slots_);
-  }
-  return *this;
-}
-
 int FdTable::AllocateSlot(int from) {
   if (from < 0) {
     return -kEInval;
   }
-  std::lock_guard<std::mutex> guard(mu_);
   for (int fd = from; fd < kMaxFilesPerProcess; ++fd) {
     if (!slots_[fd].InUse()) {
       return fd;
@@ -62,69 +45,34 @@ int FdTable::AllocateSlot(int from) {
 }
 
 int FdTable::Close(int fd) {
-  // The dropped reference destructs after the leaf lock is released:
-  // ~OpenFile may release flock/pipe state owned by other locking domains.
-  OpenFileRef dropped;
-  std::lock_guard<std::mutex> guard(mu_);
-  if (!ValidLocked(fd)) {
+  if (!Valid(fd)) {
     return -kEBadf;
   }
-  dropped = std::move(slots_[fd].file);
-  slots_[fd].file.reset();
-  slots_[fd].close_on_exec = false;
+  slots_[fd] = FdEntry{};
   return 0;
 }
 
 int FdTable::Dup2(int from, int to) {
-  OpenFileRef dropped;
-  std::lock_guard<std::mutex> guard(mu_);
-  if (!ValidLocked(from) || to < 0 || to >= kMaxFilesPerProcess) {
+  if (!Valid(from) || to < 0 || to >= kMaxFilesPerProcess) {
     return -kEBadf;
   }
-  if (from == to) {
-    return to;
+  if (from != to) {
+    slots_[to] = FdEntry{slots_[from].file};
   }
-  dropped = std::move(slots_[to].file);
-  slots_[to].file = slots_[from].file;
-  slots_[to].close_on_exec = false;
   return to;
 }
 
 void FdTable::CloseOnExec() {
-  std::array<OpenFileRef, kMaxFilesPerProcess> dropped;
-  int dropped_count = 0;
-  std::lock_guard<std::mutex> guard(mu_);
   for (FdEntry& slot : slots_) {
-    if (slot.InUse() && slot.close_on_exec) {
-      dropped[static_cast<size_t>(dropped_count++)] = std::move(slot.file);
-      slot.file.reset();
-      slot.close_on_exec = false;
+    if (slot.close_on_exec) {
+      slot = FdEntry{};
     }
   }
 }
 
-void FdTable::CloseAll() {
-  std::array<OpenFileRef, kMaxFilesPerProcess> dropped;
-  int dropped_count = 0;
-  std::lock_guard<std::mutex> guard(mu_);
-  for (FdEntry& slot : slots_) {
-    if (slot.InUse()) {
-      dropped[static_cast<size_t>(dropped_count++)] = std::move(slot.file);
-    }
-    slot.file.reset();
-    slot.close_on_exec = false;
-  }
-}
-
-FdTable FdTable::Clone() const {
-  FdTable copy;
-  std::lock_guard<std::mutex> guard(mu_);
-  copy.slots_ = slots_;
-  return copy;
-}
+void FdTable::CloseAll() { slots_.fill(FdEntry{}); }
 
 int FdTable::OpenCount() const {
-  std::lock_guard<std::mutex> guard(mu_);
   int count = 0;
   for (const FdEntry& slot : slots_) {
     if (slot.InUse()) {

@@ -11,7 +11,6 @@
 #include <array>
 #include <atomic>
 #include <memory>
-#include <mutex>
 
 #include "src/kernel/file_backing.h"
 #include "src/kernel/pipe.h"
@@ -69,40 +68,28 @@ struct FdEntry {
   bool InUse() const { return file != nullptr; }
 };
 
-// The slot array carries its own internal leaf mutex (not Process::mu), so
-// fd-heavy ring batches submitted by a sibling thread don't serialize against
-// unrelated per-process accounting. The mutex is a true leaf: methods that
-// drop OpenFile references (Close/Dup2/CloseOnExec/CloseAll) move them out of
-// the slots under the lock and let them destruct after releasing it, because
-// ~OpenFile can touch pipe/flock state that belongs to other locking domains.
-// Entry() is the one unguarded escape hatch, for big-lock handlers that
-// mutate a slot's flags in place (fcntl FD_CLOEXEC); callers must be the
-// owning process or hold the kernel big lock.
+// A process's descriptor table. It is [owner] state (process.h): only the
+// owning process's fiber touches it, and its parent while forking it, so it
+// takes no lock. Dropping a slot's reference can run ~OpenFile, which
+// releases flock and pipe state; the callers that can drop a last such
+// reference hold the big lock (see ~OpenFile).
 class FdTable {
  public:
-  FdTable() = default;
-  // Movable (fork assigns the cloned table into the embryo child); the mutex
-  // stays with its table, only the slots transfer.
-  FdTable(FdTable&& other);
-  FdTable& operator=(FdTable&& other);
-
   // Returns the lowest free descriptor >= `from`, or -kEMfile.
   int AllocateSlot(int from = 0);
 
   bool Valid(int fd) const {
-    std::lock_guard<std::mutex> guard(mu_);
-    return ValidLocked(fd);
+    return fd >= 0 && fd < kMaxFilesPerProcess && slots_[fd].InUse();
   }
 
   OpenFileRef Get(int fd) const {
     if (fd < 0 || fd >= kMaxFilesPerProcess) {
       return nullptr;
     }
-    std::lock_guard<std::mutex> guard(mu_);
     return slots_[fd].file;
   }
 
-  // Unguarded raw slot access — owning process or big lock only (see above).
+  // Raw slot access, for fcntl's FD_CLOEXEC.
   FdEntry* Entry(int fd) {
     if (fd < 0 || fd >= kMaxFilesPerProcess) {
       return nullptr;
@@ -111,12 +98,7 @@ class FdTable {
   }
 
   void Set(int fd, OpenFileRef file, bool close_on_exec = false) {
-    OpenFileRef dropped;
-    std::lock_guard<std::mutex> guard(mu_);
-    dropped = std::move(slots_[fd].file);
-    slots_[fd].file = std::move(file);
-    slots_[fd].close_on_exec = close_on_exec;
-    // `dropped` outlives `guard`, so a replaced file destructs after unlock.
+    slots_[fd] = FdEntry{std::move(file), close_on_exec};
   }
 
   // Closes `fd`; returns 0 or -kEBadf.
@@ -131,16 +113,11 @@ class FdTable {
   void CloseAll();
 
   // fork(): child shares OpenFiles.
-  FdTable Clone() const;
+  FdTable Clone() const { return *this; }
 
   int OpenCount() const;
 
  private:
-  bool ValidLocked(int fd) const {
-    return fd >= 0 && fd < kMaxFilesPerProcess && slots_[fd].InUse();
-  }
-
-  mutable std::mutex mu_;
   std::array<FdEntry, kMaxFilesPerProcess> slots_;
 };
 

@@ -160,8 +160,7 @@ int Kernel::ReapLocked(Pid pid, Lock& lk, Rusage* child_usage) {
   }
   const int status = proc->exit_status;
   if (child_usage != nullptr) {
-    std::lock_guard<std::mutex> pm(proc->mu);
-    *child_usage = proc->rusage;
+    *child_usage = proc->rusage;  // complete before FinalizeExit took mu_
   }
   FiberHost* host = proc->host;
   table_.erase(pid);
@@ -290,25 +289,15 @@ void Kernel::PostSignalLocked(Process& target, int signo) {
     target.sig_pending &= ~SigMask(kSigCont);
   }
   target.sig_pending |= SigMask(signo);
-  {
-    std::lock_guard<std::mutex> pm(target.mu);
-    target.rusage.ru_nsignals += 1;
-  }
   if (target.wchan != nullptr) {
     target.wchan->Wake(target.fiber);  // the target alone, not its co-sleepers
   }
 }
 
 int Kernel::KillOneLocked(Process& sender, Process& target, int signo) {
-  bool permitted;
-  {
-    // sender is the calling thread (owner reads of its own cred are safe);
-    // target's cred belongs to another thread, so take its leaf lock.
-    std::lock_guard<std::mutex> pm(target.mu);
-    permitted = sender.cred.IsSuperuser() || sender.cred.ruid == target.cred.ruid ||
-                sender.cred.euid == target.cred.ruid;
-  }
-  if (!permitted) {
+  // target's cred is [big-lock]: its writers dispatch under mu_, held here.
+  if (!sender.cred.IsSuperuser() && sender.cred.ruid != target.cred.ruid &&
+      sender.cred.euid != target.cred.ruid) {
     return -kEPerm;
   }
   if (signo == 0) {
@@ -321,7 +310,8 @@ int Kernel::KillOneLocked(Process& sender, Process& target, int signo) {
 int Kernel::TakeDeliverableSignal(Process& proc) {
   // Called by proc itself at every syscall boundary: the lock-free
   // early-out keeps the fast paths from queueing on mu_ when (as almost
-  // always) nothing is pending.
+  // always) nothing is pending. A signal counts in ru_nsignals here, once
+  // per delivery (4.3BSD's psig), on the owner's fiber.
   if (proc.sig_pending.load(std::memory_order_acquire) == 0) {
     return 0;
   }
@@ -333,6 +323,7 @@ int Kernel::TakeDeliverableSignal(Process& proc) {
   }
   if ((candidates & SigMask(kSigKill)) != 0) {
     proc.sig_pending &= ~SigMask(kSigKill);
+    proc.rusage.ru_nsignals += 1;
     return kSigKill;
   }
   for (int signo = 1; signo < kNumSignals; ++signo) {
@@ -346,6 +337,7 @@ int Kernel::TakeDeliverableSignal(Process& proc) {
       continue;
     }
     proc.sig_pending &= ~SigMask(signo);
+    proc.rusage.ru_nsignals += 1;
     return signo;
   }
   return 0;
@@ -401,16 +393,13 @@ void Kernel::StopSelf(Process& proc) {
 }
 
 void Kernel::ConsumeCpu(Process& proc, int64_t micros) {
-  // No big lock: the clock and fs "now" are atomic, utime takes the leaf lock.
+  // No big lock: the clock and fs "now" are atomic, and rusage is [owner].
   clock_.Advance(micros);
   const int64_t second = clock_.Now() / 1000000;
   if (fs_.now() != second) {
     fs_.set_now(second);
   }
-  {
-    std::lock_guard<std::mutex> pm(proc.mu);
-    AddMicros(&proc.rusage.ru_utime, micros);
-  }
+  AddMicros(&proc.rusage.ru_utime, micros);
   if (compute_spin_scale_ > 0.0) {
     // Burn real CPU outside the big lock so wall-clock benchmarks see genuine
     // application work between system calls.
@@ -464,8 +453,7 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
 
   // Prologue, once for the whole batch: one clock advance for the entries'
   // summed virtual cost, one filesystem "now" refresh, one rusage update
-  // under the process leaf lock (the fields are shared with signal posting
-  // and wait4 reaping), one global-counter add.
+  // (rusage is [owner]: no lock), one global-counter add.
   int64_t cost = 0;
   for (int i = 0; i < count; ++i) {
     cost += SyscallCost(reqs[i].number);
@@ -477,13 +465,9 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
   if (fs_.now() != last / 1000000) {
     fs_.set_now(last / 1000000);
   }
-  int64_t seq = 0;  // entry i is the process's call number seq + i + 1
-  {
-    std::lock_guard<std::mutex> pm(proc.mu);
-    AddMicros(&proc.rusage.ru_stime, cost);
-    seq = proc.rusage.ru_nsyscalls;
-    proc.rusage.ru_nsyscalls += count;
-  }
+  AddMicros(&proc.rusage.ru_stime, cost);
+  const int64_t seq = proc.rusage.ru_nsyscalls;  // entry i is call number seq + i + 1
+  proc.rusage.ru_nsyscalls += count;
   shard.total_syscalls.fetch_add(count, std::memory_order_relaxed);
 
   // Per-number tallies collect in a compact distinct-number table (batches
@@ -865,7 +849,6 @@ SyscallStatus Kernel::ReadRegularLocked(Process& proc, OpenFile& file, char* buf
     std::memcpy(buf, inode->data.data() + off, static_cast<size_t>(n));
     file.offset.store(off + n, std::memory_order_relaxed);
     inode->atime.store(fs_.now(), std::memory_order_relaxed);
-    std::lock_guard<std::mutex> pm(proc.mu);
     proc.rusage.ru_inblock += (n + 4095) / 4096;
   }
   rv->rv[0] = n;
@@ -1200,10 +1183,7 @@ SyscallStatus Kernel::WriteRegularLocked(Process& p, OpenFile& file, const char*
   std::memcpy(inode->data.data() + off, buf, static_cast<size_t>(wcount));
   file.offset.store(end, std::memory_order_relaxed);
   inode->mtime = fs_.now();
-  {
-    std::lock_guard<std::mutex> pm(p.mu);
-    p.rusage.ru_oublock += (wcount + 4095) / 4096;
-  }
+  p.rusage.ru_oublock += (wcount + 4095) / 4096;
   rv->rv[0] = wcount;
   return static_cast<SyscallStatus>(wcount);
 }
@@ -1859,15 +1839,12 @@ int Kernel::ResolveExecutableLocked(Process& p, const std::string& path, Pending
   out->argv = std::move(argv);
   out->valid = true;
 
-  // setuid/setgid execution (cred writes take the leaf lock; see SysSetuid).
-  if ((file->mode_bits & (kSIsuid | kSIsgid)) != 0) {
-    std::lock_guard<std::mutex> pm(p.mu);
-    if ((file->mode_bits & kSIsuid) != 0) {
-      p.cred.euid = file->uid;
-    }
-    if ((file->mode_bits & kSIsgid) != 0) {
-      p.cred.egid = file->gid;
-    }
+  // setuid/setgid execution (cred is [big-lock]; exec runs under mu_).
+  if ((file->mode_bits & kSIsuid) != 0) {
+    p.cred.euid = file->uid;
+  }
+  if ((file->mode_bits & kSIsgid) != 0) {
+    p.cred.egid = file->gid;
   }
   return 0;
 }
@@ -2100,11 +2077,8 @@ SyscallStatus Kernel::SysSetpgrp(Process& p, const SyscallArgs& a, SyscallResult
   if (target == nullptr) {
     return -kESrch;
   }
-  {
-    std::lock_guard<std::mutex> pm(target->mu);
-    if (!p.cred.IsSuperuser() && target->cred.ruid != p.cred.ruid) {
-      return -kEPerm;
-    }
+  if (!p.cred.IsSuperuser() && target->cred.ruid != p.cred.ruid) {
+    return -kEPerm;
   }
   target->pgrp = pgrp;
   return 0;
@@ -2115,9 +2089,6 @@ SyscallStatus Kernel::SysSetuid(Process& p, const SyscallArgs& a, SyscallResult*
   if (!p.cred.IsSuperuser() && uid != p.cred.ruid) {
     return -kEPerm;
   }
-  // Owner-thread cred writes take the leaf lock so cross-thread readers
-  // (kill/setpgrp permission checks) see whole values.
-  std::lock_guard<std::mutex> pm(p.mu);
   p.cred.ruid = p.cred.euid = uid;
   return 0;
 }
@@ -2155,7 +2126,6 @@ SyscallStatus Kernel::SysSetgroups(Process& p, const SyscallArgs& a, SyscallResu
   if (ngroups > 0 && gidset == nullptr) {
     return -kEFault;
   }
-  std::lock_guard<std::mutex> pm(p.mu);
   p.cred.groups.assign(gidset, gidset + ngroups);
   return 0;
 }
@@ -2310,8 +2280,6 @@ SyscallStatus Kernel::SysGetrusage(Process& p, const SyscallArgs& a, SyscallResu
     return -kEFault;
   }
   if (who == kRusageSelf) {
-    // Signal posting and reaping touch rusage from other threads.
-    std::lock_guard<std::mutex> pm(p.mu);
     *usage = p.rusage;
     return 0;
   }

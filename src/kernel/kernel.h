@@ -18,8 +18,8 @@
 //     which is what excludes them from concurrent shared-mode readers;
 //   * syscalls flagged kPerProcess in syscalls.def (getpid/umask/sigblock/
 //     gettimeofday/getrusage/...) dispatch through DispatchUnlocked and never
-//     touch mu_ — they rely on Process::mu, per-field atomics, and the atomic
-//     VirtualClock;
+//     touch mu_ — they touch only the caller's [owner] fields (process.h),
+//     per-field atomics, and the atomic VirtualClock;
 //   * syscalls flagged kVfsRead (stat/access/readlink/open/read/lseek/fstat/
 //     close) are classified by ClassifyVfsRead into "run under the tree lock
 //     held shared" (see TreeMutex in vfs.h), "run unlocked", an immediate
@@ -33,9 +33,9 @@
 // SyscallRequest batches drained from a per-process submission/completion
 // ring (see ring.h). A batch pays the prologue once for all its entries.
 //
-// Lock order (outer to inner): mu_ -> tree lock -> name cache mutex, and
-// independently {mu_ or nothing} -> Process::mu and {mu_ or nothing, or the
-// tree lock held shared} -> FdTable's internal leaf mutex. Two more leaves:
+// Lock order (outer to inner): mu_ -> tree lock -> name cache mutex. A
+// process's own state (its descriptor table, rusage) takes no lock: it has
+// one owner, its fiber (process.h). Two more leaves:
 // {nothing, or the tree lock held shared} -> ktrace_mu_ (window entries
 // finish under the shared hold), and {nothing, the tree lock held shared,
 // or mu_ -> tree lock} -> the FaultInjector's mutex (entries consult the plan
@@ -250,8 +250,8 @@ class Kernel {
   NameiEnv EnvOf(Process& proc) const { return NameiEnv{proc.root, proc.cwd, &proc.cred}; }
 
   // Runs the row's handler with no big lock (an empty Lock): the kPerProcess
-  // lane (the handler touches only the calling process's state, Process::mu-
-  // guarded fields, and atomics) and the vfs-read lane's pure tree walks.
+  // lane (the handler touches only the calling process's [owner] state and
+  // atomics) and the vfs-read lane's pure tree walks.
   // `number` is already validated.
   SyscallStatus DispatchUnlocked(Process& proc, int number, const SyscallArgs& args,
                                  SyscallResult* rv);

@@ -3,23 +3,26 @@
 // Each live process runs as a fiber on the host thread of the root it
 // descends from (fiber.h): Kernel::Spawn starts a host thread per root, and
 // fork(2) places the child on its parent's thread. Cross-process kernel work
-// (the process table, wait/signal delivery, pipes, blocking sleeps) is still
+// (the process table, wait/signal delivery, pipes, blocking sleeps) is
 // serialized by the kernel big lock, but syscalls flagged kPerProcess in
-// syscalls.def dispatch without it, so each Process carries its own locking
-// story. Fields fall into four classes, annotated below:
+// syscalls.def dispatch without it. As in 4.3BSD, where the u. area takes no
+// lock and struct proc lives under the kernel, each field falls into one of
+// three classes, annotated below:
 //
 //   [owner]      touched only by the owning process's fiber (plus the parent
-//                before the fiber starts, and the kernel after it finishes) —
-//                no locking needed;
-//   [proc-mu]    touched by the owner without the big lock AND by other
-//                processes or host threads (signal posting, wait4 reaping,
-//                cross-process kill/setpgrp checks) — guarded by Process::mu;
-//   [atomic]     single words with the same cross-thread exposure, kept as
-//                relaxed atomics instead of taking mu for one load;
-//   [big-lock]   only ever touched under the kernel big lock.
+//                before the fiber starts, and the reaper once it is a
+//                zombie) — no locking needed;
+//   [atomic]     single words other processes touch too (reparenting,
+//                setpgrp, signal posting), kept as atomics;
+//   [big-lock]   written only under the kernel big lock; other processes
+//                read them only under it too.
 //
-// Lock order: kernel mu_ before Process::mu; Process::mu is a leaf (nothing
-// is acquired while holding it).
+// There is no fourth class: cross-process access goes through the big lock
+// or a single-word atomic. An [owner] field moves between host threads only
+// through a fiber switch, which the host's run-queue mutex orders (fiber.h),
+// so the rule does not depend on which host thread runs the fiber. A zombie's
+// [owner] fields are complete before FinalizeExit takes the big lock, and
+// its reaper holds that lock.
 #ifndef SRC_KERNEL_PROCESS_H_
 #define SRC_KERNEL_PROCESS_H_
 
@@ -27,7 +30,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -80,16 +82,12 @@ class Process {
   Process(Pid pid_in, Pid ppid_in) : pid(pid_in), ppid(ppid_in) {}
   ~Process();  // out of line: ProcessContext is incomplete here
 
-  // Guards the [proc-mu] fields. Leaf lock: acquired with or without the big
-  // lock held, never around another acquisition.
-  std::mutex mu;
-
   // --- identity ---------------------------------------------------------------
   const Pid pid;
   std::atomic<Pid> ppid;     // [atomic] exiting parents reparent us to 0
   std::atomic<Pid> pgrp{0};  // [atomic] setpgrp() targets other processes
-  Cred cred;                 // [proc-mu] for writes and cross-thread reads;
-                             // owner reads lock-free (owner is sole writer)
+  Cred cred;                 // [big-lock] for writes and cross-process reads
+                             // (kill/setpgrp); the owner reads it lock-free
   std::string login = "root";  // [owner]
 
   // --- state ------------------------------------------------------------------
@@ -106,16 +104,12 @@ class Process {
   int exit_wait_status = 0;              // [owner]
 
   // --- resources ----------------------------------------------------------------
-  // Slot array internally guarded by FdTable's own leaf mutex, so fd-heavy
-  // ring drains don't serialize on Process::mu (the OpenFiles inside are
-  // shared; see fdtable.h).
-  FdTable fds;
+  FdTable fds;             // [owner] (the OpenFiles inside are shared; see
+                           // fdtable.h)
   InodeRef cwd;            // [owner]
   InodeRef root;           // [owner]
   Mode umask_bits = 022;   // [owner]
-  Rusage rusage;           // [proc-mu] owner accounts syscalls without the big
-                           // lock; signal posting and wait4 reaping touch it
-                           // from other threads
+  Rusage rusage;           // [owner] signals count at delivery, not posting
   Rusage child_rusage;     // [owner] accumulated from reaped children
 
   // --- program image -------------------------------------------------------------

@@ -26,8 +26,9 @@ inline constexpr uint32_t kBlocking = 1u << 4;       // may sleep in the kernel
 inline constexpr uint32_t kFileRef = 1u << 5;        // in DFSTrace's file-reference set
 inline constexpr uint32_t kImplemented = 1u << 6;    // has a kernel handler + decode arm
 inline constexpr uint32_t kAlias = 1u << 7;          // shares another row's method/handler
-// Touches only the calling process's private state (or the monotonic clock):
-// the kernel dispatches these rows without taking the big lock. Incompatible
+// Touches only the calling process's [owner] state, its own [big-lock]
+// fields read-only, atomics, or the monotonic clock (process.h): the kernel
+// dispatches these rows without taking the big lock. Incompatible
 // with kBlocking (a sleep waits on a channel under mu_);
 // tests/test_concurrency.cc pins the disjointness.
 inline constexpr uint32_t kPerProcess = 1u << 8;

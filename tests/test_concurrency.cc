@@ -230,6 +230,85 @@ TEST(ConcurrencyStress, ForkExitStormVsStatsSnapshots) {
   EXPECT_EQ(summed, kernel->TotalSyscallCount());
 }
 
+// One owner per process (process.h): a process's [owner] fields take no
+// lock, so the only edges between two processes on two host threads are the
+// big lock and single-word atomics. Root A signals root B and moves B's
+// process group (kill and setpgrp read B's cred under the big lock; the post
+// sets B's pending word) while B rewrites its cred and reads its rusage. The
+// interleaving is what TSan inspects: a cred writer on the lock-free lane,
+// or a signal counted in B's rusage by A's post, is a reported race. Both
+// roots run as the same non-superuser, so the permission checks read B's
+// cred instead of short-circuiting on A's.
+TEST(ProcessOwnership, CrossProcessEdgesAcrossTwoHosts) {
+  auto kernel = test::MakeWorld();
+  constexpr int kRounds = IA_TEST_UNDER_TSAN ? 1500 : 4000;
+  constexpr Uid kUid = 100;
+  std::atomic<bool> b_ready{false};
+  std::atomic<bool> b_done{false};
+  std::atomic<bool> a_done{false};
+
+  SpawnOptions b_options;
+  b_options.uid = kUid;
+  b_options.gid = kUid;
+  b_options.body = [&b_ready, &b_done, &a_done](ProcessContext& ctx) {
+    int delivered = 0;
+    ctx.Sigvec(kSigUsr1, 2, [&delivered](ProcessContext&, int) { ++delivered; });
+    b_ready.store(true, std::memory_order_release);
+    const Gid groups[1] = {kUid};
+    Rusage ru;
+    int failures = 0;
+    for (int i = 0; i < kRounds; ++i) {
+      failures += ctx.Setuid(ctx.Getuid()) != 0 ? 1 : 0;
+      ctx.Setgroups(1, groups);  // EPERM for a non-superuser: still dispatched
+      failures += ctx.Getrusage(kRusageSelf, &ru) != 0 ? 1 : 0;
+      failures += ctx.Getuid() != kUid ? 1 : 0;
+    }
+    b_done.store(true, std::memory_order_release);
+    while (!a_done.load(std::memory_order_acquire)) {
+      // Stay alive (kill on a zombie is ESRCH) until A stops posting.
+    }
+    ctx.Getpid();  // delivers a signal still pending from A's last kill
+    // SIGUSR1 is the only signal B receives: each delivery is counted once.
+    if (ctx.Getrusage(kRusageSelf, &ru) != 0 || ru.ru_nsignals != delivered) {
+      return 2;
+    }
+    return failures == 0 ? 0 : 1;
+  };
+  const Pid b = kernel->Spawn(b_options);
+  ASSERT_GT(b, 0);
+
+  SpawnOptions a_options;
+  a_options.uid = kUid;
+  a_options.gid = kUid;
+  a_options.body = [b, &b_ready, &b_done, &a_done](ProcessContext& ctx) {
+    while (!b_ready.load(std::memory_order_acquire)) {
+      // B runs on its own host thread; nothing else runs on this one.
+    }
+    int failures = 0;
+    while (!b_done.load(std::memory_order_acquire)) {
+      failures += ctx.Kill(b, kSigUsr1) != 0 ? 1 : 0;
+      failures += ctx.Setpgrp(b, b) != 0 ? 1 : 0;
+    }
+    a_done.store(true, std::memory_order_release);
+    return failures == 0 ? 0 : 1;
+  };
+  const Pid a = kernel->Spawn(a_options);
+  ASSERT_GT(a, 0);
+
+  for (const Pid pid : {a, b}) {
+    const int status = kernel->HostWaitPid(pid);
+    ASSERT_TRUE(WifExited(status));
+    EXPECT_EQ(WExitStatus(status), 0) << "pid " << pid;
+  }
+}
+
+// The cred writers dispatch under the big lock: kill and setpgrp read another
+// process's cred under it, so a lock-free writer would race them.
+TEST(ProcessOwnership, CredWritersTakeTheBigLock) {
+  EXPECT_EQ(SyscallSpecOf(kSysSetuid).flags & kPerProcess, 0u);
+  EXPECT_EQ(SyscallSpecOf(kSysSetgroups).flags & kPerProcess, 0u);
+}
+
 // The contract behind kPerProcess: those rows must complete while another
 // process sleeps inside the kernel. Process A parks in wait4 (its child is
 // parked in sigpause); process B then runs a burst of kPerProcess calls to

@@ -671,6 +671,20 @@ TEST(Syscalls, Dup2ResultAlwaysHasCloseOnExecClear) {
   EXPECT_TRUE(fds.Valid(9));
 }
 
+TEST(Syscalls, FdTableCloseAllLeavesNothingOpen) {
+  FdTable fds;
+  for (int fd = 0; fd < 16; ++fd) {
+    fds.Set(fd, std::make_shared<OpenFile>(), /*close_on_exec=*/fd % 2 == 0);
+  }
+  EXPECT_EQ(fds.Dup2(3, 20), 20);
+  EXPECT_EQ(fds.OpenCount(), 17);
+  const FdTable clone = fds.Clone();
+  fds.CloseAll();
+  EXPECT_EQ(fds.OpenCount(), 0);
+  EXPECT_FALSE(fds.Valid(3));
+  EXPECT_EQ(clone.OpenCount(), 17);  // a fork's copy keeps its own slots
+}
+
 TEST(Syscalls, Dup2OntoOpenFdReleasesOldFile) {
   // Replacing a pipe's last write end via dup2 must release that end so
   // readers see EOF instead of blocking forever.

@@ -184,6 +184,29 @@ TEST(Signals, MaskBlocksUntilUnblocked) {
             0);
 }
 
+TEST(Signals, RusageCountsEachDeliveryOnce) {
+  // ru_nsignals counts deliveries, as 4.3BSD's psig() does: a signal posted
+  // twice while blocked is pending once, so it is delivered and counted once.
+  auto kernel = MakeWorld();
+  EXPECT_EQ(ExitCodeOf(*kernel, [](ProcessContext& ctx) {
+              int delivered = 0;
+              ctx.Sigvec(kSigUsr1, 2, [&delivered](ProcessContext&, int) { ++delivered; });
+              ctx.Sigblock(SigMask(kSigUsr1));
+              ctx.Kill(ctx.Getpid(), kSigUsr1);
+              ctx.Kill(ctx.Getpid(), kSigUsr1);
+              ctx.Sigsetmask(0);  // unblock; this call's boundary delivers
+              if (delivered != 1) {
+                return 1;
+              }
+              Rusage usage;
+              if (ctx.Getrusage(kRusageSelf, &usage) != 0) {
+                return 2;
+              }
+              return usage.ru_nsignals == 1 ? 0 : 3;
+            }),
+            0);
+}
+
 TEST(Signals, IgnoredSignalsAreDiscarded) {
   auto kernel = MakeWorld();
   EXPECT_EQ(ExitCodeOf(*kernel, [](ProcessContext& ctx) {

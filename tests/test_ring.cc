@@ -5,7 +5,7 @@
 // exec entry; exec drops the image's ring), the determinism gates (ring-
 // submitted batches are result- and ktrace- and fault-stream-identical to
 // synchronous issue), the aggregated RouteStats() counters, the VFS tree lock
-// under concurrent clients, and the FdTable leaf mutex.
+// under concurrent clients.
 #include "tests/test_helpers.h"
 
 #include <atomic>
@@ -16,7 +16,6 @@
 
 #include "src/apps/batch.h"
 #include "src/base/strings.h"
-#include "src/kernel/fdtable.h"
 #include "src/kernel/ktrace.h"
 #include "src/kernel/ring.h"
 
@@ -817,40 +816,6 @@ TEST(StripeStress, ReadersScanWhileWritersChurnTheTree) {
   }
   EXPECT_EQ(FileContents(*kernel, "/mix/final0"), "done");
   EXPECT_EQ(FileContents(*kernel, "/mix/final1"), "done");
-}
-
-TEST(FdTableStress, LeafMutexSurvivesConcurrentMutation) {
-  // The descriptor table's internal leaf mutex: one thread churns slots while
-  // another reads and clones. (In the kernel the second thread is a sibling
-  // ring submitter's fd-keyed batch; here we drive the table directly.)
-  FdTable table;
-  constexpr int kIters = 2000;
-  std::thread mutator([&table]() {
-    for (int i = 0; i < kIters; ++i) {
-      const int fd = i % 16;
-      table.Set(fd, std::make_shared<OpenFile>());
-      if (i % 3 == 0) {
-        table.Close(fd);
-      }
-      if (i % 7 == 0) {
-        table.Dup2(fd, (fd + 1) % 16);
-      }
-    }
-  });
-  int64_t observed = 0;
-  for (int i = 0; i < kIters; ++i) {
-    observed += table.OpenCount();
-    observed += table.Valid(i % 16) ? 1 : 0;
-    OpenFileRef ref = table.Get(i % 16);
-    if (i % 50 == 0) {
-      FdTable clone = table.Clone();
-      observed += clone.OpenCount();
-    }
-  }
-  mutator.join();
-  table.CloseAll();
-  EXPECT_EQ(table.OpenCount(), 0);
-  EXPECT_GE(observed, 0);
 }
 
 // --- the single-producer ring across threads ---------------------------------
