@@ -41,13 +41,16 @@ case "$MODE" in
     # host thread, two roots on two, and Yield), and ProcessOwnership.* (two
     # roots on two host threads across the only cross-process edges, the big
     # lock and single-word atomics: a cred writer off the big lock or a
-    # signal counted at its post is a race). World sizes self-cap under
+    # signal counted at its post is a race), and the two one-inode appender
+    # tests (O_APPEND writers against stat/fstat/lseek/read on the same
+    # inode, and O_APPEND writevs: every access to a file's bytes under the
+    # shared tree lock must hold the inode's data_mu). World sizes self-cap under
     # TSan (the tests read __has_feature(thread_sanitizer) via
     # IA_TEST_UNDER_TSAN), so this stays fast even with the instrumentation
     # slowdown.
     TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
       "$BUILD_DIR"/tests/ia_tests \
-      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*' \
+      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*:ConcurrencyStress.AppendersReaderAndStatShareOneInode:ConcurrencyStress.AppendWritevRecordsStayContiguous' \
       --gtest_repeat=3
 
     # The socket plane is the newest blocking subsystem: channel sleeps under

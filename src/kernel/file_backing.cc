@@ -16,19 +16,11 @@ void FileBacking::PostSignal(Kernel& k, Process& p, int signo) { k.PostSignalLoc
 
 SyscallStatus FileBacking::ReadRegular(Kernel& k, Process& p, OpenFile& f, char* buf,
                                        int64_t count, SyscallResult* rv) {
-  // read() is a kBlocking row, so DispatchBigLock did not take the tree lock;
-  // hold it shared around the data section to coexist with the fast-path
-  // readers and exclude writers.
-  std::shared_lock<std::shared_mutex> tree(k.fs_.TreeMutex());
+  // readv's big-lock handler is a kBlocking row, so DispatchBigLock did not
+  // take the tree lock; hold it shared, as the vfs-read lane does.
+  // ReadRegularLocked takes the inode's data_mu.
+  std::shared_lock<RwLock> tree(k.fs_.TreeMutex());
   return k.ReadRegularLocked(p, f, buf, count, rv);
-}
-
-SyscallStatus FileBacking::WriteRegular(Kernel& k, Process& p, OpenFile& f, const char* buf,
-                                        int64_t count, SyscallResult* rv) {
-  // write() is a kBlocking row, so DispatchBigLock did not take the tree lock;
-  // hold it exclusively around the resize/copy to exclude fast-path readers.
-  std::unique_lock<std::shared_mutex> tree(k.fs_.TreeMutex());
-  return k.WriteRegularLocked(p, f, buf, count, rv);
 }
 
 // ---------------------------------------------------------------------------
@@ -57,7 +49,7 @@ SyscallStatus VnodeBacking::Read(Kernel& k, Process& p, OpenFile& f, char* buf, 
   return ReadRegular(k, p, f, buf, count, rv);
 }
 
-SyscallStatus VnodeBacking::Write(Kernel& k, Process& p, OpenFile& f, const char* buf,
+SyscallStatus VnodeBacking::Write(Kernel& /*k*/, Process& /*p*/, OpenFile& f, const char* buf,
                                   int64_t count, SyscallResult* rv, KernelLock& /*lk*/) {
   const InodeRef inode = f.inode;
   if (inode == nullptr) {
@@ -74,7 +66,9 @@ SyscallStatus VnodeBacking::Write(Kernel& k, Process& p, OpenFile& f, const char
     rv->rv[0] = n;
     return static_cast<SyscallStatus>(n);
   }
-  return WriteRegular(k, p, f, buf, count, rv);
+  // Regular files write on the vfs-read lane (Kernel::ClassifyVfsRead); a
+  // node that reaches here holds no bytes (a socket node opened by path).
+  return -kEInval;
 }
 
 SyscallStatus VnodeBacking::Fstat(Kernel& /*k*/, OpenFile& f, Stat* st) {
@@ -87,6 +81,13 @@ SyscallStatus VnodeBacking::Fstat(Kernel& /*k*/, OpenFile& f, Stat* st) {
 
 SyscallStatus VnodeBacking::Lseek(Kernel& /*k*/, OpenFile& f, Off offset, int whence,
                                   SyscallResult* rv) {
+  // lseek runs on the vfs-read lane, under the tree lock held shared: the
+  // inode's data_mu orders the offset move against the inode's writers and
+  // guards the SEEK_END size read.
+  std::unique_lock<WordMutex> data_lock;
+  if (f.inode != nullptr) {
+    data_lock = std::unique_lock<WordMutex>(f.inode->data_mu);
+  }
   Off base = 0;
   switch (whence) {
     case kSeekSet:

@@ -77,12 +77,10 @@ class FileBacking {
   // vnode data plane). FileBacking is a friend of Kernel; these are the only
   // doors it opens to subclasses.
   static void PostSignal(Kernel& k, Process& p, int signo);
-  // Regular-file transfer under the proper tree-lock mode (shared for reads,
-  // exclusive for writes — identical locking to the pre-backing handlers).
+  // Regular-file read for readv's big-lock handler, with the vfs-read
+  // lane's locking: the tree lock shared, then the inode's data_mu.
   static SyscallStatus ReadRegular(Kernel& k, Process& p, OpenFile& f, char* buf, int64_t count,
                                    SyscallResult* rv);
-  static SyscallStatus WriteRegular(Kernel& k, Process& p, OpenFile& f, const char* buf,
-                                    int64_t count, SyscallResult* rv);
 };
 
 // Regular files, directories, and devices. Stateless (all state lives on

@@ -69,7 +69,7 @@ void Kernel::InstallProgram(const std::string& path, const std::string& image, P
   programs_.Register(image, std::move(main));
   // Tree mutation outside the syscall dispatchers: take the tree lock so a
   // program installed while processes run cannot race fast-path readers.
-  std::unique_lock<std::shared_mutex> tree(fs_.TreeMutex());
+  std::unique_lock<RwLock> tree(fs_.TreeMutex());
   InodeRef file = fs_.InstallFile(path, StringPrintf("\177IMG %s\n", image.c_str()), mode);
   if (file != nullptr) {
     file->exec_image = image;
@@ -258,6 +258,14 @@ int64_t Kernel::TotalSyscallCount() {
   return total;
 }
 
+int64_t Kernel::BigLockDispatches() {
+  int64_t total = 0;
+  for (const StatShard& shard : stat_shards_) {
+    total += shard.big_lock_dispatches.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 NameCacheStats Kernel::CacheStats() {
   return fs_.namecache().stats();  // internally synchronized
 }
@@ -432,6 +440,46 @@ Lane LaneOf(int number) {
   return (flags & kVfsRead) != 0 ? Lane::kVfsRead : Lane::kBigLock;
 }
 
+// A descriptor whose data plane is a regular file's bytes.
+bool IsRegularVnode(const OpenFile& file) {
+  return file.backing->kind() == BackingKind::kVnode && file.inode != nullptr &&
+         file.inode->IsRegular();
+}
+
+// The readv/writev segment loop: runs `segment` on each nonempty segment in
+// order and stops after a short one. Returns the bytes moved, or the first
+// segment's error when none moved (a later error ends a partial transfer).
+template <typename Segment>
+SyscallStatus TransferSegments(const IoVec* iov, int iovcnt, SyscallResult* rv,
+                               Segment&& segment) {
+  int64_t total = 0;
+  for (int i = 0; i < iovcnt; ++i) {
+    if (iov[i].iov_len == 0) {
+      continue;
+    }
+    SyscallResult seg_rv;
+    const SyscallStatus st = segment(iov[i], &seg_rv);
+    if (st < 0) {
+      return total > 0 ? static_cast<SyscallStatus>(total) : st;
+    }
+    total += seg_rv.rv[0];
+    if (seg_rv.rv[0] < iov[i].iov_len) {
+      break;
+    }
+  }
+  rv->rv[0] = total;
+  return static_cast<SyscallStatus>(total);
+}
+
+// One readv/writev segment as the scalar call's arguments.
+SyscallArgs SegmentArgs(int fd, const IoVec& seg) {
+  SyscallArgs args;
+  args.SetInt(0, fd);
+  args.SetPtr(1, seg.iov_base);
+  args.SetInt(2, seg.iov_len);
+  return args;
+}
+
 }  // namespace
 
 SyscallStatus Kernel::DoSyscall(Process& proc, int number, const SyscallArgs& args,
@@ -551,11 +599,12 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
   // on the entry's normal lane.
   FaultInjector* const injector = fault_.load(std::memory_order_acquire);
   SyscallRequest clamped;
+  int64_t big_lock_entries = 0;
   // A window: consecutive shared-lock vfs-read entries run in submission
   // order under one shared hold of the tree lock, instead of one acquire per
   // entry, with far less lock-word bouncing when many drains run
   // concurrently. Any other entry releases the hold first.
-  std::shared_lock<std::shared_mutex> window(fs_.TreeMutex(), std::defer_lock);
+  std::shared_lock<RwLock> window(fs_.TreeMutex(), std::defer_lock);
   for (int i = 0; i < count; ++i) {
     VfsReadPlan plan;  // the big lock, unless the vfs-read lane classifies it
     FaultOutcome outcome = FaultOutcome::kNone;
@@ -589,11 +638,15 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
       } else if (plan.kind != VfsReadPlan::kUnlocked ||
                  !ExecuteVfsRead(proc, req, plan, rv, &status)) {
         status = DispatchBigLock(proc, req.number, req.args, rv);
+        ++big_lock_entries;
       }
     }
     finish(i, status);
   }
   flush_stats();
+  if (big_lock_entries != 0) {
+    shard.big_lock_dispatches.fetch_add(big_lock_entries, std::memory_order_relaxed);
+  }
 }
 
 SyscallStatus Kernel::DispatchBigLock(Process& p, int number, const SyscallArgs& a,
@@ -612,7 +665,7 @@ SyscallStatus Kernel::DispatchBigLock(Process& p, int number, const SyscallArgs&
   } else {
     // Holding the tree lock exclusively is what excludes big-lock handlers
     // from the kVfsRead fast path's shared-mode readers.
-    std::unique_lock<std::shared_mutex> tree(fs_.TreeMutex());
+    std::unique_lock<RwLock> tree(fs_.TreeMutex());
     status = (this->*handler)(p, a, rv, lk);
   }
   return status;
@@ -747,6 +800,43 @@ Kernel::VfsReadPlan Kernel::ClassifyVfsRead(Process& proc, const SyscallRequest&
       return shared();
     }
 
+    // Writes to a regular file share the tree lock with the walks and take
+    // the inode's data_mu (ExecuteVfsRead). Pipes, sockets, devices and
+    // directories stay on the big lock, whose handler gives their answers.
+    case kSysWrite: {
+      OpenFileRef file = proc.fds.Get(args.Int(0));
+      if (file == nullptr || !file->CanWrite()) {
+        return done(-kEBadf);
+      }
+      if (args.Ptr<const char>(1) == nullptr) {
+        return done(-kEFault);
+      }
+      const int64_t count = args.Long(2);
+      if (count <= 0) {
+        return done(count < 0 ? -kEInval : 0);  // a zero-length write returns 0
+      }
+      if (!IsRegularVnode(*file)) {
+        return plan;
+      }
+      plan.file = std::move(file);
+      return shared();
+    }
+
+    case kSysWritev: {
+      if (args.Ptr<const IoVec>(1) == nullptr) {
+        return done(-kEFault);
+      }
+      if (args.Int(2) <= 0 || args.Int(2) > kMaxIoVecs) {
+        return done(-kEInval);
+      }
+      OpenFileRef file = proc.fds.Get(args.Int(0));
+      if (file == nullptr || !file->CanWrite() || !IsRegularVnode(*file)) {
+        return plan;  // the handler answers per segment, as SysWritev does
+      }
+      plan.file = std::move(file);
+      return shared();
+    }
+
     case kSysOpen: {
       const char* path = args.Ptr<const char>(0);
       if (path == nullptr) {
@@ -792,11 +882,36 @@ bool Kernel::ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsR
       *out = ReadRegularLocked(proc, *plan.file, args.Ptr<char>(1), args.Long(2), rv);
       return true;
 
+    case kSysWrite: {
+      std::lock_guard<WordMutex> data_lock(plan.file->inode->data_mu);
+      *out = WriteRegularLocked(proc, *plan.file, args.Ptr<const char>(1), args.Long(2), rv);
+      return true;
+    }
+
+    case kSysWritev: {
+      // One data_mu hold across every segment, so an O_APPEND writev lands
+      // as one contiguous record.
+      OpenFile& file = *plan.file;
+      std::lock_guard<WordMutex> data_lock(file.inode->data_mu);
+      *out = TransferSegments(args.Ptr<const IoVec>(1), args.Int(2), rv,
+                              [&](const IoVec& seg, SyscallResult* seg_rv) -> SyscallStatus {
+                                const auto* buf = static_cast<const char*>(seg.iov_base);
+                                if (buf == nullptr) {
+                                  return -kEFault;
+                                }
+                                if (seg.iov_len < 0) {
+                                  return -kEInval;
+                                }
+                                return WriteRegularLocked(proc, file, buf, seg.iov_len, seg_rv);
+                              });
+      return true;
+    }
+
     case kSysOpen: {
       const int flags = args.Int(1);
       InodeRef inode;
       {
-        std::shared_lock<std::shared_mutex> tree(fs_.TreeMutex());
+        std::shared_lock<RwLock> tree(fs_.TreeMutex());
         const int err = fs_.Open(EnvOf(proc), args.Ptr<const char>(0), flags, 0, &inode);
         if (err != 0) {
           *out = err;
@@ -815,7 +930,8 @@ bool Kernel::ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsR
       }
       OpenFileRef file = MakeVnodeFile(inode, flags);
       if ((flags & kOAppend) != 0) {
-        std::shared_lock<std::shared_mutex> tree(fs_.TreeMutex());
+        std::shared_lock<RwLock> tree(fs_.TreeMutex());
+        std::lock_guard<WordMutex> data_lock(inode->data_mu);
         file->offset = static_cast<Off>(inode->data.size());
       }
       proc.fds.Set(fd, std::move(file));
@@ -841,6 +957,7 @@ SyscallStatus Kernel::ReadRegularLocked(Process& proc, OpenFile& file, char* buf
   if (inode->IsDirectory()) {
     return -kEIsdir;
   }
+  std::lock_guard<WordMutex> data_lock(inode->data_mu);
   const Off off = file.offset.load(std::memory_order_relaxed);
   const int64_t size = static_cast<int64_t>(inode->data.size());
   const int64_t avail = size - off;
@@ -1145,42 +1262,41 @@ SyscallStatus Kernel::SysWrite(Process& p, const SyscallArgs& a, SyscallResult* 
 SyscallStatus Kernel::WriteRegularLocked(Process& p, OpenFile& file, const char* buf,
                                          int64_t count, SyscallResult* rv) {
   const InodeRef& inode = file.inode;
+  std::string& data = inode->data;
   // A write that hits a limit mid-buffer — the per-file size ceiling or an
   // installed fault plan's disk budget — writes the prefix that fits and
   // reports bytes-written-so-far (4.3BSD short-write semantics); only a write
   // that cannot make progress at all fails (EFBIG / ENOSPC).
+  const int64_t size = static_cast<int64_t>(data.size());
   Off off = file.offset.load(std::memory_order_relaxed);
   if ((file.flags & kOAppend) != 0) {
-    off = static_cast<Off>(inode->data.size());
+    off = size;
   }
   if (off >= kMaxFileBytes) {
     return -kEFbig;
   }
   int64_t wcount = std::min<int64_t>(count, kMaxFileBytes - off);
-  FaultInjector* const injector = fault_.load(std::memory_order_acquire);
-  if (injector != nullptr && injector->plan().disk_budget_bytes >= 0) {
-    const int64_t grow = off + wcount - static_cast<int64_t>(inode->data.size());
-    if (grow > 0) {
-      const int64_t remaining =
-          std::max<int64_t>(injector->plan().disk_budget_bytes - fs_.total_bytes(), 0);
-      if (remaining < grow) {
-        wcount -= grow - remaining;
-        if (wcount <= 0) {
-          injector->CountExhaustion(p.pid, kSysWrite, kENospc);
-          return -kENospc;
-        }
-        injector->CountShortTransfer(p.pid, kSysWrite, wcount);
+  const int64_t grow = off + wcount - size;
+  if (grow > 0) {
+    // The budget check and the growth's accounting are one atomic step, so
+    // writers growing different files under a shared hold never overshoot
+    // the budget. A write past EOF must fit its hole plus one byte.
+    FaultInjector* const injector = fault_.load(std::memory_order_acquire);
+    const int64_t budget = injector != nullptr ? injector->plan().disk_budget_bytes : -1;
+    const int64_t reserved =
+        fs_.ReserveBytes(grow, std::max<int64_t>(off - size + 1, 0), budget);
+    if (reserved < grow) {
+      wcount -= grow - reserved;
+      if (wcount <= 0) {
+        injector->CountExhaustion(p.pid, kSysWrite, kENospc);
+        return -kENospc;
       }
+      injector->CountShortTransfer(p.pid, kSysWrite, wcount);
     }
+    data.resize(static_cast<size_t>(size + reserved), '\0');
   }
   const int64_t end = off + wcount;
-  if (end > static_cast<int64_t>(inode->data.size())) {
-    const int resize_err = fs_.ResizeFile(inode, end);
-    if (resize_err != 0) {
-      return resize_err;
-    }
-  }
-  std::memcpy(inode->data.data() + off, buf, static_cast<size_t>(wcount));
+  std::memcpy(data.data() + off, buf, static_cast<size_t>(wcount));
   file.offset.store(end, std::memory_order_relaxed);
   inode->mtime = fs_.now();
   p.rusage.ru_oublock += (wcount + 4095) / 4096;
@@ -1189,7 +1305,6 @@ SyscallStatus Kernel::WriteRegularLocked(Process& p, OpenFile& file, const char*
 }
 
 SyscallStatus Kernel::SysReadv(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
-  const int fd = a.Int(0);
   const auto* iov = a.Ptr<const IoVec>(1);
   const int iovcnt = a.Int(2);
   if (iov == nullptr) {
@@ -1198,31 +1313,14 @@ SyscallStatus Kernel::SysReadv(Process& p, const SyscallArgs& a, SyscallResult* 
   if (iovcnt <= 0 || iovcnt > kMaxIoVecs) {
     return -kEInval;
   }
-  int64_t total = 0;
-  for (int i = 0; i < iovcnt; ++i) {
-    if (iov[i].iov_len == 0) {
-      continue;
-    }
-    SyscallArgs seg;
-    seg.SetInt(0, fd);
-    seg.SetPtr(1, iov[i].iov_base);
-    seg.SetInt(2, iov[i].iov_len);
-    SyscallResult seg_rv;
-    const SyscallStatus st = SysRead(p, seg, &seg_rv, lk);
-    if (st < 0) {
-      return total > 0 ? static_cast<SyscallStatus>(total) : st;
-    }
-    total += seg_rv.rv[0];
-    if (seg_rv.rv[0] < iov[i].iov_len) {
-      break;  // short read: stop the scatter
-    }
-  }
-  rv->rv[0] = total;
-  return static_cast<SyscallStatus>(total);
+  return TransferSegments(iov, iovcnt, rv, [&](const IoVec& seg, SyscallResult* seg_rv) {
+    return SysRead(p, SegmentArgs(a.Int(0), seg), seg_rv, lk);
+  });
 }
 
 SyscallStatus Kernel::SysWritev(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
-  const int fd = a.Int(0);
+  // Regular files take the vfs-read lane (ClassifyVfsRead); this handler
+  // serves pipes, sockets, devices and the error answers.
   const auto* iov = a.Ptr<const IoVec>(1);
   const int iovcnt = a.Int(2);
   if (iov == nullptr) {
@@ -1231,27 +1329,9 @@ SyscallStatus Kernel::SysWritev(Process& p, const SyscallArgs& a, SyscallResult*
   if (iovcnt <= 0 || iovcnt > kMaxIoVecs) {
     return -kEInval;
   }
-  int64_t total = 0;
-  for (int i = 0; i < iovcnt; ++i) {
-    if (iov[i].iov_len == 0) {
-      continue;
-    }
-    SyscallArgs seg;
-    seg.SetInt(0, fd);
-    seg.SetPtr(1, iov[i].iov_base);
-    seg.SetInt(2, iov[i].iov_len);
-    SyscallResult seg_rv;
-    const SyscallStatus st = SysWrite(p, seg, &seg_rv, lk);
-    if (st < 0) {
-      return total > 0 ? static_cast<SyscallStatus>(total) : st;
-    }
-    total += seg_rv.rv[0];
-    if (seg_rv.rv[0] < iov[i].iov_len) {
-      break;
-    }
-  }
-  rv->rv[0] = total;
-  return static_cast<SyscallStatus>(total);
+  return TransferSegments(iov, iovcnt, rv, [&](const IoVec& seg, SyscallResult* seg_rv) {
+    return SysWrite(p, SegmentArgs(a.Int(0), seg), seg_rv, lk);
+  });
 }
 
 SyscallStatus Kernel::SysLseek(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& /*lk*/) {

@@ -20,30 +20,37 @@
 //     gettimeofday/getrusage/...) dispatch through DispatchUnlocked and never
 //     touch mu_ — they touch only the caller's [owner] fields (process.h),
 //     per-field atomics, and the atomic VirtualClock;
-//   * syscalls flagged kVfsRead (stat/access/readlink/open/read/lseek/fstat/
-//     close) are classified by ClassifyVfsRead into "run under the tree lock
-//     held shared" (see TreeMutex in vfs.h), "run unlocked", an immediate
-//     status, or "needs the big lock" (O_CREAT/O_TRUNC opens, fifos/pipes,
-//     devices, flocked files). A single shared-lock row takes the lock
-//     itself; a batch window of consecutive shared-lock rows runs in
-//     submission order under one shared hold. Open and close do their
-//     descriptor-slot work outside the lock.
+//   * syscalls flagged kVfsRead (stat/access/readlink/open/read/write/writev/
+//     lseek/fstat/close) are classified by ClassifyVfsRead into "run under
+//     the tree lock held shared" (see TreeMutex in vfs.h), "run unlocked", an
+//     immediate status, or "needs the big lock" (O_CREAT/O_TRUNC opens,
+//     fifos/pipes/sockets, devices, flocked files). A single shared-lock row
+//     takes the lock itself; a batch window of consecutive shared-lock rows
+//     runs in submission order under one shared hold. Under that hold a
+//     regular file's bytes, and the offsets of its open files, belong to the
+//     inode's data_mu (4.3BSD's ilock): reads, writes, lseeks and stats take
+//     it around the data they touch, and a writev holds it across all its
+//     segments. Open and close do their descriptor-slot work outside the
+//     lock.
 //
 // Calls arrive either synchronously through ProcessContext::Syscall, or as
 // SyscallRequest batches drained from a per-process submission/completion
 // ring (see ring.h). A batch pays the prologue once for all its entries.
 //
-// Lock order (outer to inner): mu_ -> tree lock -> name cache mutex. A
+// Lock order (outer to inner): mu_ -> tree lock (either mode) -> name cache
+// mutex, and tree lock (either mode) -> Inode::data_mu -> the FaultInjector's
+// mutex (the disk-budget clamp runs inside a write's data_mu hold). A
 // process's own state (its descriptor table, rusage) takes no lock: it has
 // one owner, its fiber (process.h). Two more leaves:
 // {nothing, or the tree lock held shared} -> ktrace_mu_ (window entries
 // finish under the shared hold), and {nothing, the tree lock held shared,
 // or mu_ -> tree lock} -> the FaultInjector's mutex (entries consult the plan
-// inside a window's hold; the disk-budget clamp runs inside a write handler).
-// Nothing acquires mu_ while holding any of the others. A FiberHost's own
-// mutex (its run queue) is a leaf, taken under mu_ by wakeups. Fibers of one
-// host share its thread, so mu_ is the only lock held across a sleep (Sleep
-// drops it before switching), and no lock is held across a Yield.
+// inside a window's hold). Nothing acquires mu_ or the tree lock while
+// holding data_mu, and nothing acquires mu_ while holding any of the others.
+// A FiberHost's own mutex (its run queue) is a leaf, taken under mu_ by
+// wakeups. Fibers of one host share its thread, so mu_ is the only lock held
+// across a sleep (Sleep drops it before switching), and no lock is held
+// across a Yield.
 //
 // Observing a path does not change it: a fault plan or a ktrace sink changes
 // no lane and no prologue. Fault decisions are keyed on (pid, per-process
@@ -160,6 +167,9 @@ class Kernel {
   // --- introspection ----------------------------------------------------------------
   int LiveProcessCount();
   int64_t TotalSyscallCount();
+  // Batch entries dispatched on the big-lock lane (DispatchBigLock), folded
+  // like SyscallStats(): which lane a call takes, as a count.
+  int64_t BigLockDispatches();
   std::vector<Pid> Pids();
 
   // Snapshot of the per-syscall count / error / virtual-time counters.
@@ -286,12 +296,14 @@ class Kernel {
   // The regular-file read body shared by ExecuteVfsRead and VnodeBacking.
   // Preconditions: `file` is a readable vnode-backed regular/symlink
   // descriptor, buf != nullptr, count > 0, and the caller holds the tree lock
-  // in shared mode.
+  // in shared mode. Takes the inode's data_mu itself.
   SyscallStatus ReadRegularLocked(Process& proc, OpenFile& file, char* buf, int64_t count,
                                   SyscallResult* rv);
-  // The regular-file write body (append positioning, kEFbig ceiling, disk
-  // budget and short-transfer accounting, resize+copy). Preconditions mirror
-  // ReadRegularLocked, with the tree lock held exclusively.
+  // The regular-file write body of ExecuteVfsRead (append positioning,
+  // kEFbig ceiling, disk budget and short-transfer accounting, resize+copy).
+  // Preconditions: `file` is a writable vnode-backed regular file, buf !=
+  // nullptr, count > 0, and the caller holds the tree lock shared and the
+  // inode's data_mu, so a writev can hold it across its segments.
   SyscallStatus WriteRegularLocked(Process& proc, OpenFile& file, const char* buf, int64_t count,
                                    SyscallResult* rv);
 
@@ -486,6 +498,7 @@ class Kernel {
   };
   struct alignas(64) StatShard {
     std::atomic<int64_t> total_syscalls{0};
+    std::atomic<int64_t> big_lock_dispatches{0};
     AtomicSyscallStat syscall_stats[kMaxSyscall] = {};
   };
   StatShard stat_shards_[kStatShards];

@@ -1,6 +1,8 @@
 #include "src/kernel/vfs.h"
 
+#include <algorithm>
 #include <deque>
+#include <mutex>
 
 #include "src/base/strings.h"
 
@@ -69,9 +71,11 @@ void Inode::FillStat(Stat* st) const {
   st->st_gid = gid;
   st->st_rdev = device != nullptr ? device->rdev() : 0;
   switch (type_) {
-    case InodeType::kRegular:
+    case InodeType::kRegular: {
+      std::lock_guard<WordMutex> data_lock(data_mu);
       st->st_size = static_cast<Off>(data.size());
       break;
+    }
     case InodeType::kSymlink:
       st->st_size = static_cast<Off>(symlink_target.size());
       break;
@@ -704,6 +708,23 @@ int Filesystem::ResizeFile(const InodeRef& inode, Off length) {
   total_bytes_ += length - static_cast<int64_t>(inode->data.size());
   inode->data.resize(static_cast<size_t>(length), '\0');
   return 0;
+}
+
+int64_t Filesystem::ReserveBytes(int64_t want, int64_t least, int64_t budget) {
+  if (budget < 0) {
+    total_bytes_.fetch_add(want, std::memory_order_relaxed);
+    return want;
+  }
+  int64_t total = total_bytes_.load(std::memory_order_relaxed);
+  for (;;) {
+    const int64_t reserved = std::min(want, std::max<int64_t>(budget - total, 0));
+    if (reserved < least || reserved == 0) {
+      return 0;
+    }
+    if (total_bytes_.compare_exchange_weak(total, total + reserved, std::memory_order_relaxed)) {
+      return reserved;
+    }
+  }
 }
 
 InodeRef Filesystem::InstallDeviceNode(std::string_view path, Device* device, Mode mode_bits) {

@@ -4,20 +4,26 @@
 // All VFS entry points report errors as negative BSD errno values.
 //
 // Synchronization is provided by the caller through TreeMutex(), one
-// reader/writer lock over the whole inode graph (entries, data, metadata),
-// as in 4.3BSD, where one lock guards the name space: read-only walks
-// (stat/access/readlink/open-for-read/regular-file reads) hold it shared and
-// proceed concurrently; any mutation (create/unlink/rename/write/resize/
+// reader/writer lock over the whole inode graph (entries, metadata), as in
+// 4.3BSD, where one lock guards the name space: walks and the regular-file
+// data plane (stat/access/readlink/open-for-read, and read/write/writev/
+// lseek/fstat on regular files) hold it shared and proceed concurrently; any
+// mutation of the name space or of attributes (create/unlink/rename/truncate/
 // chmod/...) holds it exclusively.
 //
+// Under a shared hold, a regular file's bytes belong to its inode's own leaf
+// lock, Inode::data_mu (4.3BSD's per-inode ilock): the data plane locks the
+// file it touches, not the name space. An exclusive holder excludes every
+// shared holder, so it touches data without data_mu.
+//
 // The kernel's dispatcher takes the exclusive lock around every big-lock
-// handler and the shared lock around the lock-free read fast paths, so VFS
+// handler and the shared lock around the lock-free fast paths, so VFS
 // method bodies themselves stay lock-free. Inode timestamps are atomics
-// because read paths update atime while holding the lock only shared. The
+// because shared-mode paths update atime and mtime. The
 // name cache carries its own internal mutex, and its grace-period reclaim
 // keys off the exclusive mode: an exclusive holder implies no lock-free
 // cache reader is in flight (see namecache.h).
-// Lock order: kernel mu_ -> tree lock -> cache.
+// Lock order: kernel mu_ -> tree lock (either mode) -> {cache, Inode::data_mu}.
 #ifndef SRC_KERNEL_VFS_H_
 #define SRC_KERNEL_VFS_H_
 
@@ -25,12 +31,13 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/base/errno_codes.h"
+#include "src/base/rwlock.h"
+#include "src/base/word_mutex.h"
 #include "src/kernel/cred.h"
 #include "src/kernel/namecache.h"
 #include "src/kernel/types.h"
@@ -86,7 +93,8 @@ class Inode {
   // Full mode including the type bits, as stat(2) reports it.
   Mode FullMode() const;
 
-  // Fills a Stat from this inode.
+  // Fills a Stat from this inode. Takes data_mu to read a regular file's
+  // size.
   void FillStat(Stat* st) const;
 
   // --- metadata (checked/updated by Filesystem ops) -------------------------
@@ -104,6 +112,9 @@ class Inode {
   std::atomic<int64_t> ctime{0};
 
   // --- regular file payload --------------------------------------------------
+  // The bytes. A tree-lock holder in exclusive mode touches them freely;
+  // under a shared hold (reads, writes, stats, lseeks and O_APPEND opens on
+  // the vfs-read lane) every access holds data_mu.
   std::string data;
 
   // Executable image binding: non-empty for files created via RegisterProgram-backed
@@ -126,6 +137,15 @@ class Inode {
   // flock(2)'s retry contract already allows.
   std::atomic<int> flock_shared{0};  // count of shared holders
   std::atomic<bool> flock_exclusive{false};
+
+  // --- the inode lock ----------------------------------------------------------
+  // Guards `data`, and the offsets of the files open on this inode, while
+  // the tree lock is held shared. A writer holds it from its append-offset
+  // pick to its copy (a writev across all its segments, so an O_APPEND
+  // writev lands as one record). A leaf under the tree lock: nothing is
+  // acquired while holding it but the FaultInjector's mutex. One word: it
+  // grows an Inode by 8 bytes where a std::mutex grew it by 40.
+  mutable WordMutex data_mu;
 
   // --- symlink payload ---------------------------------------------------------
   std::string symlink_target;
@@ -179,9 +199,9 @@ class Filesystem {
 
   // The reader/writer lock over the inode graph. The kernel dispatcher holds
   // it exclusively around mutating syscall handlers and shared around the
-  // read-only fast paths; VFS method bodies assume the caller holds it in the
+  // fast paths; VFS method bodies assume the caller holds it in the
   // appropriate mode (exclusive for every method that mutates the tree).
-  std::shared_mutex& TreeMutex() const { return tree_mu_; }
+  RwLock& TreeMutex() const { return tree_mu_; }
 
   // Current file time, in seconds; set by the kernel each tick. Atomic so
   // shared-mode readers can stamp atimes while the dispatcher advances it.
@@ -248,8 +268,16 @@ class Filesystem {
   // Atomic: read by the fault plane's exhaustion regime without the tree lock.
   int64_t total_bytes() const { return total_bytes_.load(std::memory_order_relaxed); }
 
-  // Truncate/extend a regular file's data, accounting bytes.
+  // Truncate/extend a regular file's data, accounting bytes. Callers hold
+  // the tree lock exclusively.
   int ResizeFile(const InodeRef& inode, Off length);
+
+  // Accounts a write's growth of a file in one atomic step against
+  // `budget` bytes in total (negative: no budget), so concurrent writers
+  // on different files never overshoot it. Reserves min(want, room) bytes
+  // when that is at least `least`, else nothing, and returns what it
+  // reserved; the writer then grows the data by exactly that much.
+  int64_t ReserveBytes(int64_t want, int64_t least, int64_t budget);
 
   // The directory name-lookup cache consulted by Namei (enabled by default).
   NameCache& namecache() { return namecache_; }
@@ -259,7 +287,10 @@ class Filesystem {
   int LookupComponent(const NameiEnv& env, const InodeRef& dir, std::string_view name,
                       InodeRef* out) const;
 
-  mutable std::shared_mutex tree_mu_;
+  // Writer-preferring (rwlock.h): with regular-file writes shared, nearly
+  // all traffic holds it shared, and a reader-preferring lock let an
+  // exclusive acquirer (holding mu_) wait behind a stream of readers.
+  mutable RwLock tree_mu_;
   InodeRef root_;
   // Guarded by TreeMutex() exclusive (only mutators allocate inodes).
   Ino next_ino_ = 2;  // ino 2 is the root, per UFS convention

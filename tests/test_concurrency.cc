@@ -436,6 +436,177 @@ TEST(ConcurrencyStress, SharedTreeReadersVsExclusiveMutator) {
   }
 }
 
+// A 32-byte append record: "<w:", an 8-digit sequence number and ":" (12
+// bytes), 19 fill bytes that name the writer, and "\n". Any torn or
+// interleaved record fails ParseRecord.
+constexpr int kRecordBytes = 32;
+
+std::string MakeRecord(int writer, int seq) {
+  std::string rec = "<" + std::to_string(writer) + ":";
+  const std::string digits = std::to_string(seq);
+  rec += std::string(8 - digits.size(), '0') + digits + ":";
+  rec += std::string(kRecordBytes - 1 - rec.size(), static_cast<char>('a' + writer));
+  return rec + "\n";
+}
+
+// Returns false unless `rec` is exactly MakeRecord(*writer, *seq).
+bool ParseRecord(const char* rec, int* writer, int* seq) {
+  if (rec[0] != '<' || rec[1] < '0' || rec[1] > '9') {
+    return false;
+  }
+  *writer = rec[1] - '0';
+  *seq = 0;
+  for (int i = 3; i < 11; ++i) {
+    if (rec[i] < '0' || rec[i] > '9') {
+      return false;
+    }
+    *seq = *seq * 10 + (rec[i] - '0');
+  }
+  return std::string(rec, kRecordBytes) == MakeRecord(*writer, *seq);
+}
+
+// Each of `n` roots calls this first, so their loops overlap. Roots run on
+// their own host threads, so a host-side spin is a barrier.
+void StartTogether(std::atomic<int>* arrivals, int n) {
+  arrivals->fetch_add(1, std::memory_order_acq_rel);
+  while (arrivals->load(std::memory_order_acquire) < n) {
+    std::this_thread::yield();
+  }
+}
+
+// Every record of `data` is whole, and each writer's records appear in the
+// order it wrote them, all `per_writer` of them.
+void ExpectWholeRecordsInWriterOrder(const std::string& data, int writers, int per_writer) {
+  ASSERT_EQ(data.size(), static_cast<size_t>(writers * per_writer * kRecordBytes));
+  std::vector<int> next(static_cast<size_t>(writers), 0);
+  for (size_t at = 0; at < data.size(); at += kRecordBytes) {
+    int writer = -1;
+    int seq = -1;
+    ASSERT_TRUE(ParseRecord(data.data() + at, &writer, &seq)) << "torn record at " << at;
+    ASSERT_LT(writer, writers);
+    EXPECT_EQ(seq, next[static_cast<size_t>(writer)]++) << "writer " << writer << " at " << at;
+  }
+}
+
+// Three roots on three host threads append records to one file with O_APPEND
+// (the vfs-read lane: the tree lock shared plus the inode's data_mu) while a
+// fourth loops stat, fstat, lseek(SEEK_END) and a read of the last record on
+// it. Every size it sees is a whole number of records and never shrinks, the
+// last record is never torn, and the file ends as the sum of the appends.
+// TSan checks that every reader of the inode's bytes holds data_mu.
+TEST(ConcurrencyStress, AppendersReaderAndStatShareOneInode) {
+  constexpr int kWriters = 3;
+  constexpr int kRecords = IA_TEST_UNDER_TSAN ? 200 : 2000;
+  auto kernel = test::MakeWorld();
+  kernel->fs().InstallFile("/log", "");
+  std::atomic<int> arrivals{0};
+  std::atomic<int> writers_done{0};
+
+  std::vector<Pid> pids;
+  for (int w = 0; w < kWriters; ++w) {
+    SpawnOptions options;
+    options.body = [w, &arrivals, &writers_done](ProcessContext& ctx) {
+      const int fd = ctx.Open("/log", kOWronly | kOAppend);
+      if (fd < 0) {
+        return 1;
+      }
+      StartTogether(&arrivals, kWriters + 1);
+      for (int i = 0; i < kRecords; ++i) {
+        if (ctx.Write(fd, MakeRecord(w, i).data(), kRecordBytes) != kRecordBytes) {
+          return 2;
+        }
+      }
+      writers_done.fetch_add(1, std::memory_order_release);
+      return 0;
+    };
+    pids.push_back(kernel->Spawn(options));
+  }
+  SpawnOptions reader_options;
+  reader_options.body = [&arrivals, &writers_done](ProcessContext& ctx) {
+    const int fd = ctx.Open("/log", kORdonly);
+    if (fd < 0) {
+      return 1;
+    }
+    StartTogether(&arrivals, kWriters + 1);
+    int64_t last = 0;
+    auto whole_and_growing = [&last](int64_t size) {
+      const bool ok = size >= last && size % kRecordBytes == 0;
+      last = size;
+      return ok;
+    };
+    for (int i = 0; i < 100 || writers_done.load(std::memory_order_acquire) < kWriters; ++i) {
+      Stat st;
+      if (ctx.Stat("/log", &st) != 0 || !whole_and_growing(st.st_size)) {
+        return 2;
+      }
+      if (ctx.Fstat(fd, &st) != 0 || !whole_and_growing(st.st_size)) {
+        return 3;
+      }
+      const int64_t end = ctx.Lseek(fd, 0, kSeekEnd);
+      if (!whole_and_growing(end)) {
+        return 4;
+      }
+      if (end >= kRecordBytes) {
+        char rec[kRecordBytes];
+        int writer = 0;
+        int seq = 0;
+        if (ctx.Lseek(fd, end - kRecordBytes, kSeekSet) != end - kRecordBytes ||
+            ctx.Read(fd, rec, kRecordBytes) != kRecordBytes || !ParseRecord(rec, &writer, &seq)) {
+          return 5;
+        }
+      }
+    }
+    return 0;
+  };
+  pids.push_back(kernel->Spawn(reader_options));
+
+  for (const Pid pid : pids) {
+    const int status = kernel->HostWaitPid(pid);
+    EXPECT_TRUE(WifExited(status));
+    EXPECT_EQ(WExitStatus(status), 0);
+  }
+  ExpectWholeRecordsInWriterOrder(FileContents(*kernel, "/log"), kWriters, kRecords);
+}
+
+// Two roots on two host threads append 3-segment records with O_APPEND
+// writev. Each writev holds the inode's data_mu across all its segments, so
+// every record lands contiguous, as it did when writev ran under the big
+// lock; a per-segment hold would interleave the segments.
+TEST(ConcurrencyStress, AppendWritevRecordsStayContiguous) {
+  constexpr int kWriters = 2;
+  constexpr int kRecords = IA_TEST_UNDER_TSAN ? 200 : 2000;
+  auto kernel = test::MakeWorld();
+  kernel->fs().InstallFile("/vlog", "");
+  std::atomic<int> arrivals{0};
+
+  std::vector<Pid> pids;
+  for (int w = 0; w < kWriters; ++w) {
+    SpawnOptions options;
+    options.body = [w, &arrivals](ProcessContext& ctx) {
+      const int fd = ctx.Open("/vlog", kOWronly | kOAppend);
+      if (fd < 0) {
+        return 1;
+      }
+      StartTogether(&arrivals, kWriters);
+      for (int i = 0; i < kRecords; ++i) {
+        std::string rec = MakeRecord(w, i);
+        IoVec iov[3] = {{rec.data(), 12}, {rec.data() + 12, 16}, {rec.data() + 28, 4}};
+        if (ctx.Writev(fd, iov, 3) != kRecordBytes) {
+          return 2;
+        }
+      }
+      return 0;
+    };
+    pids.push_back(kernel->Spawn(options));
+  }
+  for (const Pid pid : pids) {
+    const int status = kernel->HostWaitPid(pid);
+    EXPECT_TRUE(WifExited(status));
+    EXPECT_EQ(WExitStatus(status), 0);
+  }
+  ExpectWholeRecordsInWriterOrder(FileContents(*kernel, "/vlog"), kWriters, kRecords);
+}
+
 // World sizes self-cap under TSan (instrumentation slowdown), same as the
 // ring stress tests.
 #if defined(__SANITIZE_THREAD__)

@@ -4,7 +4,11 @@
 // agent, and the FaultStats surfacing in MonitorAgent reports.
 #include "tests/test_helpers.h"
 
+#include <atomic>
 #include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/agents/chaos.h"
 #include "src/agents/monitor.h"
@@ -207,6 +211,78 @@ TEST(FaultInjection, DiskBudgetShortWriteThenEnospc) {
   const auto stats = kernel->FaultStats();
   EXPECT_GE(stats[kSysWrite].short_transfers, 1);
   EXPECT_GE(stats[kSysWrite].exhaustion, 1);
+}
+
+// The disk-budget check and the growth's accounting are one atomic step.
+// Writes to regular files run under the tree lock held shared, so two roots
+// on two host threads grow two files at once. Each round they write until
+// ENOSPC, and together they must have filled the budget exactly, never past
+// it; then both truncate and the next round starts. Two writers pass a
+// check-then-grow clamp together only near the budget's edge, so the test
+// crosses that edge many times.
+TEST(FaultInjection, ConcurrentWritersFillTheDiskBudgetExactly) {
+  constexpr int kRounds = IA_TEST_UNDER_TSAN ? 30 : 300;
+  constexpr int64_t kRoom = 97 * 20 + 13;  // 97-byte writes: each round ends short
+  auto kernel = MakeWorld();
+  kernel->fs().InstallFile("/tmp/fill0", "");
+  kernel->fs().InstallFile("/tmp/fill1", "");
+  FaultPlan plan;
+  plan.disk_budget_bytes = kernel->fs().total_bytes() + kRoom;
+  kernel->SetFaultPlan(plan);
+  std::atomic<int> arrivals{0};
+  std::atomic<int64_t> written{0};
+  std::atomic<int> wrong_rounds{0};
+  // The roots run on two host threads, so a host-side spin is a barrier.
+  auto barrier = [&arrivals](int generation) {
+    arrivals.fetch_add(1, std::memory_order_acq_rel);
+    while (arrivals.load(std::memory_order_acquire) < 2 * generation) {
+      std::this_thread::yield();
+    }
+  };
+  std::vector<Pid> pids;
+  for (int w = 0; w < 2; ++w) {
+    SpawnOptions options;
+    options.body = [&, w](ProcessContext& ctx) {
+      const int fd = ctx.Open("/tmp/fill" + std::to_string(w), kOWronly);
+      if (fd < 0) {
+        return 1;
+      }
+      char block[97];
+      std::memset(block, 'a' + w, sizeof block);
+      for (int r = 0; r < kRounds; ++r) {
+        for (;;) {
+          const int64_t n = ctx.Write(fd, block, sizeof block);
+          if (n == -kENospc) {
+            break;
+          }
+          if (n <= 0) {
+            return 2;
+          }
+          written.fetch_add(n, std::memory_order_relaxed);
+        }
+        barrier(2 * r + 1);
+        if (w == 0) {
+          if (written.load(std::memory_order_relaxed) != kRoom) {
+            wrong_rounds.fetch_add(1, std::memory_order_relaxed);
+          }
+          written.store(0, std::memory_order_relaxed);
+        }
+        if (ctx.Ftruncate(fd, 0) != 0 || ctx.Lseek(fd, 0, kSeekSet) != 0) {
+          return 3;
+        }
+        barrier(2 * r + 2);
+      }
+      return 0;
+    };
+    pids.push_back(kernel->Spawn(options));
+  }
+  for (const Pid pid : pids) {
+    const int status = kernel->HostWaitPid(pid);
+    EXPECT_TRUE(WifExited(status));
+    EXPECT_EQ(WExitStatus(status), 0);
+  }
+  EXPECT_EQ(wrong_rounds.load(), 0) << "of " << kRounds << " rounds";
+  EXPECT_EQ(kernel->FaultStats()[kSysWrite].exhaustion, 2 * kRounds);
 }
 
 // Growth past the per-file ceiling fails with EFBIG instead of dying inside

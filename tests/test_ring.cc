@@ -1176,6 +1176,99 @@ TEST(LaneDifferential, OpenAndReadImplementationsAgree) {
   EXPECT_EQ(digests[0], digests[1]);
 }
 
+// --- which lane a call takes ------------------------------------------------
+
+// Which lane a call takes, as a count: writes to a regular file in every form
+// (plain, O_APPEND, writev, through a ring flush, inside a ringmix-shaped
+// batch) run under the shared tree lock and never dispatch on the big lock,
+// and neither do the batch's stat/access/fstat/lseek/read rows or the
+// open-for-read and close around it. A pipe write still does.
+TEST(Lanes, RegularFileWritesStayOffTheBigLock) {
+  auto kernel = MakeWorld();
+  kernel->fs().MkdirAll("/lanes");
+  kernel->fs().InstallFile("/lanes/f", std::string(256, 'f'));
+  Kernel* const k = kernel.get();
+  EXPECT_EQ(ExitCodeOf(*kernel, [k](ProcessContext& ctx) {
+              const int fd = ctx.Open("/lanes/f", kORdwr);
+              const int afd = ctx.Open("/lanes/f", kOWronly | kOAppend);
+              if (fd < 0 || afd < 0) {
+                return 1;
+              }
+              char head[] = "head";
+              char body[] = "body";
+              IoVec iov[2] = {{head, 4}, {body, 4}};
+              SyscallArgs writev_args;
+              writev_args.SetInt(0, afd);
+              writev_args.SetPtr(1, iov);
+              writev_args.SetInt(2, 2);
+
+              int64_t before = k->BigLockDispatches();
+              if (ctx.Write(fd, "abcd", 4) != 4 || ctx.Write(afd, "efgh", 4) != 4 ||
+                  ctx.Writev(afd, iov, 2) != 8) {
+                return 2;
+              }
+              if (k->BigLockDispatches() != before) {
+                return 3;
+              }
+
+              BatchClient batch(ctx, /*ring_entries=*/32);
+              batch.PushWrite(fd, "ijkl", 4);
+              batch.PushWrite(afd, "mnop", 4);
+              batch.Push(kSysWritev, writev_args);
+              before = k->BigLockDispatches();
+              batch.Flush();
+              for (const SyscallCompletion& c : batch.completions()) {
+                if (c.status < 0) {
+                  return 4;
+                }
+              }
+              if (k->BigLockDispatches() != before) {
+                return 5;
+              }
+
+              ia::Stat st;
+              char buf[64];
+              batch.PushStat("/lanes/f", &st);
+              batch.PushAccess("/lanes/f", kROk);
+              batch.PushFstat(fd, &st);
+              batch.PushWrite(fd, "qrst", 4);
+              batch.PushLseek(fd, 0, kSeekSet);
+              batch.PushRead(fd, buf, sizeof buf);
+              batch.PushWrite(afd, "uvwx", 4);
+              batch.PushStat("/lanes/f", &st);
+              // ringmix opens and closes a round's files around its batch.
+              before = k->BigLockDispatches();
+              const int rfd = ctx.Open("/lanes/f", kORdonly);
+              batch.Flush();
+              for (const SyscallCompletion& c : batch.completions()) {
+                if (c.status < 0) {
+                  return 6;
+                }
+              }
+              if (rfd < 0 || ctx.Close(rfd) != 0 || k->BigLockDispatches() != before) {
+                return 7;
+              }
+
+              int pipe_fds[2];
+              if (ctx.Pipe(pipe_fds) != 0) {
+                return 8;
+              }
+              before = k->BigLockDispatches();
+              if (ctx.Write(pipe_fds[1], "p", 1) != 1) {
+                return 9;
+              }
+              if (k->BigLockDispatches() != before + 1) {
+                return 10;
+              }
+              return 0;
+            }),
+            0);
+  const std::string data = FileContents(*kernel, "/lanes/f");
+  EXPECT_EQ(data.size(), 256u + 4 + 8 + 4 + 8 + 4);
+  EXPECT_EQ(data.substr(0, 12), "abcdijklqrst");
+  EXPECT_EQ(data.substr(256), "efghheadbodymnopheadbodyuvwx");
+}
+
 // --- concurrent determinism on the fast lanes --------------------------------
 
 // One client of the concurrent-determinism test: per iteration it opens three
