@@ -44,13 +44,17 @@ case "$MODE" in
     # signal counted at its post is a race), and the two one-inode appender
     # tests (O_APPEND writers against stat/fstat/lseek/read on the same
     # inode, and O_APPEND writevs: every access to a file's bytes under the
-    # shared tree lock must hold the inode's data_mu). World sizes self-cap under
+    # shared tree lock must hold the inode's data_mu), and the getdirentries
+    # stress (listings under the shared tree lock against creates and
+    # unlinks in the same directory), and VirtualTime.* (each host's clock
+    # written by its own thread only, with cross-host merges through pipes
+    # and wakeups). World sizes self-cap under
     # TSan (the tests read __has_feature(thread_sanitizer) via
     # IA_TEST_UNDER_TSAN), so this stays fast even with the instrumentation
     # slowdown.
     TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
       "$BUILD_DIR"/tests/ia_tests \
-      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*:ConcurrencyStress.AppendersReaderAndStatShareOneInode:ConcurrencyStress.AppendWritevRecordsStayContiguous' \
+      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*:ConcurrencyStress.AppendersReaderAndStatShareOneInode:ConcurrencyStress.AppendWritevRecordsStayContiguous:ConcurrencyStress.GetdirentriesAgainstCreatesAndUnlinks:VirtualTime.*' \
       --gtest_repeat=3
 
     # The socket plane is the newest blocking subsystem: channel sleeps under

@@ -113,7 +113,7 @@ SyscallStatus ProcessContext::InvokeFrame(int frame, int number, const SyscallAr
     // The budget scope covers only the handler's own execution; it is popped
     // before failure handling so the containment re-issue is never charged to
     // the failed frame.
-    ActiveFrameBudget budget{frame, health.get(), 0, kernel_->clock().Now(), active_budget_};
+    ActiveFrameBudget budget{frame, health.get(), 0, proc_->host->clock().Now(), active_budget_};
     active_budget_ = &budget;
     struct BudgetScope {
       ProcessContext* ctx;
@@ -165,7 +165,7 @@ void ProcessContext::ChargeFrameBudget(int frame) {
       throw FrameBudgetExceeded{frame};
     }
     if (policy.max_vtime_per_call_usec >= 0 &&
-        kernel_->clock().Now() - b->vtime_start > policy.max_vtime_per_call_usec) {
+        proc_->host->clock().Now() - b->vtime_start > policy.max_vtime_per_call_usec) {
       throw FrameBudgetExceeded{frame};
     }
     return;
@@ -339,12 +339,12 @@ int ProcessContext::DrainRing() {
         // cut short at the boundary) so every submission still completes,
         // then let the unwind continue to the trampoline.
         comp.status = -kEIntr;
-        comp.vtime_usec = kernel_->clock().Now();
+        comp.vtime_usec = proc_->host->clock().Now();
         ring.PushCompletion(comp);
         throw;
       } catch (const ExecveUnwind&) {
         comp.status = -kEIntr;
-        comp.vtime_usec = kernel_->clock().Now();
+        comp.vtime_usec = proc_->host->clock().Now();
         ring.PushCompletion(comp);
         throw;
       } catch (...) {
@@ -354,7 +354,7 @@ int ProcessContext::DrainRing() {
         // forever; the drain itself stays usable.
         comp.status = -kEIo;
       }
-      comp.vtime_usec = kernel_->clock().Now();
+      comp.vtime_usec = proc_->host->clock().Now();
       ring.PushCompletion(comp);
       ++completed;
       if (proc_->exit_pending || proc_->pending_exec.valid) {

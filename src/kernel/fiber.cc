@@ -113,6 +113,7 @@ void FiberHost::Join() {
 
 void FiberHost::Loop() {
   t_host = this;
+  BindThreadClock(&clock_);
 #ifdef IA_FIBER_TSAN
   loop_tsan_fiber_ = __tsan_get_current_fiber();
 #endif
@@ -157,6 +158,7 @@ void FiberHost::Loop() {
     munmap(spare_mapping_, GuardSize() + kStackSize);
     spare_mapping_ = nullptr;
   }
+  BindThreadClock(nullptr);
   t_host = nullptr;
 }
 
@@ -197,6 +199,9 @@ void FiberHost::Wake(Fiber* fiber) {
   std::lock_guard<std::mutex> lk(host->mu_);
   host->runq_.push_back(fiber);
   if (t_host != host) {
+    if (t_host != nullptr) {
+      fiber->wake_stamp = std::max(fiber->wake_stamp, t_host->clock_.Now());
+    }
     host->park_.notify_one();
   }
 }
@@ -208,6 +213,7 @@ void FiberHost::Suspend() {
   }
   CheckNoException();
   self->home->SwitchToLoop(self, /*finishing=*/false);
+  self->home->clock_.Merge(self->wake_stamp);
 }
 
 void FiberHost::Yield() {

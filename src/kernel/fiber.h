@@ -14,6 +14,11 @@
 // unmaps the kept one when its thread ends. The host thread ends once no
 // fiber on it is live. Switches are annotated for TSan and ASan
 // (DESIGN.md §13).
+//
+// Each host keeps one virtual clock, shared by every fiber on it and
+// written only by its thread (DESIGN.md §7). A wakeup from another host
+// leaves the waker's time on the fiber, and the fiber merges it into its
+// own host's clock when it resumes.
 #ifndef SRC_KERNEL_FIBER_H_
 #define SRC_KERNEL_FIBER_H_
 
@@ -26,6 +31,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "src/base/clock.h"
 
 namespace ia {
 
@@ -41,6 +48,10 @@ struct Fiber {
   bool finished = false;
   void* tsan_fiber = nullptr;
   void* asan_fake_stack = nullptr;  // ASan's fake-stack handle while switched out
+  // The latest virtual time of a waker on another host, written by Wake
+  // under the home host's mu_ while the fiber sleeps; merged into the home
+  // clock when the fiber resumes.
+  VirtualMicros wake_stamp = 0;
 };
 
 class FiberHost {
@@ -62,12 +73,18 @@ class FiberHost {
   // Waits for the host thread to end. Never called on the host thread.
   void Join();
 
+  // This host's virtual clock. Only the host thread writes it (before Start,
+  // its creator may set it); any thread may read it.
+  VirtualClock& clock() { return clock_; }
+
   // Makes a suspended fiber runnable on its home thread, from any thread.
   // The home thread's park is poked only when the caller runs elsewhere.
+  // A waker on another host thread stamps the fiber with its clock.
   static void Wake(Fiber* fiber);
 
   // The calling fiber gives up its host thread until a Wake. The caller must
   // already be published where its waker finds it, and may hold no lock.
+  // On return the host clock has merged the waker's stamp.
   static void Suspend();
 
   // Requeues the calling fiber at the tail of its run queue and runs the
@@ -96,6 +113,10 @@ class FiberHost {
   void* loop_asan_fake_stack_ = nullptr;
   const void* loop_stack_bottom_ = nullptr;
   size_t loop_stack_size_ = 0;
+
+  // Its own cache line: every call on this host writes it, and other
+  // threads only read it.
+  alignas(64) VirtualClock clock_;
 
   std::thread loop_thread_;  // last: it runs Loop over every member above
 };

@@ -142,6 +142,7 @@ SyscallStatus PipeBacking::Read(Kernel& /*k*/, Process& p, OpenFile& f, char* bu
   for (;;) {
     if (pipe_->BytesBuffered() > 0) {
       const int64_t n = pipe_->ReadSome(buf, count);
+      p.host->clock().Merge(pipe_->stamp());
       rv->rv[0] = n;
       pipe_->chan.Wakeup();
       return static_cast<SyscallStatus>(n);
@@ -168,6 +169,7 @@ SyscallStatus PipeBacking::Write(Kernel& k, Process& p, OpenFile& f, const char*
     const int64_t n = pipe_->WriteSome(buf + total, count - total);
     if (n > 0) {
       total += n;
+      pipe_->Stamp(p.host->clock().Now());
       pipe_->chan.Wakeup();
     }
     if (total == count) {

@@ -22,7 +22,7 @@ void AddMicros(TimeVal* tv, int64_t micros) {
 
 Kernel::Kernel(const KernelConfig& config) {
   compute_spin_scale_ = config.compute_spin_scale;
-  clock_.Set(config.epoch_seconds * 1000000);
+  floor_ = config.epoch_seconds * 1000000;
   fs_.set_now(config.epoch_seconds);
   console_.set_echo_to_host(config.console_echo_to_host);
 
@@ -142,6 +142,7 @@ Pid Kernel::Spawn(const SpawnOptions& options) {
   }
 
   auto host = std::make_unique<FiberHost>();
+  host->clock().Set(floor_);
   StartProcessLocked(table_[proc.pid], host.get());
   host->Start();
   hosts_.push_back(std::move(host));
@@ -247,6 +248,15 @@ int Kernel::LiveProcessCount() {
     }
   }
   return count;
+}
+
+VirtualMicros Kernel::VirtualNow() {
+  Lock lk(mu_);
+  VirtualMicros now = floor_;
+  for (const std::unique_ptr<FiberHost>& host : hosts_) {
+    now = std::max(now, host->clock().Now());
+  }
+  return now;
 }
 
 int64_t Kernel::TotalSyscallCount() {
@@ -375,6 +385,11 @@ void Kernel::FinalizeExit(Process& proc, int wait_status) {
   }
   proc.exit_status = wait_status;
   proc.state = ProcState::kZombie;
+  // The exit raises the floor a later spawn starts from.
+  if (proc.host->clock().Now() > floor_) {
+    floor_ = proc.host->clock().Now();
+    fs_.set_now(floor_ / 1000000);
+  }
   // The SIGCHLD post is also the parent's wait4 wakeup.
   ProcessRef parent = FindLocked(proc.ppid);
   if (parent != nullptr) {
@@ -401,12 +416,8 @@ void Kernel::StopSelf(Process& proc) {
 }
 
 void Kernel::ConsumeCpu(Process& proc, int64_t micros) {
-  // No big lock: the clock and fs "now" are atomic, and rusage is [owner].
-  clock_.Advance(micros);
-  const int64_t second = clock_.Now() / 1000000;
-  if (fs_.now() != second) {
-    fs_.set_now(second);
-  }
+  // No big lock: the host clock and rusage belong to the caller's thread.
+  proc.host->clock().Advance(micros);
   AddMicros(&proc.rusage.ru_utime, micros);
   if (compute_spin_scale_ > 0.0) {
     // Burn real CPU outside the big lock so wall-clock benchmarks see genuine
@@ -460,7 +471,10 @@ SyscallStatus TransferSegments(const IoVec* iov, int iovcnt, SyscallResult* rv,
     SyscallResult seg_rv;
     const SyscallStatus st = segment(iov[i], &seg_rv);
     if (st < 0) {
-      return total > 0 ? static_cast<SyscallStatus>(total) : st;
+      if (total == 0) {
+        return st;
+      }
+      break;
     }
     total += seg_rv.rv[0];
     if (seg_rv.rv[0] < iov[i].iov_len) {
@@ -499,20 +513,17 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
   // was a cache-line serializer at high client counts.
   StatShard& shard = stat_shards_[StatShardSlot(kStatShards)];
 
-  // Prologue, once for the whole batch: one clock advance for the entries'
-  // summed virtual cost, one filesystem "now" refresh, one rusage update
-  // (rusage is [owner]: no lock), one global-counter add.
+  // Prologue, once for the whole batch: one advance of the host's clock for
+  // the entries' summed virtual cost, one rusage update, one shard add. The
+  // clock and rusage belong to this host thread: no lock, and no
+  // read-modify-write on a line another host writes.
+  VirtualClock& clock = proc.host->clock();
   int64_t cost = 0;
   for (int i = 0; i < count; ++i) {
     cost += SyscallCost(reqs[i].number);
   }
-  clock_.Advance(cost);
-  int64_t last = clock_.Now();
-  // The filesystem clock is one word every client shares: store it only when
-  // the second changes, so most batches only read its cache line.
-  if (fs_.now() != last / 1000000) {
-    fs_.set_now(last / 1000000);
-  }
+  clock.Advance(cost);
+  int64_t last = clock.Now();
   AddMicros(&proc.rusage.ru_stime, cost);
   const int64_t seq = proc.rusage.ru_nsyscalls;  // entry i is call number seq + i + 1
   proc.rusage.ru_nsyscalls += count;
@@ -548,7 +559,7 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
   int64_t later_cost = cost;
   auto finish = [&](int i, SyscallStatus status) {
     const int number = reqs[i].number;
-    const int64_t now = clock_.Now();
+    const int64_t now = clock.Now();
     comps[i].status = status;
     comps[i].vtime_usec = now;
     const int64_t vtime = SyscallCost(number) + (now - last);
@@ -758,6 +769,7 @@ Kernel::VfsReadPlan Kernel::ClassifyVfsRead(Process& proc, const SyscallRequest&
     case kSysAccess:
     case kSysReadlink:
     case kSysLseek:
+    case kSysGetdirentries:  // reads a directory; its offset is under data_mu
       return shared();
 
     case kSysFstat: {
@@ -945,7 +957,8 @@ bool Kernel::ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsR
       return true;
 
     default:
-      // stat/lstat/access/readlink/lseek: the regular handler, no big lock.
+      // stat/lstat/access/readlink/lseek/getdirentries: the regular
+      // handler, no big lock.
       *out = DispatchUnlocked(proc, req.number, args, rv);
       return true;
   }
@@ -965,7 +978,7 @@ SyscallStatus Kernel::ReadRegularLocked(Process& proc, OpenFile& file, char* buf
   if (n > 0) {
     std::memcpy(buf, inode->data.data() + off, static_cast<size_t>(n));
     file.offset.store(off + n, std::memory_order_relaxed);
-    inode->atime.store(fs_.now(), std::memory_order_relaxed);
+    Inode::Touch(inode->atime, fs_.now());
     proc.rusage.ru_inblock += (n + 4095) / 4096;
   }
   rv->rv[0] = n;
@@ -1156,7 +1169,8 @@ void Kernel::EmitContainmentRecord(const FrameHealth& health, KtraceEventKind ki
   record.syscall = number;
   record.fd = health.frame;    // frame index (documented in ktrace.h)
   record.path = health.agent;  // agent name
-  record.vtime_usec = clock_.Now();
+  const VirtualClock* clock = ThreadClock();
+  record.vtime_usec = clock != nullptr ? clock->Now() : VirtualNow();
   DeliverKtrace(kProcess, record);  // agent lifecycle events ride the process slice
 }
 
@@ -1298,7 +1312,7 @@ SyscallStatus Kernel::WriteRegularLocked(Process& p, OpenFile& file, const char*
   const int64_t end = off + wcount;
   std::memcpy(data.data() + off, buf, static_cast<size_t>(wcount));
   file.offset.store(end, std::memory_order_relaxed);
-  inode->mtime = fs_.now();
+  Inode::Touch(inode->mtime, fs_.now());
   p.rusage.ru_oublock += (wcount + 4095) / 4096;
   rv->rv[0] = wcount;
   return static_cast<SyscallStatus>(wcount);
@@ -1754,14 +1768,17 @@ SyscallStatus Kernel::SysGetdirentries(Process& p, const SyscallArgs& a, Syscall
   }
 
   // Build the logical listing: ".", "..", then entries in map order. The file
-  // offset is an entry index.
+  // offset is an entry index. This runs on the vfs-read lane: the tree lock
+  // held shared keeps the entries still, and the directory's data_mu orders
+  // the offset against other readers of this open file and lseeks.
   const InodeRef dir = file->inode;
   InodeRef parent = dir->parent.lock();
   if (parent == nullptr) {
     parent = dir;
   }
+  std::lock_guard<WordMutex> data_lock(dir->data_mu);
   const int64_t total = 2 + static_cast<int64_t>(dir->entries.size());
-  int64_t index = file->offset;
+  int64_t index = file->offset.load(std::memory_order_relaxed);
   if (basep != nullptr) {
     *basep = index;
   }
@@ -1789,8 +1806,8 @@ SyscallStatus Kernel::SysGetdirentries(Process& p, const SyscallArgs& a, Syscall
   if (used == 0 && index < total) {
     return -kEInval;  // buffer too small for even one record
   }
-  file->offset = index;
-  dir->atime = fs_.now();
+  file->offset.store(index, std::memory_order_relaxed);
+  Inode::Touch(dir->atime, fs_.now());
   rv->rv[0] = static_cast<int64_t>(used);
   return static_cast<SyscallStatus>(used);
 }
@@ -2324,13 +2341,12 @@ SyscallStatus Kernel::SysSigpause(Process& p, const SyscallArgs& a, SyscallResul
 // Time and accounting syscalls.
 // ---------------------------------------------------------------------------
 
-SyscallStatus Kernel::SysGettimeofday(Process& /*p*/, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysGettimeofday(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/,
+                                      Lock& /*lk*/) {
   auto* tp = a.Ptr<TimeVal>(0);
   auto* tzp = a.Ptr<TimeZone>(1);
   if (tp != nullptr) {
-    // One clock read: two loads could straddle a concurrent advance and pair
-    // a new seconds field with a stale microseconds remainder.
-    const int64_t now = clock_.Now();
+    const int64_t now = p.host->clock().Now();
     tp->tv_sec = now / 1000000;
     tp->tv_usec = now % 1000000;
   }
@@ -2348,7 +2364,11 @@ SyscallStatus Kernel::SysSettimeofday(Process& p, const SyscallArgs& a, SyscallR
   if (tp == nullptr) {
     return -kEFault;
   }
-  clock_.Set(tp->tv_sec * 1000000 + tp->tv_usec);
+  // The caller's host takes the new time now; other live hosts keep theirs,
+  // and every root spawned later starts from it.
+  const VirtualMicros now = tp->tv_sec * 1000000 + tp->tv_usec;
+  p.host->clock().Set(now);
+  floor_ = now;
   fs_.set_now(tp->tv_sec);
   return 0;
 }

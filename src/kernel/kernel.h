@@ -3,10 +3,16 @@
 // Each simulated process runs as a fiber on its root's host thread (fiber.h)
 // and enters the kernel through one dispatch core, DoSyscallBatch();
 // DoSyscall() is its count-1 case. The core pays the prologue once per batch
-// (clock advance, filesystem "now", rusage, stat shard), consults the fault
-// plan per entry, picks a lane per entry from its number alone (LaneOf), and
-// per completed entry delivers the ktrace record and tallies the stats
-// epilogue.
+// (an advance of the caller's host clock, rusage, stat shard), consults the
+// fault plan per entry, picks a lane per entry from its number alone
+// (LaneOf), and per completed entry delivers the ktrace record and tallies
+// the stats epilogue. Every word the prologue and epilogue write belongs to
+// the caller's host thread: its FiberHost's virtual clock (one per root's
+// host, shared by the processes forked under it, written by that thread
+// alone), the caller's [owner] rusage, and this thread's stat shard. Hosts
+// exchange virtual time only at causal edges, under mu_ (DESIGN.md §7):
+// a cross-host wakeup or signal post, a pipe or socket transfer, and a
+// spawn, which starts at floor_.
 // Kernel-mode execution is serialized at three granularities, one per lane:
 //
 //   * the big lock (mu_) still owns all cross-process state — the process
@@ -19,19 +25,21 @@
 //   * syscalls flagged kPerProcess in syscalls.def (getpid/umask/sigblock/
 //     gettimeofday/getrusage/...) dispatch through DispatchUnlocked and never
 //     touch mu_ — they touch only the caller's [owner] fields (process.h),
-//     per-field atomics, and the atomic VirtualClock;
+//     per-field atomics, and the caller's host clock;
 //   * syscalls flagged kVfsRead (stat/access/readlink/open/read/write/writev/
-//     lseek/fstat/close) are classified by ClassifyVfsRead into "run under
-//     the tree lock held shared" (see TreeMutex in vfs.h), "run unlocked", an
-//     immediate status, or "needs the big lock" (O_CREAT/O_TRUNC opens,
-//     fifos/pipes/sockets, devices, flocked files). A single shared-lock row
-//     takes the lock itself; a batch window of consecutive shared-lock rows
-//     runs in submission order under one shared hold. Under that hold a
-//     regular file's bytes, and the offsets of its open files, belong to the
-//     inode's data_mu (4.3BSD's ilock): reads, writes, lseeks and stats take
-//     it around the data they touch, and a writev holds it across all its
-//     segments. Open and close do their descriptor-slot work outside the
-//     lock.
+//     lseek/fstat/close/getdirentries) are classified by ClassifyVfsRead into
+//     "run under the tree lock held shared" (see TreeMutex in vfs.h), "run
+//     unlocked", an immediate status, or "needs the big lock" (O_CREAT/
+//     O_TRUNC opens, fifos/pipes/sockets, devices, flocked files). A single
+//     shared-lock row takes the lock itself; a batch window of consecutive
+//     shared-lock rows runs in submission order under one shared hold. Under
+//     that hold a regular file's bytes, and the offsets of its open files (a
+//     directory's too), belong to the inode's data_mu (4.3BSD's ilock):
+//     reads, writes, lseeks, stats and getdirentries take it around the
+//     data they touch, and a writev holds it across all its segments. Open
+//     and close do their descriptor-slot work outside the lock. A shared
+//     hold writes only the caller's reader slot of the tree lock (rwlock.h),
+//     and unbudgeted file growth only the caller's byte shard (vfs.h).
 //
 // Calls arrive either synchronously through ProcessContext::Syscall, or as
 // SyscallRequest batches drained from a per-process submission/completion
@@ -48,9 +56,12 @@
 // inside a window's hold). Nothing acquires mu_ or the tree lock while
 // holding data_mu, and nothing acquires mu_ while holding any of the others.
 // A FiberHost's own mutex (its run queue) is a leaf, taken under mu_ by
-// wakeups. Fibers of one host share its thread, so mu_ is the only lock held
+// wakeups, which leave the waker's clock stamp on the fiber under it.
+// Fibers of one host share its thread, so mu_ is the only lock held
 // across a sleep (Sleep drops it before switching), and no lock is held
-// across a Yield.
+// across a Yield. The tree lock's writer mutex is internal to it and held
+// only by an exclusive holder; clock reads and merges take no lock beyond
+// the ones listed (floor_ is guarded by mu_).
 //
 // Observing a path does not change it: a fault plan or a ktrace sink changes
 // no lane and no prologue. Fault decisions are keyed on (pid, per-process
@@ -124,7 +135,12 @@ class Kernel {
   Filesystem& fs() { return fs_; }
   ProgramRegistry& programs() { return programs_; }
   ConsoleDevice& console() { return console_; }
-  VirtualClock& clock() { return clock_; }
+
+  // Virtual time seen from outside the processes. Each host thread keeps
+  // its own clock (fiber.h); this is the latest of the floor (the epoch,
+  // settimeofday, and the clocks of exited processes) and every live host's
+  // clock. It takes mu_. A process reads its own host's clock instead.
+  VirtualMicros VirtualNow();
 
   // Registers `main` as image `image` and installs an executable file at `path`.
   void InstallProgram(const std::string& path, const std::string& image, ProgramMain main,
@@ -450,7 +466,10 @@ class Kernel {
 
   Filesystem fs_;
   ProgramRegistry programs_;
-  VirtualClock clock_;
+  // Where a new host's clock starts: the epoch, then the latest of every
+  // exited process's host clock, reset by settimeofday. Live hosts do not
+  // move it, so roots spawned together start together. Guarded by mu_.
+  VirtualMicros floor_ = 0;
   std::string hostname_ = "vax6250";
 
   NullDevice null_dev_;

@@ -47,7 +47,7 @@ NameCache::Outcome NameCache::Lookup(const Inode& dir, std::string_view name, In
     return Outcome::kMiss;
   }
   if (node->negative) {
-    node->touched.store(true, std::memory_order_relaxed);
+    Touch(*node);
     rc.negative_hits.fetch_add(1, std::memory_order_relaxed);
     *out = nullptr;
     return Outcome::kNegativeHit;
@@ -64,7 +64,7 @@ NameCache::Outcome NameCache::Lookup(const Inode& dir, std::string_view name, In
     rc.misses.fetch_add(1, std::memory_order_relaxed);
     return Outcome::kMiss;
   }
-  node->touched.store(true, std::memory_order_relaxed);  // clock bit: no list surgery on a hit
+  Touch(*node);  // clock bit: no list surgery on a hit
   rc.hits.fetch_add(1, std::memory_order_relaxed);
   *out = std::move(child);
   return Outcome::kHit;

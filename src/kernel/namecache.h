@@ -190,6 +190,14 @@ class NameCache {
     std::list<Entry>::iterator self;
   };
 
+  // Sets the clock bit only when it is clear: a hot entry's line then stays
+  // shared among the walkers that hit it, instead of being written by each.
+  static void Touch(Entry& node) {
+    if (!node.touched.load(std::memory_order_relaxed)) {
+      node.touched.store(true, std::memory_order_relaxed);
+    }
+  }
+
   using EntryList = std::list<Entry>;
 
   // Read-path tallies. Every concurrent Namei walk bumps one of these per

@@ -1,7 +1,9 @@
 // Bounded pipe buffer with 4.3BSD semantics (4KB capacity, EOF on writer close,
 // EPIPE/SIGPIPE on reader close), guarded by the kernel big lock. Blocked
 // readers and writers sleep on `chan`; PipeBacking wakes it on every transfer
-// and on each end's close.
+// and on each end's close. A write stamps the buffer with the writer's
+// virtual time, and a read merges the stamp into the reader's host clock,
+// so a reader on another host never reads bytes from its own past.
 #ifndef SRC_KERNEL_PIPE_H_
 #define SRC_KERNEL_PIPE_H_
 
@@ -9,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 
+#include "src/base/clock.h"
 #include "src/kernel/fiber.h"
 #include "src/kernel/types.h"
 
@@ -52,10 +55,15 @@ class ByteRing {
     return static_cast<int64_t>(n);
   }
 
+  // The latest writer's virtual time, a Lamport message stamp.
+  void Stamp(VirtualMicros now) { stamp_ = std::max(stamp_, now); }
+  VirtualMicros stamp() const { return stamp_; }
+
  private:
   char buf_[kCapacity];
   size_t head_ = 0;   // index of the oldest buffered byte
   size_t count_ = 0;  // bytes buffered
+  VirtualMicros stamp_ = 0;
 };
 
 class Pipe {
@@ -74,6 +82,9 @@ class Pipe {
 
   // Transfers up to min(count, buffered); returns bytes copied out.
   int64_t ReadSome(char* buf, int64_t count) { return ring_.ReadSome(buf, count); }
+
+  void Stamp(VirtualMicros now) { ring_.Stamp(now); }
+  VirtualMicros stamp() const { return ring_.stamp(); }
 
   int readers = 0;  // open read ends (struct-file granularity)
   int writers = 0;  // open write ends

@@ -112,6 +112,7 @@ SyscallStatus SocketBacking::Read(Kernel& /*k*/, Process& p, OpenFile& f, char* 
   for (;;) {
     if (s.recv.size() > 0) {
       const int64_t n = s.recv.ReadSome(buf, count);
+      p.host->clock().Merge(s.recv.stamp());
       rv->rv[0] = n;
       if (s.peer != nullptr) {
         s.peer->chan.Wakeup();  // the peer's send may be waiting for room
@@ -152,6 +153,7 @@ SyscallStatus SocketBacking::Write(Kernel& k, Process& p, OpenFile& f, const cha
     const int64_t n = s.peer->recv.WriteSome(buf + total, count - total);
     if (n > 0) {
       total += n;
+      s.peer->recv.Stamp(p.host->clock().Now());
       s.peer->chan.Wakeup();
     }
     if (total == count) {

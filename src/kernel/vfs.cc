@@ -4,6 +4,7 @@
 #include <deque>
 #include <mutex>
 
+#include "src/base/shardslot.h"
 #include "src/base/strings.h"
 
 namespace ia {
@@ -710,18 +711,32 @@ int Filesystem::ResizeFile(const InodeRef& inode, Off length) {
   return 0;
 }
 
+int64_t Filesystem::total_bytes() const {
+  int64_t total = total_bytes_.load(std::memory_order_relaxed);
+  for (const ByteShard& shard : byte_shards_) {
+    total += shard.bytes.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 int64_t Filesystem::ReserveBytes(int64_t want, int64_t least, int64_t budget) {
   if (budget < 0) {
-    total_bytes_.fetch_add(want, std::memory_order_relaxed);
+    byte_shards_[StatShardSlot(kByteShards)].bytes.fetch_add(want, std::memory_order_relaxed);
     return want;
   }
-  int64_t total = total_bytes_.load(std::memory_order_relaxed);
+  // Budgeted writers all reserve through the CAS on total_bytes_, so the
+  // shards stay still while a budget is installed and the fold is exact.
+  int64_t sharded = 0;
+  for (const ByteShard& shard : byte_shards_) {
+    sharded += shard.bytes.load(std::memory_order_relaxed);
+  }
+  int64_t base = total_bytes_.load(std::memory_order_relaxed);
   for (;;) {
-    const int64_t reserved = std::min(want, std::max<int64_t>(budget - total, 0));
+    const int64_t reserved = std::min(want, std::max<int64_t>(budget - base - sharded, 0));
     if (reserved < least || reserved == 0) {
       return 0;
     }
-    if (total_bytes_.compare_exchange_weak(total, total + reserved, std::memory_order_relaxed)) {
+    if (total_bytes_.compare_exchange_weak(base, base + reserved, std::memory_order_relaxed)) {
       return reserved;
     }
   }

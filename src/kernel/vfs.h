@@ -5,11 +5,11 @@
 //
 // Synchronization is provided by the caller through TreeMutex(), one
 // reader/writer lock over the whole inode graph (entries, metadata), as in
-// 4.3BSD, where one lock guards the name space: walks and the regular-file
-// data plane (stat/access/readlink/open-for-read, and read/write/writev/
-// lseek/fstat on regular files) hold it shared and proceed concurrently; any
-// mutation of the name space or of attributes (create/unlink/rename/truncate/
-// chmod/...) holds it exclusively.
+// 4.3BSD, where one lock guards the name space: walks, directory listings
+// and the regular-file data plane (stat/access/readlink/open-for-read/
+// getdirentries, and read/write/writev/lseek/fstat on regular files) hold
+// it shared and proceed concurrently; any mutation of the name space or of
+// attributes (create/unlink/rename/truncate/chmod/...) holds it exclusively.
 //
 // Under a shared hold, a regular file's bytes belong to its inode's own leaf
 // lock, Inode::data_mu (4.3BSD's per-inode ilock): the data plane locks the
@@ -19,7 +19,9 @@
 // The kernel's dispatcher takes the exclusive lock around every big-lock
 // handler and the shared lock around the lock-free fast paths, so VFS
 // method bodies themselves stay lock-free. Inode timestamps are atomics
-// because shared-mode paths update atime and mtime. The
+// because shared-mode paths update atime and mtime; they read the caller's
+// host clock (now()), and the shared paths store a stamp only when its
+// second changes, so readers of one hot inode do not write its line. The
 // name cache carries its own internal mutex, and its grace-period reclaim
 // keys off the exclusive mode: an exclusive holder implies no lock-free
 // cache reader is in flight (see namecache.h).
@@ -35,6 +37,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/base/clock.h"
 #include "src/base/errno_codes.h"
 #include "src/base/rwlock.h"
 #include "src/base/word_mutex.h"
@@ -103,13 +106,20 @@ class Inode {
   Gid gid = 0;
   int32_t nlink = 0;
   // Timestamps are relaxed atomics, not tree-lock-guarded fields: the read
-  // fast paths (stat under the shared tree lock, regular-file read marking
-  // atime) update them while other shared holders read them concurrently.
-  // Each stamp is an independent whole value; no cross-field ordering is
-  // promised, which is all stat(2) ever offered.
+  // fast paths (stat under the shared tree lock, regular-file reads and
+  // getdirentries marking atime, writes marking mtime) update them while
+  // other shared holders read them concurrently, and store only a changed
+  // second. Each stamp is an independent whole value; no cross-field
+  // ordering is promised, which is all stat(2) ever offered.
   std::atomic<int64_t> atime{0};
   std::atomic<int64_t> mtime{0};
   std::atomic<int64_t> ctime{0};
+  // A shared-mode path's stamp: stores `seconds` only when it differs.
+  static void Touch(std::atomic<int64_t>& stamp, int64_t seconds) {
+    if (stamp.load(std::memory_order_relaxed) != seconds) {
+      stamp.store(seconds, std::memory_order_relaxed);
+    }
+  }
 
   // --- regular file payload --------------------------------------------------
   // The bytes. A tree-lock holder in exclusive mode touches them freely;
@@ -139,10 +149,11 @@ class Inode {
   std::atomic<bool> flock_exclusive{false};
 
   // --- the inode lock ----------------------------------------------------------
-  // Guards `data`, and the offsets of the files open on this inode, while
-  // the tree lock is held shared. A writer holds it from its append-offset
-  // pick to its copy (a writev across all its segments, so an O_APPEND
-  // writev lands as one record). A leaf under the tree lock: nothing is
+  // Guards `data`, and the offsets of the files open on this inode (for a
+  // directory, getdirentries' entry index), while the tree lock is held
+  // shared. A writer holds it from its append-offset pick to its copy (a
+  // writev across all its segments, so an O_APPEND writev lands as one
+  // record). A leaf under the tree lock: nothing is
   // acquired while holding it but the FaultInjector's mutex. One word: it
   // grows an Inode by 8 bytes where a std::mutex grew it by 40.
   mutable WordMutex data_mu;
@@ -203,10 +214,16 @@ class Filesystem {
   // appropriate mode (exclusive for every method that mutates the tree).
   RwLock& TreeMutex() const { return tree_mu_; }
 
-  // Current file time, in seconds; set by the kernel each tick. Atomic so
-  // shared-mode readers can stamp atimes while the dispatcher advances it.
+  // Current file time, in seconds: the calling host thread's virtual clock
+  // (clock.h's ThreadClock), so a call stamps its inodes with its own time
+  // and nothing every client shares is written per call. Off a host thread
+  // (world building) it is the host-side time the kernel sets with
+  // set_now: the epoch, exits and settimeofday (Kernel::floor_).
   void set_now(int64_t seconds) { now_.store(seconds, std::memory_order_relaxed); }
-  int64_t now() const { return now_.load(std::memory_order_relaxed); }
+  int64_t now() const {
+    const VirtualClock* clock = ThreadClock();
+    return clock != nullptr ? clock->Now() / 1000000 : now_.load(std::memory_order_relaxed);
+  }
 
   // Allocates a fresh unattached inode.
   InodeRef AllocInode(InodeType type, Mode mode_bits, const Cred& cred);
@@ -265,8 +282,10 @@ class Filesystem {
   // Counts inodes reachable from the root (statistics/tests).
   size_t CountReachableInodes() const;
 
-  // Atomic: read by the fault plane's exhaustion regime without the tree lock.
-  int64_t total_bytes() const { return total_bytes_.load(std::memory_order_relaxed); }
+  // Bytes held by regular files: the exact total once writers quiesce. Read
+  // by the fault plane's exhaustion regime without the tree lock, as a
+  // fold of the byte shards.
+  int64_t total_bytes() const;
 
   // Truncate/extend a regular file's data, accounting bytes. Callers hold
   // the tree lock exclusively.
@@ -276,7 +295,9 @@ class Filesystem {
   // `budget` bytes in total (negative: no budget), so concurrent writers
   // on different files never overshoot it. Reserves min(want, room) bytes
   // when that is at least `least`, else nothing, and returns what it
-  // reserved; the writer then grows the data by exactly that much.
+  // reserved; the writer then grows the data by exactly that much. With no
+  // budget the growth goes to the calling thread's byte shard; a budget
+  // reserves with a CAS on total_bytes_ against the folded total.
   int64_t ReserveBytes(int64_t want, int64_t least, int64_t budget);
 
   // The directory name-lookup cache consulted by Namei (enabled by default).
@@ -294,8 +315,18 @@ class Filesystem {
   InodeRef root_;
   // Guarded by TreeMutex() exclusive (only mutators allocate inodes).
   Ino next_ino_ = 2;  // ino 2 is the root, per UFS convention
-  std::atomic<int64_t> now_{0};
-  std::atomic<int64_t> total_bytes_{0};
+  // The host-side file time (set_now). Its own line: no call writes it.
+  alignas(64) std::atomic<int64_t> now_{0};
+  // Byte accounting. total_bytes_ takes exclusive holders' resizes and
+  // deletions and budgeted reservations; unbudgeted growth under a shared
+  // hold goes to the writing thread's shard (StatShardSlot), which no other
+  // host thread writes while slots stay distinct. total_bytes() is their sum.
+  alignas(64) std::atomic<int64_t> total_bytes_{0};
+  static constexpr int kByteShards = 8;  // power of two
+  struct alignas(64) ByteShard {
+    std::atomic<int64_t> bytes{0};
+  };
+  ByteShard byte_shards_[kByteShards];
   // Mutable: lookups through the const Namei path update LRU order and stats.
   // Internally synchronized (see namecache.h).
   mutable NameCache namecache_;

@@ -107,7 +107,7 @@ TEST(Composition, TimexVisibleThroughWholeStack) {
   SandboxPolicy policy;  // permissive
   policy.write_prefixes = {"/"};
   auto sandbox = std::make_shared<SandboxAgent>(policy);
-  const int64_t real = kernel->clock().Now() / 1000000;
+  const int64_t real = kernel->VirtualNow() / 1000000;
   const int status =
       RunBodyUnder(*kernel, {timex, union_agent, sandbox}, [real](ProcessContext& ctx) {
         TimeVal tv;

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/kernel/direntry_codec.h"
 #include "src/kernel/kernel.h"
 #include "src/kernel/syscall_table.h"
 #include "src/kernel/types.h"
@@ -850,6 +851,83 @@ TEST(SocketStress, PathnameRendezvousUnderVfsChurn) {
   pids.push_back(kernel->Spawn(mutator_options));
 
   pids.push_back(server);
+  for (const Pid pid : pids) {
+    const int status = kernel->HostWaitPid(pid);
+    EXPECT_TRUE(WifExited(status));
+    EXPECT_EQ(WExitStatus(status), 0);
+  }
+}
+
+// Two roots list one directory with getdirentries (the vfs-read lane: the
+// tree lock shared, the open directory's offset under its data_mu) in small
+// chunks while a third creates and unlinks files in it. Every chunk decodes
+// into whole records with names from the directory, each listing starts with
+// "." and "..", and TSan checks the listing against the creates and unlinks.
+TEST(ConcurrencyStress, GetdirentriesAgainstCreatesAndUnlinks) {
+  constexpr int kRounds = IA_TEST_UNDER_TSAN ? 60 : 600;
+  auto kernel = test::MakeWorld();
+  kernel->fs().MkdirAll("/listed");
+  for (int f = 0; f < 8; ++f) {
+    kernel->fs().InstallFile("/listed/keep" + std::to_string(f), "k");
+  }
+  std::atomic<int> arrivals{0};
+  std::vector<Pid> pids;
+  for (int r = 0; r < 2; ++r) {
+    SpawnOptions options;
+    options.body = [&arrivals](ProcessContext& ctx) {
+      StartTogether(&arrivals, 3);
+      for (int round = 0; round < kRounds; ++round) {
+        const int dfd = ctx.Open("/listed", kORdonly);
+        if (dfd < 0) {
+          return 1;
+        }
+        std::vector<std::string> names;
+        char buf[64];  // a few records per call: many offset steps
+        int64_t base = 0;
+        for (;;) {
+          const int n = ctx.Getdirentries(dfd, buf, sizeof buf, &base);
+          if (n < 0) {
+            return 2;
+          }
+          if (n == 0) {
+            break;
+          }
+          for (const Dirent& d : DecodeDirents(buf, static_cast<size_t>(n))) {
+            names.push_back(d.d_name);
+          }
+        }
+        if (names.size() < 2 || names[0] != "." || names[1] != "..") {
+          return 3;
+        }
+        for (size_t i = 2; i < names.size(); ++i) {
+          if (names[i].rfind("keep", 0) != 0 && names[i].rfind("t", 0) != 0) {
+            return 4;
+          }
+        }
+        if (ctx.Close(dfd) != 0) {
+          return 5;
+        }
+      }
+      return 0;
+    };
+    pids.push_back(kernel->Spawn(options));
+  }
+  SpawnOptions mutator;
+  mutator.body = [&arrivals](ProcessContext& ctx) {
+    StartTogether(&arrivals, 3);
+    for (int i = 0; i < kRounds * 2; ++i) {
+      const std::string name = "/listed/t" + std::to_string(i % 11);
+      const int fd = ctx.Open(name, kOCreat | kOWronly, 0644);
+      if (fd < 0 || ctx.Close(fd) != 0) {
+        return 1;
+      }
+      if (i % 2 == 1 && ctx.Unlink(name) != 0) {
+        return 2;
+      }
+    }
+    return 0;
+  };
+  pids.push_back(kernel->Spawn(mutator));
   for (const Pid pid : pids) {
     const int status = kernel->HostWaitPid(pid);
     EXPECT_TRUE(WifExited(status));

@@ -122,7 +122,7 @@ TEST(Stress, AgentStackFiveDeepStaysCorrect) {
   for (int i = 0; i < 5; ++i) {
     stack.push_back(std::make_shared<AddOne>());
   }
-  const int64_t real = kernel->clock().Now() / 1000000;
+  const int64_t real = kernel->VirtualNow() / 1000000;
   const int status = RunBodyUnder(*kernel, stack, [real](ProcessContext& ctx) {
     TimeVal tv;
     ctx.Gettimeofday(&tv, nullptr);

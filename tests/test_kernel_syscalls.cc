@@ -561,6 +561,41 @@ TEST(Syscalls, NamedFifoRoundTrip) {
 }
 
 
+// A readv/writev whose later segment fails after an earlier one moved bytes
+// returns those bytes, on both writev lanes (a regular file's vfs-read lane,
+// a pipe's big-lock handler) and on readv.
+TEST(Syscalls, PartialVectorTransferReportsTheBytesMoved) {
+  auto kernel = MakeWorld();
+  EXPECT_EQ(ExitCodeOf(*kernel, [](ProcessContext& ctx) {
+              char head[] = "abcd";
+              IoVec out[2] = {{head, 4}, {nullptr, 4}};
+              const int fd = ctx.Open("/tmp/partial", kOCreat | kORdwr, 0644);
+              if (fd < 0 || ctx.Writev(fd, out, 2) != 4) {
+                return 1;
+              }
+              int pipe_fds[2];
+              if (ctx.Pipe(pipe_fds) != 0 || ctx.Writev(pipe_fds[1], out, 2) != 4) {
+                return 2;
+              }
+              char from_pipe[8] = {};
+              if (ctx.Read(pipe_fds[0], from_pipe, sizeof from_pipe) != 4 ||
+                  std::string(from_pipe, 4) != "abcd") {
+                return 3;
+              }
+              if (ctx.Write(fd, "efgh", 4) != 4 || ctx.Lseek(fd, 0, kSeekSet) != 0) {
+                return 4;
+              }
+              char in_head[4] = {};
+              IoVec in[2] = {{in_head, 4}, {nullptr, 4}};
+              if (ctx.Readv(fd, in, 2) != 4 || std::string(in_head, 4) != "abcd") {
+                return 5;
+              }
+              return 0;
+            }),
+            0);
+  EXPECT_EQ(FileContents(*kernel, "/tmp/partial"), "abcdefgh");
+}
+
 TEST(Syscalls, ReadvWritevScatterGather) {
   auto kernel = MakeWorld();
   EXPECT_EQ(ExitCodeOf(*kernel, [](ProcessContext& ctx) {

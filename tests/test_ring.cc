@@ -1269,6 +1269,83 @@ TEST(Lanes, RegularFileWritesStayOffTheBigLock) {
   EXPECT_EQ(data.substr(256), "efghheadbodymnopheadbodyuvwx");
 }
 
+// getdirentries only reads a directory: it runs under the shared tree lock,
+// its offset under the directory's data_mu, and never takes the big lock.
+TEST(Lanes, GetdirentriesStaysOffTheBigLock) {
+  auto kernel = MakeWorld();
+  kernel->fs().MkdirAll("/lanes/dir");
+  for (int i = 0; i < 5; ++i) {
+    kernel->fs().InstallFile(StringPrintf("/lanes/dir/f%d", i), "x");
+  }
+  Kernel* const k = kernel.get();
+  EXPECT_EQ(ExitCodeOf(*kernel, [k](ProcessContext& ctx) {
+              const int dfd = ctx.Open("/lanes/dir", kORdonly);
+              if (dfd < 0) {
+                return 1;
+              }
+              char buf[4096];
+              int64_t base = -1;
+              const int64_t before = k->BigLockDispatches();
+              const int n = ctx.Getdirentries(dfd, buf, sizeof buf, &base);
+              const int rest = ctx.Getdirentries(dfd, buf, sizeof buf, &base);
+              if (n <= 0 || rest != 0 || base != 7) {  // ".", "..", five files
+                return 2;
+              }
+              if (ctx.Getdirentries(99, buf, sizeof buf, &base) != -kEBadf) {
+                return 3;
+              }
+              if (k->BigLockDispatches() != before) {
+                return 4;
+              }
+              return 0;
+            }),
+            0);
+}
+
+// The counted twin of bench_scalability's single_client_parity gate: a
+// 64-entry flush from one client runs through the dispatch core as one
+// batch, paying one clock advance for all its entries. Every completion
+// carries the same virtual time, the host clock before the flush plus the
+// entries' summed cost; issued one call at a time, each would differ.
+TEST(RingBatch, SixtyFourEntryFlushIsOneDispatchBatch) {
+  auto kernel = MakeWorld();
+  kernel->fs().InstallFile("/tmp/batch.dat", std::string(256, 'b'));
+  Kernel* const k = kernel.get();
+  EXPECT_EQ(ExitCodeOf(*kernel, [k](ProcessContext& ctx) {
+              const int fd = ctx.Open("/tmp/batch.dat", kORdonly);
+              if (fd < 0) {
+                return 1;
+              }
+              BatchClient batch(ctx, /*ring_entries=*/64);
+              ia::Stat st{};
+              char buf[16];
+              int64_t cost = 0;
+              for (int i = 0; i < 16; ++i) {
+                batch.PushStat("/tmp/batch.dat", &st);
+                batch.PushLseek(fd, i, kSeekSet);
+                batch.PushRead(fd, buf, sizeof buf);
+                batch.PushGetpid();
+                cost += k->SyscallCost(kSysStat) + k->SyscallCost(kSysLseek) +
+                        k->SyscallCost(kSysRead) + k->SyscallCost(kSysGetpid);
+              }
+              TimeVal tv{};
+              if (ctx.Gettimeofday(&tv, nullptr) != 0) {
+                return 2;
+              }
+              const int64_t before = tv.tv_sec * 1000000 + tv.tv_usec;
+              if (batch.Flush() != 64) {
+                return 3;
+              }
+              for (const SyscallCompletion& c : batch.completions()) {
+                if (c.status < 0 || c.vtime_usec != before + cost) {
+                  return 4;
+                }
+              }
+              return 0;
+            }),
+            0);
+}
+
 // --- concurrent determinism on the fast lanes --------------------------------
 
 // One client of the concurrent-determinism test: per iteration it opens three
@@ -1301,8 +1378,10 @@ int FaultMixClient(ProcessContext& ctx) {
 
 // Runs four FaultMixClients under one recorded plan (errno, EINTR, short and
 // fd_table_limit regimes) and one ktrace sink, concurrently or one after
-// another. Returns each pid's fault-trace lines and ktrace records (every
-// field but vtime_usec), keyed by pid.
+// another. Returns each pid's fault-trace lines and ktrace records, keyed by
+// pid. A record's vtime_usec is taken from its pid's first record: each
+// root runs on its own host clock, and a root spawned after another has
+// exited starts where that one ended.
 std::pair<std::map<Pid, std::string>, std::map<Pid, std::string>> RunFaultMixClients(
     bool concurrent) {
   auto kernel = MakeWorld();
@@ -1345,9 +1424,12 @@ std::pair<std::map<Pid, std::string>, std::map<Pid, std::string>> RunFaultMixCli
     }
   }
   std::map<Pid, std::string> records;
+  std::map<Pid, int64_t> first_vtime;
   for (const KtraceRecord& r : sink.records()) {
-    records[r.pid] += StringPrintf("%d:%d:%lld:%d:%s\n", static_cast<int>(r.kind), r.syscall,
-                                   static_cast<long long>(r.result), r.fd, r.path.c_str());
+    const int64_t start = first_vtime.emplace(r.pid, r.vtime_usec).first->second;
+    records[r.pid] += StringPrintf("%d:%d:%lld:%d:%s:%lld\n", static_cast<int>(r.kind),
+                                   r.syscall, static_cast<long long>(r.result), r.fd,
+                                   r.path.c_str(), static_cast<long long>(r.vtime_usec - start));
   }
   return {faults, records};
 }
@@ -1403,9 +1485,10 @@ TEST(KernelStats, ShardedCountersFoldExactlyAfterQuiesce) {
       after[kSysGetpid].calls - base[kSysGetpid].calls;
   EXPECT_EQ(getpid_delta, static_cast<int64_t>(kProcs) * kCallsEach);
   EXPECT_EQ(after[kSysGetpid].errors, base[kSysGetpid].errors);
-  // vtime accounting rode along shard-by-shard too (GE: the virtual clock is
-  // global, so concurrent processes' advances can land inside a call's span).
-  EXPECT_GE(after[kSysGetpid].vtime_usec - base[kSysGetpid].vtime_usec,
+  // vtime accounting rode along shard-by-shard too, exactly: each root
+  // advances its own host's clock, so no other process's advance lands
+  // inside a call's span.
+  EXPECT_EQ(after[kSysGetpid].vtime_usec - base[kSysGetpid].vtime_usec,
             getpid_delta * kernel->SyscallCost(kSysGetpid));
   // The folded per-number calls and the folded total agree: both tallies are
   // bumped together on every dispatch, just in per-thread shards.

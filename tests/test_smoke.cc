@@ -132,7 +132,7 @@ class PlusHundredAgent final : public Agent {
 
 TEST(Smoke, AgentInterceptsGettimeofday) {
   Kernel kernel;
-  const int64_t epoch = kernel.clock().Now() / 1000000;
+  const int64_t epoch = kernel.VirtualNow() / 1000000;
   SpawnOptions options;
   options.body = [epoch](ProcessContext& ctx) {
     TimeVal tv;

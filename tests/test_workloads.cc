@@ -124,7 +124,7 @@ TEST(AgentRuns, TimexShiftsTimeForDate) {
   EXPECT_EQ(WExitStatus(status), 0);
   const std::string out = kernel->console().transcript();
   const int64_t reported = std::atoll(out.c_str());
-  const int64_t real = kernel->clock().Now() / 1000000;
+  const int64_t real = kernel->VirtualNow() / 1000000;
   EXPECT_GE(reported, real + 3590);
   EXPECT_LE(reported, real + 3610);
 }
