@@ -5,7 +5,8 @@
 // Three workloads, each measured with the cache off and on:
 //
 //   1. stat-heavy repeated lookups of deep (8-component) paths through wide
-//      directories — the DNLC's home turf; self-check: >= 1.3x speedup warm;
+//      directories — the DNLC's home turf; self-check: >= 1.3x speedup warm,
+//      the median of interleaved rounds charged in thread CPU time;
 //   2. cold vs warm pass with the cache on — shows the first-touch miss cost;
 //   3. mutation churn (creat/unlink/rename interleaved with lookups) —
 //      self-checks: byte-identical syscall results cache-on vs cache-off, and
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/base/clock.h"
 #include "src/base/stats.h"
 #include "src/kernel/vfs.h"
@@ -26,8 +28,18 @@ namespace {
 constexpr int kDepth = 8;       // components per path, like the paper's "6 components" row
 constexpr int kWidth = 2000;    // sibling entries per directory level (big-directory case)
 constexpr int kLeafFiles = 64;  // files stat'ed in the deepest directory
-constexpr int kStatReps = 150;  // passes over the leaf set per timed run
-constexpr int kAttempts = 3;    // min-of-N: host scheduling noise only adds time
+constexpr int kAttempts = 3;    // churn: min-of-N, host scheduling noise only adds time
+// The warm gate compares the cache off and on alternately: the host's
+// single-thread speed drifts by up to 2x over minutes, so a best-of-N pass
+// per side let the drift between the two sides decide the ratio (it read
+// 1.04x to 2.04x on one tree). Each round measures both sides in
+// kGateSlices interleaved slices of kSliceReps passes, each side going
+// first as often as the other, charged in thread CPU time; the gate is the
+// median of the kGateRounds per-round ratios.
+constexpr int kGateRounds = 15;
+constexpr int kGateSlices = 8;
+constexpr int kSliceReps = 20;
+constexpr double kWarmGate = 1.30;
 
 // Builds a deep chain /p0/p1/.../p7 where every level also holds kWidth dummy
 // siblings (so uncached per-component search has real work to do), and
@@ -67,18 +79,39 @@ double TimeStatPass(ia::Filesystem& fs, const std::vector<std::string>& paths, i
   return static_cast<double>(ia::MonotonicMicros() - start) / 1e6;
 }
 
-// Min-of-attempts stat timing with the cache in the given state. The cache is
-// cleared before the warm-up pass so "warm" means "warmed by this config".
-double MeasureStatSeconds(ia::Filesystem& fs, const std::vector<std::string>& paths,
-                          bool cache_on) {
-  fs.namecache().set_enabled(cache_on);
+// The warm gate's rounds. The cache is filled once; switching it off only
+// makes lookups miss, so every "on" slice runs warm. Returns the per-round
+// off/on CPU-time ratios, summarized, and each side's CPU µs per stat (the
+// medians over rounds) in *off_us and *on_us.
+ia::bench::RatioSpread MeasureWarmSpeedup(ia::Filesystem& fs,
+                                          const std::vector<std::string>& paths, double* off_us,
+                                          double* on_us) {
+  fs.namecache().set_enabled(true);
   fs.namecache().Clear();
-  double best = 1e18;
-  TimeStatPass(fs, paths, 1);  // warm-up (fills the cache when enabled)
-  for (int i = 0; i < kAttempts; ++i) {
-    best = std::min(best, TimeStatPass(fs, paths, kStatReps));
+  TimeStatPass(fs, paths, 1);  // fills the cache
+  const double stats_per_side =
+      static_cast<double>(kGateSlices) * kSliceReps * static_cast<double>(paths.size());
+  std::vector<double> ratios;
+  std::vector<double> per_stat[2];
+  for (int round = 0; round < kGateRounds; ++round) {
+    double cpu_us[2] = {0, 0};  // [cache_on]
+    for (int slice = 0; slice < kGateSlices; ++slice) {
+      for (int turn = 0; turn < 2; ++turn) {
+        const bool cache_on = (turn == 0) == (slice % 2 == 0);
+        fs.namecache().set_enabled(cache_on);
+        const int64_t start = ia::bench::ThreadCpuMicros();
+        TimeStatPass(fs, paths, kSliceReps);
+        cpu_us[cache_on ? 1 : 0] += static_cast<double>(ia::bench::ThreadCpuMicros() - start);
+      }
+    }
+    ratios.push_back(cpu_us[0] / cpu_us[1]);
+    per_stat[0].push_back(cpu_us[0] / stats_per_side);
+    per_stat[1].push_back(cpu_us[1] / stats_per_side);
   }
-  return best;
+  fs.namecache().set_enabled(true);
+  *off_us = ia::bench::Summarize(per_stat[0]).median;
+  *on_us = ia::bench::Summarize(per_stat[1]).median;
+  return ia::bench::Summarize(std::move(ratios));
 }
 
 // Mutation-churn script: interleaves creates, lookups, unlinks and renames.
@@ -133,8 +166,9 @@ double MeasureChurnSeconds(bool cache_on, std::vector<int64_t>* trace) {
 
 int main() {
   std::printf("DNLC benchmark: namei fast path, cache off vs on\n");
-  std::printf("(deep paths: %d components, %d siblings/level, %d leaves, %d reps)\n\n", kDepth,
-              kWidth, kLeafFiles, kStatReps);
+  std::printf("(deep paths: %d components, %d siblings/level, %d leaves;\n"
+              " %d rounds x %d slices x %d passes per side)\n\n",
+              kDepth, kWidth, kLeafFiles, kGateRounds, kGateSlices, kSliceReps);
 
   bool ok = true;
 
@@ -142,17 +176,18 @@ int main() {
   ia::Filesystem fs;
   const std::vector<std::string> leaves = BuildTree(fs);
 
-  const double off_s = MeasureStatSeconds(fs, leaves, /*cache_on=*/false);
-  const double on_s = MeasureStatSeconds(fs, leaves, /*cache_on=*/true);
-  const double speedup = off_s / on_s;
-  const int64_t stats_done = static_cast<int64_t>(kStatReps) * kLeafFiles;
+  double off_us = 0;
+  double on_us = 0;
+  const ia::bench::RatioSpread speedup = MeasureWarmSpeedup(fs, leaves, &off_us, &on_us);
 
-  std::printf("  stat-heavy (warm):\n");
-  std::printf("    cache off   %8.4f s   %7.3f µs/stat\n", off_s, off_s * 1e6 / stats_done);
-  std::printf("    cache on    %8.4f s   %7.3f µs/stat\n", on_s, on_s * 1e6 / stats_done);
-  std::printf("    speedup     %8.2fx   (self-check: >= 1.30x)\n", speedup);
-  if (speedup < 1.30) {
-    std::printf("    FAIL: warm repeated-lookup speedup below 1.3x\n");
+  std::printf("  stat-heavy (warm, thread CPU time, %d interleaved rounds):\n", kGateRounds);
+  std::printf("    cache off   %7.3f µs/stat\n", off_us);
+  std::printf("    cache on    %7.3f µs/stat\n", on_us);
+  std::printf("    speedup     %8.2fx   (self-check: median >= %.2fx)\n", speedup.median,
+              kWarmGate);
+  ia::bench::PrintSpread(speedup, kGateRounds);
+  if (speedup.median < kWarmGate) {
+    std::printf("    FAIL: warm repeated-lookup speedup below %.2fx\n", kWarmGate);
     ok = false;
   }
 

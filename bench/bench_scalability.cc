@@ -42,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/agents/chaos.h"
 #include "src/apps/batch.h"
 #include "src/agents/dfs_trace.h"
@@ -72,6 +73,11 @@
 #endif
 
 namespace {
+
+using ia::bench::PrintSpread;
+using ia::bench::RatioSpread;
+using ia::bench::Summarize;
+using ia::bench::ThreadCpuMicros;
 
 constexpr bool kUnderTsan = IA_UNDER_TSAN != 0;
 constexpr int kClientCounts[] = {1, 2, 4, 8, 16, 32, 64};
@@ -108,17 +114,6 @@ constexpr double kRingGateAt16 = 2.0;
 // of entries adds over single calls. 0.95 leaves room for measurement noise
 // only.
 constexpr double kRingParityGateAt1 = 0.95;
-// CPU time of the calling host thread, in µs. The alternated gates charge
-// each sample with it rather than wall time: on a shared, virtualized host a
-// sample's wall time also counts the slices that other tenants and the
-// hypervisor take, which swung single samples of one configuration by up to
-// 2x. A simulated process does all its kernel work on its own host thread,
-// so that thread's CPU time is the whole cost being compared.
-int64_t ThreadCpuMicros() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
-}
 
 // Iterations per client, scaled down as the client count grows so the
 // many-client points (and TSan runs, which tax atomics hardest) stay
@@ -305,28 +300,6 @@ RingPoint MeasureRingPoint(int n) {
   point.ring_tp = MeasureWorld(n, factory(true)).throughput;
   point.speedup = point.percall_tp > 0 ? point.ring_tp / point.percall_tp : 0;
   return point;
-}
-
-// The per-round ratios of an alternated gate, summarized.
-struct RatioSpread {
-  double median = 0;
-  double min = 0;
-  double p25 = 0;
-  double p75 = 0;
-  double max = 0;
-};
-
-RatioSpread Summarize(std::vector<double> ratios) {
-  std::sort(ratios.begin(), ratios.end());
-  const auto at = [&ratios](double q) {
-    return ratios[static_cast<size_t>(q * static_cast<double>(ratios.size() - 1) + 0.5)];
-  };
-  return RatioSpread{at(0.5), ratios.front(), at(0.25), at(0.75), ratios.back()};
-}
-
-void PrintSpread(const RatioSpread& s) {
-  std::printf("    %d rounds: median %.3fx, quartiles %.3f..%.3f, range %.3f..%.3f\n",
-              kGateRounds, s.median, s.p25, s.p75, s.min, s.max);
 }
 
 // Ring parity at 1 client: each round forks a fresh process (new stacks and
@@ -692,7 +665,7 @@ int main() {
   } else {
     std::printf("    parity: %.2fx batched at 1 client (self-check: median >= %.2fx)\n",
                 ring_parity1, kRingParityGateAt1);
-    PrintSpread(parity);
+    PrintSpread(parity, kGateRounds);
     if (ring_parity1 < kRingParityGateAt1) {
       std::printf("    FAIL: a single uncontended client loses by batching — the batch\n"
                   "    prologue costs more than the per-call dispatch it amortizes\n");
@@ -744,7 +717,7 @@ int main() {
     std::printf("    gate: narrowed-vs-bare median <= %.2fx (self-check: the route table\n"
                 "     must make an all-uninterested dispatch indistinguishable from bare)\n",
                 kCompiledRouteGate);
-    PrintSpread(mix.narrowed_vs_bare);
+    PrintSpread(mix.narrowed_vs_bare, kGateRounds);
     if (narrowed_vs_bare > kCompiledRouteGate) {
       std::printf("    FAIL: narrowed stack more than %.0f%% over the agentless kernel —\n"
                   "    dispatch is scanning frames instead of following compiled routes\n",

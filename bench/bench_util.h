@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstdio>
+#include <ctime>
 #include <functional>
 #include <string>
 #include <vector>
@@ -201,6 +203,40 @@ inline double MeasurePerCallMicros(Kernel& kernel, const std::vector<AgentRef>& 
     std::fprintf(stderr, "measurement process failed\n");
   }
   return per_call;
+}
+
+// CPU time of the calling host thread, in µs. The alternated gates charge
+// each sample with it rather than wall time: on a shared, virtualized host a
+// sample's wall time also counts the slices that other tenants and the
+// hypervisor take, which swung single samples of one configuration by up to
+// 2x. A simulated process does all its kernel work on its own host thread,
+// so that thread's CPU time is the whole cost being compared.
+inline int64_t ThreadCpuMicros() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
+}
+
+// The per-round ratios of an alternated gate, summarized.
+struct RatioSpread {
+  double median = 0;
+  double min = 0;
+  double p25 = 0;
+  double p75 = 0;
+  double max = 0;
+};
+
+inline RatioSpread Summarize(std::vector<double> ratios) {
+  std::sort(ratios.begin(), ratios.end());
+  const auto at = [&ratios](double q) {
+    return ratios[static_cast<size_t>(q * static_cast<double>(ratios.size() - 1) + 0.5)];
+  };
+  return RatioSpread{at(0.5), ratios.front(), at(0.25), at(0.75), ratios.back()};
+}
+
+inline void PrintSpread(const RatioSpread& s, int rounds) {
+  std::printf("    %d rounds: median %.3fx, quartiles %.3f..%.3f, range %.3f..%.3f\n", rounds,
+              s.median, s.p25, s.p75, s.min, s.max);
 }
 
 // Counts semicolons in a source file — the paper's statement metric ("Note: The

@@ -48,13 +48,17 @@ case "$MODE" in
     # stress (listings under the shared tree lock against creates and
     # unlinks in the same directory), and VirtualTime.* (each host's clock
     # written by its own thread only, with cross-host merges through pipes
-    # and wakeups). World sizes self-cap under
+    # and wakeups), and the shared-lane creator tests (O_CREAT races on one
+    # name, creators against stat/open/getdirentries walkers in one
+    # directory, O_TRUNC opens against appenders, and a pathname agent's
+    # cwd scan against creates: every reader of a directory's entries under
+    # the shared tree lock must hold its data_mu). World sizes self-cap under
     # TSan (the tests read __has_feature(thread_sanitizer) via
     # IA_TEST_UNDER_TSAN), so this stays fast even with the instrumentation
     # slowdown.
     TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
       "$BUILD_DIR"/tests/ia_tests \
-      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*:ConcurrencyStress.AppendersReaderAndStatShareOneInode:ConcurrencyStress.AppendWritevRecordsStayContiguous:ConcurrencyStress.GetdirentriesAgainstCreatesAndUnlinks:VirtualTime.*' \
+      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*:ConcurrencyStress.AppendersReaderAndStatShareOneInode:ConcurrencyStress.AppendWritevRecordsStayContiguous:ConcurrencyStress.GetdirentriesAgainstCreatesAndUnlinks:VirtualTime.*:ConcurrencyStress.SameNameCreatesOpenOneInode:ConcurrencyStress.CreatorsAndWalkersShareOneDirectory:ConcurrencyStress.TruncatingOpensConserveBytes:ConcurrencyStress.RelativePathStatThroughPathnameAgentAgainstCreates' \
       --gtest_repeat=3
 
     # The socket plane is the newest blocking subsystem: channel sleeps under

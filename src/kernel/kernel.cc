@@ -849,13 +849,13 @@ Kernel::VfsReadPlan Kernel::ClassifyVfsRead(Process& proc, const SyscallRequest&
       return shared();
     }
 
+    // Every open, creating and truncating ones too: Filesystem::Open is
+    // safe under a shared hold (vfs.h). A fifo target falls back to the big
+    // lock in ExecuteVfsRead.
     case kSysOpen: {
       const char* path = args.Ptr<const char>(0);
       if (path == nullptr) {
         return done(-kEFault);
-      }
-      if ((args.Int(1) & (kOCreat | kOTrunc)) != 0) {
-        return plan;  // may create or resize: tree mutations need the big lock
       }
       plan.kind = VfsReadPlan::kUnlocked;
       return plan;
@@ -921,10 +921,11 @@ bool Kernel::ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsR
 
     case kSysOpen: {
       const int flags = args.Int(1);
+      const Mode mode = static_cast<Mode>(args.Int(2)) & ~proc.umask_bits;
       InodeRef inode;
       {
         std::shared_lock<RwLock> tree(fs_.TreeMutex());
-        const int err = fs_.Open(EnvOf(proc), args.Ptr<const char>(0), flags, 0, &inode);
+        const int err = fs_.Open(EnvOf(proc), args.Ptr<const char>(0), flags, mode, &inode);
         if (err != 0) {
           *out = err;
           return true;
@@ -932,7 +933,8 @@ bool Kernel::ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsR
       }
       if (inode->IsFifo()) {
         // Fifo opens register pipe ends (big-lock state). Re-resolving under
-        // the big lock is safe: a non-create, non-trunc open has no effects.
+        // the big lock is safe: an open that found a fifo had no effects
+        // (O_CREAT creates and O_TRUNC resizes only regular files).
         return false;
       }
       const int fd = proc.fds.AllocateSlot();
@@ -1783,6 +1785,9 @@ SyscallStatus Kernel::SysGetdirentries(Process& p, const SyscallArgs& a, Syscall
     *basep = index;
   }
   size_t used = 0;
+  // One walk to the first entry this call lists, then one step per record.
+  auto it = dir->entries.begin();
+  std::advance(it, std::clamp<int64_t>(index - 2, 0, total - 2));
   while (index < total) {
     Ino ino;
     std::string name;
@@ -1793,13 +1798,14 @@ SyscallStatus Kernel::SysGetdirentries(Process& p, const SyscallArgs& a, Syscall
       ino = parent->ino();
       name = "..";
     } else {
-      auto it = dir->entries.begin();
-      std::advance(it, index - 2);
       ino = it->second->ino();
       name = it->first;
     }
     if (!EncodeDirent(ino, name, buf, static_cast<size_t>(nbytes), &used)) {
       break;
+    }
+    if (index >= 2) {
+      ++it;
     }
     ++index;
   }

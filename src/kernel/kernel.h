@@ -29,14 +29,20 @@
 //   * syscalls flagged kVfsRead (stat/access/readlink/open/read/write/writev/
 //     lseek/fstat/close/getdirentries) are classified by ClassifyVfsRead into
 //     "run under the tree lock held shared" (see TreeMutex in vfs.h), "run
-//     unlocked", an immediate status, or "needs the big lock" (O_CREAT/
-//     O_TRUNC opens, fifos/pipes/sockets, devices, flocked files). A single
-//     shared-lock row takes the lock itself; a batch window of consecutive
-//     shared-lock rows runs in submission order under one shared hold. Under
-//     that hold a regular file's bytes, and the offsets of its open files (a
-//     directory's too), belong to the inode's data_mu (4.3BSD's ilock):
-//     reads, writes, lseeks, stats and getdirentries take it around the
-//     data they touch, and a writev holds it across all its segments. Open
+//     unlocked", an immediate status, or "needs the big lock" (fifos/pipes/
+//     sockets, devices, flocked files). A single shared-lock row takes the
+//     lock itself; a batch window of consecutive shared-lock rows runs in
+//     submission order under one shared hold. Under that hold a regular
+//     file's bytes, a directory's entries, and the offsets of open files
+//     belong to the inode's data_mu (4.3BSD's ilock): reads, writes, lseeks,
+//     stats and getdirentries take it around the data they touch, a writev
+//     holds it across all its segments, a creating open (O_CREAT, O_TRUNC,
+//     O_EXCL) links its new file under the parent directory's data_mu and
+//     truncates under the file's, and a walk's cache miss searches a
+//     directory under its data_mu. So the big lock no longer owns every
+//     name-space mutation: creating a regular file does not take it, while
+//     mkdir, link, rename, unlink and creat(2) still do. An open that finds
+//     a fifo falls back to the big lock, which re-resolves the path. Open
 //     and close do their descriptor-slot work outside the lock. A shared
 //     hold writes only the caller's reader slot of the tree lock (rwlock.h),
 //     and unbudgeted file growth only the caller's byte shard (vfs.h).
@@ -45,9 +51,11 @@
 // SyscallRequest batches drained from a per-process submission/completion
 // ring (see ring.h). A batch pays the prologue once for all its entries.
 //
-// Lock order (outer to inner): mu_ -> tree lock (either mode) -> name cache
-// mutex, and tree lock (either mode) -> Inode::data_mu -> the FaultInjector's
-// mutex (the disk-budget clamp runs inside a write's data_mu hold). A
+// Lock order (outer to inner): mu_ -> tree lock (either mode) ->
+// Inode::data_mu -> name cache mutex (a walk's miss caches its answer inside
+// the directory's data_mu), and tree lock (either mode) -> Inode::data_mu ->
+// the FaultInjector's mutex (the disk-budget clamp runs inside a write's
+// data_mu hold). No one holds two inodes' data_mu at once. A
 // process's own state (its descriptor table, rusage) takes no lock: it has
 // one owner, its fiber (process.h). Two more leaves:
 // {nothing, or the tree lock held shared} -> ktrace_mu_ (window entries
@@ -273,6 +281,7 @@ class Kernel {
 
   using Lock = std::unique_lock<std::mutex>;
 
+  // Borrows the process's root and cwd: no reference is taken per call.
   NameiEnv EnvOf(Process& proc) const { return NameiEnv{proc.root, proc.cwd, &proc.cred}; }
 
   // Runs the row's handler with no big lock (an empty Lock): the kPerProcess

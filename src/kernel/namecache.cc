@@ -15,7 +15,7 @@ NameCache::NameCache(size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) 
   buckets_ = std::make_unique<std::atomic<Entry*>[]>(buckets);  // value-init: all null
 }
 
-NameCache::Outcome NameCache::Lookup(const Inode& dir, std::string_view name, InodeRef* out,
+NameCache::Outcome NameCache::Lookup(const Inode& dir, std::string_view name, Inode** out,
                                      Hint* hint) {
   if (!enabled()) {
     return Outcome::kMiss;
@@ -33,7 +33,8 @@ NameCache::Outcome NameCache::Lookup(const Inode& dir, std::string_view name, In
     rc.misses.fetch_add(1, std::memory_order_relaxed);
     return Outcome::kMiss;
   }
-  if (node->dir_gen.load(std::memory_order_acquire) != dir.namecache_gen) {
+  if (node->dir_gen.load(std::memory_order_acquire) !=
+      dir.namecache_gen.load(std::memory_order_acquire)) {
     // The directory mutated since this entry was cached. Report a miss but
     // keep the node: the caller re-searches the directory and its Insert*
     // revalidates this node in place (through `hint` without even re-probing),
@@ -52,8 +53,9 @@ NameCache::Outcome NameCache::Lookup(const Inode& dir, std::string_view name, In
     *out = nullptr;
     return Outcome::kNegativeHit;
   }
-  InodeRef child = node->child.lock();
-  if (child == nullptr) {
+  // A load of the control block's count, not lock()'s compare-and-swap: the
+  // walker's tree-lock hold keeps a current mapping's child alive.
+  if (node->child.expired()) {
     // The inode died under the cache. A lock-free reader cannot unlink, but
     // it can retire: the exchange decides whether this reader or a racing
     // writer owns the live-count decrement. The node stays chained until a
@@ -66,7 +68,7 @@ NameCache::Outcome NameCache::Lookup(const Inode& dir, std::string_view name, In
   }
   Touch(*node);  // clock bit: no list surgery on a hit
   rc.hits.fetch_add(1, std::memory_order_relaxed);
-  *out = std::move(child);
+  *out = node->inode;
   return Outcome::kHit;
 }
 
@@ -120,7 +122,8 @@ void NameCache::InsertEntryLocked(const Inode& dir, std::string_view name, const
       // Same name -> same object: revalidate in place. Readers racing this
       // store see either the stale or the fresh generation, never a torn
       // mapping (key/child/negative are immutable).
-      node->dir_gen.store(dir.namecache_gen, std::memory_order_release);
+      node->dir_gen.store(dir.namecache_gen.load(std::memory_order_relaxed),
+                          std::memory_order_release);
       node->touched.store(true, std::memory_order_relaxed);
       return;
     }
@@ -155,8 +158,8 @@ void NameCache::InsertEntryLocked(const Inode& dir, std::string_view name, const
     UnlinkLocked(&back);
     counters_.evictions.fetch_add(1, std::memory_order_relaxed);
   }
-  lru_.emplace_front(Key{dir.ino(), std::string(name)}, std::weak_ptr<Inode>(child),
-                     dir.namecache_gen, negative);
+  lru_.emplace_front(Key{dir.ino(), std::string(name)}, child,
+                     dir.namecache_gen.load(std::memory_order_relaxed), negative);
   Entry& fresh = lru_.front();
   fresh.self = lru_.begin();
   std::atomic<Entry*>& bucket = BucketOf(dir.ino(), name);
@@ -196,14 +199,18 @@ void NameCache::ReclaimGarbageLocked() {
 }
 
 void NameCache::InvalidateDir(Inode& dir) {
-  // dir.namecache_gen is guarded by the VFS tree lock (held exclusively by
-  // every caller); only the counter needs the cache's own synchronization.
-  // That same exclusive hold guarantees no lock-free reader is in flight, so
-  // this is also the safe point to free deferred garbage.
-  dir.namecache_gen += 1;
-  counters_.invalidations.fetch_add(1, std::memory_order_relaxed);
+  InvalidateDirShared(dir);
+  // The caller's exclusive hold guarantees no lock-free reader is in flight,
+  // so this is the safe point to free deferred garbage.
   std::lock_guard<std::mutex> lock(mu_);
   ReclaimGarbageLocked();
+}
+
+void NameCache::InvalidateDirShared(Inode& dir) {
+  // Release: a reader that sees the new generation also sees the entry the
+  // bump announces (the creator linked it first, under the same data_mu).
+  dir.namecache_gen.fetch_add(1, std::memory_order_release);
+  counters_.invalidations.fetch_add(1, std::memory_order_relaxed);
 }
 
 void NameCache::Clear() {

@@ -14,10 +14,18 @@
 //   * O(1) invalidation via per-directory generation counters (the analogue of
 //     BSD's cache_purge() capability bump): any mutation of a directory
 //     increments its generation, instantly staling every cached entry under it
-//     without walking the cache. Stale entries age out through LRU.
+//     without walking the cache. Stale entries age out through LRU. The
+//     generation is an atomic on the inode: an exclusive mutator bumps it,
+//     and so does a creating open under a shared hold, inside the
+//     directory's data_mu;
+//   * no negative entry for the final name of a create walk (4.3BSD's namei
+//     CREATE skips the cache too): the caller is about to create it.
 //
 // Entries hold weak inode references so the cache never extends inode
-// lifetimes. "." and ".." are never cached ("." is trivial; ".." depends on
+// lifetimes. A hit returns a raw pointer and takes no reference: a current
+// generation means the directory still links the child, which keeps it alive
+// for the caller's tree-lock hold, and the hit only loads the weak
+// reference's count to confirm it. "." and ".." are never cached ("." is trivial; ".." depends on
 // the per-process root under chroot), and symlink inodes are not cached
 // (Namei re-expands symlinks on every walk; keeping them out keeps the cache
 // a pure name->object map, as the BSD DNLC did).
@@ -42,7 +50,13 @@
 //     be traversing them); they move to a garbage list reclaimed inside
 //     InvalidateDir()/Clear(), whose callers hold the VFS tree lock
 //     exclusively — a point where no shared-mode walker (hence no reader)
-//     can exist. The tree lock is the cache's grace period.
+//     can exist. The tree lock is the cache's grace period. Bumping a
+//     generation is separate from reclaim: InvalidateDirShared() bumps only,
+//     for creators that hold the tree lock shared.
+//   * A miss's directory search and its Insert* run under the directory's
+//     data_mu (vfs.cc), the lock a shared-hold creator links and bumps
+//     under, so an inserted entry never carries a generation newer than the
+//     entries it was read from.
 #ifndef SRC_KERNEL_NAMECACHE_H_
 #define SRC_KERNEL_NAMECACHE_H_
 
@@ -109,11 +123,12 @@ class NameCache {
   };
 
   // Consults the cache for `name` under `dir`. Only kHit fills *out. The hit
-  // path is lock-free and allocation-free: one atomic bucket-chain traversal,
-  // no mutex, no string copy. Callers must hold the VFS tree lock (shared is
-  // enough); that is what keeps unlinked-but-visible nodes alive until the
-  // next exclusive-section reclaim.
-  Outcome Lookup(const Inode& dir, std::string_view name, InodeRef* out, Hint* hint = nullptr);
+  // path is lock-free, allocation-free and writes no reference count: one
+  // atomic bucket-chain traversal, no mutex, no string copy. Callers must
+  // hold the VFS tree lock (shared is enough); that is what keeps
+  // unlinked-but-visible nodes, and a hit's child, alive until the next
+  // exclusive section.
+  Outcome Lookup(const Inode& dir, std::string_view name, Inode** out, Hint* hint = nullptr);
 
   // Records that `dir` contains `name` -> `child`. Symlink children are
   // skipped. A node for the same key pointing at the same inode is
@@ -124,12 +139,15 @@ class NameCache {
   // Records that `name` does not exist under `dir`.
   void InsertNegative(const Inode& dir, std::string_view name, const Hint* hint = nullptr);
 
-  // O(1) stale-out of every cached entry under `dir` (bumps its generation).
-  // Callers must hold the VFS tree lock exclusively: the generation counter
-  // lives on the inode and is read by concurrent shared-mode walkers, and
-  // the exclusive section doubles as the grace period for reclaiming
-  // deferred garbage from evictions and re-maps.
+  // O(1) stale-out of every cached entry under `dir` (bumps its generation),
+  // then a reclaim of deferred garbage from evictions and re-maps. Callers
+  // must hold the VFS tree lock exclusively: that section is the reclaim's
+  // grace period.
   void InvalidateDir(Inode& dir);
+
+  // The bump alone, for a creator holding the tree lock shared and `dir`'s
+  // data_mu: lock-free readers may be in flight, so nothing is reclaimed.
+  void InvalidateDirShared(Inode& dir);
 
   // Drops every entry (stats other than size are kept). Requires quiescence
   // (no concurrent walks): benches/tests call it between runs.
@@ -159,13 +177,14 @@ class NameCache {
   }
 
   struct Entry {
-    Entry(Key k, std::weak_ptr<Inode> c, uint64_t gen, bool neg)
-        : key(std::move(k)), child(std::move(c)), negative(neg), dir_gen(gen) {}
+    Entry(Key k, const InodeRef& c, uint64_t gen, bool neg)
+        : key(std::move(k)), child(c), inode(c.get()), negative(neg), dir_gen(gen) {}
 
     // Immutable after publication (a re-mapped name gets a fresh node, so
     // lock-free readers never observe these mid-change).
     const Key key;
     const std::weak_ptr<Inode> child;  // empty for negative entries
+    Inode* const inode;                // child's address, returned by a hit
     const bool negative;
 
     // Directory generation this mapping was validated against. Refreshed in
@@ -214,8 +233,8 @@ class NameCache {
   };
 
   // Writer-path tallies. These are bumped only on structural mutation (mu_
-  // held, or tree lock exclusive for invalidations), which is already
-  // serialized — sharding would buy nothing.
+  // held) or on invalidations, which mutate a directory anyway — sharding
+  // would buy nothing.
   struct Counters {
     std::atomic<uint64_t> insertions{0};
     std::atomic<uint64_t> evictions{0};

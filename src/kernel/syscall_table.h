@@ -32,11 +32,12 @@ inline constexpr uint32_t kAlias = 1u << 7;          // shares another row's met
 // with kBlocking (a sleep waits on a channel under mu_);
 // tests/test_concurrency.cc pins the disjointness.
 inline constexpr uint32_t kPerProcess = 1u << 8;
-// Read-only against the VFS tree in the common case: the kernel first tries
-// these rows under the tree lock in shared mode (no big lock), falling back
-// to the big-lock path for the mutating/cross-process cases (O_CREAT/O_TRUNC
-// opens, fifos, pipes, devices, flocked files). May combine with kBlocking:
-// exactly the fallback cases are the ones that can sleep.
+// Runs under the tree lock in shared mode (no big lock) in the common case:
+// lookups, the regular-file data plane, and opens, creating ones included
+// (their inode-level locking is in vfs.h). The kernel falls back to the
+// big-lock path for the cross-process cases (fifos, pipes, devices, flocked
+// files). May combine with kBlocking: exactly the fallback cases are the
+// ones that can sleep.
 inline constexpr uint32_t kVfsRead = 1u << 9;
 // The socket interface class (paper Section 2.3's descriptor calls, restricted
 // to the AF_UNIX rows): socket-layer agents build their footprint from this

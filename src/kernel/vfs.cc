@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <mutex>
+#include <shared_mutex>
 
 #include "src/base/shardslot.h"
 #include "src/base/strings.h"
@@ -80,9 +81,11 @@ void Inode::FillStat(Stat* st) const {
     case InodeType::kSymlink:
       st->st_size = static_cast<Off>(symlink_target.size());
       break;
-    case InodeType::kDirectory:
+    case InodeType::kDirectory: {
+      std::lock_guard<WordMutex> data_lock(data_mu);
       st->st_size = static_cast<Off>(entries.size() + 2) * 16;  // synthetic dir size
       break;
+    }
     default:
       st->st_size = 0;
       break;
@@ -100,43 +103,38 @@ Filesystem::Filesystem() {
 }
 
 InodeRef Filesystem::AllocInode(InodeType type, Mode mode_bits, const Cred& cred) {
-  auto inode = std::make_shared<Inode>(++next_ino_, type, mode_bits, cred.euid, cred.egid);
+  const Ino ino = next_ino_.fetch_add(1, std::memory_order_relaxed) + 1;
+  auto inode = std::make_shared<Inode>(ino, type, mode_bits, cred.euid, cred.egid);
   inode->atime = inode->mtime = inode->ctime = now();
   return inode;
 }
 
-int Filesystem::LookupComponent(const NameiEnv& env, const InodeRef& dir, std::string_view name,
-                                InodeRef* out) const {
-  if (name == "..") {
-    if (dir == env.root) {
-      *out = dir;  // ".." at the (possibly chroot'ed) root stays put
-    } else {
-      InodeRef parent = dir->parent.lock();
-      *out = parent != nullptr ? parent : dir;
-    }
-    return 0;
-  }
+Inode* Filesystem::LookupComponent(Inode* dir, std::string_view name, bool cache_missing) const {
   if (name == ".") {
-    *out = dir;
-    return 0;
+    return dir;
   }
   NameCache::Hint hint;
-  switch (namecache_.Lookup(*dir, name, out, &hint)) {
+  Inode* child = nullptr;
+  switch (namecache_.Lookup(*dir, name, &child, &hint)) {
     case NameCache::Outcome::kHit:
     case NameCache::Outcome::kNegativeHit:
-      return 0;
+      return child;
     case NameCache::Outcome::kMiss:
       break;
   }
+  // A shared-hold creator may be linking a name into `dir`: search and cache
+  // under its data_mu, so a cached answer carries the generation it was
+  // read at.
+  std::lock_guard<WordMutex> dir_lock(dir->data_mu);
   auto it = dir->entries.find(name);
   if (it == dir->entries.end()) {
-    namecache_.InsertNegative(*dir, name, &hint);
-    *out = nullptr;
-    return 0;
+    if (cache_missing) {
+      namecache_.InsertNegative(*dir, name, &hint);
+    }
+    return nullptr;
   }
   namecache_.InsertPositive(*dir, name, it->second, &hint);
-  *out = it->second;
-  return 0;
+  return it->second.get();
 }
 
 int Filesystem::Namei(const NameiEnv& env, std::string_view path, NameiOp op, bool follow_final,
@@ -150,7 +148,12 @@ int Filesystem::Namei(const NameiEnv& env, std::string_view path, NameiOp op, bo
   }
   const bool trailing_slash = path.back() == '/';
   out->trailing_slash = trailing_slash;
-  InodeRef cur = path::IsAbsolute(path) ? env.root : env.cwd;
+  // The walk holds raw pointers. The caller's tree-lock hold keeps every
+  // linked inode alive, and env's owner keeps root and cwd alive. ".." out
+  // of an unlinked directory is the one step that can reach an inode no
+  // entry holds; `pin` keeps that one.
+  Inode* cur = path::IsAbsolute(path) ? env.root : env.cwd;
+  InodeRef pin;
   if (cur == nullptr) {
     return -kENoent;
   }
@@ -159,8 +162,9 @@ int Filesystem::Namei(const NameiEnv& env, std::string_view path, NameiOp op, bo
   // Component stack (back = next to walk), reused across calls so resolution
   // does not allocate. Views alias `path` and expanded symlink targets; both
   // stay alive for the whole walk — the caller owns `path`, and symlink
-  // inodes stay linked into the tree, which no one can mutate mid-call
-  // (the walker holds the tree lock at least shared for the whole call).
+  // inodes stay linked into the tree, which only an exclusive holder can
+  // unlink (the walker holds the tree lock at least shared for the whole
+  // call).
   // thread_local because walks run concurrently on many host threads; a walk
   // never sleeps, so fibers sharing a thread never interleave inside one.
   thread_local std::vector<std::string_view> namei_comps;
@@ -173,8 +177,11 @@ int Filesystem::Namei(const NameiEnv& env, std::string_view path, NameiOp op, bo
     if (!cur->IsDirectory()) {
       return -kENotdir;
     }
-    out->inode = cur;
-    out->parent = cur->parent.lock() != nullptr ? cur->parent.lock() : cur;
+    out->inode = cur->shared_from_this();
+    out->parent = cur->parent.lock();
+    if (out->parent == nullptr) {
+      out->parent = out->inode;
+    }
     out->final_name.clear();
     if (op == NameiOp::kCreate) {
       return -kEExist;
@@ -197,8 +204,20 @@ int Filesystem::Namei(const NameiEnv& env, std::string_view path, NameiOp op, bo
     }
     const bool is_final = comps.empty();
 
-    InodeRef next;
-    LookupComponent(env, cur, name, &next);
+    Inode* next = nullptr;
+    if (name != "..") {
+      next = LookupComponent(cur, name, /*cache_missing=*/!is_final || op != NameiOp::kCreate);
+    } else if (cur == env.root) {
+      next = cur;  // ".." at the (possibly chroot'ed) root stays put
+    } else {
+      InodeRef up = cur->parent.lock();
+      if (up != nullptr) {
+        next = up.get();
+        pin = std::move(up);
+      } else {
+        next = cur;
+      }
+    }
 
     if (next != nullptr && next->IsSymlink() && (!is_final || follow_final || trailing_slash)) {
       if (++symlink_depth > kMaxSymlinkDepth) {
@@ -216,7 +235,7 @@ int Filesystem::Namei(const NameiEnv& env, std::string_view path, NameiOp op, bo
     }
 
     if (is_final) {
-      out->parent = cur;
+      out->parent = cur->shared_from_this();
       out->final_name = name;
       if (next == nullptr) {
         if (op == NameiOp::kCreate) {
@@ -228,7 +247,7 @@ int Filesystem::Namei(const NameiEnv& env, std::string_view path, NameiOp op, bo
       if (trailing_slash && !next->IsDirectory()) {
         return -kENotdir;
       }
-      out->inode = next;
+      out->inode = next->shared_from_this();
       return 0;
     }
 
@@ -239,8 +258,11 @@ int Filesystem::Namei(const NameiEnv& env, std::string_view path, NameiOp op, bo
   }
 
   // Components drained through symlink expansion that ended on a directory.
-  out->inode = cur;
-  out->parent = cur->parent.lock() != nullptr ? cur->parent.lock() : cur;
+  out->inode = cur->shared_from_this();
+  out->parent = cur->parent.lock();
+  if (out->parent == nullptr) {
+    out->parent = out->inode;
+  }
   out->final_name.clear();
   if (op == NameiOp::kCreate) {
     return -kEExist;
@@ -317,13 +339,14 @@ int Filesystem::Open(const NameiEnv& env, std::string_view path, int flags, Mode
     if (!CredPermits(*env.cred, nr.parent->uid, nr.parent->gid, nr.parent->mode_bits, kWOk)) {
       return -kEAcces;
     }
-    InodeRef inode = AllocInode(InodeType::kRegular, mode & 07777, *env.cred);
-    err = AttachEntry(nr.parent, nr.final_name, inode);
-    if (err != 0) {
-      return err;
+    bool created = false;
+    InodeRef inode = CreateRegular(*nr.parent, nr.final_name, mode, *env.cred, &created);
+    if (created) {
+      *out = std::move(inode);
+      return 0;
     }
-    *out = inode;
-    return 0;
+    // Another creator linked the name since the walk: open its file.
+    nr.inode = std::move(inode);
   }
 
   if (want_create && (flags & kOExcl) != 0) {
@@ -350,6 +373,24 @@ int Filesystem::Open(const NameiEnv& env, std::string_view path, int flags, Mode
   }
   *out = nr.inode;
   return 0;
+}
+
+InodeRef Filesystem::CreateRegular(Inode& dir, std::string_view name, Mode mode,
+                                   const Cred& cred, bool* created) {
+  std::lock_guard<WordMutex> dir_lock(dir.data_mu);
+  auto it = dir.entries.find(name);
+  if (it != dir.entries.end()) {
+    *created = false;
+    return it->second;
+  }
+  InodeRef inode = AllocInode(InodeType::kRegular, mode & 07777, cred);
+  inode->nlink = 1;  // before the link publishes it to other walkers
+  dir.entries.emplace(std::string(name), inode);
+  // No reclaim here: a shared hold is no grace period (namecache.h).
+  namecache_.InvalidateDirShared(dir);
+  dir.mtime = now();
+  *created = true;
+  return inode;
 }
 
 int Filesystem::Mkdir(const NameiEnv& env, std::string_view path, Mode mode, InodeRef* out) {
@@ -387,7 +428,7 @@ int Filesystem::Rmdir(const NameiEnv& env, std::string_view path) {
   if (!nr.inode->IsDirectory()) {
     return -kENotdir;
   }
-  if (nr.inode == env.root || nr.inode == root_) {
+  if (nr.inode.get() == env.root || nr.inode == root_) {
     return -kEBusy;
   }
   if (!nr.inode->entries.empty()) {
@@ -706,7 +747,9 @@ int Filesystem::ResizeFile(const InodeRef& inode, Off length) {
   if (length < 0 || length > kMaxFileBytes) {
     return -kEFbig;
   }
-  total_bytes_ += length - static_cast<int64_t>(inode->data.size());
+  std::lock_guard<WordMutex> data_lock(inode->data_mu);
+  total_bytes_.fetch_add(length - static_cast<int64_t>(inode->data.size()),
+                         std::memory_order_relaxed);
   inode->data.resize(static_cast<size_t>(length), '\0');
   return 0;
 }
@@ -817,6 +860,9 @@ std::string Filesystem::AbsolutePathOf(const InodeRef& inode) const {
   if (inode == root_) {
     return "/";
   }
+  // Agents call this outside any system call, while creators may be linking
+  // names into the directories it scans.
+  std::shared_lock<RwLock> tree(tree_mu_);
   std::vector<std::string> parts;
   InodeRef cur = inode;
   while (cur != root_) {
@@ -825,6 +871,7 @@ std::string Filesystem::AbsolutePathOf(const InodeRef& inode) const {
       // Non-directories have no up-link; find them via their parent from callers.
       return "";
     }
+    std::lock_guard<WordMutex> dir_lock(parent->data_mu);
     bool found = false;
     for (const auto& [name, child] : parent->entries) {
       if (child == cur) {

@@ -5,27 +5,35 @@
 //
 // Synchronization is provided by the caller through TreeMutex(), one
 // reader/writer lock over the whole inode graph (entries, metadata), as in
-// 4.3BSD, where one lock guards the name space: walks, directory listings
-// and the regular-file data plane (stat/access/readlink/open-for-read/
-// getdirentries, and read/write/writev/lseek/fstat on regular files) hold
-// it shared and proceed concurrently; any mutation of the name space or of
-// attributes (create/unlink/rename/truncate/chmod/...) holds it exclusively.
+// 4.3BSD, where one lock guards the name space: walks, directory listings,
+// the regular-file data plane (stat/access/readlink/open/getdirentries, and
+// read/write/writev/lseek/fstat on regular files) and the creating opens of
+// regular files hold it shared and proceed concurrently; every other
+// mutation of the name space or of attributes (mkdir/link/unlink/rename/
+// chmod/ftruncate/...) holds it exclusively.
 //
-// Under a shared hold, a regular file's bytes belong to its inode's own leaf
-// lock, Inode::data_mu (4.3BSD's per-inode ilock): the data plane locks the
-// file it touches, not the name space. An exclusive holder excludes every
-// shared holder, so it touches data without data_mu.
+// Under a shared hold, an inode's own leaf lock, Inode::data_mu (4.3BSD's
+// per-inode ilock), guards what shared holders may change: a regular file's
+// bytes, and a directory's entries. The data plane locks the file it
+// touches, and a creating open links its new file under the parent
+// directory's data_mu, so not every name-space mutation is exclusive: a
+// shared holder that reads a directory's entries (a walk's cache miss, a
+// directory's stat, getdirentries, AbsolutePathOf) takes that directory's
+// data_mu. An exclusive holder excludes every shared holder, so it touches
+// data and entries without data_mu.
 //
 // The kernel's dispatcher takes the exclusive lock around every big-lock
-// handler and the shared lock around the lock-free fast paths, so VFS
-// method bodies themselves stay lock-free. Inode timestamps are atomics
+// handler and the shared lock around the vfs-read lane, so VFS method
+// bodies take no tree lock themselves (AbsolutePathOf, called from agents,
+// is the exception). Inode timestamps are atomics
 // because shared-mode paths update atime and mtime; they read the caller's
 // host clock (now()), and the shared paths store a stamp only when its
 // second changes, so readers of one hot inode do not write its line. The
 // name cache carries its own internal mutex, and its grace-period reclaim
 // keys off the exclusive mode: an exclusive holder implies no lock-free
 // cache reader is in flight (see namecache.h).
-// Lock order: kernel mu_ -> tree lock (either mode) -> {cache, Inode::data_mu}.
+// Lock order: kernel mu_ -> tree lock (either mode) -> Inode::data_mu ->
+// name-cache mutex. No one holds two inodes' data_mu at once.
 #ifndef SRC_KERNEL_VFS_H_
 #define SRC_KERNEL_VFS_H_
 
@@ -79,8 +87,10 @@ enum class InodeType {
 };
 
 // A UFS-style inode. Directories hold name->inode maps (std::map for deterministic
-// iteration order); regular files hold their bytes inline.
-class Inode {
+// iteration order); regular files hold their bytes inline. Always owned by an
+// InodeRef (make_shared): a path walk carries raw pointers and takes one
+// reference, through shared_from_this, only for each NameiResult field.
+class Inode : public std::enable_shared_from_this<Inode> {
  public:
   Inode(Ino number, InodeType type, Mode mode_bits, Uid uid, Gid gid);
 
@@ -97,7 +107,7 @@ class Inode {
   Mode FullMode() const;
 
   // Fills a Stat from this inode. Takes data_mu to read a regular file's
-  // size.
+  // size or a directory's entry count.
   void FillStat(Stat* st) const;
 
   // --- metadata (checked/updated by Filesystem ops) -------------------------
@@ -133,11 +143,14 @@ class Inode {
 
   // --- directory payload ------------------------------------------------------
   // std::less<> so Namei can search with string_view components, allocation-free.
+  // A shared-hold creating open inserts under data_mu; removal is exclusive.
   std::map<std::string, InodeRef, std::less<>> entries;
   std::weak_ptr<Inode> parent;  // ".." link; weak to break ref cycles
   // Name-cache generation: bumped on every entry mutation (and on lookup-
   // affecting permission changes) to stale out cached lookups in O(1).
-  uint64_t namecache_gen = 0;
+  // Atomic: a shared-hold creator bumps it under data_mu while lock-free
+  // cache hits read it.
+  std::atomic<uint64_t> namecache_gen{0};
 
   // --- advisory flock(2) state --------------------------------------------------
   // Acquisition and conflict checks run under the big lock, but an OpenFile
@@ -149,13 +162,17 @@ class Inode {
   std::atomic<bool> flock_exclusive{false};
 
   // --- the inode lock ----------------------------------------------------------
-  // Guards `data`, and the offsets of the files open on this inode (for a
-  // directory, getdirentries' entry index), while the tree lock is held
-  // shared. A writer holds it from its append-offset pick to its copy (a
-  // writev across all its segments, so an O_APPEND writev lands as one
-  // record). A leaf under the tree lock: nothing is
-  // acquired while holding it but the FaultInjector's mutex. One word: it
-  // grows an Inode by 8 bytes where a std::mutex grew it by 40.
+  // Guards `data`, a directory's `entries` (and its namecache_gen bumps),
+  // and the offsets of the files open on this inode (for a directory,
+  // getdirentries' entry index), while the tree lock is held shared. So
+  // under a shared hold, a directory's entries can change: a creating open
+  // links its file under the parent's data_mu, and every shared reader of
+  // the entries takes it. A writer holds it from its append-offset pick to
+  // its copy (a writev across all its segments, so an O_APPEND writev lands
+  // as one record); a truncating open holds it across the resize. A leaf
+  // under the tree lock: nothing is acquired while holding it but the name
+  // cache's mutex and the FaultInjector's mutex. One word: it grows an
+  // Inode by 8 bytes where a std::mutex grew it by 40.
   mutable WordMutex data_mu;
 
   // --- symlink payload ---------------------------------------------------------
@@ -195,9 +212,14 @@ enum class NameiOp {
 };
 
 // Per-lookup environment: where "/" and "." are, and as whom we resolve.
+// Raw pointers: the caller keeps both inodes alive for the walk (a process's
+// root and cwd are its own fields), so building an env takes no reference.
 struct NameiEnv {
-  InodeRef root;
-  InodeRef cwd;
+  NameiEnv(const InodeRef& root_dir, const InodeRef& cwd_dir, const Cred* as)
+      : root(root_dir.get()), cwd(cwd_dir.get()), cred(as) {}
+
+  Inode* root = nullptr;
+  Inode* cwd = nullptr;
   const Cred* cred = nullptr;
 };
 
@@ -211,7 +233,9 @@ class Filesystem {
   // The reader/writer lock over the inode graph. The kernel dispatcher holds
   // it exclusively around mutating syscall handlers and shared around the
   // fast paths; VFS method bodies assume the caller holds it in the
-  // appropriate mode (exclusive for every method that mutates the tree).
+  // appropriate mode: shared is enough for the lookups and for Open, which
+  // links a new file under the parent's data_mu; every other method that
+  // mutates the tree needs it exclusively.
   RwLock& TreeMutex() const { return tree_mu_; }
 
   // Current file time, in seconds: the calling host thread's virtual clock
@@ -231,11 +255,18 @@ class Filesystem {
   // Resolves `path` per 4.3BSD namei: per-component execute checks, symlink
   // expansion with kMaxSymlinkDepth, "" is ENOENT, trailing slashes require a
   // directory. `follow_final` controls whether a final-component symlink is
-  // followed (false for lstat/readlink/unlink...).
+  // followed (false for lstat/readlink/unlink...). The walk takes no inode
+  // reference per component; only the result's fields hold one each. As in
+  // 4.3BSD, a kCreate walk does not cache a missing final name: its caller
+  // is about to create it.
   int Namei(const NameiEnv& env, std::string_view path, NameiOp op, bool follow_final,
             NameiResult* out);
 
   // --- whole operations (all apply permission checks + update times) ----------
+  // Safe under a shared hold: a new regular file is linked under the parent
+  // directory's data_mu, a creator that loses the race for the name opens
+  // the winner's inode (EEXIST under O_EXCL), and O_TRUNC resizes under the
+  // file's data_mu.
   int Open(const NameiEnv& env, std::string_view path, int flags, Mode mode, InodeRef* out);
   int Mkdir(const NameiEnv& env, std::string_view path, Mode mode, InodeRef* out = nullptr);
   int Rmdir(const NameiEnv& env, std::string_view path);
@@ -276,7 +307,9 @@ class Filesystem {
   InodeRef InstallFile(std::string_view path, std::string_view contents, Mode mode_bits = 0644);
 
   // Resolves the absolute pathname of `inode` by walking ".." links ("/a/b/c"),
-  // for getwd()-style queries. Returns empty if unlinked from the tree.
+  // for getwd()-style queries. Returns empty if unlinked from the tree. Takes
+  // the tree lock shared and each scanned directory's data_mu, so the caller
+  // must hold neither.
   std::string AbsolutePathOf(const InodeRef& inode) const;
 
   // Counts inodes reachable from the root (statistics/tests).
@@ -287,8 +320,9 @@ class Filesystem {
   // fold of the byte shards.
   int64_t total_bytes() const;
 
-  // Truncate/extend a regular file's data, accounting bytes. Callers hold
-  // the tree lock exclusively.
+  // Truncate/extend a regular file's data under its data_mu, accounting
+  // the change in one atomic add. Callers hold the tree lock (shared is
+  // enough) and not the file's data_mu.
   int ResizeFile(const InodeRef& inode, Off length);
 
   // Accounts a write's growth of a file in one atomic step against
@@ -305,16 +339,24 @@ class Filesystem {
   const NameCache& namecache() const { return namecache_; }
 
  private:
-  int LookupComponent(const NameiEnv& env, const InodeRef& dir, std::string_view name,
-                      InodeRef* out) const;
+  // One walk step: the child named `name` in `dir`, or null. A cache hit
+  // returns the cached raw pointer; a miss searches `dir` under its data_mu
+  // and caches the answer, a missing name only when `cache_missing`.
+  Inode* LookupComponent(Inode* dir, std::string_view name, bool cache_missing) const;
+
+  // Open's create step, under dir's data_mu: links a new regular file at
+  // `name` unless a racing creator linked one first. Returns the inode now
+  // at `name`; *created says whose it is.
+  InodeRef CreateRegular(Inode& dir, std::string_view name, Mode mode, const Cred& cred,
+                         bool* created);
 
   // Writer-preferring (rwlock.h): with regular-file writes shared, nearly
   // all traffic holds it shared, and a reader-preferring lock let an
   // exclusive acquirer (holding mu_) wait behind a stream of readers.
   mutable RwLock tree_mu_;
   InodeRef root_;
-  // Guarded by TreeMutex() exclusive (only mutators allocate inodes).
-  Ino next_ino_ = 2;  // ino 2 is the root, per UFS convention
+  // Atomic: shared-hold creators allocate concurrently.
+  std::atomic<Ino> next_ino_{2};  // ino 2 is the root, per UFS convention
   // The host-side file time (set_now). Its own line: no call writes it.
   alignas(64) std::atomic<int64_t> now_{0};
   // Byte accounting. total_bytes_ takes exclusive holders' resizes and

@@ -16,6 +16,7 @@
 #include "src/kernel/kernel.h"
 #include "src/kernel/syscall_table.h"
 #include "src/kernel/types.h"
+#include "src/toolkit/pathname_set.h"
 #include "tests/test_helpers.h"
 
 namespace ia {
@@ -933,6 +934,284 @@ TEST(ConcurrencyStress, GetdirentriesAgainstCreatesAndUnlinks) {
     EXPECT_TRUE(WifExited(status));
     EXPECT_EQ(WExitStatus(status), 0);
   }
+}
+
+// Each of `n` roots calls this before its `round`-th step, so every step
+// starts together and the roots collide on it.
+void StepTogether(std::atomic<int>* arrivals, int n, int round) {
+  arrivals->fetch_add(1, std::memory_order_acq_rel);
+  while (arrivals->load(std::memory_order_acquire) < n * (round + 1)) {
+    std::this_thread::yield();
+  }
+}
+
+void ExpectAllExitZero(Kernel& kernel, const std::vector<Pid>& pids) {
+  for (const Pid pid : pids) {
+    const int status = kernel.HostWaitPid(pid);
+    EXPECT_TRUE(WifExited(status));
+    EXPECT_EQ(WExitStatus(status), 0);
+  }
+}
+
+// Two roots on two host threads race O_CREAT opens of one new name per
+// round, in lockstep (the vfs-read lane: the walk under the tree lock held
+// shared, the link under the parent's data_mu). The creator that loses the
+// race for the name opens the winner's inode, so both get the same inode
+// number. Under O_EXCL exactly one of them wins each name.
+TEST(ConcurrencyStress, SameNameCreatesOpenOneInode) {
+  constexpr int kRoots = 2;
+  constexpr int kRounds = IA_TEST_UNDER_TSAN ? 150 : 1500;
+  auto kernel = test::MakeWorld();
+  kernel->fs().MkdirAll("/race");
+  std::atomic<int> arrivals{0};
+  std::vector<std::vector<Ino>> inos(kRoots, std::vector<Ino>(kRounds, 0));
+  std::vector<std::vector<int>> excl_wins(kRoots, std::vector<int>(kRounds, 0));
+  std::vector<Pid> pids;
+  for (int r = 0; r < kRoots; ++r) {
+    SpawnOptions options;
+    options.body = [r, &arrivals, &inos, &excl_wins](ProcessContext& ctx) {
+      for (int i = 0; i < kRounds; ++i) {
+        StepTogether(&arrivals, kRoots, 2 * i);
+        const int fd = ctx.Open("/race/n" + std::to_string(i), kOWronly | kOCreat, 0644);
+        Stat st;
+        if (fd < 0 || ctx.Fstat(fd, &st) != 0 || ctx.Close(fd) != 0) {
+          return 1;
+        }
+        inos[static_cast<size_t>(r)][static_cast<size_t>(i)] = st.st_ino;
+        StepTogether(&arrivals, kRoots, 2 * i + 1);
+        const int xfd = ctx.Open("/race/x" + std::to_string(i), kOWronly | kOCreat | kOExcl, 0644);
+        if (xfd >= 0) {
+          excl_wins[static_cast<size_t>(r)][static_cast<size_t>(i)] = 1;
+          if (ctx.Close(xfd) != 0) {
+            return 2;
+          }
+        } else if (xfd != -kEExist) {
+          return 3;
+        }
+      }
+      return 0;
+    };
+    pids.push_back(kernel->Spawn(options));
+  }
+  ExpectAllExitZero(*kernel, pids);
+  for (int i = 0; i < kRounds; ++i) {
+    ASSERT_EQ(inos[0][static_cast<size_t>(i)], inos[1][static_cast<size_t>(i)]) << "round " << i;
+    ASSERT_EQ(excl_wins[0][static_cast<size_t>(i)] + excl_wins[1][static_cast<size_t>(i)], 1)
+        << "round " << i;
+  }
+  const InodeRef dir = kernel->fs().root()->entries.at("race");
+  EXPECT_EQ(dir->entries.size(), static_cast<size_t>(2 * kRounds));
+  for (const auto& [name, file] : dir->entries) {
+    EXPECT_EQ(file->nlink, 1) << name;
+  }
+}
+
+// Two roots create files in one directory (the links under its data_mu)
+// while two more walk it: stat and open of names that may not exist yet,
+// and getdirentries with a buffer that holds the whole listing. A listing
+// taken in one call never holds a name twice, every name a walker finds is
+// a whole file, and once the creators finish the directory holds exactly
+// their files, each with one link, and the directory's own link count and
+// size are exact. TSan checks every reader of the entries against the
+// links.
+TEST(ConcurrencyStress, CreatorsAndWalkersShareOneDirectory) {
+  constexpr int kCreators = 2;
+  constexpr int kWalkers = 2;
+  constexpr int kFiles = IA_TEST_UNDER_TSAN ? 150 : 1000;
+  auto kernel = test::MakeWorld();
+  kernel->fs().MkdirAll("/shared");
+  std::atomic<int> arrivals{0};
+  std::atomic<int> creators_done{0};
+  std::vector<Pid> pids;
+  for (int c = 0; c < kCreators; ++c) {
+    SpawnOptions options;
+    options.body = [c, &arrivals, &creators_done](ProcessContext& ctx) {
+      StartTogether(&arrivals, kCreators + kWalkers);
+      for (int i = 0; i < kFiles; ++i) {
+        const std::string name = "/shared/c" + std::to_string(c) + "_" + std::to_string(i);
+        const int fd = ctx.Open(name, kOWronly | kOCreat | kOTrunc, 0644);
+        if (fd < 0 || ctx.Write(fd, "x", 1) != 1 || ctx.Close(fd) != 0) {
+          return 1;
+        }
+      }
+      creators_done.fetch_add(1, std::memory_order_release);
+      return 0;
+    };
+    pids.push_back(kernel->Spawn(options));
+  }
+  for (int w = 0; w < kWalkers; ++w) {
+    SpawnOptions options;
+    options.body = [w, &arrivals, &creators_done](ProcessContext& ctx) {
+      StartTogether(&arrivals, kCreators + kWalkers);
+      std::vector<char> buf(64 * kFiles * kCreators);
+      for (int i = 0; i < 50 || creators_done.load(std::memory_order_acquire) < kCreators; ++i) {
+        const std::string name = "/shared/c" + std::to_string((i + w) % kCreators) + "_" +
+                                 std::to_string(i % kFiles);
+        Stat st;
+        const int stat_err = ctx.Stat(name, &st);
+        if (stat_err != 0 && stat_err != -kENoent) {
+          return 1;
+        }
+        if (stat_err == 0 && st.st_nlink != 1) {
+          return 2;
+        }
+        const int fd = ctx.Open(name, kORdonly);
+        if (fd >= 0 ? ctx.Close(fd) != 0 : fd != -kENoent) {
+          return 3;
+        }
+        const int dfd = ctx.Open("/shared", kORdonly);
+        int64_t base = 0;
+        const int n = ctx.Getdirentries(dfd, buf.data(), static_cast<int>(buf.size()), &base);
+        if (dfd < 0 || n <= 0 || ctx.Close(dfd) != 0) {
+          return 4;
+        }
+        std::vector<std::string> names;
+        for (const Dirent& d : DecodeDirents(buf.data(), static_cast<size_t>(n))) {
+          names.push_back(d.d_name);
+        }
+        std::sort(names.begin(), names.end());
+        if (std::adjacent_find(names.begin(), names.end()) != names.end()) {
+          return 5;
+        }
+      }
+      return 0;
+    };
+    pids.push_back(kernel->Spawn(options));
+  }
+  ExpectAllExitZero(*kernel, pids);
+  const InodeRef dir = kernel->fs().root()->entries.at("shared");
+  EXPECT_EQ(dir->entries.size(), static_cast<size_t>(kCreators * kFiles));
+  EXPECT_EQ(dir->nlink, 2);
+  Stat st;
+  dir->FillStat(&st);
+  EXPECT_EQ(st.st_size, (kCreators * kFiles + 2) * 16);
+  for (const auto& [name, file] : dir->entries) {
+    EXPECT_EQ(file->nlink, 1) << name;
+    EXPECT_EQ(file->data, "x") << name;
+  }
+}
+
+// Two roots append records to four files while a third truncates them with
+// O_TRUNC opens (the vfs-read lane: each resize under the file's data_mu,
+// its byte change one atomic add). Once they quiesce, the kernel's byte
+// total is the world's other bytes plus exactly the four files' sizes, and
+// every file holds whole records.
+TEST(ConcurrencyStress, TruncatingOpensConserveBytes) {
+  constexpr int kAppenders = 2;
+  constexpr int kFiles = 4;
+  constexpr int kRecords = IA_TEST_UNDER_TSAN ? 200 : 2000;
+  auto kernel = test::MakeWorld();
+  for (int f = 0; f < kFiles; ++f) {
+    kernel->fs().InstallFile("/trunc/f" + std::to_string(f), "");
+  }
+  const int64_t other_bytes = kernel->fs().total_bytes();
+  std::atomic<int> arrivals{0};
+  std::atomic<int> appenders_done{0};
+  std::vector<Pid> pids;
+  for (int a = 0; a < kAppenders; ++a) {
+    SpawnOptions options;
+    options.body = [a, &arrivals, &appenders_done](ProcessContext& ctx) {
+      int fds[kFiles];
+      for (int f = 0; f < kFiles; ++f) {
+        fds[f] = ctx.Open("/trunc/f" + std::to_string(f), kOWronly | kOAppend);
+        if (fds[f] < 0) {
+          return 1;
+        }
+      }
+      StartTogether(&arrivals, kAppenders + 1);
+      for (int i = 0; i < kRecords; ++i) {
+        if (ctx.Write(fds[i % kFiles], MakeRecord(a, i).data(), kRecordBytes) != kRecordBytes) {
+          return 2;
+        }
+      }
+      appenders_done.fetch_add(1, std::memory_order_release);
+      return 0;
+    };
+    pids.push_back(kernel->Spawn(options));
+  }
+  SpawnOptions truncator;
+  truncator.body = [&arrivals, &appenders_done](ProcessContext& ctx) {
+    StartTogether(&arrivals, kAppenders + 1);
+    for (int i = 0; i < 50 || appenders_done.load(std::memory_order_acquire) < kAppenders; ++i) {
+      const int fd = ctx.Open("/trunc/f" + std::to_string(i % kFiles), kOWronly | kOTrunc);
+      if (fd < 0 || ctx.Close(fd) != 0) {
+        return 1;
+      }
+    }
+    return 0;
+  };
+  pids.push_back(kernel->Spawn(truncator));
+  ExpectAllExitZero(*kernel, pids);
+  int64_t sizes = 0;
+  for (int f = 0; f < kFiles; ++f) {
+    const std::string data = FileContents(*kernel, "/trunc/f" + std::to_string(f));
+    ASSERT_EQ(data.size() % kRecordBytes, 0u) << "f" << f;
+    for (size_t at = 0; at < data.size(); at += kRecordBytes) {
+      int writer = -1;
+      int seq = -1;
+      ASSERT_TRUE(ParseRecord(data.data() + at, &writer, &seq)) << "f" << f << " at " << at;
+    }
+    sizes += static_cast<int64_t>(data.size());
+  }
+  EXPECT_EQ(kernel->fs().total_bytes(), other_bytes + sizes);
+}
+
+// A pathname agent that makes every path absolute against the client's
+// working directory (as union, sandbox and txn do).
+class AbsolutePathAgent final : public PathnameSet {
+ public:
+  std::string name() const override { return "abspath"; }
+
+ protected:
+  PathnameRef getpn(AgentCall& call, const char* path) override {
+    return std::make_unique<Pathname>(this, AbsoluteClientPath(call, path));
+  }
+};
+
+// A root under a pathname agent stats a relative name from /work/sub, so
+// every call rebuilds its cwd's absolute path by scanning /work's entries
+// up to "sub", while a second root creates and unlinks files in /work whose
+// names sort before "sub", so the scan reads the nodes the creates link. The scan runs outside any system call: it takes the tree
+// lock shared and /work's data_mu, which TSan checks against the creates.
+TEST(ConcurrencyStress, RelativePathStatThroughPathnameAgentAgainstCreates) {
+  constexpr int kRounds = IA_TEST_UNDER_TSAN ? 600 : 1500;
+  auto kernel = test::MakeWorld();
+  kernel->fs().MkdirAll("/work/sub");
+  kernel->fs().InstallFile("/work/sub/f", "f");
+  for (int i = 0; i < 64; ++i) {
+    kernel->fs().InstallFile("/work/a" + std::to_string(i), "");
+  }
+  std::atomic<int> arrivals{0};
+  std::atomic<bool> mutator_done{false};
+  std::vector<Pid> pids;
+  SpawnOptions walker;
+  walker.cwd = "/work/sub";
+  walker.body = [&arrivals, &mutator_done](ProcessContext& ctx) {
+    StartTogether(&arrivals, 2);
+    for (int i = 0; i < kRounds || !mutator_done.load(std::memory_order_acquire); ++i) {
+      Stat st;
+      if (ctx.Stat("f", &st) != 0 || st.st_size != 1) {
+        return 1;
+      }
+    }
+    return 0;
+  };
+  pids.push_back(SpawnUnderAgents(*kernel, {std::make_shared<AbsolutePathAgent>()}, walker));
+  SpawnOptions mutator;
+  mutator.body = [&arrivals, &mutator_done](ProcessContext& ctx) {
+    StartTogether(&arrivals, 2);
+    for (int i = 0; i < kRounds; ++i) {
+      const std::string name = "/work/b" + std::to_string(i);
+      const int fd = ctx.Open(name, kOWronly | kOCreat, 0644);
+      if (fd < 0 || ctx.Close(fd) != 0 || (i % 4 == 3 && ctx.Unlink(name) != 0)) {
+        return 1;
+      }
+    }
+    mutator_done.store(true, std::memory_order_release);
+    return 0;
+  };
+  pids.push_back(kernel->Spawn(mutator));
+  ExpectAllExitZero(*kernel, pids);
 }
 
 }  // namespace

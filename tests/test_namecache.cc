@@ -219,7 +219,7 @@ TEST(NameCacheUnit, LruEvictsOldestEntry) {
 
   cache.InsertPositive(*dir, "a", a);
   cache.InsertPositive(*dir, "b", b);
-  InodeRef out;
+  Inode* out = nullptr;
   EXPECT_EQ(cache.Lookup(*dir, "a", &out), NameCache::Outcome::kHit);  // promote "a"
   cache.InsertPositive(*dir, "c", c);                                  // evicts "b"
   EXPECT_EQ(cache.stats().evictions, 1u);
@@ -237,7 +237,7 @@ TEST(NameCacheUnit, WeakReferenceDoesNotExtendInodeLifetime) {
   std::weak_ptr<Inode> watch = child;
   child.reset();
   EXPECT_TRUE(watch.expired());  // the cache held no strong reference
-  InodeRef out;
+  Inode* out = nullptr;
   EXPECT_EQ(cache.Lookup(*dir, "x", &out), NameCache::Outcome::kMiss);
   EXPECT_EQ(cache.size(), 0u);  // expired entry was dropped
 }
@@ -251,7 +251,7 @@ TEST(NameCacheUnit, GenerationInvalidationIsLazy) {
   EXPECT_EQ(cache.size(), 2u);
   cache.InvalidateDir(*dir);  // O(1): nothing walked, entries stale out on touch
   EXPECT_EQ(cache.size(), 2u);
-  InodeRef out;
+  Inode* out = nullptr;
   EXPECT_EQ(cache.Lookup(*dir, "x", &out), NameCache::Outcome::kMiss);
   EXPECT_EQ(cache.Lookup(*dir, "y", &out), NameCache::Outcome::kMiss);
   // Stale nodes linger (they age out through LRU) so a re-insert after the
@@ -262,7 +262,23 @@ TEST(NameCacheUnit, GenerationInvalidationIsLazy) {
   EXPECT_EQ(cache.stats().insertions, insertions_before);  // refreshed, not added
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.Lookup(*dir, "x", &out), NameCache::Outcome::kHit);
-  EXPECT_EQ(out, child);
+  EXPECT_EQ(out, child.get());
+}
+
+// A hit hands back the cached child's address and writes no reference
+// count: the child's use_count() is the same before and after, where a
+// weak_ptr::lock() would have raised it for the caller's copy.
+TEST(NameCacheUnit, HitTakesNoReference) {
+  NameCache cache(8);
+  auto dir = std::make_shared<Inode>(100, InodeType::kDirectory, 0755, 0, 0);
+  auto child = std::make_shared<Inode>(101, InodeType::kRegular, 0644, 0, 0);
+  cache.InsertPositive(*dir, "x", child);
+  const long before = child.use_count();
+  Inode* out = nullptr;
+  ASSERT_EQ(cache.Lookup(*dir, "x", &out), NameCache::Outcome::kHit);
+  EXPECT_EQ(out, child.get());
+  EXPECT_EQ(child.use_count(), before);
+  EXPECT_EQ(dir.use_count(), 1);
 }
 
 TEST(NameCacheUnit, SymlinkChildrenAreRefused) {

@@ -14,6 +14,8 @@
 #include <map>
 #include <thread>
 
+#include "src/agents/dfs_trace.h"
+#include "src/apps/apps.h"
 #include "src/apps/batch.h"
 #include "src/base/strings.h"
 #include "src/kernel/ktrace.h"
@@ -1109,11 +1111,12 @@ TEST(RingDeterminism, StripeOverlapUnderFaultPlanKeepsExactOrder) {
 
 // --- lane differentials --------------------------------------------------------
 
-// Issues the same opens and reads through one of two implementations, chosen
-// by the inputs alone: open(O_RDONLY) takes the vfs-read lane, while
-// open(O_RDONLY|O_CREAT) of an existing file takes the big-lock SysOpen; read
-// takes the vfs-read lane, while a one-segment readv takes the big-lock
-// SysReadv. Returns a digest line per call, with the bytes read and each fstat.
+// Issues the same opens and reads in one of two forms, chosen by the inputs
+// alone: open(O_RDONLY) and open(O_RDONLY|O_CREAT) of an existing file both
+// take the vfs-read lane (a creating open no longer needs the big lock, so
+// the two differ only in Filesystem::Open's create check); read takes the
+// vfs-read lane, while a one-segment readv takes the big-lock SysReadv.
+// Returns a digest line per call, with the bytes read and each fstat.
 std::string RunOpenReadLaneWorkload(ProcessContext& ctx, bool big_lock_forms) {
   std::string digest;
   std::vector<char> buf(6000);
@@ -1300,6 +1303,90 @@ TEST(Lanes, GetdirentriesStaysOffTheBigLock) {
               return 0;
             }),
             0);
+}
+
+// Creating and truncating opens of regular files run on the vfs-read lane:
+// the tree lock shared, the new name linked under the parent directory's
+// data_mu, a truncation under the file's. None of them dispatches on the big
+// lock. An O_CREAT open that finds a fifo still does, once: pipe ends are
+// big-lock state.
+TEST(Lanes, CreatingOpensStayOffTheBigLock) {
+  auto kernel = MakeWorld();
+  kernel->fs().MkdirAll("/lanes");
+  kernel->fs().InstallFile("/lanes/old", "0123456789");
+  Cred root;
+  ASSERT_EQ(kernel->fs().MknodFifo(NameiEnv{kernel->fs().root(), kernel->fs().root(), &root},
+                                   "/lanes/fifo", 0644),
+            0);
+  const int64_t bytes_before = kernel->fs().total_bytes();
+  Kernel* const k = kernel.get();
+  EXPECT_EQ(ExitCodeOf(*kernel, [k](ProcessContext& ctx) {
+              struct Case {
+                const char* path;
+                int flags;
+                bool ok;  // a descriptor, else EEXIST
+              };
+              const Case cases[] = {
+                  {"/lanes/new", kOWronly | kOCreat, true},            // creates
+                  {"/lanes/new", kOWronly | kOCreat, true},            // exists
+                  {"/lanes/old", kOWronly | kOTrunc, true},            // truncates
+                  {"/lanes/excl", kOWronly | kOCreat | kOExcl, true},  // creates
+                  {"/lanes/excl", kOWronly | kOCreat | kOExcl, false},
+                  {"/lanes/log", kOWronly | kOCreat | kOAppend, true},  // DfsTraceAgent::init
+              };
+              for (const Case& c : cases) {
+                const int64_t before = k->BigLockDispatches();
+                const int fd = ctx.Open(c.path, c.flags, 0600);
+                if (c.ok ? fd < 0 : fd != -kEExist) {
+                  return 1;
+                }
+                if (k->BigLockDispatches() != before) {
+                  return 2;
+                }
+                if (fd >= 0 && (ctx.Write(fd, "ab", 2) != 2 || ctx.Close(fd) != 0)) {
+                  return 3;
+                }
+              }
+              Stat st;
+              if (ctx.Stat("/lanes/new", &st) != 0 || st.st_nlink != 1 ||
+                  (st.st_mode & 07777) != (0600 & ~ctx.Umask(022))) {
+                return 4;
+              }
+              const int64_t before = k->BigLockDispatches();
+              const int fifo = ctx.Open("/lanes/fifo", kOWronly | kOCreat);
+              if (fifo < 0 || k->BigLockDispatches() != before + 1) {
+                return 5;
+              }
+              return 0;
+            }),
+            0);
+  EXPECT_EQ(FileContents(*kernel, "/lanes/new"), "ab");  // the second open did not truncate
+  EXPECT_EQ(FileContents(*kernel, "/lanes/old"), "ab");
+  EXPECT_EQ(FileContents(*kernel, "/lanes/log"), "ab");
+  EXPECT_EQ(kernel->fs().total_bytes(), bytes_before - 10 + 2 * 4);
+}
+
+// The counted twin of the andrew workload: one /usr/bin/andrew client under
+// a DfsTraceAgent, as e2ebench runs four, on a small tree. Its walks, reads,
+// stats, listings, copies (O_CREAT|O_TRUNC opens and writes) and the
+// agent's log appends all stay off the big lock; what is left is its
+// mkdirs (the work directory and one per source subdirectory), the loader's
+// execve and the exit.
+TEST(Lanes, AndrewClientTakesTheBigLockOnlyForMkdirsExecveAndExit) {
+  constexpr int kSubdirs = 3;
+  auto kernel = MakeWorld();
+  SetupAndrewTree(*kernel, "/usr/andrew", /*files=*/4, kSubdirs);
+  SpawnOptions options;
+  options.path = "/usr/bin/andrew";
+  options.argv = {"andrew", "/usr/andrew", "/tmp/andrew"};
+  const auto agent = std::make_shared<DfsTraceAgent>("/tmp/dfs.log");
+  const int64_t before = kernel->BigLockDispatches();
+  const int status = RunUnderAgents(*kernel, {agent}, options);
+  ASSERT_TRUE(WifExited(status));
+  ASSERT_EQ(WExitStatus(status), 0);
+  EXPECT_NE(FileContents(*kernel, "/tmp/andrew/MAKELOG").find("files=12"), std::string::npos);
+  EXPECT_GT(agent->count(DfsOpcode::kOpen), 24);
+  EXPECT_EQ(kernel->BigLockDispatches() - before, (1 + kSubdirs) + 1 + 1);
 }
 
 // The counted twin of bench_scalability's single_client_parity gate: a
