@@ -3,9 +3,9 @@
 // N simulated client processes (1..64), each on its own host thread, run an
 // identical stat/open/read/getpid mix against a shared kernel. Before the
 // lock split every call serialized on the big kernel lock, so aggregate
-// throughput was flat in N; with kPerProcess rows dispatching lock-free and
-// kVfsRead rows walking under the shared-mode tree lock, throughput should
-// scale with host cores.
+// throughput was flat in N; with process-local handlers taking no lock and
+// path walks and regular-file I/O under the shared-mode tree lock,
+// throughput should scale with host cores.
 //
 // Self-checks (exit status is nonzero if any fails). The host-independent
 // ones are enforced everywhere except under ThreadSanitizer. The two that
@@ -349,8 +349,8 @@ RatioSpread MeasureRingParity() {
 //
 // A stack of seven real agents whose declared footprints (derived from the
 // syscall table's abstraction flags) exclude the per-process rows. Under the
-// narrowed stack a getpid/gettimeofday mix must skip every frame and ride the
-// lock-free kPerProcess lane; forcing the identical stack to whole-interface
+// narrowed stack a getpid/gettimeofday mix must skip every frame and reach
+// the lock-free process-local handlers; forcing the identical stack to whole-interface
 // interest via use_footprint(Footprint::All()) restores the pre-change regime
 // where every call climbs all seven frames. The gate: narrowed throughput on
 // the non-path mix >= 5x the full-interface throughput.

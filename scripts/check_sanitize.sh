@@ -6,9 +6,10 @@
 #                              fault sweep (memory safety / UB)
 #   check_sanitize.sh --tsan   ThreadSanitizer over the full test suite and
 #                              bench_scalability — the proof that the big-lock
-#                              breakup (kPerProcess / kVfsRead fast paths,
-#                              lock-free name cache reads) is actually
-#                              race-free under real multi-client interleavings
+#                              breakup (handlers that take no lock or only
+#                              the shared tree lock, lock-free name cache
+#                              reads) is actually race-free under real
+#                              multi-client interleavings
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -33,7 +34,7 @@ case "$MODE" in
     # rounds so short races get more chances to interleave. StripeStress.*
     # are the direct stress tests of the tree rwlock (shared readers against
     # each other and against exclusive writers), so they repeat too, as does
-    # FastLaneDeterminism.* (4 clients on the fast lanes under one fault plan
+    # FastLaneDeterminism.* (4 clients off the big lock under one fault plan
     # and one ktrace sink: the injector's and ktrace_mu_'s leaf locks), and so
     # do WaitChannels.* (each sleeper class against its waker; the racing
     # case runs every sleeper against its waker with no host sleep, many
@@ -52,19 +53,22 @@ case "$MODE" in
     # name, creators against stat/open/getdirentries walkers in one
     # directory, O_TRUNC opens against appenders, and a pathname agent's
     # cwd scan against creates: every reader of a directory's entries under
-    # the shared tree lock must hold its data_mu). World sizes self-cap under
+    # the shared tree lock must hold its data_mu), and the name cache's
+    # eviction-churn twin (the dispatch core's reclaim of the cache's
+    # garbage under the exclusive tree lock, after a batch with no lock
+    # held). World sizes self-cap under
     # TSan (the tests read __has_feature(thread_sanitizer) via
     # IA_TEST_UNDER_TSAN), so this stays fast even with the instrumentation
     # slowdown.
     TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
       "$BUILD_DIR"/tests/ia_tests \
-      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*:ConcurrencyStress.AppendersReaderAndStatShareOneInode:ConcurrencyStress.AppendWritevRecordsStayContiguous:ConcurrencyStress.GetdirentriesAgainstCreatesAndUnlinks:VirtualTime.*:ConcurrencyStress.SameNameCreatesOpenOneInode:ConcurrencyStress.CreatorsAndWalkersShareOneDirectory:ConcurrencyStress.TruncatingOpensConserveBytes:ConcurrencyStress.RelativePathStatThroughPathnameAgentAgainstCreates' \
+      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*:ConcurrencyStress.AppendersReaderAndStatShareOneInode:ConcurrencyStress.AppendWritevRecordsStayContiguous:ConcurrencyStress.GetdirentriesAgainstCreatesAndUnlinks:VirtualTime.*:ConcurrencyStress.SameNameCreatesOpenOneInode:ConcurrencyStress.CreatorsAndWalkersShareOneDirectory:ConcurrencyStress.TruncatingOpensConserveBytes:ConcurrencyStress.RelativePathStatThroughPathnameAgentAgainstCreates:NameCacheKernel.KeepsCachingAfterEvictionChurnWithoutMutation' \
       --gtest_repeat=3
 
     # The socket plane is the newest blocking subsystem: channel sleeps under
     # the big lock, cross-process peer close/EOF accounting, accept racing
     # client-side slams, and pathname rendezvous against VFS churn. Repeat the
-    # stress suite so those windows get extra interleavings.
+    # stress suite so those races get extra interleavings.
     TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
       "$BUILD_DIR"/tests/ia_tests \
       --gtest_filter='SocketStress.*:Sockets.*' \

@@ -81,9 +81,10 @@ done
 
 scripts/check_sanitize.sh
 
-# ThreadSanitizer is the proof that the big-lock breakup (kPerProcess and
-# kVfsRead fast paths, lock-free name-cache reads) is actually race-free:
-# full suite plus the multi-client scalability bench under TSan.
+# ThreadSanitizer is the proof that the big-lock breakup (handlers that take
+# no lock or only the shared tree lock, lock-free name-cache reads) is
+# actually race-free: full suite plus the multi-client scalability bench
+# under TSan.
 scripts/check_sanitize.sh --tsan
 
 echo "ci.sh: build, tests, and sanitized tests all passed."

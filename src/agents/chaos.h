@@ -38,7 +38,7 @@ class ChaosAgent final : public SymbolicSyscall {
 
   // Post-setup narrowing: permanently stops injecting and re-narrows the live
   // frame in `ctx` to nothing, so the fault window ends and every row returns
-  // to the kernel fast lanes (the fork/exec bookkeeping interceptions remain,
+  // straight to its kernel handler (the fork/exec bookkeeping interceptions remain,
   // keeping propagation alive). Other processes served by this instance stop
   // injecting immediately and shed their frames on their own next Quiesce.
   // Returns false if not installed in ctx.

@@ -53,7 +53,7 @@ class SandboxAgent final : public PathnameSet {
   // Post-setup narrowing: permanently lifts the syscall budget and re-narrows
   // this agent's live frame in `ctx` from the whole interface down to the
   // policy rows. A budgeted sandbox must see every call, which keeps even
-  // getpid-style traffic off the kernel fast lanes; an embedder that trusts
+  // getpid-style traffic climbing the agent stack; an embedder that trusts
   // the client after its setup phase calls this to shed that cost while every
   // pathname/policy guard stays armed. Returns false if not installed in ctx.
   bool DropSyscallBudget(ProcessContext& ctx);
@@ -66,7 +66,7 @@ class SandboxAgent final : public PathnameSet {
   // budget is the one policy that genuinely needs the whole interface (every
   // call must tick the counter), so an armed budget keeps the full footprint;
   // all other policies are enforceable from the narrowed slice and let
-  // getpid-style traffic keep the kernel fast lanes.
+  // getpid-style traffic go straight to its lock-free kernel handlers.
   Footprint default_footprint() const override {
     if (budget_limit_.load(std::memory_order_relaxed) >= 0) {
       return Footprint::All();

@@ -23,7 +23,6 @@
 #define SRC_KERNEL_EMULATION_H_
 
 #include <array>
-#include <atomic>
 #include <bitset>
 #include <cstdint>
 #include <memory>
@@ -85,8 +84,8 @@ struct CompiledRoute {
 // The per-process emulation state. Frame index 0 is closest to the kernel; the
 // highest index is closest to the application. Structural mutation and route
 // compilation run in the owning process (the same discipline as the
-// frame vector itself); the route-stat tallies are relaxed atomics only so the
-// kernel can aggregate them at exit without assumptions.
+// frame vector itself), and so do the route-stat tallies: the kernel folds
+// them in from the exiting process's own FinalizeExit.
 class EmulationStack {
  public:
   // Pushes a frame on top (closest to the application). Returns its index.
@@ -141,7 +140,7 @@ class EmulationStack {
   // the hop they dispatch to before invoking the handler (which may mutate the
   // stack underneath them).
   const CompiledRoute& RouteFor(int number) {
-    route_lookups_.fetch_add(1, std::memory_order_relaxed);
+    ++route_lookups_;
     CompiledRoute& route = routes_[static_cast<size_t>(number)];
     if (route.generation != generation_) {
       CompileRoute(number, &route);
@@ -172,12 +171,12 @@ class EmulationStack {
 
   // Route-cache observability: total route consultations and how many had to
   // (re)compile. The hit rate is 1 - builds/lookups.
-  int64_t route_lookups() const { return route_lookups_.load(std::memory_order_relaxed); }
-  int64_t route_builds() const { return route_builds_.load(std::memory_order_relaxed); }
+  int64_t route_lookups() const { return route_lookups_; }
+  int64_t route_builds() const { return route_builds_; }
 
  private:
   void CompileRoute(int number, CompiledRoute* route) {
-    route_builds_.fetch_add(1, std::memory_order_relaxed);
+    ++route_builds_;
     route->hops.clear();
     for (int i = Depth() - 1; i >= 0; --i) {
       if (frames_[static_cast<size_t>(i)].syscall_interest.test(static_cast<size_t>(number))) {
@@ -192,8 +191,8 @@ class EmulationStack {
   // can never read as fresh.
   uint64_t generation_ = 1;
   std::array<CompiledRoute, kMaxSyscall> routes_;
-  std::atomic<int64_t> route_lookups_{0};
-  std::atomic<int64_t> route_builds_{0};
+  int64_t route_lookups_ = 0;
+  int64_t route_builds_ = 0;
 };
 
 }  // namespace ia

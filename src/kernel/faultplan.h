@@ -2,8 +2,8 @@
 //
 // A FaultPlan describes which system calls should fail, how, and how often.
 // The kernel's dispatch core consults it once per call, before the call's
-// lane, so an installed plan leaves every lane (lock-free, shared tree lock,
-// big lock) in use; the chaos agent consults the same plan *above* the
+// handler, so an installed plan changes no call's locks (none, the shared
+// tree lock, or the big lock); the chaos agent consults the same plan *above* the
 // kernel, so kernel-level and agent-level injection share one vocabulary
 // and can be composed or compared.
 //
@@ -170,7 +170,7 @@ struct FaultEvent {
 // Bookkeeping wrapper the kernel (and tests) use around a plan: owns the
 // counters and the bounded event trace. Thread-safe: the plan is immutable,
 // and a leaf mutex guards the counters and the trace, so concurrent
-// processes may consult one injector from any dispatch lane. Events land in
+// processes may consult one injector at once. Events land in
 // the trace in the order their calls consulted the plan; one process's
 // events keep its own call order.
 class FaultInjector {

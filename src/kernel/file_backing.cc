@@ -14,13 +14,18 @@ namespace ia {
 
 void FileBacking::PostSignal(Kernel& k, Process& p, int signo) { k.PostSignalLocked(p, signo); }
 
+void FileBacking::BigLock(Kernel& k, KernelLock& lk) { k.BigLock(lk); }
+
 SyscallStatus FileBacking::ReadRegular(Kernel& k, Process& p, OpenFile& f, char* buf,
                                        int64_t count, SyscallResult* rv) {
-  // readv's big-lock handler is a kBlocking row, so DispatchBigLock did not
-  // take the tree lock; hold it shared, as the vfs-read lane does.
-  // ReadRegularLocked takes the inode's data_mu.
+  return k.ReadRegular(p, f, buf, count, rv);
+}
+
+SyscallStatus FileBacking::WriteRegular(Kernel& k, Process& p, OpenFile& f, const char* buf,
+                                        int64_t count, SyscallResult* rv) {
   std::shared_lock<RwLock> tree(k.fs_.TreeMutex());
-  return k.ReadRegularLocked(p, f, buf, count, rv);
+  std::lock_guard<WordMutex> data_lock(f.inode->data_mu);
+  return k.WriteRegularLocked(p, f, buf, count, rv);
 }
 
 // ---------------------------------------------------------------------------
@@ -33,12 +38,13 @@ const std::shared_ptr<FileBacking>& VnodeBacking::Instance() {
 }
 
 SyscallStatus VnodeBacking::Read(Kernel& k, Process& p, OpenFile& f, char* buf, int64_t count,
-                                 SyscallResult* rv, KernelLock& /*lk*/) {
-  const InodeRef inode = f.inode;
+                                 SyscallResult* rv, KernelLock& lk) {
+  const InodeRef& inode = f.inode;
   if (inode == nullptr) {
     return -kEBadf;
   }
   if (inode->IsDevice()) {
+    BigLock(k, lk);  // device state belongs to the big lock
     const int64_t n = inode->device->Read(buf, count, f.offset);
     if (n > 0) {
       f.offset += n;
@@ -49,16 +55,20 @@ SyscallStatus VnodeBacking::Read(Kernel& k, Process& p, OpenFile& f, char* buf, 
   return ReadRegular(k, p, f, buf, count, rv);
 }
 
-SyscallStatus VnodeBacking::Write(Kernel& /*k*/, Process& /*p*/, OpenFile& f, const char* buf,
-                                  int64_t count, SyscallResult* rv, KernelLock& /*lk*/) {
-  const InodeRef inode = f.inode;
+SyscallStatus VnodeBacking::Write(Kernel& k, Process& p, OpenFile& f, const char* buf,
+                                  int64_t count, SyscallResult* rv, KernelLock& lk) {
+  const InodeRef& inode = f.inode;
   if (inode == nullptr) {
     return -kEBadf;
+  }
+  if (inode->IsRegular()) {
+    return WriteRegular(k, p, f, buf, count, rv);
   }
   if (inode->IsDirectory()) {
     return -kEIsdir;
   }
   if (inode->IsDevice()) {
+    BigLock(k, lk);  // device state belongs to the big lock
     const int64_t n = inode->device->Write(buf, count, f.offset);
     if (n > 0) {
       f.offset += n;
@@ -66,24 +76,24 @@ SyscallStatus VnodeBacking::Write(Kernel& /*k*/, Process& /*p*/, OpenFile& f, co
     rv->rv[0] = n;
     return static_cast<SyscallStatus>(n);
   }
-  // Regular files write on the vfs-read lane (Kernel::ClassifyVfsRead); a
-  // node that reaches here holds no bytes (a socket node opened by path).
-  return -kEInval;
+  return -kEInval;  // a node that holds no bytes (a socket node opened by path)
 }
 
-SyscallStatus VnodeBacking::Fstat(Kernel& /*k*/, OpenFile& f, Stat* st) {
+SyscallStatus VnodeBacking::Fstat(Kernel& k, OpenFile& f, Stat* st) {
   if (f.inode == nullptr) {
     return -kEBadf;
   }
-  f.inode->FillStat(st);
+  std::shared_lock<RwLock> tree(k.fs().TreeMutex());
+  f.inode->FillStat(st);  // takes a regular file's data_mu for its size
   return 0;
 }
 
-SyscallStatus VnodeBacking::Lseek(Kernel& /*k*/, OpenFile& f, Off offset, int whence,
+SyscallStatus VnodeBacking::Lseek(Kernel& k, OpenFile& f, Off offset, int whence,
                                   SyscallResult* rv) {
-  // lseek runs on the vfs-read lane, under the tree lock held shared: the
-  // inode's data_mu orders the offset move against the inode's writers and
-  // guards the SEEK_END size read.
+  // The tree lock held shared, then the inode's data_mu: it orders the
+  // offset move against the inode's writers and guards the SEEK_END size
+  // read.
+  std::shared_lock<RwLock> tree(k.fs().TreeMutex());
   std::unique_lock<WordMutex> data_lock;
   if (f.inode != nullptr) {
     data_lock = std::unique_lock<WordMutex>(f.inode->data_mu);
@@ -137,8 +147,9 @@ PipeBacking::~PipeBacking() {
   pipe_->chan.Wakeup();
 }
 
-SyscallStatus PipeBacking::Read(Kernel& /*k*/, Process& p, OpenFile& f, char* buf, int64_t count,
+SyscallStatus PipeBacking::Read(Kernel& k, Process& p, OpenFile& f, char* buf, int64_t count,
                                 SyscallResult* rv, KernelLock& lk) {
+  BigLock(k, lk);
   for (;;) {
     if (pipe_->BytesBuffered() > 0) {
       const int64_t n = pipe_->ReadSome(buf, count);
@@ -160,6 +171,7 @@ SyscallStatus PipeBacking::Read(Kernel& /*k*/, Process& p, OpenFile& f, char* bu
 
 SyscallStatus PipeBacking::Write(Kernel& k, Process& p, OpenFile& f, const char* buf,
                                  int64_t count, SyscallResult* rv, KernelLock& lk) {
+  BigLock(k, lk);
   int64_t total = 0;
   for (;;) {
     if (pipe_->readers == 0) {
@@ -187,12 +199,15 @@ SyscallStatus PipeBacking::Write(Kernel& k, Process& p, OpenFile& f, const char*
   }
 }
 
-SyscallStatus PipeBacking::Fstat(Kernel& /*k*/, OpenFile& f, Stat* st) {
+SyscallStatus PipeBacking::Fstat(Kernel& k, OpenFile& f, Stat* st) {
   if (f.inode != nullptr) {
+    std::shared_lock<RwLock> tree(k.fs().TreeMutex());
     f.inode->FillStat(st);  // named fifo: the inode carries the attributes
     return 0;
   }
-  // Anonymous pipe.
+  // Anonymous pipe: its byte count is big-lock state.
+  KernelLock lk;
+  BigLock(k, lk);
   *st = Stat{};
   st->st_mode = kSIfifo | 0600;
   st->st_size = static_cast<Off>(pipe_->BytesBuffered());

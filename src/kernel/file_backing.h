@@ -2,8 +2,10 @@
 //
 // An OpenFile no longer discriminates between an inode and a pipe end by
 // hand; it holds exactly one FileBacking, and the kernel's data-plane
-// handlers (read/write/fstat/lseek, the kVfsRead fast paths, the ring
-// batcher's vfs-read windows) dispatch through it. Three implementations:
+// handlers (read/write/fstat/lseek and the vector forms) dispatch through
+// it. Each backing op takes the locks its object needs: a vnode's the tree
+// lock shared plus the inode's data_mu (a device's the big lock), a pipe's
+// or a socket's the big lock. Three implementations:
 //
 //   VnodeBacking   - regular files, directories, devices (everything the VFS
 //                    tree names); stateless, shared as a singleton
@@ -35,7 +37,8 @@ class OpenFile;
 class Pipe;
 class Process;
 
-// The kernel big lock as handed to blocking syscall handlers (Kernel::Lock).
+// A system call's big-lock slot (Kernel::Lock): empty until the call takes
+// mu_ through Kernel::BigLock.
 using KernelLock = std::unique_lock<std::mutex>;
 
 enum class BackingKind : uint8_t {
@@ -48,15 +51,16 @@ class FileBacking {
  public:
   virtual ~FileBacking() = default;
 
-  // Identity for the fast-path gates: only kVnode files may take the shared
-  // tree-lock read/close routes; everything else needs the big lock, which
-  // guards its state and its wait channel.
+  // Identity for the handlers that pick a lock by object: closing anything
+  // but a kVnode file takes the big lock, which guards a pipe's or a
+  // socket's state and its wait channel.
   virtual BackingKind kind() const = 0;
 
-  // Scalar transfer hooks. Entered from big-lock handlers with `lk` holding
-  // the big kernel lock; the caller has already validated fd/buf/count and
-  // rejected count <= 0. Vnode backings take the tree lock internally;
-  // pipe/socket backings may sleep on `lk`.
+  // Scalar transfer hooks. The caller has already validated fd/buf/count
+  // and rejected count <= 0. `lk` is the call's big-lock slot: empty, or
+  // holding mu_ when a handler took it first (readv, writev, send). A
+  // backing that needs mu_ takes it into `lk` (BigLock); pipe/socket
+  // backings may sleep on it.
   virtual SyscallStatus Read(Kernel& k, Process& p, OpenFile& f, char* buf, int64_t count,
                              SyscallResult* rv, KernelLock& lk) = 0;
   virtual SyscallStatus Write(Kernel& k, Process& p, OpenFile& f, const char* buf, int64_t count,
@@ -73,14 +77,17 @@ class FileBacking {
                               SyscallResult* rv) = 0;
 
  protected:
-  // The narrow kernel services a backing may use (signal posting plus the
-  // vnode data plane). FileBacking is a friend of Kernel; these are the only
-  // doors it opens to subclasses.
+  // The narrow kernel services a backing may use (signal posting, the
+  // counted big lock, and the vnode data plane). FileBacking is a friend of
+  // Kernel; these are the only doors it opens to subclasses.
   static void PostSignal(Kernel& k, Process& p, int signo);
-  // Regular-file read for readv's big-lock handler, with the vfs-read
-  // lane's locking: the tree lock shared, then the inode's data_mu.
+  static void BigLock(Kernel& k, KernelLock& lk);
+  // Regular-file transfers under the tree lock held shared, then the
+  // inode's data_mu.
   static SyscallStatus ReadRegular(Kernel& k, Process& p, OpenFile& f, char* buf, int64_t count,
                                    SyscallResult* rv);
+  static SyscallStatus WriteRegular(Kernel& k, Process& p, OpenFile& f, const char* buf,
+                                    int64_t count, SyscallResult* rv);
 };
 
 // Regular files, directories, and devices. Stateless (all state lives on
@@ -99,9 +106,9 @@ class VnodeBacking final : public FileBacking {
 };
 
 // One end of a bounded Pipe (anonymous pipe or fifo). Construction registers
-// the end with the pipe; destruction — always under the big lock, the close
-// fast path refuses non-vnode files — deregisters it and wakes the pipe, so
-// the last write-end close is EOF and the last read-end close EPIPE.
+// the end with the pipe; destruction — always under the big lock, which
+// close(2) takes for every non-vnode file — deregisters it and wakes the
+// pipe, so the last write-end close is EOF and the last read-end close EPIPE.
 class PipeBacking final : public FileBacking {
  public:
   PipeBacking(std::shared_ptr<Pipe> pipe, bool write_end);

@@ -436,21 +436,6 @@ void Kernel::ConsumeCpu(Process& proc, int64_t micros) {
 
 namespace {
 
-enum class Lane { kPerProcess, kVfsRead, kBigLock };
-
-// The lane an entry dispatches on, from its number alone. Out-of-table
-// numbers take the big lock, whose DispatchBigLock produces their ENOSYS.
-Lane LaneOf(int number) {
-  if (number < 0 || number >= kMaxSyscall) {
-    return Lane::kBigLock;
-  }
-  const uint32_t flags = SyscallSpecOf(number).flags;
-  if ((flags & kPerProcess) != 0) {
-    return Lane::kPerProcess;
-  }
-  return (flags & kVfsRead) != 0 ? Lane::kVfsRead : Lane::kBigLock;
-}
-
 // A descriptor whose data plane is a regular file's bytes.
 bool IsRegularVnode(const OpenFile& file) {
   return file.backing->kind() == BackingKind::kVnode && file.inode != nullptr &&
@@ -605,81 +590,50 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
     comps[i].result = SyscallResult{};
   }
   // The fault plane, read once per batch. Each entry consults the plan once,
-  // in submission order, before its lane: an injected status completes it,
-  // and a short transfer dispatches `clamped`, the request's rewritten copy,
-  // on the entry's normal lane.
+  // in submission order, before its handler: an injected status completes
+  // it, and a short transfer runs `clamped`, the request's rewritten copy.
   FaultInjector* const injector = fault_.load(std::memory_order_acquire);
   SyscallRequest clamped;
-  int64_t big_lock_entries = 0;
-  // A window: consecutive shared-lock vfs-read entries run in submission
-  // order under one shared hold of the tree lock, instead of one acquire per
-  // entry, with far less lock-word bouncing when many drains run
-  // concurrently. Any other entry releases the hold first.
-  std::shared_lock<RwLock> window(fs_.TreeMutex(), std::defer_lock);
   for (int i = 0; i < count; ++i) {
-    VfsReadPlan plan;  // the big lock, unless the vfs-read lane classifies it
+    SyscallStatus status = 0;
     FaultOutcome outcome = FaultOutcome::kNone;
     if (injector != nullptr) {
       clamped = reqs[i];
-      outcome = InjectFault(*injector, proc, static_cast<uint64_t>(seq + i + 1), &clamped,
-                            &plan.status);
+      outcome = InjectFault(*injector, proc, static_cast<uint64_t>(seq + i + 1), &clamped, &status);
     }
     const SyscallRequest& req = outcome == FaultOutcome::kClamped ? clamped : reqs[i];
-    const Lane lane = LaneOf(req.number);
     if (outcome == FaultOutcome::kInjected) {
-      plan.kind = VfsReadPlan::kDone;
-    } else if (lane == Lane::kVfsRead) {
-      plan = ClassifyVfsRead(proc, req);
-    }
-    SyscallResult* rv = &comps[i].result;
-    SyscallStatus status = 0;
-    if (plan.kind == VfsReadPlan::kShared) {
-      if (!window.owns_lock()) {
-        window.lock();
-      }
-      ExecuteVfsRead(proc, req, plan, rv, &status);
+      // `status` is the plan's answer.
+    } else if (ImplementsSyscall(req.number)) {
+      Lock lk;  // empty: a handler that needs mu_ takes it here (BigLock)
+      status = (this->*DispatchTable()[req.number])(proc, req.args, &comps[i].result, lk);
     } else {
-      if (window.owns_lock()) {
-        window.unlock();
-      }
-      if (plan.kind == VfsReadPlan::kDone) {
-        status = plan.status;
-      } else if (lane == Lane::kPerProcess) {
-        status = DispatchUnlocked(proc, req.number, req.args, rv);
-      } else if (plan.kind != VfsReadPlan::kUnlocked ||
-                 !ExecuteVfsRead(proc, req, plan, rv, &status)) {
-        status = DispatchBigLock(proc, req.number, req.args, rv);
-        ++big_lock_entries;
-      }
+      status = -kENosys;
     }
     finish(i, status);
   }
   flush_stats();
-  if (big_lock_entries != 0) {
-    shard.big_lock_dispatches.fetch_add(big_lock_entries, std::memory_order_relaxed);
+  // With no lock held, the batch's end is where the name cache's deferred
+  // garbage is freed once it passes the cache's capacity: an exclusive
+  // hold means no lock-free cache reader is in flight (namecache.h).
+  if (fs_.namecache().ReclaimDue()) {
+    std::unique_lock<RwLock> tree(fs_.TreeMutex());
+    fs_.namecache().Reclaim();
   }
 }
 
-SyscallStatus Kernel::DispatchBigLock(Process& p, int number, const SyscallArgs& a,
-                                      SyscallResult* rv) {
-  const SyscallHandler handler = ImplementsSyscall(number) ? DispatchTable()[number] : nullptr;
-  if (handler == nullptr) {
-    return -kENosys;
+void Kernel::BigLock(Lock& lk) {
+  if (lk.owns_lock()) {
+    return;
   }
-  Lock lk(mu_);
-  SyscallStatus status;
-  if ((SyscallSpecOf(number).flags & kBlocking) != 0) {
-    // Blocking handlers sleep on a channel, which drops mu_ but could not
-    // drop the tree lock; they take it internally around the inode-data
-    // sections only.
-    status = (this->*handler)(p, a, rv, lk);
-  } else {
-    // Holding the tree lock exclusively is what excludes big-lock handlers
-    // from the kVfsRead fast path's shared-mode readers.
-    std::unique_lock<RwLock> tree(fs_.TreeMutex());
-    status = (this->*handler)(p, a, rv, lk);
-  }
-  return status;
+  lk = Lock(mu_);
+  stat_shards_[StatShardSlot(kStatShards)].big_lock_dispatches.fetch_add(
+      1, std::memory_order_relaxed);
+}
+
+std::unique_lock<RwLock> Kernel::BigLockAndTree(Lock& lk) {
+  BigLock(lk);
+  return std::unique_lock<RwLock>(fs_.TreeMutex());
 }
 
 void Kernel::DeliverKtrace(uint32_t flags, const KtraceRecord& record) {
@@ -739,239 +693,13 @@ std::array<SyscallStat, kMaxSyscall> Kernel::SyscallStats() {
   return out;
 }
 
-SyscallStatus Kernel::DispatchUnlocked(Process& proc, int number, const SyscallArgs& args,
-                                       SyscallResult* rv) {
-  const SyscallHandler handler = DispatchTable()[number];
-  // kPerProcess handlers never touch the big lock; hand them an empty Lock.
-  Lock no_lock;
-  return (this->*handler)(proc, args, rv, no_lock);
-}
-
-Kernel::VfsReadPlan Kernel::ClassifyVfsRead(Process& proc, const SyscallRequest& req) {
-  const SyscallArgs& args = req.args;
-  VfsReadPlan plan;
-  auto done = [&plan](SyscallStatus status) {
-    plan.kind = VfsReadPlan::kDone;
-    plan.status = status;
-    return std::move(plan);
-  };
-  auto shared = [&plan]() {
-    plan.kind = VfsReadPlan::kShared;
-    return std::move(plan);
-  };
-  switch (req.number) {
-    // Pure tree walks: the regular handlers are already read-only against the
-    // tree and touch neither the Lock nor other kernel state, so they run
-    // as-is; a null path is the handler's EFAULT. lseek at most reads a file
-    // size; its handler also owns the bad-fd and pipe (ESPIPE) answers.
-    case kSysStat:
-    case kSysLstat:
-    case kSysAccess:
-    case kSysReadlink:
-    case kSysLseek:
-    case kSysGetdirentries:  // reads a directory; its offset is under data_mu
-      return shared();
-
-    case kSysFstat: {
-      OpenFileRef file = proc.fds.Get(args.Int(0));
-      if (file == nullptr) {
-        return done(-kEBadf);
-      }
-      if (file->inode == nullptr) {
-        return plan;  // anonymous pipe: the synthetic stat reads pipe state
-      }
-      if (args.Ptr<ia::Stat>(1) == nullptr) {
-        return done(-kEFault);
-      }
-      plan.file = std::move(file);
-      return shared();
-    }
-
-    case kSysRead: {
-      OpenFileRef file = proc.fds.Get(args.Int(0));
-      if (file == nullptr || !file->CanRead()) {
-        return done(-kEBadf);
-      }
-      if (args.Ptr<char>(1) == nullptr) {
-        return done(-kEFault);
-      }
-      const int64_t count = args.Long(2);
-      if (count <= 0) {
-        return done(count < 0 ? -kEInval : 0);  // a zero-length read returns 0
-      }
-      if (file->backing->kind() != BackingKind::kVnode) {
-        return plan;  // pipe/socket: may sleep on its channel
-      }
-      if (file->inode == nullptr) {
-        return done(-kEBadf);
-      }
-      if (file->inode->IsDevice()) {
-        return plan;  // device state belongs to the big lock
-      }
-      plan.file = std::move(file);
-      return shared();
-    }
-
-    // Writes to a regular file share the tree lock with the walks and take
-    // the inode's data_mu (ExecuteVfsRead). Pipes, sockets, devices and
-    // directories stay on the big lock, whose handler gives their answers.
-    case kSysWrite: {
-      OpenFileRef file = proc.fds.Get(args.Int(0));
-      if (file == nullptr || !file->CanWrite()) {
-        return done(-kEBadf);
-      }
-      if (args.Ptr<const char>(1) == nullptr) {
-        return done(-kEFault);
-      }
-      const int64_t count = args.Long(2);
-      if (count <= 0) {
-        return done(count < 0 ? -kEInval : 0);  // a zero-length write returns 0
-      }
-      if (!IsRegularVnode(*file)) {
-        return plan;
-      }
-      plan.file = std::move(file);
-      return shared();
-    }
-
-    case kSysWritev: {
-      if (args.Ptr<const IoVec>(1) == nullptr) {
-        return done(-kEFault);
-      }
-      if (args.Int(2) <= 0 || args.Int(2) > kMaxIoVecs) {
-        return done(-kEInval);
-      }
-      OpenFileRef file = proc.fds.Get(args.Int(0));
-      if (file == nullptr || !file->CanWrite() || !IsRegularVnode(*file)) {
-        return plan;  // the handler answers per segment, as SysWritev does
-      }
-      plan.file = std::move(file);
-      return shared();
-    }
-
-    // Every open, creating and truncating ones too: Filesystem::Open is
-    // safe under a shared hold (vfs.h). A fifo target falls back to the big
-    // lock in ExecuteVfsRead.
-    case kSysOpen: {
-      const char* path = args.Ptr<const char>(0);
-      if (path == nullptr) {
-        return done(-kEFault);
-      }
-      plan.kind = VfsReadPlan::kUnlocked;
-      return plan;
-    }
-
-    case kSysClose: {
-      const OpenFileRef file = proc.fds.Get(args.Int(0));
-      if (file == nullptr) {
-        return done(-kEBadf);
-      }
-      if (file->backing->kind() != BackingKind::kVnode ||
-          file->flock_mode.load(std::memory_order_acquire) != 0) {
-        // Dropping the last reference would detach a pipe end / close a socket
-        // endpoint (which wakes the object's channel) or release an flock:
-        // big-lock transitions.
-        return plan;
-      }
-      plan.kind = VfsReadPlan::kUnlocked;
-      return plan;
-    }
-
-    default:
-      return plan;
-  }
-}
-
-bool Kernel::ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsReadPlan& plan,
-                            SyscallResult* rv, SyscallStatus* out) {
-  const SyscallArgs& args = req.args;
-  switch (req.number) {
-    case kSysFstat:
-      *out = plan.file->backing->Fstat(*this, *plan.file, args.Ptr<ia::Stat>(1));
-      return true;
-
-    case kSysRead:
-      *out = ReadRegularLocked(proc, *plan.file, args.Ptr<char>(1), args.Long(2), rv);
-      return true;
-
-    case kSysWrite: {
-      std::lock_guard<WordMutex> data_lock(plan.file->inode->data_mu);
-      *out = WriteRegularLocked(proc, *plan.file, args.Ptr<const char>(1), args.Long(2), rv);
-      return true;
-    }
-
-    case kSysWritev: {
-      // One data_mu hold across every segment, so an O_APPEND writev lands
-      // as one contiguous record.
-      OpenFile& file = *plan.file;
-      std::lock_guard<WordMutex> data_lock(file.inode->data_mu);
-      *out = TransferSegments(args.Ptr<const IoVec>(1), args.Int(2), rv,
-                              [&](const IoVec& seg, SyscallResult* seg_rv) -> SyscallStatus {
-                                const auto* buf = static_cast<const char*>(seg.iov_base);
-                                if (buf == nullptr) {
-                                  return -kEFault;
-                                }
-                                if (seg.iov_len < 0) {
-                                  return -kEInval;
-                                }
-                                return WriteRegularLocked(proc, file, buf, seg.iov_len, seg_rv);
-                              });
-      return true;
-    }
-
-    case kSysOpen: {
-      const int flags = args.Int(1);
-      const Mode mode = static_cast<Mode>(args.Int(2)) & ~proc.umask_bits;
-      InodeRef inode;
-      {
-        std::shared_lock<RwLock> tree(fs_.TreeMutex());
-        const int err = fs_.Open(EnvOf(proc), args.Ptr<const char>(0), flags, mode, &inode);
-        if (err != 0) {
-          *out = err;
-          return true;
-        }
-      }
-      if (inode->IsFifo()) {
-        // Fifo opens register pipe ends (big-lock state). Re-resolving under
-        // the big lock is safe: an open that found a fifo had no effects
-        // (O_CREAT creates and O_TRUNC resizes only regular files).
-        return false;
-      }
-      const int fd = proc.fds.AllocateSlot();
-      if (fd < 0) {
-        *out = fd;
-        return true;
-      }
-      OpenFileRef file = MakeVnodeFile(inode, flags);
-      if ((flags & kOAppend) != 0) {
-        std::shared_lock<RwLock> tree(fs_.TreeMutex());
-        std::lock_guard<WordMutex> data_lock(inode->data_mu);
-        file->offset = static_cast<Off>(inode->data.size());
-      }
-      proc.fds.Set(fd, std::move(file));
-      rv->rv[0] = fd;
-      *out = fd;
-      return true;
-    }
-
-    case kSysClose:
-      *out = proc.fds.Close(args.Int(0));
-      return true;
-
-    default:
-      // stat/lstat/access/readlink/lseek/getdirentries: the regular
-      // handler, no big lock.
-      *out = DispatchUnlocked(proc, req.number, args, rv);
-      return true;
-  }
-}
-
-SyscallStatus Kernel::ReadRegularLocked(Process& proc, OpenFile& file, char* buf, int64_t count,
-                                        SyscallResult* rv) {
+SyscallStatus Kernel::ReadRegular(Process& proc, OpenFile& file, char* buf, int64_t count,
+                                  SyscallResult* rv) {
   const InodeRef& inode = file.inode;
   if (inode->IsDirectory()) {
     return -kEIsdir;
   }
+  std::shared_lock<RwLock> tree(fs_.TreeMutex());
   std::lock_guard<WordMutex> data_lock(inode->data_mu);
   const Off off = file.offset.load(std::memory_order_relaxed);
   const int64_t size = static_cast<int64_t>(inode->data.size());
@@ -1180,7 +908,7 @@ void Kernel::EmitContainmentRecord(const FrameHealth& health, KtraceEventKind ki
 // Descriptor and file syscalls.
 // ---------------------------------------------------------------------------
 
-SyscallStatus Kernel::SysOpen(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& /*lk*/) {
+SyscallStatus Kernel::SysOpen(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
   const char* path = a.Ptr<const char>(0);
   if (path == nullptr) {
     return -kEFault;
@@ -1188,10 +916,20 @@ SyscallStatus Kernel::SysOpen(Process& p, const SyscallArgs& a, SyscallResult* r
   const int flags = a.Int(1);
   const Mode mode = static_cast<Mode>(a.Int(2)) & ~p.umask_bits;
 
+  // Every open walks under the tree lock held shared, creating and
+  // truncating ones too: Filesystem::Open locks the inodes it changes (vfs.h).
   InodeRef inode;
-  const int err = fs_.Open(EnvOf(p), path, flags, mode, &inode);
-  if (err != 0) {
-    return err;
+  Off offset = 0;
+  {
+    std::shared_lock<RwLock> tree(fs_.TreeMutex());
+    const int err = fs_.Open(EnvOf(p), path, flags, mode, &inode);
+    if (err != 0) {
+      return err;
+    }
+    if ((flags & kOAppend) != 0 && inode->IsRegular()) {
+      std::lock_guard<WordMutex> data_lock(inode->data_mu);
+      offset = static_cast<Off>(inode->data.size());
+    }
   }
 
   const int fd = p.fds.AllocateSlot();
@@ -1201,6 +939,7 @@ SyscallStatus Kernel::SysOpen(Process& p, const SyscallArgs& a, SyscallResult* r
 
   OpenFileRef file;
   if (inode->IsFifo()) {
+    BigLock(lk);  // pipe ends are big-lock state
     if (inode->fifo_pipe == nullptr) {
       inode->fifo_pipe = std::make_shared<Pipe>();
     }
@@ -1210,11 +949,9 @@ SyscallStatus Kernel::SysOpen(Process& p, const SyscallArgs& a, SyscallResult* r
     file->flags = flags;
   } else {
     file = MakeVnodeFile(inode, flags);
-    if ((flags & kOAppend) != 0) {
-      file->offset = static_cast<Off>(inode->data.size());
-    }
+    file->offset = offset;
   }
-  p.fds.Set(fd, file);
+  p.fds.Set(fd, std::move(file));
   rv->rv[0] = fd;
   return fd;
 }
@@ -1226,7 +963,18 @@ SyscallStatus Kernel::SysCreat(Process& p, const SyscallArgs& a, SyscallResult* 
   return SysOpen(p, open_args, rv, lk);
 }
 
-SyscallStatus Kernel::SysClose(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysClose(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const OpenFileRef file = p.fds.Get(a.Int(0));
+  if (file == nullptr) {
+    return -kEBadf;
+  }
+  if (file->backing->kind() != BackingKind::kVnode ||
+      file->flock_mode.load(std::memory_order_acquire) != 0) {
+    // Dropping the last reference would detach a pipe end or close a socket
+    // endpoint (which wakes the object's channel), or release an flock:
+    // big-lock state. `file` dies after the table's reference, under mu_.
+    BigLock(lk);
+  }
   return p.fds.Close(a.Int(0));
 }
 
@@ -1321,6 +1069,7 @@ SyscallStatus Kernel::WriteRegularLocked(Process& p, OpenFile& file, const char*
 }
 
 SyscallStatus Kernel::SysReadv(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
+  BigLock(lk);
   const auto* iov = a.Ptr<const IoVec>(1);
   const int iovcnt = a.Int(2);
   if (iov == nullptr) {
@@ -1335,8 +1084,6 @@ SyscallStatus Kernel::SysReadv(Process& p, const SyscallArgs& a, SyscallResult* 
 }
 
 SyscallStatus Kernel::SysWritev(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
-  // Regular files take the vfs-read lane (ClassifyVfsRead); this handler
-  // serves pipes, sockets, devices and the error answers.
   const auto* iov = a.Ptr<const IoVec>(1);
   const int iovcnt = a.Int(2);
   if (iov == nullptr) {
@@ -1345,6 +1092,26 @@ SyscallStatus Kernel::SysWritev(Process& p, const SyscallArgs& a, SyscallResult*
   if (iovcnt <= 0 || iovcnt > kMaxIoVecs) {
     return -kEInval;
   }
+  const OpenFileRef file = p.fds.Get(a.Int(0));
+  if (file != nullptr && file->CanWrite() && IsRegularVnode(*file)) {
+    // One data_mu hold across every segment, so an O_APPEND writev lands as
+    // one contiguous record.
+    std::shared_lock<RwLock> tree(fs_.TreeMutex());
+    std::lock_guard<WordMutex> data_lock(file->inode->data_mu);
+    return TransferSegments(iov, iovcnt, rv, [&](const IoVec& seg, SyscallResult* seg_rv) -> SyscallStatus {
+      const auto* buf = static_cast<const char*>(seg.iov_base);
+      if (buf == nullptr) {
+        return -kEFault;
+      }
+      if (seg.iov_len < 0) {
+        return -kEInval;
+      }
+      return WriteRegularLocked(p, *file, buf, seg.iov_len, seg_rv);
+    });
+  }
+  // Pipes, sockets and devices: one big-lock hold across the segments, each
+  // a write(2) with its own answers (the bad-descriptor ones too).
+  BigLock(lk);
   return TransferSegments(iov, iovcnt, rv, [&](const IoVec& seg, SyscallResult* seg_rv) {
     return SysWrite(p, SegmentArgs(a.Int(0), seg), seg_rv, lk);
   });
@@ -1364,6 +1131,7 @@ SyscallStatus Kernel::SysStatCommon(Process& p, const SyscallArgs& a, bool follo
   if (path == nullptr || st == nullptr) {
     return -kEFault;
   }
+  std::shared_lock<RwLock> tree(fs_.TreeMutex());
   return fs_.Stat(EnvOf(p), path, follow, st);
 }
 
@@ -1388,7 +1156,8 @@ SyscallStatus Kernel::SysFstat(Process& p, const SyscallArgs& a, SyscallResult* 
   return file->backing->Fstat(*this, *file, st);
 }
 
-SyscallStatus Kernel::SysLink(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysLink(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* existing = a.Ptr<const char>(0);
   const char* new_path = a.Ptr<const char>(1);
   if (existing == nullptr || new_path == nullptr) {
@@ -1397,7 +1166,8 @@ SyscallStatus Kernel::SysLink(Process& p, const SyscallArgs& a, SyscallResult* /
   return fs_.Link(EnvOf(p), existing, new_path);
 }
 
-SyscallStatus Kernel::SysUnlink(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysUnlink(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* path = a.Ptr<const char>(0);
   if (path == nullptr) {
     return -kEFault;
@@ -1405,7 +1175,8 @@ SyscallStatus Kernel::SysUnlink(Process& p, const SyscallArgs& a, SyscallResult*
   return fs_.Unlink(EnvOf(p), path);
 }
 
-SyscallStatus Kernel::SysSymlink(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysSymlink(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* target = a.Ptr<const char>(0);
   const char* link_path = a.Ptr<const char>(1);
   if (target == nullptr || link_path == nullptr) {
@@ -1425,6 +1196,7 @@ SyscallStatus Kernel::SysReadlink(Process& p, const SyscallArgs& a, SyscallResul
     return -kEInval;
   }
   std::string target;
+  std::shared_lock<RwLock> tree(fs_.TreeMutex());
   const int err = fs_.Readlink(EnvOf(p), path, &target);
   if (err != 0) {
     return err;
@@ -1435,7 +1207,8 @@ SyscallStatus Kernel::SysReadlink(Process& p, const SyscallArgs& a, SyscallResul
   return static_cast<SyscallStatus>(n);
 }
 
-SyscallStatus Kernel::SysRename(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysRename(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* from = a.Ptr<const char>(0);
   const char* to = a.Ptr<const char>(1);
   if (from == nullptr || to == nullptr) {
@@ -1444,7 +1217,8 @@ SyscallStatus Kernel::SysRename(Process& p, const SyscallArgs& a, SyscallResult*
   return fs_.Rename(EnvOf(p), from, to);
 }
 
-SyscallStatus Kernel::SysMkdir(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysMkdir(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* path = a.Ptr<const char>(0);
   if (path == nullptr) {
     return -kEFault;
@@ -1453,7 +1227,8 @@ SyscallStatus Kernel::SysMkdir(Process& p, const SyscallArgs& a, SyscallResult* 
   return fs_.Mkdir(EnvOf(p), path, mode);
 }
 
-SyscallStatus Kernel::SysRmdir(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysRmdir(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* path = a.Ptr<const char>(0);
   if (path == nullptr) {
     return -kEFault;
@@ -1461,7 +1236,8 @@ SyscallStatus Kernel::SysRmdir(Process& p, const SyscallArgs& a, SyscallResult* 
   return fs_.Rmdir(EnvOf(p), path);
 }
 
-SyscallStatus Kernel::SysChdir(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysChdir(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* path = a.Ptr<const char>(0);
   if (path == nullptr) {
     return -kEFault;
@@ -1481,7 +1257,8 @@ SyscallStatus Kernel::SysChdir(Process& p, const SyscallArgs& a, SyscallResult* 
   return 0;
 }
 
-SyscallStatus Kernel::SysFchdir(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysFchdir(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   OpenFileRef file = p.fds.Get(a.Int(0));
   if (file == nullptr || file->inode == nullptr) {
     return -kEBadf;
@@ -1493,7 +1270,8 @@ SyscallStatus Kernel::SysFchdir(Process& p, const SyscallArgs& a, SyscallResult*
   return 0;
 }
 
-SyscallStatus Kernel::SysChroot(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysChroot(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   if (!p.cred.IsSuperuser()) {
     return -kEPerm;
   }
@@ -1514,7 +1292,8 @@ SyscallStatus Kernel::SysChroot(Process& p, const SyscallArgs& a, SyscallResult*
   return 0;
 }
 
-SyscallStatus Kernel::SysChmod(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysChmod(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* path = a.Ptr<const char>(0);
   if (path == nullptr) {
     return -kEFault;
@@ -1522,7 +1301,8 @@ SyscallStatus Kernel::SysChmod(Process& p, const SyscallArgs& a, SyscallResult* 
   return fs_.Chmod(EnvOf(p), path, static_cast<Mode>(a.Int(1)));
 }
 
-SyscallStatus Kernel::SysFchmod(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysFchmod(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   OpenFileRef file = p.fds.Get(a.Int(0));
   if (file == nullptr || file->inode == nullptr) {
     return -kEBadf;
@@ -1538,7 +1318,8 @@ SyscallStatus Kernel::SysFchmod(Process& p, const SyscallArgs& a, SyscallResult*
   return 0;
 }
 
-SyscallStatus Kernel::SysChown(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysChown(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* path = a.Ptr<const char>(0);
   if (path == nullptr) {
     return -kEFault;
@@ -1546,7 +1327,8 @@ SyscallStatus Kernel::SysChown(Process& p, const SyscallArgs& a, SyscallResult* 
   return fs_.Chown(EnvOf(p), path, a.Int(1), a.Int(2));
 }
 
-SyscallStatus Kernel::SysFchown(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysFchown(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   OpenFileRef file = p.fds.Get(a.Int(0));
   if (file == nullptr || file->inode == nullptr) {
     return -kEBadf;
@@ -1572,10 +1354,12 @@ SyscallStatus Kernel::SysAccess(Process& p, const SyscallArgs& a, SyscallResult*
   if (path == nullptr) {
     return -kEFault;
   }
+  std::shared_lock<RwLock> tree(fs_.TreeMutex());
   return fs_.Access(EnvOf(p), path, a.Int(1));
 }
 
-SyscallStatus Kernel::SysUtimes(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysUtimes(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* path = a.Ptr<const char>(0);
   if (path == nullptr) {
     return -kEFault;
@@ -1583,7 +1367,8 @@ SyscallStatus Kernel::SysUtimes(Process& p, const SyscallArgs& a, SyscallResult*
   return fs_.Utimes(EnvOf(p), path, a.Ptr<const TimeVal>(1));
 }
 
-SyscallStatus Kernel::SysTruncate(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysTruncate(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* path = a.Ptr<const char>(0);
   if (path == nullptr) {
     return -kEFault;
@@ -1591,7 +1376,8 @@ SyscallStatus Kernel::SysTruncate(Process& p, const SyscallArgs& a, SyscallResul
   return fs_.Truncate(EnvOf(p), path, a.Long(1));
 }
 
-SyscallStatus Kernel::SysFtruncate(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysFtruncate(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   OpenFileRef file = p.fds.Get(a.Int(0));
   if (file == nullptr || file->inode == nullptr) {
     return -kEBadf;
@@ -1617,7 +1403,8 @@ SyscallStatus Kernel::SysUmask(Process& p, const SyscallArgs& a, SyscallResult* 
   return 0;
 }
 
-SyscallStatus Kernel::SysDup(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& /*lk*/) {
+SyscallStatus Kernel::SysDup(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const int fd = a.Int(0);
   if (!p.fds.Valid(fd)) {
     return -kEBadf;
@@ -1631,7 +1418,8 @@ SyscallStatus Kernel::SysDup(Process& p, const SyscallArgs& a, SyscallResult* rv
   return new_fd;
 }
 
-SyscallStatus Kernel::SysDup2(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& /*lk*/) {
+SyscallStatus Kernel::SysDup2(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const int result = p.fds.Dup2(a.Int(0), a.Int(1));
   if (result >= 0) {
     rv->rv[0] = result;
@@ -1639,7 +1427,8 @@ SyscallStatus Kernel::SysDup2(Process& p, const SyscallArgs& a, SyscallResult* r
   return result;
 }
 
-SyscallStatus Kernel::SysPipe(Process& p, const SyscallArgs& /*a*/, SyscallResult* rv, Lock& /*lk*/) {
+SyscallStatus Kernel::SysPipe(Process& p, const SyscallArgs& /*a*/, SyscallResult* rv, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const int read_fd = p.fds.AllocateSlot();
   if (read_fd < 0) {
     return read_fd;
@@ -1657,7 +1446,8 @@ SyscallStatus Kernel::SysPipe(Process& p, const SyscallArgs& /*a*/, SyscallResul
   return read_fd;
 }
 
-SyscallStatus Kernel::SysFcntl(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& /*lk*/) {
+SyscallStatus Kernel::SysFcntl(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const int fd = a.Int(0);
   const int cmd = a.Int(1);
   const int64_t arg = a.Long(2);
@@ -1695,16 +1485,19 @@ SyscallStatus Kernel::SysFcntl(Process& p, const SyscallArgs& a, SyscallResult* 
 }
 
 SyscallStatus Kernel::SysSync(Process& /*p*/, const SyscallArgs& /*a*/, SyscallResult* /*rv*/,
-                              Lock& /*lk*/) {
+                              Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   return 0;  // all "disk" writes are already durable in memory
 }
 
 SyscallStatus Kernel::SysFsync(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/,
-                               Lock& /*lk*/) {
+                               Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   return p.fds.Valid(a.Int(0)) ? 0 : -kEBadf;
 }
 
-SyscallStatus Kernel::SysFlock(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysFlock(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   OpenFileRef file = p.fds.Get(a.Int(0));
   if (file == nullptr || file->inode == nullptr) {
     return -kEBadf;
@@ -1743,7 +1536,8 @@ SyscallStatus Kernel::SysFlock(Process& p, const SyscallArgs& a, SyscallResult* 
   return 0;
 }
 
-SyscallStatus Kernel::SysIoctl(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysIoctl(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   OpenFileRef file = p.fds.Get(a.Int(0));
   if (file == nullptr) {
     return -kEBadf;
@@ -1770,10 +1564,11 @@ SyscallStatus Kernel::SysGetdirentries(Process& p, const SyscallArgs& a, Syscall
   }
 
   // Build the logical listing: ".", "..", then entries in map order. The file
-  // offset is an entry index. This runs on the vfs-read lane: the tree lock
-  // held shared keeps the entries still, and the directory's data_mu orders
-  // the offset against other readers of this open file and lseeks.
+  // offset is an entry index. The tree lock held shared keeps the directory
+  // linked, and its data_mu keeps the entries still and orders the offset
+  // against other readers of this open file and lseeks.
   const InodeRef dir = file->inode;
+  std::shared_lock<RwLock> tree(fs_.TreeMutex());
   InodeRef parent = dir->parent.lock();
   if (parent == nullptr) {
     parent = dir;
@@ -1818,7 +1613,8 @@ SyscallStatus Kernel::SysGetdirentries(Process& p, const SyscallArgs& a, Syscall
   return static_cast<SyscallStatus>(used);
 }
 
-SyscallStatus Kernel::SysMknod(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysMknod(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* path = a.Ptr<const char>(0);
   if (path == nullptr) {
     return -kEFault;
@@ -1837,7 +1633,8 @@ SyscallStatus Kernel::SysMknod(Process& p, const SyscallArgs& a, SyscallResult* 
 // Process syscalls.
 // ---------------------------------------------------------------------------
 
-SyscallStatus Kernel::SysFork(Process& p, const SyscallArgs& /*a*/, SyscallResult* rv, Lock& /*lk*/) {
+SyscallStatus Kernel::SysFork(Process& p, const SyscallArgs& /*a*/, SyscallResult* rv, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   std::function<int(ProcessContext&)> body = std::move(p.pending_fork_body);
   p.pending_fork_body = nullptr;
   if (shutting_down_) {
@@ -1952,7 +1749,8 @@ int Kernel::ResolveExecutableLocked(Process& p, const std::string& path, Pending
   return 0;
 }
 
-SyscallStatus Kernel::SysExecve(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysExecve(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const char* path = a.Ptr<const char>(0);
   if (path == nullptr) {
     return -kEFault;
@@ -1983,13 +1781,15 @@ SyscallStatus Kernel::SysExecve(Process& p, const SyscallArgs& a, SyscallResult*
   return 0;
 }
 
-SyscallStatus Kernel::SysExit(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysExit(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   p.exit_pending = true;
   p.exit_wait_status = WaitStatusExited(a.Int(0) & 0xff);
   return 0;
 }
 
 SyscallStatus Kernel::SysWait4(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
+  BigLock(lk);
   const Pid selector = a.Int(0);
   auto* status_out = a.Ptr<int>(1);
   const int options = a.Int(2);
@@ -2058,7 +1858,8 @@ SyscallStatus Kernel::SysWait4(Process& p, const SyscallArgs& a, SyscallResult* 
   }
 }
 
-SyscallStatus Kernel::SysKill(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysKill(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const Pid target_pid = a.Int(0);
   const int signo = a.Int(1);
   if (signo < 0 || signo >= kNumSignals) {
@@ -2164,7 +1965,8 @@ SyscallStatus Kernel::SysGetdtablesize(Process& /*p*/, const SyscallArgs& /*a*/,
   return 0;
 }
 
-SyscallStatus Kernel::SysSetpgrp(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysSetpgrp(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   Pid target_pid = a.Int(0);
   Pid pgrp = a.Int(1);
   if (target_pid == 0) {
@@ -2187,7 +1989,8 @@ SyscallStatus Kernel::SysSetpgrp(Process& p, const SyscallArgs& a, SyscallResult
   return 0;
 }
 
-SyscallStatus Kernel::SysSetuid(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysSetuid(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const Uid uid = a.Int(0);
   if (!p.cred.IsSuperuser() && uid != p.cred.ruid) {
     return -kEPerm;
@@ -2217,7 +2020,8 @@ SyscallStatus Kernel::SysGetgroups(Process& p, const SyscallArgs& a, SyscallResu
   return count;
 }
 
-SyscallStatus Kernel::SysSetgroups(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysSetgroups(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   if (!p.cred.IsSuperuser()) {
     return -kEPerm;
   }
@@ -2257,7 +2061,8 @@ SyscallStatus Kernel::SysSetlogin(Process& p, const SyscallArgs& a, SyscallResul
   return 0;
 }
 
-SyscallStatus Kernel::SysGethostname(Process& /*p*/, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysGethostname(Process& /*p*/, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   char* buf = a.Ptr<char>(0);
   const int len = a.Int(1);
   if (buf == nullptr || len <= 0) {
@@ -2269,7 +2074,8 @@ SyscallStatus Kernel::SysGethostname(Process& /*p*/, const SyscallArgs& a, Sysca
   return 0;
 }
 
-SyscallStatus Kernel::SysSethostname(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysSethostname(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   if (!p.cred.IsSuperuser()) {
     return -kEPerm;
   }
@@ -2326,11 +2132,12 @@ SyscallStatus Kernel::SysSigsetmask(Process& p, const SyscallArgs& a, SyscallRes
   rv->rv[0] = p.sig_mask;
   p.sig_mask = mask & ~(SigMask(kSigKill) | SigMask(kSigStop));
   // No wakeup: only the owner sleeps on its own mask, and the owner is here.
-  // (That is also what lets this row run kPerProcess.)
+  // (That is also what lets this handler run with no lock.)
   return 0;
 }
 
 SyscallStatus Kernel::SysSigpause(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  BigLock(lk);
   const auto mask = static_cast<uint32_t>(a.U64(0));
   p.sigpause_saved_mask = p.sig_mask;
   p.sigpause_restore = true;
@@ -2362,7 +2169,8 @@ SyscallStatus Kernel::SysGettimeofday(Process& p, const SyscallArgs& a, SyscallR
   return 0;
 }
 
-SyscallStatus Kernel::SysSettimeofday(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& /*lk*/) {
+SyscallStatus Kernel::SysSettimeofday(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/, Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   if (!p.cred.IsSuperuser()) {
     return -kEPerm;
   }

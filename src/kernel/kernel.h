@@ -4,48 +4,44 @@
 // and enters the kernel through one dispatch core, DoSyscallBatch();
 // DoSyscall() is its count-1 case. The core pays the prologue once per batch
 // (an advance of the caller's host clock, rusage, stat shard), consults the
-// fault plan per entry, picks a lane per entry from its number alone
-// (LaneOf), and per completed entry delivers the ktrace record and tallies
-// the stats epilogue. Every word the prologue and epilogue write belongs to
-// the caller's host thread: its FiberHost's virtual clock (one per root's
-// host, shared by the processes forked under it, written by that thread
-// alone), the caller's [owner] rusage, and this thread's stat shard. Hosts
-// exchange virtual time only at causal edges, under mu_ (DESIGN.md §7):
-// a cross-host wakeup or signal post, a pipe or socket transfer, and a
-// spawn, which starts at floor_.
-// Kernel-mode execution is serialized at three granularities, one per lane:
+// fault plan per entry, calls the entry's handler, and per completed entry
+// delivers the ktrace record and tallies the stats epilogue. Every word the
+// prologue and epilogue write belongs to the caller's host thread: its
+// FiberHost's virtual clock (one per root's host, shared by the processes
+// forked under it, written by that thread alone), the caller's [owner]
+// rusage, and this thread's stat shard. Hosts exchange virtual time only at
+// causal edges, under mu_ (DESIGN.md §7): a cross-host wakeup or signal
+// post, a pipe or socket transfer, and a spawn, which starts at floor_.
 //
-//   * the big lock (mu_) still owns all cross-process state — the process
-//     table, fork/exec/exit/wait, signal delivery, pipes, devices, flock, and
-//     every blocking sleep (kBlocking rows sleep on the wait channel of the
-//     object they wait for, and honor signals with EINTR, as 4.3BSD does;
-//     see Sleep in process.h). Big-lock handlers for
-//     non-blocking rows additionally hold the VFS tree lock EXCLUSIVELY,
-//     which is what excludes them from concurrent shared-mode readers;
-//   * syscalls flagged kPerProcess in syscalls.def (getpid/umask/sigblock/
-//     gettimeofday/getrusage/...) dispatch through DispatchUnlocked and never
-//     touch mu_ — they touch only the caller's [owner] fields (process.h),
-//     per-field atomics, and the caller's host clock;
-//   * syscalls flagged kVfsRead (stat/access/readlink/open/read/write/writev/
-//     lseek/fstat/close/getdirentries) are classified by ClassifyVfsRead into
-//     "run under the tree lock held shared" (see TreeMutex in vfs.h), "run
-//     unlocked", an immediate status, or "needs the big lock" (fifos/pipes/
-//     sockets, devices, flocked files). A single shared-lock row takes the
-//     lock itself; a batch window of consecutive shared-lock rows runs in
-//     submission order under one shared hold. Under that hold a regular
-//     file's bytes, a directory's entries, and the offsets of open files
-//     belong to the inode's data_mu (4.3BSD's ilock): reads, writes, lseeks,
-//     stats and getdirentries take it around the data they touch, a writev
-//     holds it across all its segments, a creating open (O_CREAT, O_TRUNC,
-//     O_EXCL) links its new file under the parent directory's data_mu and
-//     truncates under the file's, and a walk's cache miss searches a
-//     directory under its data_mu. So the big lock no longer owns every
-//     name-space mutation: creating a regular file does not take it, while
-//     mkdir, link, rename, unlink and creat(2) still do. An open that finds
-//     a fifo falls back to the big lock, which re-resolves the path. Open
-//     and close do their descriptor-slot work outside the lock. A shared
-//     hold writes only the caller's reader slot of the tree lock (rwlock.h),
-//     and unbudgeted file growth only the caller's byte shard (vfs.h).
+// The core holds no lock when it calls a handler; each handler, or the
+// FileBacking op it reaches, takes the locks it needs, as a 4.3BSD handler
+// does (namei locks the parent, rwuio the file):
+//
+//   handler                                   locks
+//   getpid, umask, sigblock, gettimeofday,    none: the caller's [owner]
+//     getrusage, ... (process-local)            fields, atomics, host clock
+//   stat, lstat, access, readlink,            tree shared
+//     open (a fifo: then mu_), creat
+//   read, write, writev, lseek, fstat,        tree shared + Inode::data_mu
+//     getdirentries on a vnode                  (a device: mu_)
+//   close                                     none (a pipe, a socket or an
+//                                               flocked file: mu_)
+//   a pipe's or socket's read/write/fstat     mu_
+//   wait4, sigpause, readv, accept, send,     mu_ (kBlocking rows: they
+//     recv, sendto, recvfrom                    sleep on a wait channel)
+//   every other handler                       mu_ + tree exclusive
+//
+// Every mu_ taken on behalf of a call goes through BigLock, which counts it
+// (BigLockDispatches). A regular file's bytes, a directory's entries and the
+// offsets of open files belong to the inode's data_mu (4.3BSD's ilock): a
+// writev holds it across all its segments, a creating open (O_CREAT,
+// O_TRUNC, O_EXCL) links its new file under the parent directory's data_mu
+// and truncates under the file's, and a walk's cache miss searches a
+// directory under its data_mu. A shared hold writes only the caller's
+// reader slot of the tree lock (rwlock.h), and unbudgeted file growth only
+// the caller's byte shard (vfs.h). A blocking handler sleeps on the wait
+// channel of the object it waits for and honors signals with EINTR (Sleep
+// in process.h).
 //
 // Calls arrive either synchronously through ProcessContext::Syscall, or as
 // SyscallRequest batches drained from a per-process submission/completion
@@ -55,14 +51,13 @@
 // Inode::data_mu -> name cache mutex (a walk's miss caches its answer inside
 // the directory's data_mu), and tree lock (either mode) -> Inode::data_mu ->
 // the FaultInjector's mutex (the disk-budget clamp runs inside a write's
-// data_mu hold). No one holds two inodes' data_mu at once. A
-// process's own state (its descriptor table, rusage) takes no lock: it has
-// one owner, its fiber (process.h). Two more leaves:
-// {nothing, or the tree lock held shared} -> ktrace_mu_ (window entries
-// finish under the shared hold), and {nothing, the tree lock held shared,
-// or mu_ -> tree lock} -> the FaultInjector's mutex (entries consult the plan
-// inside a window's hold). Nothing acquires mu_ or the tree lock while
-// holding data_mu, and nothing acquires mu_ while holding any of the others.
+// data_mu hold). No one holds two inodes' data_mu at once, and the tree
+// lock is not recursive: a handler takes it once, in one mode. A process's
+// own state (its descriptor table, rusage) takes no lock: it has one owner,
+// its fiber (process.h). ktrace_mu_ and the FaultInjector's mutex are also
+// taken with no lock held (the core finishes and consults the plan between
+// handlers). Nothing acquires mu_ or the tree lock while holding data_mu,
+// and nothing acquires mu_ while holding any of the others.
 // A FiberHost's own mutex (its run queue) is a leaf, taken under mu_ by
 // wakeups, which leave the waker's clock stamp on the fiber under it.
 // Fibers of one host share its thread, so mu_ is the only lock held
@@ -72,10 +67,10 @@
 // the ones listed (floor_ is guarded by mu_).
 //
 // Observing a path does not change it: a fault plan or a ktrace sink changes
-// no lane and no prologue. Fault decisions are keyed on (pid, per-process
-// call sequence), so they are identical to synchronous issue on every lane,
-// and each ktrace record is stamped with the virtual time synchronous issue
-// would give.
+// no lock and no prologue. Fault decisions are keyed on (pid, per-process
+// call sequence), so they are identical to synchronous issue, and each
+// ktrace record is stamped with the virtual time synchronous issue would
+// give.
 #ifndef SRC_KERNEL_KERNEL_H_
 #define SRC_KERNEL_KERNEL_H_
 
@@ -172,7 +167,7 @@ class Kernel {
   SyscallStatus DoSyscall(Process& proc, int number, const SyscallArgs& args, SyscallResult* rv);
 
   // The dispatch core: runs `count` kernel-lane requests and fills one
-  // completion per request, in submission order (see the lane comment at the
+  // completion per request, in submission order (see the lock table at the
   // top of this file). Ring drains call it with whole runs of entries;
   // DoSyscall is the count-1 case.
   void DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCompletion* comps,
@@ -191,8 +186,8 @@ class Kernel {
   // --- introspection ----------------------------------------------------------------
   int LiveProcessCount();
   int64_t TotalSyscallCount();
-  // Batch entries dispatched on the big-lock lane (DispatchBigLock), folded
-  // like SyscallStats(): which lane a call takes, as a count.
+  // Big-lock acquisitions on behalf of system calls (BigLock), folded like
+  // SyscallStats(): which calls take mu_, as a count.
   int64_t BigLockDispatches();
   std::vector<Pid> Pids();
 
@@ -222,7 +217,7 @@ class Kernel {
   }
 
   // In-kernel tracing (the monolithic DFSTrace stand-in). Not owned. Every
-  // lane delivers records, one at a time under ktrace_mu_, so sinks need no
+  // call's record is delivered one at a time under ktrace_mu_, so sinks need no
   // internal synchronization; once SetKtraceSlot detaches a sink it receives
   // no further records. Each slot carries its own abstraction-class filter:
   // a record is delivered when the row's flags intersect the slot's mask.
@@ -239,7 +234,7 @@ class Kernel {
 
   // --- fault injection ---------------------------------------------------------
   // Installs `plan` (replacing any previous one and resetting its counters);
-  // every subsequent batch consults it, on every lane. With no plan installed
+  // every subsequent batch consults it, for every call. With no plan installed
   // the fault path is a single null-pointer test per batch.
   void SetFaultPlan(const FaultPlan& plan);
   void ClearFaultPlan();
@@ -284,51 +279,26 @@ class Kernel {
   // Borrows the process's root and cwd: no reference is taken per call.
   NameiEnv EnvOf(Process& proc) const { return NameiEnv{proc.root, proc.cwd, &proc.cred}; }
 
-  // Runs the row's handler with no big lock (an empty Lock): the kPerProcess
-  // lane (the handler touches only the calling process's [owner] state and
-  // atomics) and the vfs-read lane's pure tree walks.
-  // `number` is already validated.
-  SyscallStatus DispatchUnlocked(Process& proc, int number, const SyscallArgs& args,
-                                 SyscallResult* rv);
+  // Takes the big lock into `lk` on behalf of the calling system call: the
+  // one place a call acquires mu_, counted in BigLockDispatches(). A no-op
+  // when `lk` already holds it (readv's and writev's segments, a socket
+  // call's transfer).
+  void BigLock(Lock& lk);
+  // BigLock, then the tree lock held exclusively for the returned guard's
+  // life: the prologue of every non-blocking handler that runs under mu_.
+  [[nodiscard]] std::unique_lock<RwLock> BigLockAndTree(Lock& lk);
 
-  // The big-lock lane: the row's handler under mu_ (and, for non-blocking
-  // rows, the tree lock held exclusively); it wakes no one. Out-of-table and
-  // unimplemented numbers return ENOSYS.
-  SyscallStatus DispatchBigLock(Process& proc, int number, const SyscallArgs& args,
-                                SyscallResult* rv);
-
-  // The classification of one kVfsRead row. kShared rows run in
-  // ExecuteVfsRead with the tree lock held shared; a batch window runs
-  // consecutive kShared rows in submission order under one hold. Open and
-  // close allocate or release descriptor slots; they are kUnlocked, because
-  // holding the tree lock across the slot work makes them queue behind
-  // writers (on a 4-thread host, ringmix's close tail grew from 1.6 us to
-  // 24 us).
-  struct VfsReadPlan {
-    enum Kind : uint8_t { kShared, kUnlocked, kDone, kBigLock };
-    Kind kind = kBigLock;
-    SyscallStatus status = 0;  // kDone: the call's result
-    OpenFileRef file;          // kShared: pre-resolved descriptor (read/fstat)
-  };
-  VfsReadPlan ClassifyVfsRead(Process& proc, const SyscallRequest& req);
-  // Runs a kShared row with the tree lock already held shared by the caller,
-  // or a kUnlocked row with no lock held: open takes the lock shared around
-  // the walk itself, and close touches only the descriptor table. Returns
-  // false, with nothing done, when the row turns out to need the big lock
-  // (an open that resolved to a fifo); kShared rows always return true.
-  bool ExecuteVfsRead(Process& proc, const SyscallRequest& req, const VfsReadPlan& plan,
-                      SyscallResult* rv, SyscallStatus* out);
-  // The regular-file read body shared by ExecuteVfsRead and VnodeBacking.
-  // Preconditions: `file` is a readable vnode-backed regular/symlink
-  // descriptor, buf != nullptr, count > 0, and the caller holds the tree lock
-  // in shared mode. Takes the inode's data_mu itself.
-  SyscallStatus ReadRegularLocked(Process& proc, OpenFile& file, char* buf, int64_t count,
-                                  SyscallResult* rv);
-  // The regular-file write body of ExecuteVfsRead (append positioning,
-  // kEFbig ceiling, disk budget and short-transfer accounting, resize+copy).
-  // Preconditions: `file` is a writable vnode-backed regular file, buf !=
-  // nullptr, count > 0, and the caller holds the tree lock shared and the
-  // inode's data_mu, so a writev can hold it across its segments.
+  // The regular-file read body of VnodeBacking. Preconditions: `file` is a
+  // readable vnode-backed regular/symlink/directory descriptor, buf !=
+  // nullptr and count > 0. Takes the tree lock shared, then the inode's
+  // data_mu.
+  SyscallStatus ReadRegular(Process& proc, OpenFile& file, char* buf, int64_t count,
+                            SyscallResult* rv);
+  // The regular-file write body (append positioning, kEFbig ceiling, disk
+  // budget and short-transfer accounting, resize+copy). Preconditions:
+  // `file` is a writable vnode-backed regular file, buf != nullptr, count >
+  // 0, and the caller holds the tree lock shared and the inode's data_mu,
+  // so a writev can hold it across its segments.
   SyscallStatus WriteRegularLocked(Process& proc, OpenFile& file, const char* buf, int64_t count,
                                    SyscallResult* rv);
 
@@ -351,8 +321,10 @@ class Kernel {
                                                    Lock&);
   static const std::array<SyscallHandler, kMaxSyscall>& DispatchTable();
 
-  // One method per implemented system call (all hold the big lock on entry;
-  // handlers that neither write results nor drop the lock ignore rv/lk).
+  // One method per implemented system call. The core calls each with no lock
+  // held and `lk` empty; a handler takes what it needs (the table at the top
+  // of this file), and the core releases `lk` after it returns. Handlers
+  // that neither write results nor take the big lock ignore rv/lk.
   SyscallStatus SysOpen(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk);
   SyscallStatus SysCreat(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk);
   SyscallStatus SysClose(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk);

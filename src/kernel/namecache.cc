@@ -131,13 +131,6 @@ void NameCache::InsertEntryLocked(const Inode& dir, std::string_view name, const
     // fresh node instead of mutating this one under concurrent readers.
     UnlinkLocked(node);
   }
-  if (garbage_.size() >= capacity_ * 2) {
-    // Deferred reclamation has fallen far behind (no tree-exclusive section
-    // has run for a long stretch of churn). Stop caching new names rather
-    // than let the garbage list grow without bound; lookups simply miss
-    // until InvalidateDir/Clear next reclaims.
-    return;
-  }
   while (lru_.size() >= capacity_) {
     Entry& back = lru_.back();
     if (back.dead.load(std::memory_order_acquire)) {
@@ -187,6 +180,7 @@ void NameCache::UnlinkLocked(Entry* node) {
     live_count_.fetch_sub(1, std::memory_order_relaxed);
   }
   garbage_.splice(garbage_.begin(), lru_, node->self);
+  garbage_count_.store(garbage_.size(), std::memory_order_relaxed);
   structure_gen_.fetch_add(1, std::memory_order_release);
 }
 
@@ -195,6 +189,7 @@ void NameCache::ReclaimGarbageLocked() {
     return;
   }
   garbage_.clear();
+  garbage_count_.store(0, std::memory_order_relaxed);
   structure_gen_.fetch_add(1, std::memory_order_release);
 }
 
@@ -202,6 +197,10 @@ void NameCache::InvalidateDir(Inode& dir) {
   InvalidateDirShared(dir);
   // The caller's exclusive hold guarantees no lock-free reader is in flight,
   // so this is the safe point to free deferred garbage.
+  Reclaim();
+}
+
+void NameCache::Reclaim() {
   std::lock_guard<std::mutex> lock(mu_);
   ReclaimGarbageLocked();
 }

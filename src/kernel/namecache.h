@@ -48,11 +48,14 @@
 //     the new one.
 //   * Unlinked nodes are not freed immediately (a lock-free reader may still
 //     be traversing them); they move to a garbage list reclaimed inside
-//     InvalidateDir()/Clear(), whose callers hold the VFS tree lock
-//     exclusively — a point where no shared-mode walker (hence no reader)
-//     can exist. The tree lock is the cache's grace period. Bumping a
+//     InvalidateDir()/Reclaim()/Clear(), whose callers hold the VFS tree
+//     lock exclusively — a point where no shared-mode walker (hence no
+//     reader) can exist. The tree lock is the cache's grace period. Bumping a
 //     generation is separate from reclaim: InvalidateDirShared() bumps only,
-//     for creators that hold the tree lock shared.
+//     for creators that hold the tree lock shared. A workload with no
+//     exclusive mutation still reclaims: once the garbage passes the cache's
+//     capacity (ReclaimDue), the kernel's dispatch core takes the tree lock
+//     exclusively after a batch and calls Reclaim().
 //   * A miss's directory search and its Insert* run under the directory's
 //     data_mu (vfs.cc), the lock a shared-hold creator links and bumps
 //     under, so an inserted entry never carries a generation newer than the
@@ -148,6 +151,13 @@ class NameCache {
   // The bump alone, for a creator holding the tree lock shared and `dir`'s
   // data_mu: lock-free readers may be in flight, so nothing is reclaimed.
   void InvalidateDirShared(Inode& dir);
+
+  // True once the deferred garbage holds more than `capacity()` nodes. A
+  // relaxed load: callers poll it with no lock held.
+  bool ReclaimDue() const { return garbage_count_.load(std::memory_order_relaxed) > capacity_; }
+  // Frees the deferred garbage. Callers must hold the VFS tree lock
+  // exclusively, as for InvalidateDir.
+  void Reclaim();
 
   // Drops every entry (stats other than size are kept). Requires quiescence
   // (no concurrent walks): benches/tests call it between runs.
@@ -273,6 +283,7 @@ class NameCache {
   std::unique_ptr<std::atomic<Entry*>[]> buckets_;
   EntryList lru_;      // live entries; front = most recently inserted
   EntryList garbage_;  // unlinked entries awaiting a quiescent reclaim
+  std::atomic<size_t> garbage_count_{0};  // garbage_.size(), for ReclaimDue
   std::atomic<size_t> live_count_{0};
   ReadCounterShard read_shards_[kCounterShards];
   Counters counters_;

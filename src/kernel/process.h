@@ -4,8 +4,9 @@
 // descends from (fiber.h): Kernel::Spawn starts a host thread per root, and
 // fork(2) places the child on its parent's thread. Cross-process kernel work
 // (the process table, wait/signal delivery, pipes, blocking sleeps) is
-// serialized by the kernel big lock, but syscalls flagged kPerProcess in
-// syscalls.def dispatch without it. As in 4.3BSD, where the u. area takes no
+// serialized by the kernel big lock, but the handlers of process-local calls
+// (getpid, umask, sigblock, gettimeofday, ...) take no lock at all. As in
+// 4.3BSD, where the u. area takes no
 // lock and struct proc lives under the kernel, each field falls into one of
 // three classes, annotated below:
 //
@@ -135,7 +136,7 @@ class Process {
 
   // --- signals ----------------------------------------------------------------------
   // actions and sig_mask are [owner]: sigvec/sigblock/sigsetmask mutate them on
-  // the owning process (kPerProcess fast path), and every reader — delivery
+  // the owning process (their handlers take no lock), and every reader — delivery
   // at the owner's syscall boundary, the owner's blocking-sleep predicates —
   // runs in that same process. Signal *posting* from other processes touches
   // only sig_pending, which is atomic so the owner's boundary check and the

@@ -1,11 +1,12 @@
 // AF_UNIX socket endpoints and the kernel handlers for the socket rows.
 //
-// All socket state is big-lock-guarded; blocking rows (accept/send/recv and
-// friends) are marked kBlocking in syscalls.def, so DispatchBigLock hands them
-// the big lock without the tree lock and they sleep on the endpoint's wait
-// channel. Non-blocking rows (socket/bind/connect/listen/...) run with the
-// tree lock held exclusively, which covers bind's node creation and connect's
-// pathname walk.
+// All socket state is big-lock-guarded; every handler here takes the big
+// lock first. The blocking rows (accept/send/recv and friends, kBlocking in
+// syscalls.def) take it without the tree lock and sleep on the endpoint's
+// wait channel. The non-blocking rows (socket/bind/connect/listen/...) also
+// hold the tree lock exclusively, which covers bind's node creation and
+// connect's pathname walk. The backing's read/write takes the big lock
+// itself when read(2)/write(2) reach a socket.
 #include "src/kernel/socket.h"
 
 #include <algorithm>
@@ -103,8 +104,9 @@ OpenFileRef MakeSocketFile(std::shared_ptr<Socket> socket) {
 // SocketBacking: the data plane (read()/write() and recv()/send() share it).
 // ---------------------------------------------------------------------------
 
-SyscallStatus SocketBacking::Read(Kernel& /*k*/, Process& p, OpenFile& f, char* buf, int64_t count,
+SyscallStatus SocketBacking::Read(Kernel& k, Process& p, OpenFile& f, char* buf, int64_t count,
                                   SyscallResult* rv, KernelLock& lk) {
+  BigLock(k, lk);
   Socket& s = *socket_;
   if (s.state != Socket::State::kConnected) {
     return -kENotconn;
@@ -136,6 +138,7 @@ SyscallStatus SocketBacking::Read(Kernel& /*k*/, Process& p, OpenFile& f, char* 
 
 SyscallStatus SocketBacking::Write(Kernel& k, Process& p, OpenFile& f, const char* buf,
                                    int64_t count, SyscallResult* rv, KernelLock& lk) {
+  BigLock(k, lk);
   Socket& s = *socket_;
   if (s.state != Socket::State::kConnected) {
     return -kENotconn;
@@ -171,11 +174,17 @@ SyscallStatus SocketBacking::Write(Kernel& k, Process& p, OpenFile& f, const cha
   }
 }
 
-SyscallStatus SocketBacking::Fstat(Kernel& /*k*/, OpenFile& f, Stat* st) {
-  if (f.inode != nullptr) {
-    f.inode->FillStat(st);  // bound socket: the node carries the attributes
-    return 0;
+SyscallStatus SocketBacking::Fstat(Kernel& k, OpenFile& f, Stat* st) {
+  {
+    // bind(2) sets f.inode under the tree lock held exclusively.
+    std::shared_lock<RwLock> tree(k.fs().TreeMutex());
+    if (f.inode != nullptr) {
+      f.inode->FillStat(st);  // bound socket: the node carries the attributes
+      return 0;
+    }
   }
+  KernelLock lk;  // an unbound endpoint's queue is big-lock state
+  BigLock(k, lk);
   *st = Stat{};
   st->st_mode = kSIfsock | 0600;
   st->st_size = static_cast<Off>(socket_->recv.size());
@@ -225,7 +234,8 @@ SyscallStatus CheckSocketArgs(int domain, int type, int protocol) {
 }  // namespace
 
 SyscallStatus Kernel::SysSocket(Process& p, const SyscallArgs& a, SyscallResult* rv,
-                                Lock& /*lk*/) {
+                                Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const SyscallStatus check = CheckSocketArgs(a.Int(0), a.Int(1), a.Int(2));
   if (check != 0) {
     return check;
@@ -242,7 +252,8 @@ SyscallStatus Kernel::SysSocket(Process& p, const SyscallArgs& a, SyscallResult*
 }
 
 SyscallStatus Kernel::SysBind(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/,
-                              Lock& /*lk*/) {
+                              Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   OpenFileRef file;
   std::shared_ptr<Socket> sock;
   const SyscallStatus resolve = SocketOf(p, a.Int(0), &file, &sock);
@@ -275,7 +286,8 @@ SyscallStatus Kernel::SysBind(Process& p, const SyscallArgs& a, SyscallResult* /
 }
 
 SyscallStatus Kernel::SysConnect(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/,
-                                 Lock& /*lk*/) {
+                                 Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   OpenFileRef file;
   std::shared_ptr<Socket> sock;
   const SyscallStatus resolve = SocketOf(p, a.Int(0), &file, &sock);
@@ -327,7 +339,8 @@ SyscallStatus Kernel::SysConnect(Process& p, const SyscallArgs& a, SyscallResult
 }
 
 SyscallStatus Kernel::SysListen(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/,
-                                Lock& /*lk*/) {
+                                Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   OpenFileRef file;
   std::shared_ptr<Socket> sock;
   const SyscallStatus resolve = SocketOf(p, a.Int(0), &file, &sock);
@@ -343,6 +356,7 @@ SyscallStatus Kernel::SysListen(Process& p, const SyscallArgs& a, SyscallResult*
 }
 
 SyscallStatus Kernel::SysAccept(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
+  BigLock(lk);
   OpenFileRef file;
   std::shared_ptr<Socket> sock;
   const SyscallStatus resolve = SocketOf(p, a.Int(0), &file, &sock);
@@ -375,7 +389,8 @@ SyscallStatus Kernel::SysAccept(Process& p, const SyscallArgs& a, SyscallResult*
 }
 
 SyscallStatus Kernel::SysSocketpair(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/,
-                                    Lock& /*lk*/) {
+                                    Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   const SyscallStatus check = CheckSocketArgs(a.Int(0), a.Int(1), a.Int(2));
   if (check != 0) {
     return check;
@@ -431,6 +446,7 @@ SyscallStatus TransferPrologue(Process& p, const SyscallArgs& a, OpenFileRef* fi
 }  // namespace
 
 SyscallStatus Kernel::SysSend(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
+  BigLock(lk);
   OpenFileRef file;
   std::shared_ptr<Socket> sock;
   const SyscallStatus pre = TransferPrologue(p, a, &file, &sock);
@@ -445,6 +461,7 @@ SyscallStatus Kernel::SysSend(Process& p, const SyscallArgs& a, SyscallResult* r
 }
 
 SyscallStatus Kernel::SysRecv(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
+  BigLock(lk);
   OpenFileRef file;
   std::shared_ptr<Socket> sock;
   const SyscallStatus pre = TransferPrologue(p, a, &file, &sock);
@@ -459,6 +476,7 @@ SyscallStatus Kernel::SysRecv(Process& p, const SyscallArgs& a, SyscallResult* r
 }
 
 SyscallStatus Kernel::SysSendto(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
+  BigLock(lk);
   OpenFileRef file;
   std::shared_ptr<Socket> sock;
   const SyscallStatus pre = TransferPrologue(p, a, &file, &sock);
@@ -477,6 +495,7 @@ SyscallStatus Kernel::SysSendto(Process& p, const SyscallArgs& a, SyscallResult*
 }
 
 SyscallStatus Kernel::SysRecvfrom(Process& p, const SyscallArgs& a, SyscallResult* rv, Lock& lk) {
+  BigLock(lk);
   OpenFileRef file;
   std::shared_ptr<Socket> sock;
   const SyscallStatus pre = TransferPrologue(p, a, &file, &sock);
@@ -497,7 +516,8 @@ SyscallStatus Kernel::SysRecvfrom(Process& p, const SyscallArgs& a, SyscallResul
 }
 
 SyscallStatus Kernel::SysGetsockname(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/,
-                                     Lock& /*lk*/) {
+                                     Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   OpenFileRef file;
   std::shared_ptr<Socket> sock;
   const SyscallStatus resolve = SocketOf(p, a.Int(0), &file, &sock);
@@ -512,7 +532,8 @@ SyscallStatus Kernel::SysGetsockname(Process& p, const SyscallArgs& a, SyscallRe
 }
 
 SyscallStatus Kernel::SysGetpeername(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/,
-                                     Lock& /*lk*/) {
+                                     Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   OpenFileRef file;
   std::shared_ptr<Socket> sock;
   const SyscallStatus resolve = SocketOf(p, a.Int(0), &file, &sock);
@@ -530,7 +551,8 @@ SyscallStatus Kernel::SysGetpeername(Process& p, const SyscallArgs& a, SyscallRe
 }
 
 SyscallStatus Kernel::SysShutdown(Process& p, const SyscallArgs& a, SyscallResult* /*rv*/,
-                                  Lock& /*lk*/) {
+                                  Lock& lk) {
+  const auto tree = BigLockAndTree(lk);
   OpenFileRef file;
   std::shared_ptr<Socket> sock;
   const SyscallStatus resolve = SocketOf(p, a.Int(0), &file, &sock);

@@ -26,23 +26,10 @@ inline constexpr uint32_t kBlocking = 1u << 4;       // may sleep in the kernel
 inline constexpr uint32_t kFileRef = 1u << 5;        // in DFSTrace's file-reference set
 inline constexpr uint32_t kImplemented = 1u << 6;    // has a kernel handler + decode arm
 inline constexpr uint32_t kAlias = 1u << 7;          // shares another row's method/handler
-// Touches only the calling process's [owner] state, its own [big-lock]
-// fields read-only, atomics, or the monotonic clock (process.h): the kernel
-// dispatches these rows without taking the big lock. Incompatible
-// with kBlocking (a sleep waits on a channel under mu_);
-// tests/test_concurrency.cc pins the disjointness.
-inline constexpr uint32_t kPerProcess = 1u << 8;
-// Runs under the tree lock in shared mode (no big lock) in the common case:
-// lookups, the regular-file data plane, and opens, creating ones included
-// (their inode-level locking is in vfs.h). The kernel falls back to the
-// big-lock path for the cross-process cases (fifos, pipes, devices, flocked
-// files). May combine with kBlocking: exactly the fallback cases are the
-// ones that can sleep.
-inline constexpr uint32_t kVfsRead = 1u << 9;
 // The socket interface class (paper Section 2.3's descriptor calls, restricted
 // to the AF_UNIX rows): socket-layer agents build their footprint from this
-// flag, and the ring batcher treats blocking members as window barriers.
-inline constexpr uint32_t kSocket = 1u << 10;
+// flag.
+inline constexpr uint32_t kSocket = 1u << 8;
 
 // Default virtual-clock cost for calls the paper's Table 3-5 did not measure.
 inline constexpr int32_t kDefaultSyscallCost = 150;

@@ -22,10 +22,10 @@
 // data_mu. An exclusive holder excludes every shared holder, so it touches
 // data and entries without data_mu.
 //
-// The kernel's dispatcher takes the exclusive lock around every big-lock
-// handler and the shared lock around the vfs-read lane, so VFS method
-// bodies take no tree lock themselves (AbsolutePathOf, called from agents,
-// is the exception). Inode timestamps are atomics
+// The kernel's handlers take the tree lock themselves, shared around walks
+// and the regular-file data plane and exclusive around the big-lock
+// mutations, so VFS method bodies take no tree lock (AbsolutePathOf, called
+// from agents, is the exception). Inode timestamps are atomics
 // because shared-mode paths update atime and mtime; they read the caller's
 // host clock (now()), and the shared paths store a stamp only when its
 // second changes, so readers of one hot inode do not write its line. The
@@ -133,8 +133,8 @@ class Inode : public std::enable_shared_from_this<Inode> {
 
   // --- regular file payload --------------------------------------------------
   // The bytes. A tree-lock holder in exclusive mode touches them freely;
-  // under a shared hold (reads, writes, stats, lseeks and O_APPEND opens on
-  // the vfs-read lane) every access holds data_mu.
+  // under a shared hold (reads, writes, stats, lseeks and O_APPEND opens)
+  // every access holds data_mu.
   std::string data;
 
   // Executable image binding: non-empty for files created via RegisterProgram-backed

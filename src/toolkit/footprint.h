@@ -7,8 +7,8 @@
 // "every path-taking row" once, and its interest set then narrows or widens
 // automatically as table rows change. At install time the toolkit resolves the
 // footprint against the syscall table into the per-frame interest bitset, so
-// numbers outside the footprint skip the agent's frame entirely and keep the
-// kernel's kPerProcess/kVfsRead fast lanes.
+// numbers outside the footprint skip the agent's frame entirely and go
+// straight to their kernel handlers, which take only the locks they need.
 #ifndef SRC_TOOLKIT_FOOTPRINT_H_
 #define SRC_TOOLKIT_FOOTPRINT_H_
 

@@ -102,7 +102,7 @@ void SymbolicSyscall::init(ProcessContext& /*ctx*/) {
   // Resolve the declared footprint against the table into concrete interest.
   // The layer default is the whole interface; narrowed layers and agents pay
   // only for the rows they declared — everything else skips this frame and
-  // keeps the kernel's lock-free fast lanes.
+  // goes straight to its kernel handler.
   Footprint fp;
   {
     std::lock_guard<std::mutex> lock(footprint_mu_);

@@ -1,7 +1,7 @@
-// Concurrency stress tests for the big-lock breakup: kPerProcess and kVfsRead
-// fast paths racing big-lock mutators, shared descriptors hammered from forked
-// children, observability snapshots taken mid-storm, and the table invariants
-// the three-lane dispatcher depends on. These tests are the primary targets of
+// Concurrency stress tests for the big-lock breakup: handlers that take no
+// lock or only the shared tree lock racing big-lock mutators, shared
+// descriptors hammered from forked children, and observability snapshots
+// taken mid-storm. These tests are the primary targets of
 // the ThreadSanitizer gate (scripts/check_sanitize.sh --tsan): they are
 // written to maximize real interleavings, not to assert timing.
 #include <gtest/gtest.h>
@@ -25,34 +25,6 @@ namespace {
 using test::ExitCodeOf;
 using test::FileContents;
 using test::RunBody;
-
-// The three-lane dispatcher's correctness hinges on table invariants:
-// kPerProcess rows run with NO kernel lock, so they must never be able to
-// sleep (a sleep needs mu_ and the condvar), and every fast-path flag must
-// sit on an implemented row (the fast paths assume a handler exists).
-TEST(ConcurrencyTable, PerProcessRowsAreNonBlockingAndImplemented) {
-  int per_process_rows = 0;
-  int vfs_read_rows = 0;
-  for (int n = 0; n < kMaxSyscall; ++n) {
-    const SyscallSpec& spec = SyscallSpecOf(n);
-    if ((spec.flags & kPerProcess) != 0) {
-      ++per_process_rows;
-      EXPECT_EQ(spec.flags & kBlocking, 0u)
-          << spec.name << " is kPerProcess|kBlocking: a lock-free dispatch cannot sleep";
-      EXPECT_NE(spec.flags & kImplemented, 0u)
-          << spec.name << " is kPerProcess but has no handler";
-      EXPECT_EQ(spec.flags & kVfsRead, 0u)
-          << spec.name << " claims both fast-path lanes; the dispatcher picks one";
-    }
-    if ((spec.flags & kVfsRead) != 0) {
-      ++vfs_read_rows;
-      EXPECT_NE(spec.flags & kImplemented, 0u) << spec.name << " is kVfsRead but unimplemented";
-    }
-  }
-  // The split is meaningful only if both lanes carry real traffic.
-  EXPECT_GE(per_process_rows, 15);
-  EXPECT_GE(vfs_read_rows, 8);
-}
 
 // Forked children inherit the parent's descriptors and hammer the SAME
 // OpenFile: the shared offset, flags, and inode time stamps are the atomics
@@ -111,8 +83,8 @@ TEST(ConcurrencyStress, SharedFdHammeringAcrossForkedChildren) {
   EXPECT_EQ(WExitStatus(status), 0);
 }
 
-// One process renames a file back and forth (big-lock lane, exclusive tree
-// lock) while two others stat both names through the shared-tree fast path.
+// One process renames a file back and forth (the big lock and the exclusive
+// tree lock) while two others stat both names under the shared tree lock.
 // Every stat must observe exactly "present" or "absent" — never a partial
 // rename, never a spurious errno — and the final tree state must be exact.
 TEST(ConcurrencyStress, ConcurrentRenameVsStat) {
@@ -237,7 +209,7 @@ TEST(ConcurrencyStress, ForkExitStormVsStatsSnapshots) {
 // big lock and single-word atomics. Root A signals root B and moves B's
 // process group (kill and setpgrp read B's cred under the big lock; the post
 // sets B's pending word) while B rewrites its cred and reads its rusage. The
-// interleaving is what TSan inspects: a cred writer on the lock-free lane,
+// interleaving is what TSan inspects: a cred writer off the big lock,
 // or a signal counted in B's rusage by A's post, is a reported race. Both
 // roots run as the same non-superuser, so the permission checks read B's
 // cred instead of short-circuiting on A's.
@@ -304,16 +276,31 @@ TEST(ProcessOwnership, CrossProcessEdgesAcrossTwoHosts) {
   }
 }
 
-// The cred writers dispatch under the big lock: kill and setpgrp read another
-// process's cred under it, so a lock-free writer would race them.
+// The cred writers run under the big lock: kill and setpgrp read another
+// process's cred under it, so a lock-free writer would race them. Each takes
+// it exactly once.
 TEST(ProcessOwnership, CredWritersTakeTheBigLock) {
-  EXPECT_EQ(SyscallSpecOf(kSysSetuid).flags & kPerProcess, 0u);
-  EXPECT_EQ(SyscallSpecOf(kSysSetgroups).flags & kPerProcess, 0u);
+  auto kernel = test::MakeWorld();
+  Kernel* const k = kernel.get();
+  EXPECT_EQ(ExitCodeOf(*kernel, [k](ProcessContext& ctx) {
+              const Gid groups[] = {0, 5};
+              int64_t before = k->BigLockDispatches();
+              if (ctx.Setgroups(2, groups) != 0 || k->BigLockDispatches() != before + 1) {
+                return 1;
+              }
+              before = k->BigLockDispatches();
+              if (ctx.Setuid(0) != 0 || k->BigLockDispatches() != before + 1) {
+                return 2;
+              }
+              return 0;
+            }),
+            0);
 }
 
-// The contract behind kPerProcess: those rows must complete while another
-// process sleeps inside the kernel. Process A parks in wait4 (its child is
-// parked in sigpause); process B then runs a burst of kPerProcess calls to
+// The contract behind the lock-free process-local handlers: those calls must
+// complete while another process sleeps inside the kernel. Process A parks in
+// wait4 (its child is parked in sigpause); process B then runs a burst of
+// process-local calls to
 // completion. Under the old single-lock dispatcher this still worked only
 // because cv_.wait dropped mu_; here the assertion is stronger — B finishes
 // its whole burst while A has demonstrably not returned, and on a
@@ -341,7 +328,7 @@ TEST(ConcurrencyStress, PerProcessCallsCompleteWhileAnotherProcessSleepsInWait4)
     // spin: A has not forked yet
   }
 
-  // B: a pure kPerProcess burst. If any of these rows needed the big lock
+  // B: a pure process-local burst. If any of these calls needed the big lock
   // while a sleeper interacts with it, this would stall; instead it must run
   // to completion while A is still parked.
   const int b_exit = ExitCodeOf(*kernel, [](ProcessContext& ctx) {
@@ -374,7 +361,7 @@ TEST(ConcurrencyStress, PerProcessCallsCompleteWhileAnotherProcessSleepsInWait4)
   EXPECT_TRUE(a_returned.load(std::memory_order_acquire));
 }
 
-// Many clients pound the kVfsRead lane (stat/open/read/close) against one
+// Many clients pound the shared-tree-lock calls (stat/open/read/close) against one
 // shared tree while a mutator churns a sibling directory under the exclusive
 // lock. Mixed shared/exclusive tree traffic is where a reader/writer bug
 // would corrupt a walk; every client must see fully consistent files.
@@ -491,7 +478,7 @@ void ExpectWholeRecordsInWriterOrder(const std::string& data, int writers, int p
 }
 
 // Three roots on three host threads append records to one file with O_APPEND
-// (the vfs-read lane: the tree lock shared plus the inode's data_mu) while a
+// (under the tree lock shared plus the inode's data_mu) while a
 // fourth loops stat, fstat, lseek(SEEK_END) and a read of the last record on
 // it. Every size it sees is a whole number of records and never shrinks, the
 // last record is never torn, and the file ends as the sum of the appends.
@@ -769,7 +756,7 @@ TEST(SocketStress, AcceptVersusClientCloseRaces) {
 // Many client processes rendezvous with one server process by pathname while
 // an unrelated mutator churns the same directory: socket rendezvous
 // (Namei-driven connect under the full tree lock) interleaving with VFS
-// create/unlink traffic and the vfs-read fast lanes.
+// create/unlink traffic and the shared-tree-lock calls.
 TEST(SocketStress, PathnameRendezvousUnderVfsChurn) {
   auto kernel = test::MakeWorld();
   constexpr int kClients = IA_SOCKET_STRESS_UNDER_TSAN ? 3 : 6;
@@ -842,7 +829,7 @@ TEST(SocketStress, PathnameRendezvousUnderVfsChurn) {
         ctx.Close(fd);
       }
       Stat st;
-      ctx.Stat("/hub/srv.sock", &st);  // vfs-read lane against the socket node
+      ctx.Stat("/hub/srv.sock", &st);  // the shared tree lock against the socket node
       if (i % 4 == 0) {
         ctx.Unlink(name);
       }
@@ -859,8 +846,7 @@ TEST(SocketStress, PathnameRendezvousUnderVfsChurn) {
   }
 }
 
-// Two roots list one directory with getdirentries (the vfs-read lane: the
-// tree lock shared, the open directory's offset under its data_mu) in small
+// Two roots list one directory with getdirentries (the tree lock shared, the open directory's offset under its data_mu) in small
 // chunks while a third creates and unlinks files in it. Every chunk decodes
 // into whole records with names from the directory, each listing starts with
 // "." and "..", and TSan checks the listing against the creates and unlinks.
@@ -954,8 +940,7 @@ void ExpectAllExitZero(Kernel& kernel, const std::vector<Pid>& pids) {
 }
 
 // Two roots on two host threads race O_CREAT opens of one new name per
-// round, in lockstep (the vfs-read lane: the walk under the tree lock held
-// shared, the link under the parent's data_mu). The creator that loses the
+// round, in lockstep (the walk under the tree lock held shared, the link under the parent's data_mu). The creator that loses the
 // race for the name opens the winner's inode, so both get the same inode
 // number. Under O_EXCL exactly one of them wins each name.
 TEST(ConcurrencyStress, SameNameCreatesOpenOneInode) {
@@ -1092,7 +1077,7 @@ TEST(ConcurrencyStress, CreatorsAndWalkersShareOneDirectory) {
 }
 
 // Two roots append records to four files while a third truncates them with
-// O_TRUNC opens (the vfs-read lane: each resize under the file's data_mu,
+// O_TRUNC opens (the tree lock shared: each resize under the file's data_mu,
 // its byte change one atomic add). Once they quiesce, the kernel's byte
 // total is the world's other bytes plus exactly the four files' sizes, and
 // every file holds whole records.

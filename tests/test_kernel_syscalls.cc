@@ -562,8 +562,8 @@ TEST(Syscalls, NamedFifoRoundTrip) {
 
 
 // A readv/writev whose later segment fails after an earlier one moved bytes
-// returns those bytes, on both writev lanes (a regular file's vfs-read lane,
-// a pipe's big-lock handler) and on readv.
+// returns those bytes, on both writev paths (a regular file's under the
+// shared tree lock, a pipe's under the big lock) and on readv.
 TEST(Syscalls, PartialVectorTransferReportsTheBytesMoved) {
   auto kernel = MakeWorld();
   EXPECT_EQ(ExitCodeOf(*kernel, [](ProcessContext& ctx) {

@@ -3,6 +3,9 @@
 // LRU bounds, weak-reference hygiene, and transparency of cached resolution.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/base/strings.h"
 #include "src/kernel/namecache.h"
 #include "src/kernel/vfs.h"
 #include "tests/test_helpers.h"
@@ -305,6 +308,60 @@ TEST(NameCacheKernel, CacheStatsVisibleThroughKernel) {
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.insertions, 0u);
   EXPECT_EQ(stats.capacity, NameCache::kDefaultCapacity);
+}
+
+// The counted twin of a long-lived world's read-only churn: stats over four
+// times the cache's capacity of distinct files unlink thousands of evicted
+// nodes into the deferred garbage, with no namespace mutation to reclaim
+// them. The dispatch core reclaims once the garbage passes the capacity, so
+// a new working set is still cached in its first round and hit in every
+// later one.
+TEST(NameCacheKernel, KeepsCachingAfterEvictionChurnWithoutMutation) {
+  constexpr int kChurnFiles = 4 * static_cast<int>(NameCache::kDefaultCapacity);
+  constexpr int kSetFiles = 2000;
+  constexpr int kRounds = 5;
+  auto kernel = MakeWorld();
+  kernel->fs().MkdirAll("/big");
+  kernel->fs().MkdirAll("/set");
+  for (int i = 0; i < kChurnFiles; ++i) {
+    kernel->fs().InstallFile(StringPrintf("/big/f%d", i), "");
+  }
+  for (int i = 0; i < kSetFiles; ++i) {
+    kernel->fs().InstallFile(StringPrintf("/set/f%d", i), "");
+  }
+  Kernel* const k = kernel.get();
+  std::vector<NameCacheStats> rounds;
+  EXPECT_EQ(ExitCodeOf(*kernel, [k, &rounds](ProcessContext& ctx) {
+              Stat st;
+              for (int i = 0; i < kChurnFiles; ++i) {
+                if (ctx.Stat(StringPrintf("/big/f%d", i).c_str(), &st) != 0) {
+                  return 1;
+                }
+              }
+              for (int r = 0; r < kRounds; ++r) {
+                const NameCacheStats before = k->CacheStats();
+                for (int i = 0; i < kSetFiles; ++i) {
+                  if (ctx.Stat(StringPrintf("/set/f%d", i).c_str(), &st) != 0) {
+                    return 2;
+                  }
+                }
+                NameCacheStats delta = k->CacheStats();
+                delta.hits -= before.hits;
+                delta.misses -= before.misses;
+                delta.insertions -= before.insertions;
+                rounds.push_back(delta);
+              }
+              return 0;
+            }),
+            0);
+  ASSERT_EQ(rounds.size(), static_cast<size_t>(kRounds));
+  // Two cached components per stat: "set" (or "big") and the file's name.
+  EXPECT_GE(rounds[0].insertions, static_cast<uint64_t>(kSetFiles));
+  for (int r = 1; r < kRounds; ++r) {
+    EXPECT_EQ(rounds[r].hits, 2u * kSetFiles) << "round " << r;
+    EXPECT_EQ(rounds[r].misses, 0u) << "round " << r;
+    EXPECT_EQ(rounds[r].insertions, 0u) << "round " << r;
+  }
 }
 
 TEST(NameCacheKernel, ChrootKeepsLookupsCorrect) {

@@ -873,12 +873,12 @@ TEST(RingUnit, WraparoundAcrossProducerDrainerAndReaperThreads) {
   EXPECT_FALSE(ring.Reap(&comp));
 }
 
-// --- the windowed vfs-read lane and the kernel-lane digest matrix ------------
+// --- batched shared-lock rows and the kernel-lane digest matrix --------------
 
-// The vfs-read window workload: per iteration, stat/fstat/lseek/read rows on
-// eight files, each on its own descriptor, issued as ONE batch so the
-// vfs-read lane runs them as shared-lock windows — or, with via_ring false,
-// call by call, the exact-order reference. Every file's atime is reset to a
+// The reorderable batch workload: per iteration, stat/fstat/lseek/read rows
+// on eight files, each on its own descriptor, issued as ONE batch through
+// the dispatch core — or, with via_ring false, call by call, the exact-order
+// reference. Every file's atime is reset to a
 // past value before each batch, so a stat that ran after its file's read
 // (out of submission order) reports the read's atime instead. Returns a
 // digest line per completion: "index:tag:status:rv0", the read buffers, and
@@ -1035,7 +1035,7 @@ INSTANTIATE_TEST_SUITE_P(
     DigestCellName);
 
 TEST(RingDeterminism, StripeOverlapResultsIdenticalToExactOrder) {
-  // The same vfs-read batch through the ring and call by call: windowed
+  // The same shared-lock batch through the ring and call by call: batched
   // execution must be result-identical to submission order — completions
   // land at their original indices with the values exact-order issue gives,
   // and no stat sees its file's later read.
@@ -1057,7 +1057,7 @@ TEST(RingDeterminism, StripeOverlapResultsIdenticalToExactOrder) {
 
 TEST(RingDeterminism, StripeOverlapWithAgentFrameIdenticalToExactOrder) {
   // With a frame interposed on stat, every fourth row of the batch is an
-  // agent-routed barrier: the dispatcher must window only the runs between
+  // agent-routed barrier: the drain must batch only the runs between
   // barriers and still match per-call issue byte for byte.
   std::string digests[2];
   for (int run = 0; run < 2; ++run) {
@@ -1081,8 +1081,8 @@ TEST(RingDeterminism, StripeOverlapWithAgentFrameIdenticalToExactOrder) {
 
 TEST(RingDeterminism, StripeOverlapUnderFaultPlanKeepsExactOrder) {
   // An installed FaultPlan is consulted per entry, in submission order,
-  // before the entry's own lane: an injected entry ends a window, a clamped
-  // read runs in it with its clamped count. Result digests AND the recorded
+  // before the entry's own handler: an injected entry completes with its
+  // status, a clamped read runs with its clamped count. Result digests AND the recorded
   // fault decision stream must match per-call issue.
   std::string digests[2];
   std::string traces[2];
@@ -1113,9 +1113,9 @@ TEST(RingDeterminism, StripeOverlapUnderFaultPlanKeepsExactOrder) {
 
 // Issues the same opens and reads in one of two forms, chosen by the inputs
 // alone: open(O_RDONLY) and open(O_RDONLY|O_CREAT) of an existing file both
-// take the vfs-read lane (a creating open no longer needs the big lock, so
-// the two differ only in Filesystem::Open's create check); read takes the
-// vfs-read lane, while a one-segment readv takes the big-lock SysReadv.
+// walk under the shared tree lock (they differ only in Filesystem::Open's
+// create check); read takes only the tree lock shared, while a one-segment
+// readv takes the big lock first.
 // Returns a digest line per call, with the bytes read and each fstat.
 std::string RunOpenReadLaneWorkload(ProcessContext& ctx, bool big_lock_forms) {
   std::string digest;
@@ -1179,13 +1179,13 @@ TEST(LaneDifferential, OpenAndReadImplementationsAgree) {
   EXPECT_EQ(digests[0], digests[1]);
 }
 
-// --- which lane a call takes ------------------------------------------------
+// --- which calls take the big lock -------------------------------------------
 
-// Which lane a call takes, as a count: writes to a regular file in every form
-// (plain, O_APPEND, writev, through a ring flush, inside a ringmix-shaped
-// batch) run under the shared tree lock and never dispatch on the big lock,
-// and neither do the batch's stat/access/fstat/lseek/read rows or the
-// open-for-read and close around it. A pipe write still does.
+// Which calls take mu_, as a count of BigLock acquisitions: writes to a
+// regular file in every form (plain, O_APPEND, writev, through a ring flush,
+// inside a ringmix-shaped batch) run under the shared tree lock and never
+// take the big lock, and neither do the batch's stat/access/fstat/lseek/read
+// rows or the open-for-read and close around it. A pipe write still does.
 TEST(Lanes, RegularFileWritesStayOffTheBigLock) {
   auto kernel = MakeWorld();
   kernel->fs().MkdirAll("/lanes");
@@ -1272,6 +1272,134 @@ TEST(Lanes, RegularFileWritesStayOffTheBigLock) {
   EXPECT_EQ(data.substr(256), "efghheadbodymnopheadbodyuvwx");
 }
 
+// The handlers of process-local calls touch only the caller's own state, its
+// host clock and single-word atomics, so they take no lock at all: each adds
+// nothing to the big-lock count, whatever its answer.
+TEST(Lanes, ProcessLocalCallsTakeNoLock) {
+  auto kernel = MakeWorld();
+  Kernel* const k = kernel.get();
+  std::string taken;
+  EXPECT_EQ(ExitCodeOf(*kernel, [k, &taken](ProcessContext& ctx) {
+              char login[32];
+              Gid groups[16];
+              TimeVal tv;
+              Rusage ru;
+              struct Call {
+                int number;
+                SyscallArgs args;
+              };
+              std::vector<Call> calls;
+              for (const int number : {kSysGetpid, kSysGetppid, kSysGetpgrp, kSysGetuid,
+                                       kSysGeteuid, kSysGetgid, kSysGetegid, kSysGetpagesize,
+                                       kSysGetdtablesize}) {
+                calls.push_back({number, SyscallArgs{}});
+              }
+              Call call{kSysGetlogin, SyscallArgs{}};
+              call.args.SetPtr(0, login);
+              call.args.SetInt(1, sizeof login);
+              calls.push_back(call);
+              call = Call{kSysSetlogin, SyscallArgs{}};
+              call.args.SetPtr(0, "lanes");
+              calls.push_back(call);
+              call = Call{kSysUmask, SyscallArgs{}};
+              call.args.SetInt(0, 022);
+              calls.push_back(call);
+              call = Call{kSysGetgroups, SyscallArgs{}};
+              call.args.SetInt(0, 16);
+              call.args.SetPtr(1, groups);
+              calls.push_back(call);
+              for (const int number : {kSysSigvec, kSysSigaction}) {
+                call = Call{number, SyscallArgs{}};
+                call.args.SetInt(0, kSigUsr1);
+                call.args.SetInt(1, static_cast<int64_t>(kSigDfl));
+                calls.push_back(call);
+              }
+              for (const int number : {kSysSigblock, kSysSigsetmask}) {
+                calls.push_back({number, SyscallArgs{}});
+              }
+              call = Call{kSysGettimeofday, SyscallArgs{}};
+              call.args.SetPtr(0, &tv);
+              calls.push_back(call);
+              call = Call{kSysGetrusage, SyscallArgs{}};
+              call.args.SetInt(0, kRusageSelf);
+              call.args.SetPtr(1, &ru);
+              calls.push_back(call);
+              if (calls.size() != 19) {
+                return 1;
+              }
+              for (const Call& c : calls) {
+                const int64_t before = k->BigLockDispatches();
+                SyscallResult rv;
+                ctx.Syscall(c.number, c.args, &rv);
+                if (k->BigLockDispatches() != before) {
+                  taken += std::string(SyscallSpecOf(c.number).name) + " ";
+                }
+              }
+              return 0;
+            }),
+            0);
+  EXPECT_EQ(taken, "");
+}
+
+// Every socket call takes the big lock, once: sockets are rendezvous and
+// peer state shared between processes. The transfers (send, recv and their
+// address forms) hand the held lock to the socket's backing, which takes
+// nothing more.
+TEST(Lanes, SocketCallsTakeTheBigLock) {
+  auto kernel = MakeWorld();
+  Kernel* const k = kernel.get();
+  std::string counts;
+  EXPECT_EQ(ExitCodeOf(*kernel, [k, &counts](ProcessContext& ctx) {
+              int64_t before = k->BigLockDispatches();
+              // Appends "name=delta " for the call just made.
+              const auto note = [&](const char* name) {
+                const int64_t now = k->BigLockDispatches();
+                counts += StringPrintf("%s=%lld ", name, static_cast<long long>(now - before));
+                before = now;
+              };
+              int sv[2];
+              char buf[8];
+              SockAddr addr;
+              int addrlen = sizeof addr;
+              const bool pair_ok = ctx.Socketpair(kAfUnix, kSockStream, 0, sv) == 0;
+              note("socketpair");
+              if (!pair_ok) {
+                return 1;
+              }
+              ctx.Send(sv[0], "ab", 2);
+              note("send");
+              ctx.Recv(sv[1], buf, 2);
+              note("recv");
+              ctx.Sendto(sv[1], "cd", 2, 0, nullptr, 0);
+              note("sendto");
+              ctx.Recvfrom(sv[0], buf, 2, 0, &addr, &addrlen);
+              note("recvfrom");
+              ctx.Getpeername(sv[0], &addr, &addrlen);
+              note("getpeername");
+              ctx.Shutdown(sv[0], kShutRdWr);
+              note("shutdown");
+              const int server = ctx.Socket(kAfUnix, kSockStream, 0);
+              note("socket");
+              ctx.BindUnix(server, "/tmp/lanes.sock");
+              note("bind");
+              ctx.Listen(server, 4);
+              note("listen");
+              ctx.Getsockname(server, &addr, &addrlen);
+              note("getsockname");
+              const int client = ctx.Socket(kAfUnix, kSockStream, 0);
+              before = k->BigLockDispatches();
+              ctx.ConnectUnix(client, "/tmp/lanes.sock");
+              note("connect");
+              const int accepted = ctx.Accept(server);
+              note("accept");
+              return server >= 0 && client >= 0 && accepted >= 0 ? 0 : 2;
+            }),
+            0);
+  EXPECT_EQ(counts,
+            "socketpair=1 send=1 recv=1 sendto=1 recvfrom=1 getpeername=1 shutdown=1 socket=1 "
+            "bind=1 listen=1 getsockname=1 connect=1 accept=1 ");
+}
+
 // getdirentries only reads a directory: it runs under the shared tree lock,
 // its offset under the directory's data_mu, and never takes the big lock.
 TEST(Lanes, GetdirentriesStaysOffTheBigLock) {
@@ -1305,11 +1433,11 @@ TEST(Lanes, GetdirentriesStaysOffTheBigLock) {
             0);
 }
 
-// Creating and truncating opens of regular files run on the vfs-read lane:
-// the tree lock shared, the new name linked under the parent directory's
-// data_mu, a truncation under the file's. None of them dispatches on the big
-// lock. An O_CREAT open that finds a fifo still does, once: pipe ends are
-// big-lock state.
+// Creating and truncating opens of regular files, creat(2) among them, run
+// under the tree lock held shared: the new name linked under the parent
+// directory's data_mu, a truncation under the file's. None of them takes the
+// big lock. An O_CREAT open that finds a fifo still does, once: pipe ends
+// are big-lock state.
 TEST(Lanes, CreatingOpensStayOffTheBigLock) {
   auto kernel = MakeWorld();
   kernel->fs().MkdirAll("/lanes");
@@ -1352,7 +1480,19 @@ TEST(Lanes, CreatingOpensStayOffTheBigLock) {
                   (st.st_mode & 07777) != (0600 & ~ctx.Umask(022))) {
                 return 4;
               }
-              const int64_t before = k->BigLockDispatches();
+              SyscallArgs creat_args;
+              creat_args.SetPtr(0, "/lanes/creat");
+              creat_args.SetInt(1, 0644);
+              SyscallResult creat_rv;
+              int64_t before = k->BigLockDispatches();
+              const int cfd = ctx.Syscall(kSysCreat, creat_args, &creat_rv);
+              if (cfd < 0 || k->BigLockDispatches() != before) {
+                return 6;
+              }
+              if (ctx.Write(cfd, "ab", 2) != 2 || ctx.Close(cfd) != 0) {
+                return 7;
+              }
+              before = k->BigLockDispatches();
               const int fifo = ctx.Open("/lanes/fifo", kOWronly | kOCreat);
               if (fifo < 0 || k->BigLockDispatches() != before + 1) {
                 return 5;
@@ -1363,7 +1503,8 @@ TEST(Lanes, CreatingOpensStayOffTheBigLock) {
   EXPECT_EQ(FileContents(*kernel, "/lanes/new"), "ab");  // the second open did not truncate
   EXPECT_EQ(FileContents(*kernel, "/lanes/old"), "ab");
   EXPECT_EQ(FileContents(*kernel, "/lanes/log"), "ab");
-  EXPECT_EQ(kernel->fs().total_bytes(), bytes_before - 10 + 2 * 4);
+  EXPECT_EQ(FileContents(*kernel, "/lanes/creat"), "ab");
+  EXPECT_EQ(kernel->fs().total_bytes(), bytes_before - 10 + 2 * 5);
 }
 
 // The counted twin of the andrew workload: one /usr/bin/andrew client under
@@ -1433,11 +1574,11 @@ TEST(RingBatch, SixtyFourEntryFlushIsOneDispatchBatch) {
             0);
 }
 
-// --- concurrent determinism on the fast lanes --------------------------------
+// --- concurrent determinism off the big lock ----------------------------------
 
 // One client of the concurrent-determinism test: per iteration it opens three
 // of the shared files without closing (the fd_table_limit regime denies the
-// third), runs a batch of stat/fstat/lseek/read rows (vfs-read windows), then
+// third), runs a batch of stat/fstat/lseek/read rows (shared tree lock), then
 // one synchronous read and stat, and closes what it opened.
 int FaultMixClient(ProcessContext& ctx) {
   const char* const paths[] = {"/mix/f0", "/mix/f1", "/mix/f2", "/mix/f3"};

@@ -116,9 +116,8 @@ TEST(SyscallTable, SpecsCarryArgMetadata) {
 // Agent interest sets are now derived from the abstraction-class flags, so a
 // flag that disagrees with the row's argument kinds silently mis-routes every
 // footprint-narrowed agent. Pin the agreement: a first decoded Path argument
-// implies kTakesPath, an Fd in slot 0 implies kTakesFd, and the lock-free
-// per-process lane is disjoint from the pathname class (a path row touches
-// shared VFS state by definition).
+// implies kTakesPath, an Fd in slot 0 implies kTakesFd, and a sockaddr
+// argument implies kSocket.
 TEST(SyscallTable, FlagsAgreeWithArgKinds) {
   for (int n = 0; n < kMaxSyscall; ++n) {
     const SyscallSpec& spec = SyscallSpecOf(n);
@@ -138,8 +137,6 @@ TEST(SyscallTable, FlagsAgreeWithArgKinds) {
           << spec.name << " takes an fd in slot 0 but lacks kTakesFd";
     }
     if ((spec.flags & kTakesPath) != 0) {
-      EXPECT_EQ(spec.flags & kPerProcess, 0u)
-          << spec.name << " cannot be both kTakesPath and kPerProcess";
       // Unimplemented rows carry classification flags but no decode metadata,
       // so the path_arg requirement applies to implemented rows only.
       if ((spec.flags & kImplemented) != 0) {
@@ -148,9 +145,8 @@ TEST(SyscallTable, FlagsAgreeWithArgKinds) {
       }
     }
     // Socket rows: decoding a sockaddr anywhere implies membership in the
-    // kSocket interest class, and every kSocket row stays off the lock-free
-    // lanes — they all touch the shared rendezvous/peer state, so a
-    // kPerProcess or kVfsRead socket row would race the big-lock handlers.
+    // kSocket interest class. (That every socket call takes the big lock is
+    // counted in Lanes.SocketCallsTakeTheBigLock.)
     bool has_sockaddr = false;
     for (int i = 0; i < spec.nargs; ++i) {
       const ArgKind kind = spec.args[static_cast<size_t>(i)];
@@ -164,8 +160,6 @@ TEST(SyscallTable, FlagsAgreeWithArgKinds) {
           << spec.name << " decodes a sockaddr argument but lacks kSocket";
     }
     if ((spec.flags & kSocket) != 0) {
-      EXPECT_EQ(spec.flags & (kPerProcess | kVfsRead), 0u)
-          << spec.name << " is kSocket but claims a lock-free dispatch lane";
       // Socket addresses travel as sockaddr structs, never Path arguments, so
       // pathname-footprint agents don't accidentally claim socket rows.
       EXPECT_EQ(spec.flags & kTakesPath, 0u)
