@@ -55,14 +55,17 @@ case "$MODE" in
     # cwd scan against creates: every reader of a directory's entries under
     # the shared tree lock must hold its data_mu), and the name cache's
     # eviction-churn twin (the dispatch core's reclaim of the cache's
-    # garbage under the exclusive tree lock, after a batch with no lock
-    # held). World sizes self-cap under
+    # garbage under mu_ and the exclusive tree lock, after a batch with no
+    # lock held), and spawns whose cwd walk, under mu_ alone, reads cache
+    # nodes that a running root's batches evict and reclaim, and the
+    # tree-lock keeping tests (a batch keeps one shared hold across its
+    # entries until a handler takes mu_). World sizes self-cap under
     # TSan (the tests read __has_feature(thread_sanitizer) via
     # IA_TEST_UNDER_TSAN), so this stays fast even with the instrumentation
     # slowdown.
     TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
       "$BUILD_DIR"/tests/ia_tests \
-      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*:ConcurrencyStress.AppendersReaderAndStatShareOneInode:ConcurrencyStress.AppendWritevRecordsStayContiguous:ConcurrencyStress.GetdirentriesAgainstCreatesAndUnlinks:VirtualTime.*:ConcurrencyStress.SameNameCreatesOpenOneInode:ConcurrencyStress.CreatorsAndWalkersShareOneDirectory:ConcurrencyStress.TruncatingOpensConserveBytes:ConcurrencyStress.RelativePathStatThroughPathnameAgentAgainstCreates:NameCacheKernel.KeepsCachingAfterEvictionChurnWithoutMutation' \
+      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*:ConcurrencyStress.AppendersReaderAndStatShareOneInode:ConcurrencyStress.AppendWritevRecordsStayContiguous:ConcurrencyStress.GetdirentriesAgainstCreatesAndUnlinks:VirtualTime.*:ConcurrencyStress.SameNameCreatesOpenOneInode:ConcurrencyStress.CreatorsAndWalkersShareOneDirectory:ConcurrencyStress.TruncatingOpensConserveBytes:ConcurrencyStress.RelativePathStatThroughPathnameAgentAgainstCreates:NameCacheKernel.KeepsCachingAfterEvictionChurnWithoutMutation:NameCacheKernel.SpawnWalksAgainstBatchReclaim:TreeLockKeeping.*' \
       --gtest_repeat=3
 
     # The socket plane is the newest blocking subsystem: channel sleeps under

@@ -17,7 +17,15 @@
 // exclusive acquirer, which can hold the kernel's big lock while it waits
 // and so stall everyone queued behind that too. The lock is non-recursive:
 // a thread must never take it shared twice, or it deadlocks once a writer
-// waits.
+// waits (unless it keeps the lock, below).
+//
+// Keeping: a thread that calls Keep() holds its first shared acquire until
+// StopKeeping(). Its shared acquires and releases in between only count in
+// a thread-local word, so a run of short holds (a batch of stat, fstat and
+// read calls, each taking the lock itself) pays one acquire and one release
+// for the whole run. Writers wait for the run as they wait for any hold.
+// A thread keeps one lock at a time, and must not sleep or take a lock
+// ordered before this one while it keeps: StopKeeping first.
 //
 // Every hold is one system call's worth of work, a few microseconds. A
 // parked waiter costs a futex sleep plus a cross-CPU wakeup, which on a
@@ -61,17 +69,50 @@ class RwLock {
   }
 
   void lock_shared() {
-    Slot& slot = MySlot();
-    for (;;) {
-      slot.readers.fetch_add(1, std::memory_order_seq_cst);
-      if (writers_.load(std::memory_order_seq_cst) == 0) {
-        return;
+    Keeper& keeper = keeper_;
+    if (keeper.lock == this) {
+      if (!keeper.acquired) {
+        AcquireShared();
+        keeper.acquired = true;
       }
-      ReleaseSlot(slot);
-      AwaitZero(writers_);
+      ++keeper.holds;
+      return;
+    }
+    AcquireShared();
+  }
+  void unlock_shared() {
+    Keeper& keeper = keeper_;
+    if (keeper.lock == this && keeper.holds != 0) {
+      --keeper.holds;
+      return;
+    }
+    ReleaseSlot(MySlot());
+  }
+
+  // Starts keeping this lock on the calling thread (a no-op if it already
+  // does), ending any other lock's keeping. The thread must hold no shared
+  // hold of this lock.
+  void Keep() {
+    Keeper& keeper = keeper_;
+    if (keeper.lock != this) {
+      if (keeper.lock != nullptr) {
+        keeper.lock->StopKeeping();
+      }
+      keeper = Keeper{this, 0, false};
     }
   }
-  void unlock_shared() { ReleaseSlot(MySlot()); }
+  // Releases the kept hold, if any, and ends keeping (a no-op if the thread
+  // does not keep this lock). The thread must hold no live shared hold.
+  void StopKeeping() {
+    Keeper& keeper = keeper_;
+    if (keeper.lock != this) {
+      return;
+    }
+    if (keeper.acquired) {
+      ReleaseSlot(MySlot());
+    }
+    keeper = Keeper{nullptr, 0, false};
+  }
 
  private:
   // andrew on a 4-thread host: 100 rounds still parked often enough to
@@ -83,6 +124,27 @@ class RwLock {
   struct alignas(64) Slot {
     std::atomic<uint32_t> readers{0};
   };
+
+  // The calling thread's keeping state: the lock it keeps, its live shared
+  // holds of it, and whether it holds the lock's slot (the kept acquire).
+  struct Keeper {
+    RwLock* lock;
+    uint32_t holds;
+    bool acquired;
+  };
+  static inline constinit thread_local Keeper keeper_{nullptr, 0, false};
+
+  void AcquireShared() {
+    Slot& slot = MySlot();
+    for (;;) {
+      slot.readers.fetch_add(1, std::memory_order_seq_cst);
+      if (writers_.load(std::memory_order_seq_cst) == 0) {
+        return;
+      }
+      ReleaseSlot(slot);
+      AwaitZero(writers_);
+    }
+  }
 
   // A thread keeps its slot for its lifetime, so its unlock_shared finds
   // the count its lock_shared raised.

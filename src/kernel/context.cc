@@ -1,5 +1,6 @@
 #include "src/kernel/context.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/base/strings.h"
@@ -281,14 +282,56 @@ int ProcessContext::DrainRing() {
   int completed = 0;
   {
     DepthGuard guard(syscall_depth_);
-    // Runs of consecutive kernel-lane entries accumulate here and flush
-    // through the kernel's dispatch core as one batch. kRunMax bounds the
-    // latency of exit/exec checks.
+    // Runs of consecutive kernel-lane entries go through the kernel's
+    // dispatch core as one batch each. kRunMax bounds the latency of
+    // exit/exec checks.
     constexpr int kRunMax = DrainRun::kRunMax;
+    // Route amortization: with no emulation frames at all (the common
+    // batch-client shape) skip the route lookup entirely; otherwise one
+    // compiled-route consultation decides the lane.
+    auto kernel_lane = [this](int number) {
+      return number >= 0 && number < kMaxSyscall &&
+             (proc_->emulation.Empty() || proc_->emulation.RouteFor(number).hops.empty());
+    };
+    // exit/exec end a run: its batch sees the pending state and stops the
+    // drain before any later entry runs, as synchronous issue would.
+    auto ends_run = [](int number) {
+      return number == kSysExit || number == kSysExecve || number == kSysExecv;
+    };
+    bool stop = false;
+    // A run that lies in one stretch of the ring's slots runs in place: the
+    // batch reads the submitted requests and writes the completions where
+    // the reaper reads them, with no copy of either (SyscallRing::PeekRun).
+    // A run that crosses the slot array's end, or one in a drain nested
+    // inside an agent-routed entry, is copied into drain_run_ below, so runs
+    // end at the same entries either way.
+    auto run_in_place = [&]() {
+      const SyscallRequest* reqs = nullptr;
+      SyscallCompletion* slots = nullptr;
+      const SyscallRing::Run peek = ring.PeekRun(&reqs, &slots);
+      const int limit = static_cast<int>(std::min<uint32_t>(peek.contiguous, kRunMax));
+      int len = 0;
+      bool closed = false;
+      while (len < limit && !closed) {
+        if (!kernel_lane(reqs[len].number)) {
+          closed = true;
+          break;
+        }
+        closed = ends_run(reqs[len].number);
+        ++len;
+      }
+      if (len == 0 || !(closed || len == kRunMax || static_cast<uint32_t>(len) == peek.queued)) {
+        return false;
+      }
+      kernel_->DoSyscallBatch(*proc_, reqs, slots, len);
+      ring.CompleteRun(static_cast<uint32_t>(len));
+      completed += len;
+      stop = proc_->exit_pending || proc_->pending_exec.valid;
+      return true;
+    };
     SyscallRequest* const run = drain_run_->reqs;
     SyscallCompletion* const comps = drain_run_->comps;
     int run_len = 0;
-    bool stop = false;
     auto flush = [&]() {
       if (run_len == 0) {
         return;
@@ -303,22 +346,18 @@ int ProcessContext::DrainRing() {
         stop = true;  // stop claiming entries; the rest stay queued
       }
     };
-    // Each entry is popped straight into the run's next slot.
-    while (!stop && ring.PopRequest(&run[run_len])) {
-      const int number = run[run_len].number;
-      // Route amortization: with no emulation frames at all (the common
-      // batch-client shape) skip the route lookup entirely; otherwise one
-      // compiled-route consultation decides the lane.
-      bool kernel_lane = false;
-      if (number >= 0 && number < kMaxSyscall) {
-        kernel_lane = proc_->emulation.Empty() || proc_->emulation.RouteFor(number).hops.empty();
+    while (!stop) {
+      if (run_len == 0 && run_in_place()) {
+        continue;
       }
-      if (kernel_lane) {
+      // Otherwise each entry is popped straight into the run's next slot.
+      if (!ring.PopRequest(&run[run_len])) {
+        break;
+      }
+      const int number = run[run_len].number;
+      if (kernel_lane(number)) {
         ++run_len;
-        // exit/exec end the run: the flush sees the pending state and stops
-        // the drain before any later entry runs, as synchronous issue would.
-        if (run_len == kRunMax || number == kSysExit || number == kSysExecve ||
-            number == kSysExecv) {
+        if (run_len == kRunMax || ends_run(number)) {
           flush();
         }
         continue;

@@ -287,12 +287,13 @@ class ProcessContext {
   void ProcessBoundary();  // return-to-user-mode work: pending exec, signals
   [[noreturn]] void TerminateBySignal(int signo);
 
-  // DrainRing's run: up to kRunMax kernel-lane entries and their
-  // completions. Allocated on the first drain and reused: built on the stack,
-  // the run constructed (and zeroed) 7 KB of entries on every drain, which
-  // cost a 1-client batch its edge over per-call issue. Only this process
-  // drains its ring, and a nested drain (from an agent-routed entry) starts
-  // with the run empty.
+  // DrainRing's copied run: up to kRunMax kernel-lane entries and their
+  // completions, for a run the ring cannot hold in place (one that crosses
+  // its slot array's end, or one in a nested drain). Allocated on the first
+  // drain and reused: built on the stack, the run constructed (and zeroed)
+  // 7 KB of entries on every drain, which cost a 1-client batch its edge
+  // over per-call issue. Only this process drains its ring, and a nested
+  // drain (from an agent-routed entry) starts with the run empty.
   struct DrainRun {
     static constexpr int kRunMax = 64;
     SyscallRequest reqs[kRunMax];

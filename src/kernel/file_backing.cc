@@ -23,8 +23,7 @@ SyscallStatus FileBacking::ReadRegular(Kernel& k, Process& p, OpenFile& f, char*
 
 SyscallStatus FileBacking::WriteRegular(Kernel& k, Process& p, OpenFile& f, const char* buf,
                                         int64_t count, SyscallResult* rv) {
-  std::shared_lock<RwLock> tree(k.fs_.TreeMutex());
-  std::lock_guard<WordMutex> data_lock(f.inode->data_mu);
+  const InodeBytesLock bytes_lock(k.fs_, *f.inode);
   return k.WriteRegularLocked(p, f, buf, count, rv);
 }
 

@@ -67,8 +67,10 @@ int32_t Kernel::SyscallCost(int number) const {
 void Kernel::InstallProgram(const std::string& path, const std::string& image, ProgramMain main,
                             Mode mode) {
   programs_.Register(image, std::move(main));
-  // Tree mutation outside the syscall dispatchers: take the tree lock so a
-  // program installed while processes run cannot race fast-path readers.
+  // Tree mutation outside the syscall handlers: take the locks of an
+  // exclusive namespace mutation (mu_, then the tree lock exclusively) so a
+  // program installed while processes run races no walker (namecache.h).
+  Lock lk(mu_);
   std::unique_lock<RwLock> tree(fs_.TreeMutex());
   InodeRef file = fs_.InstallFile(path, StringPrintf("\177IMG %s\n", image.c_str()), mode);
   if (file != nullptr) {
@@ -594,6 +596,15 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
   // it, and a short transfer runs `clamped`, the request's rewritten copy.
   FaultInjector* const injector = fault_.load(std::memory_order_acquire);
   SyscallRequest clamped;
+  // The batch keeps the tree lock (rwlock.h): the shared hold an entry's
+  // handler takes is kept for the entries after it, so a run of stat,
+  // fstat, lseek, read and write entries pays one acquire. BigLock ends the
+  // keeping before it takes mu_, which is ordered before the tree lock and
+  // under which a handler may sleep; the next entry starts it again.
+  struct Keeping {
+    RwLock& tree;
+    ~Keeping() { tree.StopKeeping(); }
+  } keeping{fs_.TreeMutex()};
   for (int i = 0; i < count; ++i) {
     SyscallStatus status = 0;
     FaultOutcome outcome = FaultOutcome::kNone;
@@ -605,6 +616,7 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
     if (outcome == FaultOutcome::kInjected) {
       // `status` is the plan's answer.
     } else if (ImplementsSyscall(req.number)) {
+      keeping.tree.Keep();
       Lock lk;  // empty: a handler that needs mu_ takes it here (BigLock)
       status = (this->*DispatchTable()[req.number])(proc, req.args, &comps[i].result, lk);
     } else {
@@ -612,11 +624,15 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
     }
     finish(i, status);
   }
+  keeping.tree.StopKeeping();
   flush_stats();
   // With no lock held, the batch's end is where the name cache's deferred
-  // garbage is freed once it passes the cache's capacity: an exclusive
-  // hold means no lock-free cache reader is in flight (namecache.h).
+  // garbage is freed once it passes the cache's capacity. The cache's
+  // readers walk under the tree lock held shared or under mu_ (Spawn), so
+  // the reclaim holds both, in lock order (namecache.h). It is not a call's
+  // acquisition, so it is not counted in BigLockDispatches.
   if (fs_.namecache().ReclaimDue()) {
+    Lock big(mu_);
     std::unique_lock<RwLock> tree(fs_.TreeMutex());
     fs_.namecache().Reclaim();
   }
@@ -626,6 +642,7 @@ void Kernel::BigLock(Lock& lk) {
   if (lk.owns_lock()) {
     return;
   }
+  fs_.TreeMutex().StopKeeping();  // the dispatch core's kept hold: lock order
   lk = Lock(mu_);
   stat_shards_[StatShardSlot(kStatShards)].big_lock_dispatches.fetch_add(
       1, std::memory_order_relaxed);
@@ -699,8 +716,7 @@ SyscallStatus Kernel::ReadRegular(Process& proc, OpenFile& file, char* buf, int6
   if (inode->IsDirectory()) {
     return -kEIsdir;
   }
-  std::shared_lock<RwLock> tree(fs_.TreeMutex());
-  std::lock_guard<WordMutex> data_lock(inode->data_mu);
+  const InodeBytesLock bytes_lock(fs_, *inode);
   const Off off = file.offset.load(std::memory_order_relaxed);
   const int64_t size = static_cast<int64_t>(inode->data.size());
   const int64_t avail = size - off;
@@ -1096,8 +1112,7 @@ SyscallStatus Kernel::SysWritev(Process& p, const SyscallArgs& a, SyscallResult*
   if (file != nullptr && file->CanWrite() && IsRegularVnode(*file)) {
     // One data_mu hold across every segment, so an O_APPEND writev lands as
     // one contiguous record.
-    std::shared_lock<RwLock> tree(fs_.TreeMutex());
-    std::lock_guard<WordMutex> data_lock(file->inode->data_mu);
+    const InodeBytesLock bytes_lock(fs_, *file->inode);
     return TransferSegments(iov, iovcnt, rv, [&](const IoVec& seg, SyscallResult* seg_rv) -> SyscallStatus {
       const auto* buf = static_cast<const char*>(seg.iov_base);
       if (buf == nullptr) {

@@ -32,7 +32,11 @@
 //   every other handler                       mu_ + tree exclusive
 //
 // Every mu_ taken on behalf of a call goes through BigLock, which counts it
-// (BigLockDispatches). A regular file's bytes, a directory's entries and the
+// (BigLockDispatches). The core keeps the tree lock across a batch's entries
+// (RwLock::Keep): the first shared hold a handler takes stays held for the
+// entries after it, so a run of tree-shared entries pays one acquire.
+// BigLock ends the keeping before it takes mu_, and the core starts it
+// again for the next entry. A regular file's bytes, a directory's entries and the
 // offsets of open files belong to the inode's data_mu (4.3BSD's ilock): a
 // writev holds it across all its segments, a creating open (O_CREAT,
 // O_TRUNC, O_EXCL) links its new file under the parent directory's data_mu
@@ -55,16 +59,17 @@
 // lock is not recursive: a handler takes it once, in one mode. A process's
 // own state (its descriptor table, rusage) takes no lock: it has one owner,
 // its fiber (process.h). ktrace_mu_ and the FaultInjector's mutex are also
-// taken with no lock held (the core finishes and consults the plan between
-// handlers). Nothing acquires mu_ or the tree lock while holding data_mu,
-// and nothing acquires mu_ while holding any of the others.
-// A FiberHost's own mutex (its run queue) is a leaf, taken under mu_ by
-// wakeups, which leave the waker's clock stamp on the fiber under it.
-// Fibers of one host share its thread, so mu_ is the only lock held
-// across a sleep (Sleep drops it before switching), and no lock is held
-// across a Yield. The tree lock's writer mutex is internal to it and held
-// only by an exclusive holder; clock reads and merges take no lock beyond
-// the ones listed (floor_ is guarded by mu_).
+// taken between handlers, where the core holds at most the kept shared
+// tree hold (it finishes entries and consults the plan there). Nothing
+// acquires mu_ or the tree lock while holding data_mu, and nothing
+// acquires mu_ while holding any of the others. A FiberHost's own mutex
+// (its run queue) is a leaf, taken under mu_ by wakeups, which leave the
+// waker's clock stamp on the fiber under it. Fibers of one host share its
+// thread, so mu_ is the only lock held across a sleep (Sleep drops it
+// before switching; the kept tree hold ended in BigLock), and no lock is
+// held across a Yield. The tree lock's writer mutex is internal to it and
+// held only by an exclusive holder; clock reads and merges take no lock
+// beyond the ones listed (floor_ is guarded by mu_).
 //
 // Observing a path does not change it: a fault plan or a ktrace sink changes
 // no lock and no prologue. Fault decisions are keyed on (pid, per-process
@@ -282,7 +287,8 @@ class Kernel {
   // Takes the big lock into `lk` on behalf of the calling system call: the
   // one place a call acquires mu_, counted in BigLockDispatches(). A no-op
   // when `lk` already holds it (readv's and writev's segments, a socket
-  // call's transfer).
+  // call's transfer). Ends the dispatch core's keeping of the tree lock
+  // first: the caller must hold no shared tree hold of its own.
   void BigLock(Lock& lk);
   // BigLock, then the tree lock held exclusively for the returned guard's
   // life: the prologue of every non-blocking handler that runs under mu_.
@@ -290,15 +296,14 @@ class Kernel {
 
   // The regular-file read body of VnodeBacking. Preconditions: `file` is a
   // readable vnode-backed regular/symlink/directory descriptor, buf !=
-  // nullptr and count > 0. Takes the tree lock shared, then the inode's
-  // data_mu.
+  // nullptr and count > 0. Takes the inode's InodeBytesLock (vfs.h).
   SyscallStatus ReadRegular(Process& proc, OpenFile& file, char* buf, int64_t count,
                             SyscallResult* rv);
   // The regular-file write body (append positioning, kEFbig ceiling, disk
   // budget and short-transfer accounting, resize+copy). Preconditions:
   // `file` is a writable vnode-backed regular file, buf != nullptr, count >
-  // 0, and the caller holds the tree lock shared and the inode's data_mu,
-  // so a writev can hold it across its segments.
+  // 0, and the caller holds the inode's InodeBytesLock (vfs.h), so a writev
+  // can hold it across its segments.
   SyscallStatus WriteRegularLocked(Process& proc, OpenFile& file, const char* buf, int64_t count,
                                    SyscallResult* rv);
 

@@ -48,14 +48,16 @@
 //     the new one.
 //   * Unlinked nodes are not freed immediately (a lock-free reader may still
 //     be traversing them); they move to a garbage list reclaimed inside
-//     InvalidateDir()/Reclaim()/Clear(), whose callers hold the VFS tree
-//     lock exclusively — a point where no shared-mode walker (hence no
-//     reader) can exist. The tree lock is the cache's grace period. Bumping a
-//     generation is separate from reclaim: InvalidateDirShared() bumps only,
-//     for creators that hold the tree lock shared. A workload with no
-//     exclusive mutation still reclaims: once the garbage passes the cache's
-//     capacity (ReclaimDue), the kernel's dispatch core takes the tree lock
-//     exclusively after a batch and calls Reclaim().
+//     InvalidateDir()/Reclaim()/Clear(). A walker holds the VFS tree lock
+//     shared, or the kernel's big lock alone (Kernel::Spawn resolves its cwd
+//     under mu_), so a reclaimer holds both, the tree lock exclusively — a
+//     point where no walker (hence no reader) can exist. Those two locks are
+//     the cache's grace period. Bumping a generation is separate from
+//     reclaim: InvalidateDirShared() bumps only, for creators that hold the
+//     tree lock shared. A workload with no exclusive mutation still
+//     reclaims: once the garbage passes the cache's capacity (ReclaimDue),
+//     the kernel's dispatch core takes mu_ and the exclusive tree lock
+//     after a batch and calls Reclaim().
 //   * A miss's directory search and its Insert* run under the directory's
 //     data_mu (vfs.cc), the lock a shared-hold creator links and bumps
 //     under, so an inserted entry never carries a generation newer than the
@@ -144,8 +146,8 @@ class NameCache {
 
   // O(1) stale-out of every cached entry under `dir` (bumps its generation),
   // then a reclaim of deferred garbage from evictions and re-maps. Callers
-  // must hold the VFS tree lock exclusively: that section is the reclaim's
-  // grace period.
+  // must hold the kernel's big lock and the VFS tree lock exclusively: that
+  // section is the reclaim's grace period.
   void InvalidateDir(Inode& dir);
 
   // The bump alone, for a creator holding the tree lock shared and `dir`'s
@@ -155,8 +157,8 @@ class NameCache {
   // True once the deferred garbage holds more than `capacity()` nodes. A
   // relaxed load: callers poll it with no lock held.
   bool ReclaimDue() const { return garbage_count_.load(std::memory_order_relaxed) > capacity_; }
-  // Frees the deferred garbage. Callers must hold the VFS tree lock
-  // exclusively, as for InvalidateDir.
+  // Frees the deferred garbage. Callers hold the same locks as for
+  // InvalidateDir.
   void Reclaim();
 
   // Drops every entry (stats other than size are kept). Requires quiescence
@@ -269,7 +271,8 @@ class NameCache {
   void UnlinkLocked(Entry* node);
 
   // Frees the garbage list. Only callable while no lock-free reader can
-  // exist (VFS tree lock held exclusively, or single-threaded quiescence).
+  // exist (mu_ and the VFS tree lock held exclusively, or single-threaded
+  // quiescence).
   void ReclaimGarbageLocked();
 
   size_t capacity_;

@@ -79,6 +79,22 @@ class SyscallRing {
   // Never fails: Submit admitted the entry only with completion room.
   void PushCompletion(const SyscallCompletion& comp);
 
+  // In-place draining: the requests queued at the drain head, read where
+  // they were submitted, and their completion slots, which sit at the same
+  // positions while every claimed entry has completed (each entry's
+  // completion then lands where its request is). `*reqs` and `*comps` hold
+  // `contiguous` entries, which stop at the slot array's end; `queued`
+  // counts every queued request. Both are 0 while an earlier claimed entry
+  // has not completed (a drain nested inside an agent-routed entry).
+  struct Run {
+    uint32_t contiguous = 0;
+    uint32_t queued = 0;
+  };
+  Run PeekRun(const SyscallRequest** reqs, SyscallCompletion** comps);
+  // Claims the run's first `n` entries and publishes their completions,
+  // written in place.
+  void CompleteRun(uint32_t n);
+
   // --- reap side (the owning process) -----------------------------------------
   uint32_t ReapBatch(SyscallCompletion* out, uint32_t max);
   // The count-1 batch.

@@ -30,8 +30,8 @@
 // host clock (now()), and the shared paths store a stamp only when its
 // second changes, so readers of one hot inode do not write its line. The
 // name cache carries its own internal mutex, and its grace-period reclaim
-// keys off the exclusive mode: an exclusive holder implies no lock-free
-// cache reader is in flight (see namecache.h).
+// keys off the exclusive mode plus the kernel's mu_: a holder of both
+// implies no lock-free cache reader is in flight (see namecache.h).
 // Lock order: kernel mu_ -> tree lock (either mode) -> Inode::data_mu ->
 // name-cache mutex. No one holds two inodes' data_mu at once.
 #ifndef SRC_KERNEL_VFS_H_
@@ -41,6 +41,8 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -375,6 +377,19 @@ class Filesystem {
   // Namei's per-call component stack lives in a thread_local in vfs.cc,
   // reused across calls so pathname resolution does not allocate per lookup
   // even with walks running concurrently on many threads.
+};
+
+// The locks over a vnode's bytes, taken in lock order and held for the
+// guard's life: the tree lock shared, then the inode's data_mu. A read, a
+// write and every segment of a writev on a regular file run under them.
+class InodeBytesLock {
+ public:
+  InodeBytesLock(const Filesystem& fs, const Inode& inode)
+      : tree_(fs.TreeMutex()), data_(inode.data_mu) {}
+
+ private:
+  std::shared_lock<RwLock> tree_;
+  std::lock_guard<WordMutex> data_;
 };
 
 }  // namespace ia

@@ -3,6 +3,8 @@
 // LRU bounds, weak-reference hygiene, and transparency of cached resolution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <vector>
 
 #include "src/base/strings.h"
@@ -362,6 +364,61 @@ TEST(NameCacheKernel, KeepsCachingAfterEvictionChurnWithoutMutation) {
     EXPECT_EQ(rounds[r].misses, 0u) << "round " << r;
     EXPECT_EQ(rounds[r].insertions, 0u) << "round " << r;
   }
+}
+
+// Kernel::Spawn resolves a new root's cwd holding mu_ alone, so the
+// reclaim a batch runs at its end must hold mu_ as well as the exclusive
+// tree lock. One root stats twice the cache's capacity of distinct
+// directories per round, so its evictions fill the garbage and its batches
+// reclaim again and again. The host meanwhile spawns roots whose cwd is an
+// entry that root inserted almost a capacity ago, so the spawn's walk reads
+// nodes that are about to be evicted and freed.
+TEST(NameCacheKernel, SpawnWalksAgainstBatchReclaim) {
+  constexpr int kCapacity = static_cast<int>(NameCache::kDefaultCapacity);
+  constexpr int kDirs = 2 * kCapacity + 512;
+  constexpr int kRounds = IA_TEST_UNDER_TSAN ? 3 : 6;
+  constexpr int kMaxSpawns = 256;
+  auto kernel = MakeWorld();
+  for (int i = 0; i < kDirs; ++i) {
+    kernel->fs().MkdirAll(StringPrintf("/big/d%d", i));
+  }
+  std::atomic<int> statted{0};
+  std::atomic<bool> churning{true};
+  SpawnOptions churn;
+  churn.body = [&statted, &churning](ProcessContext& ctx) {
+    Stat st;
+    int rc = 0;
+    for (int r = 0; r < kRounds && rc == 0; ++r) {
+      for (int i = 0; i < kDirs; ++i) {
+        if (ctx.Stat(StringPrintf("/big/d%d", i).c_str(), &st) != 0) {
+          rc = 1;
+          break;
+        }
+        statted.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    churning.store(false, std::memory_order_release);
+    return rc;
+  };
+  const Pid churner = kernel->Spawn(churn);
+  ASSERT_GT(churner, 0);
+  int spawned = 0;
+  while (churning.load(std::memory_order_acquire) && spawned < kMaxSpawns) {
+    const int n = statted.load(std::memory_order_relaxed);
+    SpawnOptions walker;
+    walker.cwd = StringPrintf("/big/d%d", std::max(n - kCapacity + 64, 0) % kDirs);
+    walker.open_console_stdio = false;
+    walker.body = [](ProcessContext& ctx) {
+      Stat st;  // "." is the cwd the spawn resolved
+      return ctx.Stat(".", &st) == 0 && SIsDir(st.st_mode) ? 0 : 1;
+    };
+    const int status = kernel->HostWaitPid(kernel->Spawn(walker));
+    EXPECT_TRUE(WifExited(status) && WExitStatus(status) == 0) << "spawn " << spawned;
+    ++spawned;
+  }
+  const int status = kernel->HostWaitPid(churner);
+  EXPECT_TRUE(WifExited(status) && WExitStatus(status) == 0);
+  EXPECT_GT(spawned, 0);
 }
 
 TEST(NameCacheKernel, ChrootKeepsLookupsCorrect) {

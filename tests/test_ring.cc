@@ -9,6 +9,7 @@
 #include "tests/test_helpers.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -17,6 +18,7 @@
 #include "src/agents/dfs_trace.h"
 #include "src/apps/apps.h"
 #include "src/apps/batch.h"
+#include "src/base/rwlock.h"
 #include "src/base/strings.h"
 #include "src/kernel/ktrace.h"
 #include "src/kernel/ring.h"
@@ -217,6 +219,42 @@ TEST(Ring, AgentRoutedEntriesTraverseTheEmulationStack) {
     return counter->hits.load() == 3 ? 0 : 4;
   });
   EXPECT_EQ(code, 0);
+}
+
+// A run that crosses the end of the ring's slot array is still one batch:
+// the drain copies it instead of running it in place, so its entries all
+// complete at the clock the batch pre-charged, like any other run's.
+TEST(Ring, RunAcrossTheSlotArrayEndIsOneBatch) {
+  auto kernel = MakeWorld();
+  Kernel* const k = kernel.get();
+  EXPECT_EQ(ExitCodeOf(*kernel, [k](ProcessContext& ctx) {
+              BatchClient batch(ctx, /*ring_entries=*/8);
+              for (int i = 0; i < 5; ++i) {
+                batch.PushGetpid(static_cast<uint64_t>(i));
+              }
+              if (batch.Flush() != 5) {  // slots 0..4, in place
+                return 1;
+              }
+              constexpr int kRun = 6;  // slots 5..10: past the array's end
+              for (int i = 0; i < kRun; ++i) {
+                batch.PushGetpid(static_cast<uint64_t>(i));
+              }
+              TimeVal tv{};
+              if (ctx.Gettimeofday(&tv, nullptr) != 0) {
+                return 2;
+              }
+              const int64_t before = tv.tv_sec * 1000000 + tv.tv_usec;
+              if (batch.Flush() != kRun) {
+                return 3;
+              }
+              for (const SyscallCompletion& c : batch.completions()) {
+                if (c.status < 0 || c.vtime_usec != before + kRun * k->SyscallCost(kSysGetpid)) {
+                  return 4;
+                }
+              }
+              return 0;
+            }),
+            0);
 }
 
 TEST(Ring, BatchClientSplitsOversizedBatches) {
@@ -1273,9 +1311,10 @@ TEST(Lanes, RegularFileWritesStayOffTheBigLock) {
 }
 
 // The handlers of process-local calls touch only the caller's own state, its
-// host clock and single-word atomics, so they take no lock at all: each adds
-// nothing to the big-lock count, whatever its answer.
-TEST(Lanes, ProcessLocalCallsTakeNoLock) {
+// host clock and single-word atomics, so they take no lock at all. This
+// counts the big lock only: each adds nothing to the big-lock count,
+// whatever its answer.
+TEST(Lanes, ProcessLocalCallsTakeNoBigLock) {
   auto kernel = MakeWorld();
   Kernel* const k = kernel.get();
   std::string taken;
@@ -1339,6 +1378,125 @@ TEST(Lanes, ProcessLocalCallsTakeNoLock) {
             }),
             0);
   EXPECT_EQ(taken, "");
+}
+
+// RwLock keeping (rwlock.h): while a thread keeps the lock, its first
+// shared hold is kept after its release, and the holds taken inside it only
+// count. A writer that arrives meanwhile waits for the kept hold alone, and
+// a nested shared acquire while that writer waits does not deadlock.
+TEST(TreeLockKeeping, WriterWaitsForTheKeptHoldOnly) {
+  RwLock lock;
+  lock.Keep();
+  lock.lock_shared();
+  lock.unlock_shared();  // kept, not released
+  std::atomic<bool> wrote{false};
+  std::thread writer([&lock, &wrote] {
+    lock.lock();
+    wrote.store(true);
+    lock.unlock();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(wrote.load());
+  lock.lock_shared();  // takes the kept hold back, past the waiting writer
+  lock.lock_shared();  // and nests inside it
+  lock.unlock_shared();
+  lock.unlock_shared();
+  EXPECT_FALSE(wrote.load());
+  lock.StopKeeping();
+  writer.join();
+  EXPECT_TRUE(wrote.load());
+  lock.lock_shared();  // keeping ended: a plain hold again
+  lock.unlock_shared();
+  lock.lock();
+  lock.unlock();
+}
+
+// A batch keeps the shared tree hold its entries take, and an entry whose
+// handler takes mu_ and the exclusive tree lock (mkdir, rmdir) gives the
+// kept hold up first; otherwise it would wait on its own thread's hold.
+// Another root mutates the tree in a loop meanwhile, so kept holds also
+// meet waiting writers.
+TEST(TreeLockKeeping, BatchesMixKeptHoldsAndBigLockEntries) {
+  auto kernel = MakeWorld();
+  ASSERT_EQ(ExitCodeOf(*kernel,
+                       [](ProcessContext& ctx) {
+                         return ctx.Mkdir("/keep") == 0 &&
+                                        ctx.WriteWholeFile("/keep/f", "kept") == 0
+                                    ? 0
+                                    : 1;
+                       }),
+            0);
+  constexpr int kRounds = IA_TEST_UNDER_TSAN ? 50 : 300;
+  std::atomic<bool> running{true};
+  SpawnOptions mutator;
+  mutator.body = [&running](ProcessContext& ctx) {
+    while (running.load(std::memory_order_acquire)) {
+      if (ctx.Mkdir("/keep/m") != 0 || ctx.Rmdir("/keep/m") != 0) {
+        return 1;
+      }
+    }
+    return 0;
+  };
+  const Pid other = kernel->Spawn(mutator);
+  ASSERT_GT(other, 0);
+  const int code = ExitCodeOf(*kernel, [](ProcessContext& ctx) {
+    const int fd = ctx.Open("/keep/f", kORdonly);
+    if (fd < 0) {
+      return 1;
+    }
+    ctx.Ring(16);
+    ia::Stat st{};
+    char buf[8];
+    for (int r = 0; r < kRounds; ++r) {
+      const std::string dir = StringPrintf("/keep/d%d", r);
+      SyscallRequest reqs[7];
+      reqs[0].number = kSysStat;
+      reqs[0].args.SetPtr(0, "/keep/f");
+      reqs[0].args.SetPtr(1, &st);
+      reqs[1].number = kSysMkdir;
+      reqs[1].args.SetPtr(0, dir.c_str());
+      reqs[1].args.SetInt(1, 0755);
+      reqs[2].number = kSysStat;
+      reqs[2].args.SetPtr(0, dir.c_str());
+      reqs[2].args.SetPtr(1, &st);
+      reqs[3].number = kSysLseek;
+      reqs[3].args.SetInt(0, fd);
+      reqs[3].args.SetInt(1, 0);
+      reqs[3].args.SetInt(2, kSeekSet);
+      reqs[4].number = kSysRead;
+      reqs[4].args.SetInt(0, fd);
+      reqs[4].args.SetPtr(1, buf);
+      reqs[4].args.SetInt(2, 4);
+      reqs[5].number = kSysRmdir;
+      reqs[5].args.SetPtr(0, dir.c_str());
+      reqs[6].number = kSysFstat;
+      reqs[6].args.SetInt(0, fd);
+      reqs[6].args.SetPtr(1, &st);
+      for (uint64_t i = 0; i < 7; ++i) {
+        reqs[i].user_data = i;
+      }
+      if (ctx.SubmitBatch(reqs, 7) != 7 || ctx.DrainRing() != 7) {
+        return 2;
+      }
+      SyscallCompletion comps[7];
+      if (ctx.ReapBatch(comps, 7) != 7) {
+        return 3;
+      }
+      for (int i = 0; i < 7; ++i) {
+        if (comps[i].status < 0) {
+          return 10 + i;
+        }
+      }
+      if (comps[4].status != 4 || std::memcmp(buf, "kept", 4) != 0 || st.st_size != 4) {
+        return 4;
+      }
+    }
+    return 0;
+  });
+  running.store(false, std::memory_order_release);
+  EXPECT_EQ(code, 0);
+  const int status = kernel->HostWaitPid(other);
+  EXPECT_TRUE(WifExited(status) && WExitStatus(status) == 0);
 }
 
 // Every socket call takes the big lock, once: sockets are rendezvous and
