@@ -11,6 +11,17 @@
 // Shape claims: both collect equivalent file-reference records; the in-kernel
 // implementation is much cheaper at run time; the agent implementation is
 // comparable in size and required no kernel changes.
+//
+// Method: kRounds rounds after one discarded warm-up round; each round runs
+// the three configurations (no tracing, in-kernel, agent) once each, in an
+// order that rotates every round, each in a fresh world. A run is charged the
+// CPU time of the host thread that runs the Andrew process (the process body
+// reads it around AndrewMain), so other tenants' slices do not count. A
+// configuration's slowdown is the median over rounds of its run's CPU time
+// over the same round's untraced run. The "much cheaper" check is reported,
+// not enforced, and the summary is one JSON row
+// ({"bench":"bench_dfstrace",...}) that scripts/ci.sh stores in
+// BENCH_dfstrace.json.
 #include <cstdio>
 
 #include "bench/bench_util.h"
@@ -20,57 +31,63 @@
 
 namespace {
 
+constexpr int kRounds = 15;
+
+enum Config { kBare, kKtrace, kAgent, kConfigs };
+constexpr const char* kConfigNames[kConfigs] = {"no tracing", "in-kernel (ktrace)",
+                                                "agent (dfs_trace)"};
+
 void Setup(ia::Kernel& kernel) {
   ia::InstallStandardPrograms(kernel);
   ia::SetupAndrewTree(kernel, "/usr/andrew", /*files=*/40, /*subdirs=*/5);
 }
 
-ia::SpawnOptions AndrewSpawn() {
-  ia::SpawnOptions spawn;
-  spawn.path = "/usr/bin/andrew";
-  spawn.argv = {"andrew", "/usr/andrew", "/tmp/andrew"};
-  return spawn;
-}
-
-double TimeRuns(bool use_ktrace, const ia::bench::AgentFactory& factory, int64_t* records) {
-  ia::RunningStats stats;
-  constexpr int kRuns = 9;
-  for (int run = 0; run <= kRuns; ++run) {
-    // The AFS benchmark the paper used does real work between file references;
-    // give Compute() weight so tracing cost is measured against a busy client.
-    ia::KernelConfig config;
-    config.compute_spin_scale = 0.5;
-    ia::Kernel kernel(config);
-    Setup(kernel);
-    // The original DFSTrace logged into a fixed-size kernel buffer, not an
-    // unbounded one; the ring sink reproduces that (and keeps long runs from
-    // growing without bound). Capacity is sized to hold a full Andrew run.
-    ia::RingKtraceSink sink(1 << 16);
-    if (use_ktrace) {
-      kernel.SetKtrace(&sink);
-    }
-    const std::vector<ia::AgentRef> agents =
-        factory != nullptr ? factory() : std::vector<ia::AgentRef>{};
-    const ia::SpawnOptions spawn = AndrewSpawn();
-    const int64_t start = ia::MonotonicMicros();
-    const int status = agents.empty() ? kernel.HostWaitPid(kernel.Spawn(spawn))
-                                      : RunUnderAgents(kernel, agents, spawn);
-    const double elapsed = static_cast<double>(ia::MonotonicMicros() - start) / 1e6;
-    if (!ia::WifExited(status) || ia::WExitStatus(status) != 0) {
-      std::fprintf(stderr, "andrew failed\n");
-    }
-    if (run > 0) {
-      stats.Add(elapsed);
-    }
-    if (use_ktrace && records != nullptr) {
-      *records = static_cast<int64_t>(sink.total_recorded());
-      if (sink.dropped() != 0) {
-        std::fprintf(stderr, "ktrace ring overflow: %llu records dropped\n",
-                     static_cast<unsigned long long>(sink.dropped()));
-      }
-    }
+// One Andrew run under `config` in a fresh world; returns the CPU µs of the
+// process's host thread and stores the trace records it produced.
+double RunOnce(Config config, int64_t* records) {
+  // The AFS benchmark the paper used does real work between file references;
+  // give Compute() weight so tracing cost is measured against a busy client.
+  ia::KernelConfig kernel_config;
+  kernel_config.compute_spin_scale = 0.5;
+  ia::Kernel kernel(kernel_config);
+  Setup(kernel);
+  // The original DFSTrace logged into a fixed-size kernel buffer, not an
+  // unbounded one; the ring sink reproduces that (and keeps long runs from
+  // growing without bound). Capacity is sized to hold a full Andrew run.
+  ia::RingKtraceSink sink(1 << 16);
+  if (config == kKtrace) {
+    kernel.SetKtrace(&sink);
   }
-  return stats.Median();
+  std::shared_ptr<ia::DfsTraceAgent> agent;
+  std::vector<ia::AgentRef> agents;
+  if (config == kAgent) {
+    agent = std::make_shared<ia::DfsTraceAgent>("/tmp/dfs.log");
+    agents.push_back(agent);
+  }
+  double cpu_us = 0;
+  ia::SpawnOptions spawn;
+  spawn.argv = {"andrew", "/usr/andrew", "/tmp/andrew"};
+  spawn.body = [&cpu_us](ia::ProcessContext& ctx) {
+    const int64_t start = ia::bench::ThreadCpuMicros();
+    const int status = ia::AndrewMain(ctx);
+    cpu_us = static_cast<double>(ia::bench::ThreadCpuMicros() - start);
+    return status;
+  };
+  const int status = ia::RunUnderAgents(kernel, agents, spawn);
+  if (!ia::WifExited(status) || ia::WExitStatus(status) != 0) {
+    std::fprintf(stderr, "andrew failed under %s\n", kConfigNames[config]);
+  }
+  *records = 0;
+  if (config == kKtrace) {
+    *records = static_cast<int64_t>(sink.total_recorded());
+    if (sink.dropped() != 0) {
+      std::fprintf(stderr, "ktrace ring overflow: %llu records dropped\n",
+                   static_cast<unsigned long long>(sink.dropped()));
+    }
+  } else if (config == kAgent) {
+    *records = agent->records_written();
+  }
+  return cpu_us;
 }
 
 }  // namespace
@@ -79,37 +96,46 @@ int main() {
   std::printf("Section 3.5.3: DFSTrace — in-kernel vs agent-based file reference tracing\n");
   std::printf("(Andrew-style workload; paper: kernel 3.0%% vs agent 64%% slowdown)\n\n");
 
-  // Global warm-up so the first timed configuration doesn't absorb allocator and
-  // page-cache cold-start costs.
-  {
-    ia::Kernel kernel;
-    Setup(kernel);
-    kernel.HostWaitPid(kernel.Spawn(AndrewSpawn()));
+  std::vector<double> cpu_us[kConfigs];
+  std::vector<double> ratios[kConfigs];  // [config] over the same round's bare run
+  int64_t records[kConfigs] = {};
+  for (int round = 0; round <= kRounds; ++round) {
+    double round_us[kConfigs] = {};
+    for (int turn = 0; turn < kConfigs; ++turn) {
+      const auto config = static_cast<Config>((round + turn) % kConfigs);
+      round_us[config] = RunOnce(config, &records[config]);
+    }
+    if (round == 0) {
+      continue;  // warm-up: allocator and page-cache cold start
+    }
+    for (int config = 0; config < kConfigs; ++config) {
+      cpu_us[config].push_back(round_us[config]);
+      ratios[config].push_back(round_us[config] / round_us[kBare]);
+    }
+  }
+  ia::bench::RatioSpread cpu[kConfigs];
+  ia::bench::RatioSpread ratio[kConfigs];
+  for (int config = 0; config < kConfigs; ++config) {
+    cpu[config] = ia::bench::Summarize(cpu_us[config]);
+    ratio[config] = ia::bench::Summarize(ratios[config]);
   }
 
-  int64_t kernel_records = 0;
-  const double base_s = TimeRuns(false, nullptr, nullptr);
-  const double ktrace_s = TimeRuns(true, nullptr, &kernel_records);
-
-  int64_t agent_records = 0;
-  std::shared_ptr<ia::DfsTraceAgent> last_agent;
-  const double agent_s = TimeRuns(false,
-                                  [&last_agent] {
-                                    last_agent =
-                                        std::make_shared<ia::DfsTraceAgent>("/tmp/dfs.log");
-                                    return std::vector<ia::AgentRef>{last_agent};
-                                  },
-                                  nullptr);
-  if (last_agent != nullptr) {
-    agent_records = last_agent->records_written();
+  std::printf("  %-22s %12s %10s %12s\n", "Configuration", "CPU ms", "Slowdown", "Records");
+  std::printf("  %-22s %12.2f %10s %12s\n", kConfigNames[kBare], cpu[kBare].median / 1e3, "-",
+              "-");
+  for (const Config config : {kKtrace, kAgent}) {
+    std::printf("  %-22s %12.2f %9.1f%% %12lld\n", kConfigNames[config],
+                cpu[config].median / 1e3, (ratio[config].median - 1) * 100,
+                static_cast<long long>(records[config]));
   }
-
-  std::printf("  %-22s %10s %10s %12s\n", "Configuration", "Seconds", "Slowdown", "Records");
-  std::printf("  %-22s %10.4f %10s %12s\n", "no tracing", base_s, "-", "-");
-  std::printf("  %-22s %10.4f %9.1f%% %12lld\n", "in-kernel (ktrace)", ktrace_s,
-              ia::PercentSlowdown(base_s, ktrace_s), static_cast<long long>(kernel_records));
-  std::printf("  %-22s %10.4f %9.1f%% %12lld\n", "agent (dfs_trace)", agent_s,
-              ia::PercentSlowdown(base_s, agent_s), static_cast<long long>(agent_records));
+  std::printf("  (CPU time of the client's host thread, medians over %d interleaved rounds;\n"
+              "   slowdown is the median per-round ratio to the untraced run)\n",
+              kRounds);
+  std::printf("  per-round ratio to untraced:\n");
+  for (const Config config : {kKtrace, kAgent}) {
+    std::printf("  %s\n", kConfigNames[config]);
+    ia::bench::PrintSpread(ratio[config], kRounds);
+  }
 
   // Code-size comparison (statements = semicolons, as in Table 3-1).
   const int kernel_stmts = ia::bench::CountSemicolonsInFiles(
@@ -127,10 +153,23 @@ int main() {
               agent_stmts);
   std::printf("      loadable against unmodified binaries\n");
 
+  // Reported, not enforced: the paper's gap is wide (3.0% vs 64%), but the
+  // agent's per-call cost here is small enough that a gate could flap.
+  const bool much_cheaper = ratio[kKtrace].p75 < ratio[kAgent].p25;
   std::printf("\nShape checks:\n");
   std::printf("  in-kernel tracing much cheaper than agent tracing:  %s\n",
-              (ktrace_s - base_s) < (agent_s - base_s) ? "yes" : "NO");
+              much_cheaper ? "yes" : "NO");
+  std::printf("    (the in-kernel ratio's upper quartile below the agent's lower quartile)\n");
   std::printf("  both implementations collect the same event stream: %s\n",
-              kernel_records > 0 && agent_records > 0 ? "yes" : "NO");
+              records[kKtrace] > 0 && records[kAgent] > 0 ? "yes" : "NO");
+
+  std::printf("{\"bench\":\"bench_dfstrace\",\"check\":\"ktrace_vs_agent\",\"rounds\":%d,"
+              "\"bare_cpu_us\":%.0f,\"ktrace_cpu_us\":%.0f,\"agent_cpu_us\":%.0f,"
+              "\"ktrace_ratio\":%.3f,\"agent_ratio\":%.3f,\"ktrace_records\":%lld,"
+              "\"agent_records\":%lld,\"much_cheaper\":%s,\"enforced\":false}\n",
+              kRounds, cpu[kBare].median, cpu[kKtrace].median, cpu[kAgent].median,
+              ratio[kKtrace].median, ratio[kAgent].median,
+              static_cast<long long>(records[kKtrace]), static_cast<long long>(records[kAgent]),
+              much_cheaper ? "true" : "false");
   return 0;
 }

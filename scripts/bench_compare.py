@@ -2,10 +2,11 @@
 """Diff two bench JSON artifacts and flag regressions beyond a threshold.
 
 The bench binaries emit one JSON object per line (BENCH_scalability.json,
-BENCH_ring.json and BENCH_table33.json via scripts/ci.sh). This tool pairs rows between a baseline
-and a candidate file by their identity fields (bench/check/op/clients/...),
-compares the metric fields, and reports any metric that moved in the bad
-direction by more than --threshold (default 10%).
+BENCH_ring.json, BENCH_table33.json and BENCH_dfstrace.json via
+scripts/ci.sh). This tool pairs rows between a baseline and a candidate file
+by their identity fields (bench/check/op/clients/...), compares the metric
+fields, and reports any metric that moved in the bad direction by more than
+--threshold (default 10%).
 
 Direction is inferred from the metric name: throughput/speedup/hit-rate style
 metrics are better higher; *_us / seconds style metrics are better lower.

@@ -1,5 +1,6 @@
 #include "src/agents/dfs_trace.h"
 
+#include <charconv>
 #include <cstring>
 
 namespace ia {
@@ -12,7 +13,7 @@ void DfsTraceAgent::init(ProcessContext& ctx) {
 }
 
 void DfsTraceAgent::Record(DownApi api, Pid pid, DfsOpcode op, int32_t result,
-                           const std::string& payload) {
+                           std::string_view payload) {
   if (log_fd_ < 0) {
     return;
   }
@@ -30,6 +31,13 @@ void DfsTraceAgent::Record(DownApi api, Pid pid, DfsOpcode op, int32_t result,
   }
 }
 
+void DfsTraceAgent::RecordFd(AgentCall& call, DfsOpcode op, int32_t result, int fd) {
+  char digits[16];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), fd).ptr;
+  Record(DownApi(call), call.ctx().process().pid, op, result,
+         std::string_view(digits, static_cast<size_t>(end - digits)));
+}
+
 PathnameRef DfsTraceAgent::getpn(AgentCall& call, const char* path) {
   Record(DownApi(call), call.ctx().process().pid, DfsOpcode::kNameRef, 0, path);
   return PathnameSet::getpn(call, path);
@@ -44,8 +52,7 @@ SyscallStatus DfsTraceAgent::sys_open(AgentCall& call, const char* path, int fla
 
 SyscallStatus DfsTraceAgent::sys_close(AgentCall& call, int fd) {
   const SyscallStatus status = PathnameSet::sys_close(call, fd);
-  Record(DownApi(call), call.ctx().process().pid, DfsOpcode::kClose, status,
-         std::to_string(fd));
+  RecordFd(call, DfsOpcode::kClose, status, fd);
   return status;
 }
 
@@ -99,8 +106,7 @@ SyscallStatus DfsTraceAgent::sys_execve(AgentCall& call, const char* path) {
 
 SyscallStatus DfsTraceAgent::sys_lseek(AgentCall& call, int fd, Off offset, int whence) {
   const SyscallStatus status = PathnameSet::sys_lseek(call, fd, offset, whence);
-  Record(DownApi(call), call.ctx().process().pid, DfsOpcode::kSeek, status,
-         std::to_string(fd));
+  RecordFd(call, DfsOpcode::kSeek, status, fd);
   return status;
 }
 

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <atomic>
+#include <string_view>
 
 #include "src/toolkit/toolkit.h"
 
@@ -86,8 +87,11 @@ class DfsTraceAgent final : public PathnameSet {
   SyscallStatus sys_exit(AgentCall& call, int status) override;
 
  private:
-  // Writes header + payload: exactly two write(2) calls on the lower interface.
-  void Record(DownApi api, Pid pid, DfsOpcode op, int32_t result, const std::string& payload);
+  // Writes header + payload: exactly two write(2) calls on the lower interface
+  // (one when the payload is empty).
+  void Record(DownApi api, Pid pid, DfsOpcode op, int32_t result, std::string_view payload);
+  // A record whose payload is descriptor `fd` in decimal.
+  void RecordFd(AgentCall& call, DfsOpcode op, int32_t result, int fd);
 
   std::string log_path_;
   int log_fd_ = -1;

@@ -92,8 +92,7 @@ SyscallStatus FilterPathname::open(AgentCall& call, int flags, Mode mode) {
     logical.clear();
   }
 
-  auto object = std::make_shared<FilterFileObject>(fd, path_, codec_, std::move(logical),
-                                                   flags);
+  auto object = std::make_shared<FilterFileObject>(fd, codec_, std::move(logical), flags);
   static_cast<FilterAgent*>(owner_)->InstallDescriptor(call.ctx(), fd, object);
   if (call.rv() != nullptr) {
     call.rv()->rv[0] = fd;
@@ -105,10 +104,9 @@ SyscallStatus FilterPathname::open(AgentCall& call, int flags, Mode mode) {
 // FilterFileObject.
 // ---------------------------------------------------------------------------
 
-FilterFileObject::FilterFileObject(int real_fd, std::string file_path,
-                                   const ByteCodec* byte_codec, std::string logical,
-                                   int open_flags)
-    : OpenObject(real_fd, std::move(file_path)),
+FilterFileObject::FilterFileObject(int real_fd, const ByteCodec* byte_codec,
+                                   std::string logical, int open_flags)
+    : OpenObject(real_fd),
       codec_(byte_codec),
       logical_(std::move(logical)),
       open_flags_(open_flags) {

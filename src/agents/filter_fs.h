@@ -75,8 +75,8 @@ class FilterPathname final : public Pathname {
 // a shared offset, matching 4.3BSD open-file semantics.
 class FilterFileObject final : public OpenObject {
  public:
-  FilterFileObject(int real_fd, std::string path, const ByteCodec* byte_codec,
-                   std::string logical, int open_flags);
+  FilterFileObject(int real_fd, const ByteCodec* byte_codec, std::string logical,
+                   int open_flags);
 
   SyscallStatus read(AgentCall& call, void* buf, int64_t cnt) override;
   SyscallStatus write(AgentCall& call, const void* buf, int64_t cnt) override;

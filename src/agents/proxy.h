@@ -5,7 +5,7 @@
 // the kernel it rewrites socket addresses (so an unmodified client dialing
 // /srv/db reaches the interposed endpoint the embedder actually runs) and
 // refuses addresses matching a deny list (a descriptor-granularity firewall).
-// The footprint is exactly the kSocket interest class, so file traffic never
+// The footprint is exactly the kSocketClass interest class, so file traffic never
 // enters the agent.
 #ifndef SRC_AGENTS_PROXY_H_
 #define SRC_AGENTS_PROXY_H_

@@ -14,7 +14,7 @@ bool PrefixCovers(const std::string& prefix, const std::string& path) {
           path[prefix.size()] == '/');
 }
 
-bool AnyPrefixCovers(const std::vector<std::string>& prefixes, const std::string& path) {
+bool AnyPrefixCovers(const std::vector<std::string>& prefixes, std::string_view path) {
   const std::string clean = path::LexicallyClean(path);
   for (const std::string& prefix : prefixes) {
     if (PrefixCovers(prefix, clean)) {
@@ -26,12 +26,12 @@ bool AnyPrefixCovers(const std::vector<std::string>& prefixes, const std::string
 
 }  // namespace
 
-bool SandboxAgent::PathReadable(const std::string& path) const {
+bool SandboxAgent::PathReadable(std::string_view path) const {
   return AnyPrefixCovers(policy_.read_prefixes, path) ||
          AnyPrefixCovers(policy_.write_prefixes, path);
 }
 
-bool SandboxAgent::PathWritable(const std::string& path) const {
+bool SandboxAgent::PathWritable(std::string_view path) const {
   return AnyPrefixCovers(policy_.write_prefixes, path);
 }
 
@@ -165,8 +165,7 @@ SyscallStatus SandboxPathname::open(AgentCall& call, int flags, Mode mode) {
     if (fd < 0) {
       return fd;
     }
-    sandbox_->InstallDescriptor(call.ctx(), fd,
-                                std::make_shared<OpenObject>(fd, "/dev/null"));
+    sandbox_->InstallDescriptor(call.ctx(), fd, std::make_shared<OpenObject>(fd));
     if (call.rv() != nullptr) {
       call.rv()->rv[0] = fd;
     }

@@ -47,8 +47,8 @@ class SandboxAgent final : public PathnameSet {
   int64_t violations() const { return violations_.load(); }
   int64_t calls_seen() const { return calls_seen_.load(); }
 
-  bool PathReadable(const std::string& path) const;
-  bool PathWritable(const std::string& path) const;
+  bool PathReadable(std::string_view path) const;
+  bool PathWritable(std::string_view path) const;
 
   // Post-setup narrowing: permanently lifts the syscall budget and re-narrows
   // this agent's live frame in `ctx` from the whole interface down to the

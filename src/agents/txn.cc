@@ -601,13 +601,13 @@ int TxnDirectory::FillMerged(AgentCall& call) {
     return 0;
   };
   if (overlay_exists_) {
-    const int err = add_from(overlay_dir_, path());
+    const int err = add_from(overlay_dir_, logical_path_);
     if (err != 0 && !base_exists_) {
       return err;
     }
   }
   if (base_exists_) {
-    const int err = add_from(base_dir_, path());
+    const int err = add_from(base_dir_, logical_path_);
     if (err != 0 && merged_.empty()) {
       return err;
     }

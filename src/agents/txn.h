@@ -132,8 +132,9 @@ class TxnDirectory final : public Directory {
   TxnDirectory(TxnAgent* txn, int real_fd, std::string logical_path,
                std::string overlay_dir, std::string base_dir, bool overlay_exists,
                bool base_exists)
-      : Directory(real_fd, std::move(logical_path)),
+      : Directory(real_fd),
         txn_(txn),
+        logical_path_(std::move(logical_path)),
         overlay_dir_(std::move(overlay_dir)),
         base_dir_(std::move(base_dir)),
         overlay_exists_(overlay_exists),
@@ -146,6 +147,7 @@ class TxnDirectory final : public Directory {
   int FillMerged(AgentCall& call);
 
   TxnAgent* txn_;
+  std::string logical_path_;
   std::string overlay_dir_;
   std::string base_dir_;
   bool overlay_exists_;

@@ -99,7 +99,7 @@ SyscallStatus UnionPathname::open(AgentCall& call, int flags, Mode mode) {
       if (fd < 0) {
         return fd;
       }
-      auto dir = std::make_shared<UnionDirectory>(fd, path_, std::move(existing));
+      auto dir = std::make_shared<UnionDirectory>(fd, std::move(existing));
       static_cast<UnionAgent*>(owner_)->InstallDescriptor(call.ctx(), fd, dir);
       if (call.rv() != nullptr) {
         call.rv()->rv[0] = fd;

@@ -89,8 +89,8 @@ class UnionDirectory final : public Directory {
   // `real_fd` is an open descriptor on the first existing member (reserves the
   // application-visible slot and serves fstat); `member_dirs` are the existing
   // member paths in precedence order.
-  UnionDirectory(int real_fd, std::string union_path, std::vector<std::string> member_dirs)
-      : Directory(real_fd, std::move(union_path)), member_dirs_(std::move(member_dirs)) {}
+  UnionDirectory(int real_fd, std::vector<std::string> member_dirs)
+      : Directory(real_fd), member_dirs_(std::move(member_dirs)) {}
 
   int next_direntry(AgentCall& call, Dirent* out) override;
   int rewind(AgentCall& call) override;

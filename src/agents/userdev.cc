@@ -11,8 +11,8 @@ namespace {
 // placeholder on /dev/null, claimed only to reserve the descriptor number.
 class UserDevObject final : public OpenObject {
  public:
-  UserDevObject(int real_fd, std::string path, std::shared_ptr<UserDevice> device)
-      : OpenObject(real_fd, std::move(path)), device_(std::move(device)) {}
+  UserDevObject(int real_fd, std::shared_ptr<UserDevice> device)
+      : OpenObject(real_fd), device_(std::move(device)) {}
 
   SyscallStatus read(AgentCall& call, void* buf, int64_t cnt) override {
     if (buf == nullptr) {
@@ -99,7 +99,7 @@ class UserDevPathname final : public Pathname {
     if (fd < 0) {
       return fd;
     }
-    auto object = std::make_shared<UserDevObject>(fd, path_, device_);
+    auto object = std::make_shared<UserDevObject>(fd, device_);
     static_cast<UserDevAgent*>(owner_)->InstallDescriptor(call.ctx(), fd, object);
     if (call.rv() != nullptr) {
       call.rv()->rv[0] = fd;

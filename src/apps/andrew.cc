@@ -104,7 +104,7 @@ int AndrewMain(ProcessContext& ctx) {
     if (ctx.ReadWholeFile(file, &contents) < 0) {
       continue;
     }
-    tokens += static_cast<int64_t>(Split(contents, ' ').size());
+    tokens += static_cast<int64_t>(CountFields(contents, ' '));
     ctx.Compute(200);
   }
   ctx.WriteWholeFile(path::JoinPath(work, "MAKELOG"),

@@ -1,5 +1,6 @@
 #include "src/base/strings.h"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 
@@ -23,6 +24,19 @@ std::vector<std::string> Split(std::string_view text, char separator, bool keep_
     start = end + 1;
   }
   return pieces;
+}
+
+size_t CountFields(std::string_view text, char separator) {
+  size_t fields = 0;
+  size_t start = 0;
+  while (start < text.size()) {
+    const size_t end = std::min(text.find(separator, start), text.size());
+    if (end > start) {
+      ++fields;
+    }
+    start = end + 1;
+  }
+  return fields;
 }
 
 std::string Join(const std::vector<std::string>& pieces, std::string_view separator) {

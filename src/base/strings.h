@@ -11,6 +11,10 @@ namespace ia {
 // Splits `text` on `separator`, omitting empty pieces when `keep_empty` is false.
 std::vector<std::string> Split(std::string_view text, char separator, bool keep_empty = false);
 
+// The number of non-empty pieces Split(text, separator) would return, counted
+// in place without building them.
+size_t CountFields(std::string_view text, char separator);
+
 // Joins `pieces` with `separator` between them.
 std::string Join(const std::vector<std::string>& pieces, std::string_view separator);
 

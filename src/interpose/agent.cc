@@ -20,19 +20,14 @@ std::bitset<kMaxSyscall> BookkeepingBits() {
 
 }  // namespace
 
-SyscallStatus AgentCall::CallDown() {
-  auto host = std::static_pointer_cast<AgentHost>(ctx_.emulation().At(frame_).handler);
-  return host->DownCall(ctx_, frame_, number_, args_, rv_);
-}
+SyscallStatus AgentCall::CallDown() { return host_.DownCall(ctx_, frame_, number_, args_, rv_); }
 
 SyscallStatus AgentCall::CallDown(const SyscallArgs& new_args) {
-  auto host = std::static_pointer_cast<AgentHost>(ctx_.emulation().At(frame_).handler);
-  return host->DownCall(ctx_, frame_, number_, new_args, rv_);
+  return host_.DownCall(ctx_, frame_, number_, new_args, rv_);
 }
 
 SyscallStatus AgentCall::Call(int number, const SyscallArgs& args, SyscallResult* rv) {
-  auto host = std::static_pointer_cast<AgentHost>(ctx_.emulation().At(frame_).handler);
-  return host->DownCall(ctx_, frame_, number, args, rv);
+  return host_.DownCall(ctx_, frame_, number, args, rv);
 }
 
 int AgentHost::Install(ProcessContext& ctx, const AgentRef& agent) {
@@ -63,7 +58,7 @@ SyscallStatus AgentHost::HandleSyscall(ProcessContext& ctx, int frame, int numbe
   if (number >= 0 && number < kMaxSyscall &&
       agent_interest_.test(static_cast<size_t>(number)) &&
       !quarantined_.load(std::memory_order_relaxed)) {
-    AgentCall call(ctx, frame, number, args, rv);
+    AgentCall call(*this, ctx, frame, number, args, rv);
     return agent_->OnSyscall(call);
   }
   // Interception exists only for boilerplate bookkeeping (or the frame is

@@ -67,11 +67,15 @@ class AgentBinding {
 // One in-flight intercepted system call. CallDown() continues it toward the kernel
 // (the htg_unix_syscall() analogue); Call() issues an arbitrary different call on
 // the next-lower interface (agents use this for their own I/O).
+//
+// The call reaches its host through a plain reference: ProcessContext::InvokeFrame
+// holds a copy of the frame's handler for as long as it runs, and an AgentCall
+// lives only inside that run.
 class AgentCall {
  public:
-  AgentCall(ProcessContext& ctx, int frame, int number, const SyscallArgs& args,
-            SyscallResult* rv)
-      : ctx_(ctx), frame_(frame), number_(number), args_(args), rv_(rv) {}
+  AgentCall(AgentHost& host, ProcessContext& ctx, int frame, int number,
+            const SyscallArgs& args, SyscallResult* rv)
+      : host_(host), ctx_(ctx), frame_(frame), number_(number), args_(args), rv_(rv) {}
 
   int number() const { return number_; }
   const SyscallArgs& args() const { return args_; }
@@ -89,6 +93,7 @@ class AgentCall {
   SyscallStatus Call(int number, const SyscallArgs& args, SyscallResult* rv);
 
  private:
+  AgentHost& host_;
   ProcessContext& ctx_;
   int frame_;
   int number_;

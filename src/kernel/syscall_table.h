@@ -29,7 +29,7 @@ inline constexpr uint32_t kAlias = 1u << 7;          // shares another row's met
 // The socket interface class (paper Section 2.3's descriptor calls, restricted
 // to the AF_UNIX rows): socket-layer agents build their footprint from this
 // flag.
-inline constexpr uint32_t kSocket = 1u << 8;
+inline constexpr uint32_t kSocketClass = 1u << 8;
 
 // Default virtual-clock cost for calls the paper's Table 3-5 did not measure.
 inline constexpr int32_t kDefaultSyscallCost = 150;

@@ -23,57 +23,70 @@ void DescriptorSet::InitChild(ProcessContext& ctx) {
 }
 
 void DescriptorSet::InstallDescriptor(ProcessContext& ctx, int fd, OpenObjectRef object) {
+  if (fd < 0 || fd >= kMaxFilesPerProcess) {
+    return;  // no lower-level descriptor has this number: nothing to track
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  tables_[ctx.process().pid][fd] = std::make_shared<Descriptor>(fd, std::move(object));
+  Table& table = tables_[ctx.process().pid];
+  if (static_cast<size_t>(fd) >= table.size()) {
+    table.resize(static_cast<size_t>(fd) + 1);
+  }
+  // The replaced object, if any, is released after the lock: its destructor
+  // is agent code.
+  table[static_cast<size_t>(fd)].swap(object);
 }
 
 void DescriptorSet::DropDescriptor(ProcessContext& ctx, int fd) {
+  OpenObjectRef dropped;  // released after the lock: its destructor is agent code
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tables_.find(ctx.process().pid);
-  if (it != tables_.end()) {
-    it->second.erase(fd);
+  if (it != tables_.end() && fd >= 0 && static_cast<size_t>(fd) < it->second.size()) {
+    dropped = std::move(it->second[static_cast<size_t>(fd)]);
   }
 }
 
-DescriptorRef DescriptorSet::Find(Pid pid, int fd) {
+OpenObjectRef DescriptorSet::Find(Pid pid, int fd) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tables_.find(pid);
-  if (it == tables_.end()) {
+  if (it == tables_.end() || fd < 0 || static_cast<size_t>(fd) >= it->second.size()) {
     return nullptr;
   }
-  auto fit = it->second.find(fd);
-  return fit == it->second.end() ? nullptr : fit->second;
+  return it->second[static_cast<size_t>(fd)];
 }
 
 int DescriptorSet::TrackedCount(Pid pid) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tables_.find(pid);
-  return it == tables_.end() ? 0 : static_cast<int>(it->second.size());
+  if (it == tables_.end()) {
+    return 0;
+  }
+  int count = 0;
+  for (const OpenObjectRef& object : it->second) {
+    count += object != nullptr ? 1 : 0;
+  }
+  return count;
 }
 
 OpenObjectRef DescriptorSet::MakeDefaultObject(AgentCall& call, int fd,
-                                               const std::string& path) {
+                                               std::string_view /*path*/) {
   DownApi api(call);
   Stat st;
   if (api.Fstat(fd, &st) == 0 && SIsDir(st.st_mode)) {
-    return std::make_shared<Directory>(fd, path);
+    return std::make_shared<Directory>(fd);
   }
-  return std::make_shared<OpenObject>(fd, path);
+  return std::make_shared<OpenObject>(fd);
 }
 
-DescriptorRef DescriptorSet::LookupDescriptor(AgentCall& call, int fd) {
-  const Pid pid = call.ctx().process().pid;
-  DescriptorRef descriptor = Find(pid, fd);
-  if (descriptor != nullptr) {
-    return descriptor;
+OpenObjectRef DescriptorSet::LookupObject(AgentCall& call, int fd) {
+  OpenObjectRef object = Find(call.ctx().process().pid, fd);
+  if (object != nullptr) {
+    return object;
   }
   // Unseen descriptor (inherited stdio, opened before the agent attached):
   // materialize the default object lazily so the name space stays uniform.
-  OpenObjectRef object = MakeDefaultObject(call, fd, "");
-  descriptor = std::make_shared<Descriptor>(fd, std::move(object));
-  std::lock_guard<std::mutex> lock(mu_);
-  tables_[pid][fd] = descriptor;
-  return descriptor;
+  object = MakeDefaultObject(call, fd, "");
+  InstallDescriptor(call.ctx(), fd, object);
+  return object;
 }
 
 // ---------------------------------------------------------------------------
@@ -81,62 +94,57 @@ DescriptorRef DescriptorSet::LookupDescriptor(AgentCall& call, int fd) {
 // ---------------------------------------------------------------------------
 
 SyscallStatus DescriptorSet::sys_read(AgentCall& call, int fd, void* buf, int64_t cnt) {
-  return LookupDescriptor(call, fd)->object()->read(call, buf, cnt);
+  return LookupObject(call, fd)->read(call, buf, cnt);
 }
 
 SyscallStatus DescriptorSet::sys_write(AgentCall& call, int fd, const void* buf, int64_t cnt) {
-  return LookupDescriptor(call, fd)->object()->write(call, buf, cnt);
+  return LookupObject(call, fd)->write(call, buf, cnt);
 }
 
 SyscallStatus DescriptorSet::sys_lseek(AgentCall& call, int fd, Off offset, int whence) {
-  return LookupDescriptor(call, fd)->object()->lseek(call, offset, whence);
+  return LookupObject(call, fd)->lseek(call, offset, whence);
 }
 
 SyscallStatus DescriptorSet::sys_fstat(AgentCall& call, int fd, Stat* st) {
-  return LookupDescriptor(call, fd)->object()->fstat(call, st);
+  return LookupObject(call, fd)->fstat(call, st);
 }
 
 SyscallStatus DescriptorSet::sys_ftruncate(AgentCall& call, int fd, Off length) {
-  return LookupDescriptor(call, fd)->object()->ftruncate(call, length);
+  return LookupObject(call, fd)->ftruncate(call, length);
 }
 
 SyscallStatus DescriptorSet::sys_fchmod(AgentCall& call, int fd, Mode mode) {
-  return LookupDescriptor(call, fd)->object()->fchmod(call, mode);
+  return LookupObject(call, fd)->fchmod(call, mode);
 }
 
 SyscallStatus DescriptorSet::sys_fchown(AgentCall& call, int fd, Uid uid, Gid gid) {
-  return LookupDescriptor(call, fd)->object()->fchown(call, uid, gid);
+  return LookupObject(call, fd)->fchown(call, uid, gid);
 }
 
 SyscallStatus DescriptorSet::sys_flock(AgentCall& call, int fd, int operation) {
-  return LookupDescriptor(call, fd)->object()->flock(call, operation);
+  return LookupObject(call, fd)->flock(call, operation);
 }
 
 SyscallStatus DescriptorSet::sys_fsync(AgentCall& call, int fd) {
-  return LookupDescriptor(call, fd)->object()->fsync(call);
+  return LookupObject(call, fd)->fsync(call);
 }
 
 SyscallStatus DescriptorSet::sys_ioctl(AgentCall& call, int fd, uint64_t request, void* argp) {
-  return LookupDescriptor(call, fd)->object()->ioctl(call, request, argp);
+  return LookupObject(call, fd)->ioctl(call, request, argp);
 }
 
 SyscallStatus DescriptorSet::sys_fchdir(AgentCall& call, int fd) {
-  return LookupDescriptor(call, fd)->object()->fchdir(call);
+  return LookupObject(call, fd)->fchdir(call);
 }
 
 SyscallStatus DescriptorSet::sys_getdirentries(AgentCall& call, int fd, char* buf, int nbytes,
                                                int64_t* basep) {
-  return LookupDescriptor(call, fd)->object()->getdirentries(call, buf, nbytes, basep);
+  return LookupObject(call, fd)->getdirentries(call, buf, nbytes, basep);
 }
 
 SyscallStatus DescriptorSet::sys_close(AgentCall& call, int fd) {
-  DescriptorRef descriptor = Find(call.ctx().process().pid, fd);
-  SyscallStatus status;
-  if (descriptor != nullptr) {
-    status = descriptor->object()->close(call);
-  } else {
-    status = call.CallDown();
-  }
+  const OpenObjectRef object = Find(call.ctx().process().pid, fd);
+  const SyscallStatus status = object != nullptr ? object->close(call) : call.CallDown();
   DropDescriptor(call.ctx(), fd);
   return status;
 }
@@ -145,7 +153,7 @@ SyscallStatus DescriptorSet::sys_close(AgentCall& call, int fd) {
 // Name-space maintenance.
 // ---------------------------------------------------------------------------
 
-SyscallStatus DescriptorSet::RegisterOpened(AgentCall& call, int fd, const std::string& path) {
+SyscallStatus DescriptorSet::RegisterOpened(AgentCall& call, int fd, std::string_view path) {
   InstallDescriptor(call.ctx(), fd, MakeDefaultObject(call, fd, path));
   return fd;
 }
@@ -168,21 +176,21 @@ SyscallStatus DescriptorSet::sys_creat(AgentCall& call, const char* path, Mode /
 }
 
 SyscallStatus DescriptorSet::sys_dup(AgentCall& call, int fd) {
-  DescriptorRef descriptor = Find(call.ctx().process().pid, fd);
+  OpenObjectRef object = Find(call.ctx().process().pid, fd);
   const SyscallStatus status = call.CallDown();
-  if (status >= 0 && descriptor != nullptr) {
+  if (status >= 0 && object != nullptr) {
     // The duplicate shares the object (reference counting via shared_ptr).
-    InstallDescriptor(call.ctx(), static_cast<int>(call.rv()->rv[0]), descriptor->object());
+    InstallDescriptor(call.ctx(), static_cast<int>(call.rv()->rv[0]), std::move(object));
   }
   return status;
 }
 
 SyscallStatus DescriptorSet::sys_dup2(AgentCall& call, int from, int to) {
-  DescriptorRef descriptor = Find(call.ctx().process().pid, from);
+  OpenObjectRef object = Find(call.ctx().process().pid, from);
   const SyscallStatus status = call.CallDown();
   if (status >= 0) {
-    if (descriptor != nullptr) {
-      InstallDescriptor(call.ctx(), to, descriptor->object());
+    if (object != nullptr) {
+      InstallDescriptor(call.ctx(), to, std::move(object));
     } else {
       DropDescriptor(call.ctx(), to);
     }
@@ -191,10 +199,10 @@ SyscallStatus DescriptorSet::sys_dup2(AgentCall& call, int from, int to) {
 }
 
 SyscallStatus DescriptorSet::sys_fcntl(AgentCall& call, int fd, int cmd, int64_t /*arg*/) {
-  DescriptorRef descriptor = Find(call.ctx().process().pid, fd);
+  OpenObjectRef object = Find(call.ctx().process().pid, fd);
   const SyscallStatus status = call.CallDown();
-  if (status >= 0 && cmd == kFDupfd && descriptor != nullptr) {
-    InstallDescriptor(call.ctx(), static_cast<int>(call.rv()->rv[0]), descriptor->object());
+  if (status >= 0 && cmd == kFDupfd && object != nullptr) {
+    InstallDescriptor(call.ctx(), static_cast<int>(call.rv()->rv[0]), std::move(object));
   }
   return status;
 }
@@ -204,8 +212,8 @@ SyscallStatus DescriptorSet::sys_pipe(AgentCall& call) {
   if (status >= 0) {
     const int read_fd = static_cast<int>(call.rv()->rv[0]);
     const int write_fd = static_cast<int>(call.rv()->rv[1]);
-    InstallDescriptor(call.ctx(), read_fd, std::make_shared<OpenObject>(read_fd, ""));
-    InstallDescriptor(call.ctx(), write_fd, std::make_shared<OpenObject>(write_fd, ""));
+    InstallDescriptor(call.ctx(), read_fd, std::make_shared<OpenObject>(read_fd));
+    InstallDescriptor(call.ctx(), write_fd, std::make_shared<OpenObject>(write_fd));
   }
   return status;
 }
@@ -222,9 +230,10 @@ void DescriptorSet::DropAllForExec(AgentCall& call) {
     if (it == tables_.end()) {
       return;
     }
-    tracked.reserve(it->second.size());
-    for (const auto& [fd, descriptor] : it->second) {
-      tracked.push_back(fd);
+    for (size_t fd = 0; fd < it->second.size(); ++fd) {
+      if (it->second[fd] != nullptr) {
+        tracked.push_back(static_cast<int>(fd));
+      }
     }
   }
   DownApi api(call);
@@ -235,13 +244,8 @@ void DescriptorSet::DropAllForExec(AgentCall& call) {
       doomed.push_back(fd);
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tables_.find(pid);
-  if (it == tables_.end()) {
-    return;
-  }
   for (const int fd : doomed) {
-    it->second.erase(fd);
+    DropDescriptor(call.ctx(), fd);
   }
 }
 

@@ -1,54 +1,40 @@
 // Toolkit layer 2 — descriptors and the descriptor name space (paper §2.3).
 //
 // DescriptorSet maintains, per client process, the mapping from descriptor
-// numbers to Descriptor objects referencing reference-counted OpenObjects. All
-// descriptor-using system calls are routed through the referenced object's
-// method, so agents change descriptor behaviour by substituting derived
-// OpenObjects rather than by reimplementing the calls.
+// numbers to reference-counted OpenObjects. All descriptor-using system calls
+// are routed through the referenced object's method, so agents change
+// descriptor behaviour by substituting derived OpenObjects rather than by
+// reimplementing the calls. dup()'d and fork-inherited descriptors share one
+// OpenObject, so state such as union-directory iteration is shared exactly as
+// file offsets are shared in 4.3BSD.
 #ifndef SRC_TOOLKIT_DESCRIPTOR_SET_H_
 #define SRC_TOOLKIT_DESCRIPTOR_SET_H_
 
 #include <map>
-#include <memory>
 #include <mutex>
+#include <string_view>
+#include <vector>
 
 #include "src/toolkit/directory.h"
 #include "src/toolkit/symbolic_syscall.h"
 
 namespace ia {
 
-// An active descriptor: a name-space slot referencing an open object. dup()'d and
-// fork-inherited descriptors share the OpenObject (so state such as union-directory
-// iteration is shared exactly as file offsets are shared in 4.3BSD).
-class Descriptor {
- public:
-  Descriptor(int fd, OpenObjectRef object) : fd_(fd), object_(std::move(object)) {}
-
-  int fd() const { return fd_; }
-  const OpenObjectRef& object() const { return object_; }
-
- private:
-  int fd_;
-  OpenObjectRef object_;
-};
-
-using DescriptorRef = std::shared_ptr<Descriptor>;
-
 class DescriptorSet : public SymbolicSyscall {
  public:
   // Installs `object` as descriptor `fd` of the calling process.
   void InstallDescriptor(ProcessContext& ctx, int fd, OpenObjectRef object);
 
-  // The descriptor for `fd`, materializing a default object lazily for
+  // The object behind `fd`, materializing a default object lazily for
   // descriptors the agent has not seen (e.g. inherited stdio).
-  DescriptorRef LookupDescriptor(AgentCall& call, int fd);
+  OpenObjectRef LookupObject(AgentCall& call, int fd);
 
   void DropDescriptor(ProcessContext& ctx, int fd);
 
   // Wraps a successful open of `path` that produced `fd`: makes the default
   // object and installs the descriptor. Derived pathname objects use this after
   // opening a redirected target.
-  virtual SyscallStatus RegisterOpened(AgentCall& call, int fd, const std::string& path);
+  virtual SyscallStatus RegisterOpened(AgentCall& call, int fd, std::string_view path);
 
   // Number of descriptors currently tracked for `pid` (tests/statistics).
   int TrackedCount(Pid pid);
@@ -70,8 +56,9 @@ class DescriptorSet : public SymbolicSyscall {
   }
 
   // Creates the default object for an already-open lower-level descriptor:
-  // a Directory for directories, a plain OpenObject otherwise.
-  virtual OpenObjectRef MakeDefaultObject(AgentCall& call, int fd, const std::string& path);
+  // a Directory for directories, a plain OpenObject otherwise. `path` is the
+  // name it was opened by (empty if unknown), valid only for this call.
+  virtual OpenObjectRef MakeDefaultObject(AgentCall& call, int fd, std::string_view path);
 
   // --- descriptor system calls, routed through the object --------------------
   SyscallStatus sys_read(AgentCall& call, int fd, void* buf, int64_t cnt) override;
@@ -102,10 +89,13 @@ class DescriptorSet : public SymbolicSyscall {
   void DropAllForExec(AgentCall& call);
 
  private:
-  DescriptorRef Find(Pid pid, int fd);
+  // One process's descriptors, indexed by number; a null slot is untracked.
+  using Table = std::vector<OpenObjectRef>;
+
+  OpenObjectRef Find(Pid pid, int fd);
 
   std::mutex mu_;
-  std::map<Pid, std::map<int, DescriptorRef>> tables_;
+  std::map<Pid, Table> tables_;
 };
 
 }  // namespace ia

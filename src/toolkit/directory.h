@@ -18,8 +18,7 @@ namespace ia {
 
 class Directory : public OpenObject {
  public:
-  explicit Directory(int real_fd, std::string path = "")
-      : OpenObject(real_fd, std::move(path)) {}
+  explicit Directory(int real_fd) : OpenObject(real_fd) {}
 
   // Produces the next logical entry: 1 = entry filled, 0 = end of directory,
   // negative errno on error. The default streams from the lower-level directory.

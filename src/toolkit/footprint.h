@@ -54,10 +54,10 @@ class Footprint {
   // direntry iteration (getdirentries) and seek-driven rewind (lseek).
   static Footprint Direntry() { return Numbers({kSysGetdirentries, kSysLseek}); }
 
-  // The AF_UNIX socket interface (every row tagged kSocket in syscalls.def,
+  // The AF_UNIX socket interface (every row tagged kSocketClass in syscalls.def,
   // implemented or not) — the natural footprint for socket-layer agents like
   // the proxy/firewall agent.
-  static Footprint Sockets() { return Classes(kSocket); }
+  static Footprint Sockets() { return Classes(kSocketClass); }
 
   Footprint& Add(int number) {
     if (number >= 0 && number < kMaxSyscall) {

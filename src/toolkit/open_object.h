@@ -14,7 +14,6 @@
 #define SRC_TOOLKIT_OPEN_OBJECT_H_
 
 #include <memory>
-#include <string>
 
 #include "src/toolkit/down_api.h"
 
@@ -23,16 +22,16 @@ namespace ia {
 class OpenObject {
  public:
   // `real_fd` is the descriptor this object occupies at the lower level (-1 for
-  // fully synthetic objects). `path` is the pathname it was opened by, if any.
-  explicit OpenObject(int real_fd, std::string path = "")
-      : real_fd_(real_fd), path_(std::move(path)) {}
+  // fully synthetic objects). A derived object that needs the name it was opened
+  // by keeps it itself (TxnDirectory does); the default object keeps none, so
+  // registering an open allocates only the object.
+  explicit OpenObject(int real_fd) : real_fd_(real_fd) {}
   virtual ~OpenObject() = default;
 
   OpenObject(const OpenObject&) = delete;
   OpenObject& operator=(const OpenObject&) = delete;
 
   int real_fd() const { return real_fd_; }
-  const std::string& path() const { return path_; }
 
   // --- descriptor operations; defaults are transparent pass-through ------------
   virtual SyscallStatus read(AgentCall& call, void* buf, int64_t cnt);
@@ -54,7 +53,6 @@ class OpenObject {
 
  protected:
   int real_fd_;
-  std::string path_;
 };
 
 using OpenObjectRef = std::shared_ptr<OpenObject>;

@@ -17,14 +17,14 @@ std::string PathnameSet::AbsoluteClientPath(AgentCall& call, const char* raw_pat
 
 SyscallStatus Pathname::DownWithPath(AgentCall& call, int slot) {
   SyscallArgs args = call.args();
-  args.SetPtr(slot, path_.c_str());
+  args.SetPtr(slot, c_str());
   return call.CallDown(args);
 }
 
 SyscallStatus Pathname::open(AgentCall& call, int /*flags*/, Mode /*mode*/) {
   const SyscallStatus status = DownWithPath(call);
   if (status >= 0) {
-    owner_->RegisterOpened(call, static_cast<int>(call.rv()->rv[0]), path_);
+    owner_->RegisterOpened(call, static_cast<int>(call.rv()->rv[0]), path());
   }
   return status;
 }
@@ -40,15 +40,15 @@ SyscallStatus Pathname::unlink(AgentCall& call) { return DownWithPath(call); }
 
 SyscallStatus Pathname::link_to(AgentCall& call, Pathname& new_path) {
   SyscallArgs args = call.args();
-  args.SetPtr(0, path_.c_str());
-  args.SetPtr(1, new_path.path().c_str());
+  args.SetPtr(0, c_str());
+  args.SetPtr(1, new_path.c_str());
   return call.CallDown(args);
 }
 
 SyscallStatus Pathname::symlink_at(AgentCall& call, const char* target) {
   SyscallArgs args = call.args();
   args.SetPtr(0, target);
-  args.SetPtr(1, path_.c_str());
+  args.SetPtr(1, c_str());
   return call.CallDown(args);
 }
 
@@ -58,8 +58,8 @@ SyscallStatus Pathname::readlink(AgentCall& call, char* /*buf*/, int64_t /*bufsi
 
 SyscallStatus Pathname::rename_to(AgentCall& call, Pathname& to) {
   SyscallArgs args = call.args();
-  args.SetPtr(0, path_.c_str());
-  args.SetPtr(1, to.path().c_str());
+  args.SetPtr(0, c_str());
+  args.SetPtr(1, to.c_str());
   return call.CallDown(args);
 }
 
@@ -76,7 +76,7 @@ SyscallStatus Pathname::execve(AgentCall& call) {
   // Route through DescriptorSet::sys_execve semantics: substitute the path, then
   // let the descriptor layer reset its table on success.
   SyscallArgs args = call.args();
-  args.SetPtr(0, path_.c_str());
+  args.SetPtr(0, c_str());
   return call.CallDown(args);
 }
 

@@ -13,7 +13,11 @@
 #define SRC_TOOLKIT_PATHNAME_SET_H_
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "src/toolkit/descriptor_set.h"
 
@@ -25,12 +29,22 @@ class PathnameSet;
 // downward with this object's path substituted for the path argument — so a
 // Pathname whose text differs from what the application passed transparently
 // redirects the operation.
+//
+// A derived object owns its text (path_). The default object that
+// PathnameSet::getpn() builds borrows the caller's argument instead, which
+// outlives it: a PathnameRef lives only inside the call that resolved it.
 class Pathname {
  public:
-  Pathname(PathnameSet* owner, std::string path) : owner_(owner), path_(std::move(path)) {}
+  Pathname(PathnameSet* owner, std::string path)
+      : owner_(owner), path_(std::move(path)), text_(path_) {}
   virtual ~Pathname() = default;
 
-  const std::string& path() const { return path_; }
+  Pathname(const Pathname&) = delete;
+  Pathname& operator=(const Pathname&) = delete;
+
+  // The resolved name; c_str() is the same text, NUL-terminated.
+  std::string_view path() const { return text_; }
+  const char* c_str() const { return text_.data(); }
   PathnameSet* owner() const { return owner_; }
 
   // open(2) on this pathname. The default opens below and registers the default
@@ -57,14 +71,51 @@ class Pathname {
   virtual SyscallStatus mknod(AgentCall& call, Mode mode, Dev dev);
 
  protected:
-  // Continues the intercepted call with path_ substituted at argument `slot`.
+  // Continues the intercepted call with this object's path substituted at
+  // argument `slot`.
   SyscallStatus DownWithPath(AgentCall& call, int slot = 0);
 
-  PathnameSet* owner_;
-  std::string path_;
+  PathnameSet* const owner_;
+  // The text a derived object owns; empty in the default object.
+  const std::string path_;
+
+ private:
+  // Only PathnameRef can name the tag, so only it builds a borrowing object.
+  friend class PathnameRef;
+  struct Borrowed {};
+
+ public:
+  Pathname(Borrowed, PathnameSet* owner, const char* path) : owner_(owner), text_(path) {}
+
+ private:
+  std::string_view text_;
 };
 
-using PathnameRef = std::unique_ptr<Pathname>;
+// What getpn() returns: the default Pathname, built inside the handle over the
+// caller's string, or a derived one on the heap. Overrides return
+// std::make_unique<Derived>(...), which converts.
+class PathnameRef {
+ public:
+  template <typename T, typename = std::enable_if_t<std::is_base_of_v<Pathname, T>>>
+  PathnameRef(std::unique_ptr<T> object)
+      : heap_(std::move(object)), object_(heap_.get()) {}
+
+  PathnameRef(const PathnameRef&) = delete;
+  PathnameRef& operator=(const PathnameRef&) = delete;
+
+  Pathname* operator->() const { return object_; }
+  Pathname& operator*() const { return *object_; }
+
+ private:
+  friend class PathnameSet;
+  PathnameRef(PathnameSet* owner, const char* path)
+      : inline_(std::in_place, Pathname::Borrowed{}, owner, path), object_(&*inline_) {}
+
+  // At most one is set; object_ points at it (null for an empty unique_ptr).
+  std::unique_ptr<Pathname> heap_;
+  std::optional<Pathname> inline_;
+  Pathname* object_;
+};
 
 class PathnameSet : public DescriptorSet {
  public:
@@ -78,8 +129,9 @@ class PathnameSet : public DescriptorSet {
  protected:
   // The name-space choke point: resolves a pathname string to a Pathname object.
   // `path` is never null. Agents override this to transform the name space.
+  // The default object borrows `path` and allocates nothing.
   virtual PathnameRef getpn(AgentCall& /*call*/, const char* path) {
-    return std::make_unique<Pathname>(this, path);
+    return PathnameRef(this, path);
   }
 
   // The pathname layer's abstraction is the filesystem name space: every

@@ -1141,23 +1141,37 @@ TEST(ConcurrencyStress, TruncatingOpensConserveBytes) {
   EXPECT_EQ(kernel->fs().total_bytes(), other_bytes + sizes);
 }
 
-// A pathname agent that makes every path absolute against the client's
-// working directory (as union, sandbox and txn do).
+// A pathname agent that resolves every path against the client's working
+// directory, as union, sandbox and txn do, and counts the resolutions that
+// come out wrong. It passes the caller's own path down, so a relative call
+// resolves from the cwd and reads no directory above it.
 class AbsolutePathAgent final : public PathnameSet {
  public:
+  explicit AbsolutePathAgent(std::string expect) : expect_(std::move(expect)) {}
   std::string name() const override { return "abspath"; }
+  int wrong() const { return wrong_.load(std::memory_order_relaxed); }
 
  protected:
   PathnameRef getpn(AgentCall& call, const char* path) override {
-    return std::make_unique<Pathname>(this, AbsoluteClientPath(call, path));
+    if (AbsoluteClientPath(call, path) != expect_) {
+      wrong_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return PathnameSet::getpn(call, path);
   }
+
+ private:
+  const std::string expect_;
+  std::atomic<int> wrong_{0};
 };
 
 // A root under a pathname agent stats a relative name from /work/sub, so
 // every call rebuilds its cwd's absolute path by scanning /work's entries
 // up to "sub", while a second root creates and unlinks files in /work whose
-// names sort before "sub", so the scan reads the nodes the creates link. The scan runs outside any system call: it takes the tree
-// lock shared and /work's data_mu, which TSan checks against the creates.
+// names sort before "sub", so the scan reads the nodes the creates link.
+// The scan runs outside any system call: it takes the tree lock shared and
+// /work's data_mu, which TSan checks against the creates. The stat itself
+// resolves "f" from the cwd, so between scans the walker takes no lock of
+// /work's that would order its next scan after the creates.
 TEST(ConcurrencyStress, RelativePathStatThroughPathnameAgentAgainstCreates) {
   constexpr int kRounds = IA_TEST_UNDER_TSAN ? 600 : 1500;
   auto kernel = test::MakeWorld();
@@ -1167,36 +1181,40 @@ TEST(ConcurrencyStress, RelativePathStatThroughPathnameAgentAgainstCreates) {
     kernel->fs().InstallFile("/work/a" + std::to_string(i), "");
   }
   std::atomic<int> arrivals{0};
-  std::atomic<bool> mutator_done{false};
+  std::atomic<bool> walker_done{false};
   std::vector<Pid> pids;
   SpawnOptions walker;
   walker.cwd = "/work/sub";
-  walker.body = [&arrivals, &mutator_done](ProcessContext& ctx) {
+  walker.body = [&arrivals, &walker_done](ProcessContext& ctx) {
     StartTogether(&arrivals, 2);
-    for (int i = 0; i < kRounds || !mutator_done.load(std::memory_order_acquire); ++i) {
+    int status = 0;
+    for (int i = 0; i < kRounds && status == 0; ++i) {
       Stat st;
       if (ctx.Stat("f", &st) != 0 || st.st_size != 1) {
-        return 1;
+        status = 1;
       }
     }
-    return 0;
+    walker_done.store(true, std::memory_order_relaxed);
+    return status;
   };
-  pids.push_back(SpawnUnderAgents(*kernel, {std::make_shared<AbsolutePathAgent>()}, walker));
+  auto agent = std::make_shared<AbsolutePathAgent>("/work/sub/f");
+  pids.push_back(SpawnUnderAgents(*kernel, {agent}, walker));
+  // Creates until the last scan is done, so every scan overlaps them.
   SpawnOptions mutator;
-  mutator.body = [&arrivals, &mutator_done](ProcessContext& ctx) {
+  mutator.body = [&arrivals, &walker_done](ProcessContext& ctx) {
     StartTogether(&arrivals, 2);
-    for (int i = 0; i < kRounds; ++i) {
+    for (int i = 0; i < kRounds || !walker_done.load(std::memory_order_relaxed); ++i) {
       const std::string name = "/work/b" + std::to_string(i);
       const int fd = ctx.Open(name, kOWronly | kOCreat, 0644);
       if (fd < 0 || ctx.Close(fd) != 0 || (i % 4 == 3 && ctx.Unlink(name) != 0)) {
         return 1;
       }
     }
-    mutator_done.store(true, std::memory_order_release);
     return 0;
   };
   pids.push_back(kernel->Spawn(mutator));
   ExpectAllExitZero(*kernel, pids);
+  EXPECT_EQ(agent->wrong(), 0);
 }
 
 }  // namespace

@@ -254,6 +254,81 @@ TEST(Routes, GenerationInvalidatesOnPushAndPop) {
   EXPECT_LE(stats.builds, stats.lookups);
 }
 
+// A raw frame that the stack alone owns. On getpid it either pops itself
+// or exits the process from inside the handler; either way the stack drops
+// its last reference while the handler is still running.
+class SelfRemovingFrame final : public SyscallHandler {
+ public:
+  enum class Mode { kPop, kExit };
+  SelfRemovingFrame(Mode mode, bool* destroyed, bool* alive_after)
+      : mode_(mode), destroyed_(destroyed), alive_after_(alive_after) {}
+  ~SelfRemovingFrame() override { *destroyed_ = true; }
+
+  SyscallStatus HandleSyscall(ProcessContext& ctx, int frame, int number,
+                              const SyscallArgs& args, SyscallResult* rv) override {
+    // Runs after the removal, on return or while ExitUnwind unwinds.
+    struct Check {
+      SelfRemovingFrame* self;
+      ~Check() { *self->alive_after_ = !*self->destroyed_; }
+    } check{this};
+    if (mode_ == Mode::kExit) {
+      ctx.Exit(7);
+    }
+    ctx.PopEmulation();
+    return ctx.SyscallBelow(frame, number, args, rv);
+  }
+  void HandleSignal(ProcessContext& ctx, int frame, int signo) override {
+    ctx.ForwardSignal(frame, signo);
+  }
+
+ private:
+  Mode mode_;
+  bool* destroyed_;
+  bool* alive_after_;
+};
+
+// A frame removed while its handler runs lives until that run returns, then
+// is freed.
+TEST(FrameLifetime, HandlerThatPopsItselfOutlivesItsRun) {
+  auto kernel = MakeWorld();
+  bool destroyed = false;
+  bool alive_after = false;
+  const int status = RunBody(*kernel, [&](ProcessContext& ctx) {
+    EmulationFrame frame;
+    frame.handler = std::make_shared<SelfRemovingFrame>(SelfRemovingFrame::Mode::kPop,
+                                                        &destroyed, &alive_after);
+    frame.syscall_interest.set(kSysGetpid);
+    ctx.PushEmulation(std::move(frame));
+    if (ctx.Getpid() <= 0) {
+      return 1;
+    }
+    if (!alive_after || !destroyed || !ctx.emulation().Empty()) {
+      return 2;
+    }
+    return 0;
+  });
+  EXPECT_EQ(WExitStatus(status), 0);
+}
+
+TEST(FrameLifetime, ExitInsideAHandlerFreesTheStackAfterUnwinding) {
+  auto kernel = MakeWorld();
+  bool destroyed = false;
+  bool alive_after = false;
+  const int status = RunBody(*kernel, [&](ProcessContext& ctx) {
+    EmulationFrame frame;
+    frame.handler = std::make_shared<SelfRemovingFrame>(SelfRemovingFrame::Mode::kExit,
+                                                        &destroyed, &alive_after);
+    frame.syscall_interest.set(kSysGetpid);
+    ctx.PushEmulation(std::move(frame));
+    ctx.Getpid();
+    return 1;  // not reached: the handler exits the process
+  });
+  EXPECT_TRUE(WifExited(status));
+  EXPECT_EQ(WExitStatus(status), 7);
+  EXPECT_TRUE(alive_after);
+  EXPECT_TRUE(destroyed);
+}
+
 TEST(Routes, SetInterestRenarrowsLiveFrameInPlace) {
   auto kernel = MakeWorld();
   auto counter = std::make_shared<CountingFrame>();

@@ -19,6 +19,17 @@ TEST(Strings, SplitBasic) {
   EXPECT_EQ(Split(",,", ',', true), (std::vector<std::string>{"", "", ""}));
 }
 
+TEST(Strings, CountFieldsMatchesSplit) {
+  for (const std::string_view text :
+       {"", ",", ",,", ",a", "a,", ",a,", "a,,b", ",,a,,,b,,", "abc", "a,b,c", "a"}) {
+    EXPECT_EQ(CountFields(text, ','), Split(text, ',').size()) << "'" << text << "'";
+  }
+  EXPECT_EQ(CountFields("", ','), 0U);
+  EXPECT_EQ(CountFields(",", ','), 0U);
+  EXPECT_EQ(CountFields(",,a,,,b,,", ','), 2U);
+  EXPECT_EQ(CountFields("no separator here", ','), 1U);
+}
+
 TEST(Strings, JoinRoundTrip) {
   const std::vector<std::string> pieces{"usr", "local", "bin"};
   EXPECT_EQ(Join(pieces, "/"), "usr/local/bin");

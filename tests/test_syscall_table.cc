@@ -98,7 +98,7 @@ TEST(SyscallTable, SpecsCarryArgMetadata) {
   // rows (and accept) can sleep.
   const SyscallSpec& bind_spec = SyscallSpecOf(kSysBind);
   EXPECT_NE(bind_spec.flags & kImplemented, 0u);
-  EXPECT_NE(bind_spec.flags & kSocket, 0u);
+  EXPECT_NE(bind_spec.flags & kSocketClass, 0u);
   EXPECT_EQ(bind_spec.args[1], ArgKind::kCSockAddrPtr);
   EXPECT_EQ(bind_spec.flags & kBlocking, 0u);
   const SyscallSpec& accept_spec = SyscallSpecOf(kSysAccept);
@@ -117,7 +117,7 @@ TEST(SyscallTable, SpecsCarryArgMetadata) {
 // flag that disagrees with the row's argument kinds silently mis-routes every
 // footprint-narrowed agent. Pin the agreement: a first decoded Path argument
 // implies kTakesPath, an Fd in slot 0 implies kTakesFd, and a sockaddr
-// argument implies kSocket.
+// argument implies kSocketClass.
 TEST(SyscallTable, FlagsAgreeWithArgKinds) {
   for (int n = 0; n < kMaxSyscall; ++n) {
     const SyscallSpec& spec = SyscallSpecOf(n);
@@ -145,7 +145,7 @@ TEST(SyscallTable, FlagsAgreeWithArgKinds) {
       }
     }
     // Socket rows: decoding a sockaddr anywhere implies membership in the
-    // kSocket interest class. (That every socket call takes the big lock is
+    // kSocketClass interest class. (That every socket call takes the big lock is
     // counted in Lanes.SocketCallsTakeTheBigLock.)
     bool has_sockaddr = false;
     for (int i = 0; i < spec.nargs; ++i) {
@@ -156,14 +156,14 @@ TEST(SyscallTable, FlagsAgreeWithArgKinds) {
       }
     }
     if (has_sockaddr) {
-      EXPECT_NE(spec.flags & kSocket, 0u)
-          << spec.name << " decodes a sockaddr argument but lacks kSocket";
+      EXPECT_NE(spec.flags & kSocketClass, 0u)
+          << spec.name << " decodes a sockaddr argument but lacks kSocketClass";
     }
-    if ((spec.flags & kSocket) != 0) {
+    if ((spec.flags & kSocketClass) != 0) {
       // Socket addresses travel as sockaddr structs, never Path arguments, so
       // pathname-footprint agents don't accidentally claim socket rows.
       EXPECT_EQ(spec.flags & kTakesPath, 0u)
-          << spec.name << " is kSocket but claims kTakesPath";
+          << spec.name << " is kSocketClass but claims kTakesPath";
     }
   }
 }

@@ -264,6 +264,32 @@ TEST(DescriptorLayer, TracksOpensDupsAndCloses) {
   EXPECT_EQ(agent->TrackedCount(client_pid), 0);
 }
 
+// A descriptor number no process can hold reaches the table through the lazy
+// lookup: the call fails with EBADF below, and the table does not grow to
+// that number (a table sized by it would exhaust memory).
+TEST(DescriptorLayer, OutOfRangeDescriptorIsNotTracked) {
+  auto kernel = MakeWorld();
+  class TrackingSet final : public DescriptorSet {
+   public:
+    std::string name() const override { return "tracking"; }
+  };
+  auto agent = std::make_shared<TrackingSet>();
+  Pid client_pid = 0;
+  const int status = RunBodyUnder(*kernel, {agent}, [&](ProcessContext& ctx) {
+    client_pid = ctx.Getpid();
+    const char byte = 'x';
+    for (const int fd : {kMaxFilesPerProcess, 1 << 30, 0x7fffffff, -1}) {
+      if (ctx.Write(fd, &byte, 1) != -kEBadf) {
+        return 1;
+      }
+    }
+    return 0;
+  });
+  EXPECT_EQ(WExitStatus(status), 0);
+  EXPECT_EQ(agent->TrackedCount(client_pid), 0);
+  EXPECT_EQ(kernel->ContainmentStats().traps, 0);
+}
+
 // A custom open object that upper-cases everything read through it.
 class UppercaseObject final : public OpenObject {
  public:
@@ -293,9 +319,9 @@ class UppercaseAgent final : public PathnameSet {
     return PathnameSet::default_footprint().Merge(Footprint::Classes(kTakesFd));
   }
 
-  OpenObjectRef MakeDefaultObject(AgentCall& call, int fd, const std::string& p) override {
+  OpenObjectRef MakeDefaultObject(AgentCall& call, int fd, std::string_view p) override {
     if (StartsWith(p, "/loud")) {
-      return std::make_shared<UppercaseObject>(fd, p);
+      return std::make_shared<UppercaseObject>(fd);
     }
     return PathnameSet::MakeDefaultObject(call, fd, p);
   }
@@ -404,6 +430,18 @@ TEST(PathnameLayer, RelativePathsNormalizedAgainstCwd) {
   EXPECT_EQ(WExitStatus(status), 0);
 }
 
+// A handle built from an empty unique_ptr holds nothing and is released like
+// the unique_ptr it replaced; a derived object keeps its own text.
+TEST(PathnameLayer, RefFromEmptyOrDerivedObject) {
+  {
+    PathnameRef empty(std::unique_ptr<Pathname>{});
+    EXPECT_EQ(empty.operator->(), nullptr);
+  }
+  PathnameRef derived(std::make_unique<Pathname>(nullptr, std::string("/real/x")));
+  EXPECT_EQ(derived->path(), "/real/x");
+  EXPECT_STREQ(derived->c_str(), "/real/x");
+}
+
 // ---------------------------------------------------------------------------
 // Directory objects (layer 3).
 // ---------------------------------------------------------------------------
@@ -436,11 +474,11 @@ class HideObjectsAgent final : public PathnameSet {
     return PathnameSet::default_footprint().Merge(Footprint::Direntry());
   }
 
-  OpenObjectRef MakeDefaultObject(AgentCall& call, int fd, const std::string& p) override {
+  OpenObjectRef MakeDefaultObject(AgentCall& call, int fd, std::string_view p) override {
     DownApi api(call);
     Stat st;
     if (api.Fstat(fd, &st) == 0 && SIsDir(st.st_mode)) {
-      return std::make_shared<HideObjectsDirectory>(fd, p);
+      return std::make_shared<HideObjectsDirectory>(fd);
     }
     return PathnameSet::MakeDefaultObject(call, fd, p);
   }
