@@ -10,12 +10,20 @@
 //   2. cold vs warm pass with the cache on — shows the first-touch miss cost;
 //   3. mutation churn (creat/unlink/rename interleaved with lookups) —
 //      self-checks: byte-identical syscall results cache-on vs cache-off, and
-//      no warm-path regression beyond a noise margin.
+//      no warm-path regression beyond a noise margin;
+//   4. the evicting miss path: 1 and 4 threads stat a path set twice the
+//      cache's capacity, so nearly every file lookup misses, inserts and
+//      evicts; reported (thread CPU µs per stat), not enforced.
 //
 // Exit status is nonzero if any self-check fails, so this binary doubles as a
-// perf regression gate.
+// perf regression gate. The JSON rows ({"bench":"bench_namecache",...}) are
+// what scripts/ci.sh stores in BENCH_namecache.json.
+#include <atomic>
 #include <cstdio>
+#include <mutex>
+#include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -162,6 +170,108 @@ double MeasureChurnSeconds(bool cache_on, std::vector<int64_t>* trace) {
   return best;
 }
 
+// The evicting miss path: kMissDirs x kMissFilesPerDir files, twice the
+// default cache capacity, like e2ebench's ringmix. Every thread stats all the
+// paths in order, each from its own starting point, so between two visits of
+// a path (by any thread) more than the cache's capacity of other files was
+// inserted and the clock has evicted it, whether the threads run in
+// parallel or one at a time: each stat hits on its two directories and
+// misses, inserts and evicts on its file. A thread holds the tree lock shared per stat, and when the cache's
+// garbage is due it reclaims under the exclusive tree lock, as the kernel's
+// dispatch core does after a batch (a bare Filesystem has no big lock).
+constexpr int kMissDirs = 256;
+constexpr int kMissFilesPerDir = 32;
+constexpr int kMissThreads = 4;
+constexpr int kMissRounds = 7;
+constexpr int kMissPasses = 4;
+
+struct MissPath {
+  double cpu_us_per_stat = 0;   // median over rounds of thread CPU per stat
+  double wall_us_per_stat = 0;  // median over rounds of wall time per stat, per thread
+  double hit_ratio = 0;         // directory and file lookups together (2/3 if no file hits)
+  uint64_t evictions = 0;
+};
+
+MissPath MeasureMissPath(int threads) {
+  ia::Filesystem fs;
+  std::vector<std::string> paths;
+  for (int i = 0; i < kMissDirs * kMissFilesPerDir; ++i) {
+    paths.push_back("/m/d" + std::to_string(i / kMissFilesPerDir) + "/f" +
+                    std::to_string(i % kMissFilesPerDir));
+    fs.InstallFile(paths.back(), "x");
+  }
+  ia::NameCache& cache = fs.namecache();
+  std::vector<double> cpu_per_stat;
+  std::vector<double> wall_per_stat;
+  ia::NameCacheStats before{};
+  for (int round = 0; round <= kMissRounds; ++round) {
+    if (round == 1) {
+      before = cache.stats();  // round 0 warms the allocator and the clock
+    }
+    std::atomic<int> arrivals{0};
+    std::vector<int64_t> cpu_us(static_cast<size_t>(threads));
+    std::vector<int64_t> wall_us(static_cast<size_t>(threads));
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+      workers.emplace_back([&, t] {
+        ia::Cred cred;
+        ia::NameiEnv env{fs.root(), fs.root(), &cred};
+        ia::Stat st;
+        arrivals.fetch_add(1, std::memory_order_acq_rel);
+        while (arrivals.load(std::memory_order_acquire) < threads) {
+          std::this_thread::yield();
+        }
+        const int64_t cpu_start = ia::bench::ThreadCpuMicros();
+        const int64_t wall_start = ia::MonotonicMicros();
+        for (int pass = 0; pass < kMissPasses; ++pass) {
+          const size_t offset = paths.size() * static_cast<size_t>(t) /
+                                static_cast<size_t>(threads);
+          for (size_t i = 0; i < paths.size(); ++i) {
+            const std::string& p = paths[(offset + i) % paths.size()];
+            {
+              std::shared_lock<ia::RwLock> tree(fs.TreeMutex());
+              if (fs.Stat(env, p, /*follow=*/true, &st) != 0) {
+                std::fprintf(stderr, "stat(%s) failed\n", p.c_str());
+              }
+            }
+            if (cache.ReclaimDue()) {
+              std::unique_lock<ia::RwLock> tree(fs.TreeMutex());
+              cache.Reclaim();
+            }
+          }
+        }
+        cpu_us[static_cast<size_t>(t)] = ia::bench::ThreadCpuMicros() - cpu_start;
+        wall_us[static_cast<size_t>(t)] = ia::MonotonicMicros() - wall_start;
+      });
+    }
+    for (std::thread& w : workers) {
+      w.join();
+    }
+    if (round == 0) {
+      continue;
+    }
+    const double stats =
+        static_cast<double>(threads) * kMissPasses * static_cast<double>(paths.size());
+    double cpu = 0;
+    double wall = 0;
+    for (int t = 0; t < threads; ++t) {
+      cpu += static_cast<double>(cpu_us[static_cast<size_t>(t)]);
+      wall += static_cast<double>(wall_us[static_cast<size_t>(t)]);
+    }
+    cpu_per_stat.push_back(cpu / stats);
+    wall_per_stat.push_back(wall / stats);
+  }
+  const ia::NameCacheStats after = cache.stats();
+  const double hits = static_cast<double>(after.hits - before.hits);
+  const double misses = static_cast<double>(after.misses - before.misses);
+  MissPath out;
+  out.cpu_us_per_stat = ia::bench::Summarize(cpu_per_stat).median;
+  out.wall_us_per_stat = ia::bench::Summarize(wall_per_stat).median;
+  out.hit_ratio = hits / (hits + misses);
+  out.evictions = after.evictions - before.evictions;
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -190,6 +300,10 @@ int main() {
     std::printf("    FAIL: warm repeated-lookup speedup below %.2fx\n", kWarmGate);
     ok = false;
   }
+  std::printf("{\"bench\":\"bench_namecache\",\"check\":\"warm_speedup\",\"rounds\":%d,"
+              "\"off_us\":%.3f,\"on_us\":%.3f,\"speedup\":%.3f,\"gate\":%.2f,"
+              "\"enforced\":true}\n",
+              kGateRounds, off_us, on_us, speedup.median, kWarmGate);
 
   const ia::NameCacheStats stats = fs.namecache().stats();
   std::printf(
@@ -236,6 +350,22 @@ int main() {
     ok = false;
   } else {
     std::printf("    timing: within the no-regression margin (PASS)\n");
+  }
+
+  // --- 4: the evicting miss path -------------------------------------------
+  std::printf("\n  evicting miss path (%d paths, 2x the cache; thread CPU per stat,\n"
+              "  median of %d rounds; reported, not enforced):\n",
+              kMissDirs * kMissFilesPerDir, kMissRounds);
+  for (const int threads : {1, kMissThreads}) {
+    const MissPath miss = MeasureMissPath(threads);
+    std::printf("    %d thread%s  %7.3f µs CPU/stat  %7.3f µs wall/stat/thread  "
+                "hit ratio %.3f  %llu evictions\n",
+                threads, threads == 1 ? " " : "s", miss.cpu_us_per_stat, miss.wall_us_per_stat,
+                miss.hit_ratio, static_cast<unsigned long long>(miss.evictions));
+    std::printf("{\"bench\":\"bench_namecache\",\"check\":\"evicting_miss_path\","
+                "\"clients\":%d,\"cpu_us_per_stat\":%.3f,\"wall_us_per_stat\":%.3f,"
+                "\"hit_rate\":%.3f,\"enforced\":false}\n",
+                threads, miss.cpu_us_per_stat, miss.wall_us_per_stat, miss.hit_ratio);
   }
 
   std::printf("\n%s\n", ok ? "ALL SELF-CHECKS PASSED" : "SELF-CHECK FAILURES (see above)");

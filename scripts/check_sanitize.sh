@@ -57,7 +57,10 @@ case "$MODE" in
     # eviction-churn twin (the dispatch core's reclaim of the cache's
     # garbage under mu_ and the exclusive tree lock, after a batch with no
     # lock held), and spawns whose cwd walk, under mu_ alone, reads cache
-    # nodes that a running root's batches evict and reclaim, and the
+    # nodes that a running root's batches evict and reclaim, and four roots
+    # missing, inserting, evicting and re-mapping across the name cache's
+    # writer shards while a fifth creates and unlinks (each shard's mutex
+    # against the others, the batch-end reclaim and InvalidateDir), and the
     # tree-lock keeping tests (a batch keeps one shared hold across its
     # entries until a handler takes mu_). World sizes self-cap under
     # TSan (the tests read __has_feature(thread_sanitizer) via
@@ -65,7 +68,7 @@ case "$MODE" in
     # slowdown.
     TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
       "$BUILD_DIR"/tests/ia_tests \
-      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*:ConcurrencyStress.AppendersReaderAndStatShareOneInode:ConcurrencyStress.AppendWritevRecordsStayContiguous:ConcurrencyStress.GetdirentriesAgainstCreatesAndUnlinks:VirtualTime.*:ConcurrencyStress.SameNameCreatesOpenOneInode:ConcurrencyStress.CreatorsAndWalkersShareOneDirectory:ConcurrencyStress.TruncatingOpensConserveBytes:ConcurrencyStress.RelativePathStatThroughPathnameAgentAgainstCreates:NameCacheKernel.KeepsCachingAfterEvictionChurnWithoutMutation:NameCacheKernel.SpawnWalksAgainstBatchReclaim:TreeLockKeeping.*' \
+      --gtest_filter='RingUnit.WraparoundAcrossProducerDrainerAndReaperThreads:RingStress.*:RingDeterminism.*:StripeStress.*:FastLaneDeterminism.*:WaitChannels.*:Fibers.*:ProcessOwnership.*:ConcurrencyStress.AppendersReaderAndStatShareOneInode:ConcurrencyStress.AppendWritevRecordsStayContiguous:ConcurrencyStress.GetdirentriesAgainstCreatesAndUnlinks:VirtualTime.*:ConcurrencyStress.SameNameCreatesOpenOneInode:ConcurrencyStress.CreatorsAndWalkersShareOneDirectory:ConcurrencyStress.TruncatingOpensConserveBytes:ConcurrencyStress.RelativePathStatThroughPathnameAgentAgainstCreates:NameCacheKernel.KeepsCachingAfterEvictionChurnWithoutMutation:NameCacheKernel.SpawnWalksAgainstBatchReclaim:NameCacheKernel.ShardsChurnUnderFourRootsAndACreator:TreeLockKeeping.*' \
       --gtest_repeat=3
 
     # The socket plane is the newest blocking subsystem: channel sleeps under

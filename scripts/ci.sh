@@ -59,15 +59,19 @@ done
 # BENCH_ring.json (batched-vs-per-call rows). bench_table33_make adds a third,
 # BENCH_table33.json: the reported, ungated "more cores must not be slower"
 # row (bare make on every CPU against bare make pinned to one CPU), and
-# bench_dfstrace_compare a fourth, BENCH_dfstrace.json: the §3.5.3 row
+# bench_dfstrace_compare a fourth, BENCH_dfstrace.json: the §3.5.3 rows
 # (in-kernel ktrace against the dfs_trace agent on the Andrew workload,
-# interleaved rounds charged in thread CPU time; its "much cheaper" check is
-# reported, not enforced). A
+# interleaved rounds charged in thread CPU time, with Compute() weighted and
+# with no spin; its "much cheaper" check is reported, not enforced), and
+# bench_namecache a fifth, BENCH_namecache.json: its enforced warm-speedup
+# row and the reported 1- and 4-thread evicting miss-path rows (thread CPU
+# per stat with the cache 2x oversubscribed). A
 # previous artifact, if any, is kept as *.prev and diffed advisorily by
 # scripts/bench_compare.py — a regression prints a warning but does not fail
 # CI (wall-clock numbers are host-dependent; the enforced perf checks are the
 # bench's own gates).
-for artifact in BENCH_scalability.json BENCH_ring.json BENCH_table33.json BENCH_dfstrace.json; do
+for artifact in BENCH_scalability.json BENCH_ring.json BENCH_table33.json BENCH_dfstrace.json \
+    BENCH_namecache.json; do
   if [ -f "$artifact" ]; then
     mv "$artifact" "$artifact.prev"
   fi
@@ -79,7 +83,10 @@ grep '^{"bench":"bench_ring"' build/bench_scalability.out > BENCH_ring.json
 grep '^{"bench":"bench_table33"' build/bench_table33.out > BENCH_table33.json
 ./build/bench/bench_dfstrace_compare | tee build/bench_dfstrace.out
 grep '^{"bench":"bench_dfstrace"' build/bench_dfstrace.out > BENCH_dfstrace.json
-for artifact in BENCH_scalability.json BENCH_ring.json BENCH_table33.json BENCH_dfstrace.json; do
+./build/bench/bench_namecache | tee build/bench_namecache.out
+grep '^{"bench":"bench_namecache"' build/bench_namecache.out > BENCH_namecache.json
+for artifact in BENCH_scalability.json BENCH_ring.json BENCH_table33.json BENCH_dfstrace.json \
+    BENCH_namecache.json; do
   if [ -f "$artifact.prev" ]; then
     python3 scripts/bench_compare.py --advisory "$artifact.prev" "$artifact" || true
   fi

@@ -52,8 +52,9 @@
 // ring (see ring.h). A batch pays the prologue once for all its entries.
 //
 // Lock order (outer to inner): mu_ -> tree lock (either mode) ->
-// Inode::data_mu -> name cache mutex (a walk's miss caches its answer inside
-// the directory's data_mu), and tree lock (either mode) -> Inode::data_mu ->
+// Inode::data_mu -> a name-cache shard's mutex (leaf; a walk's miss caches
+// its answer inside the directory's data_mu, and no one holds two shards'),
+// and tree lock (either mode) -> Inode::data_mu ->
 // the FaultInjector's mutex (the disk-budget clamp runs inside a write's
 // data_mu hold). No one holds two inodes' data_mu at once, and the tree
 // lock is not recursive: a handler takes it once, in one mode. A process's

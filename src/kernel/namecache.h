@@ -37,27 +37,37 @@
 //
 //   * The index is a fixed-size array of atomic bucket heads over singly
 //     linked Entry chains. Lookup() traverses with acquire loads and never
-//     takes a lock; Entry identity fields (key, child, negative) are
+//     takes a lock; Entry identity fields (key, hash, child, negative) are
 //     immutable after publication, and the mutable bits (dir_gen, touched,
 //     dead) are atomics.
+//   * The writer side is split into shards, picked by the key's hash (the
+//     low bits of its bucket index, so every node of one chain belongs to
+//     one shard). A shard owns its mutex, its clock list and its share of
+//     the capacity, its garbage list, its structure generation (which
+//     validates Hints) and its counters; stats() folds them. One shard per
+//     kEntriesPerShard entries of capacity, at most kMaxShards: misses in
+//     different shards insert and evict in parallel, and a small cache is one
+//     shard with exact clock replacement. The clock is per shard, so a large
+//     cache approximates LRU within each shard's share.
 //   * All structural mutation — insert, refresh, eviction, clear — happens
-//     under the cache mutex (the innermost kernel lock; nothing is acquired
-//     while holding it). An entry is never updated to point at a *different*
-//     inode in place: re-mapping unlinks the old node and publishes a fresh
-//     one, so a concurrent reader sees either the old consistent entry or
-//     the new one.
+//     under the key's shard mutex (a leaf lock: nothing is acquired while
+//     holding it, and no code holds two). An entry is never updated to point
+//     at a *different* inode in place: re-mapping unlinks the old node and
+//     publishes a fresh one, so a concurrent reader sees either the old
+//     consistent entry or the new one.
 //   * Unlinked nodes are not freed immediately (a lock-free reader may still
-//     be traversing them); they move to a garbage list reclaimed inside
-//     InvalidateDir()/Reclaim()/Clear(). A walker holds the VFS tree lock
-//     shared, or the kernel's big lock alone (Kernel::Spawn resolves its cwd
-//     under mu_), so a reclaimer holds both, the tree lock exclusively — a
+//     be traversing them); they move to their shard's garbage list, reclaimed
+//     inside InvalidateDir()/Reclaim()/Clear(). A walker holds the VFS tree
+//     lock shared, or the kernel's big lock alone (Kernel::Spawn resolves its
+//     cwd under mu_), so a reclaimer holds both, the tree lock exclusively — a
 //     point where no walker (hence no reader) can exist. Those two locks are
 //     the cache's grace period. Bumping a generation is separate from
 //     reclaim: InvalidateDirShared() bumps only, for creators that hold the
 //     tree lock shared. A workload with no exclusive mutation still
-//     reclaims: once the garbage passes the cache's capacity (ReclaimDue),
-//     the kernel's dispatch core takes mu_ and the exclusive tree lock
-//     after a batch and calls Reclaim().
+//     reclaims: once one shard's garbage passes that shard's share of the
+//     capacity it raises one "due" word (ReclaimDue), and the kernel's
+//     dispatch core takes mu_ and the exclusive tree lock after a batch and
+//     calls Reclaim(), which visits only the shards that hold garbage.
 //   * A miss's directory search and its Insert* run under the directory's
 //     data_mu (vfs.cc), the lock a shared-hold creator links and bumps
 //     under, so an inserted entry never carries a generation newer than the
@@ -97,6 +107,10 @@ struct NameCacheStats {
 class NameCache {
  public:
   static constexpr size_t kDefaultCapacity = 4096;
+  // Writer shards: one per kEntriesPerShard entries of capacity, a power of
+  // two, at most kMaxShards. A cache smaller than two shards' worth is one.
+  static constexpr size_t kEntriesPerShard = 256;
+  static constexpr size_t kMaxShards = 16;
 
   explicit NameCache(size_t capacity = kDefaultCapacity);
 
@@ -118,10 +132,11 @@ class NameCache {
   // Opaque node-reuse hint: a Lookup that misses on a STALE node records the
   // node here, and a subsequent Insert* with the same (dir, name) revalidates
   // it directly — no second hash probe. Only valid for the very next Insert*
-  // with the identical key; do not store. `gen` snapshots the cache's
-  // structure generation: if any node was unlinked or reclaimed between the
-  // Lookup and the Insert* (possible now that walks run concurrently), the
-  // hint is silently ignored instead of dereferencing a recycled node.
+  // with the identical key; do not store. `gen` snapshots the structure
+  // generation of the key's shard: if any node of that shard was unlinked or
+  // reclaimed between the Lookup and the Insert* (possible now that walks
+  // run concurrently), the hint is silently ignored instead of dereferencing
+  // a recycled node. Unlinks in other shards leave it valid.
   struct Hint {
     void* node = nullptr;
     uint64_t gen = 0;
@@ -129,10 +144,10 @@ class NameCache {
 
   // Consults the cache for `name` under `dir`. Only kHit fills *out. The hit
   // path is lock-free, allocation-free and writes no reference count: one
-  // atomic bucket-chain traversal, no mutex, no string copy. Callers must
-  // hold the VFS tree lock (shared is enough); that is what keeps
-  // unlinked-but-visible nodes, and a hit's child, alive until the next
-  // exclusive section.
+  // hash, one atomic bucket-chain traversal, no mutex, no string copy.
+  // Callers must hold the VFS tree lock (shared is enough); that is what
+  // keeps unlinked-but-visible nodes, and a hit's child, alive until the
+  // next exclusive section.
   Outcome Lookup(const Inode& dir, std::string_view name, Inode** out, Hint* hint = nullptr);
 
   // Records that `dir` contains `name` -> `child`. Symlink children are
@@ -154,11 +169,11 @@ class NameCache {
   // data_mu: lock-free readers may be in flight, so nothing is reclaimed.
   void InvalidateDirShared(Inode& dir);
 
-  // True once the deferred garbage holds more than `capacity()` nodes. A
-  // relaxed load: callers poll it with no lock held.
-  bool ReclaimDue() const { return garbage_count_.load(std::memory_order_relaxed) > capacity_; }
-  // Frees the deferred garbage. Callers hold the same locks as for
-  // InvalidateDir.
+  // True once some shard's deferred garbage holds more nodes than its share
+  // of the capacity. One relaxed load: callers poll it with no lock held.
+  bool ReclaimDue() const { return reclaim_due_.load(std::memory_order_relaxed); }
+  // Frees the deferred garbage of every shard that has any. Callers hold
+  // the same locks as for InvalidateDir.
   void Reclaim();
 
   // Drops every entry (stats other than size are kept). Requires quiescence
@@ -174,8 +189,13 @@ class NameCache {
   // arithmetic, as the benches do.
   NameCacheStats stats() const;
 
-  size_t size() const { return live_count_.load(std::memory_order_relaxed); }
+  size_t size() const;
   size_t capacity() const { return capacity_; }
+  size_t shard_count() const { return shard_mask_ + 1; }
+  // The writer shard that owns (dir_ino, name); tests pick keys with it.
+  size_t ShardOf(Ino dir_ino, std::string_view name) const {
+    return HashMix(dir_ino, name) & shard_mask_;
+  }
 
  private:
   struct Key {
@@ -189,12 +209,13 @@ class NameCache {
   }
 
   struct Entry {
-    Entry(Key k, const InodeRef& c, uint64_t gen, bool neg)
-        : key(std::move(k)), child(c), inode(c.get()), negative(neg), dir_gen(gen) {}
+    Entry(Key k, size_t h, const InodeRef& c, uint64_t gen, bool neg)
+        : key(std::move(k)), hash(h), child(c), inode(c.get()), negative(neg), dir_gen(gen) {}
 
     // Immutable after publication (a re-mapped name gets a fresh node, so
     // lock-free readers never observe these mid-change).
     const Key key;
+    const size_t hash;                 // HashMix(key): picks bucket and shard
     const std::weak_ptr<Inode> child;  // empty for negative entries
     Inode* const inode;                // child's address, returned by a hit
     const bool negative;
@@ -203,7 +224,7 @@ class NameCache {
     // place (release store) when an insert revalidates the same mapping.
     std::atomic<uint64_t> dir_gen;
     // Clock bit: referenced since the last eviction sweep. Set by lock-free
-    // readers, consumed by the sweep under the mutex.
+    // readers, consumed by the sweep under the shard mutex.
     std::atomic<bool> touched{false};
     // Set (exchange) by whichever side retires the entry first: a reader that
     // caught the weak child expired, or a writer unlinking it. Whoever wins
@@ -211,13 +232,13 @@ class NameCache {
     // even when both race.
     std::atomic<bool> dead{false};
     // Bucket chain link. Readers traverse with acquire loads; writers relink
-    // under the mutex. An unlinked node keeps its link so a reader paused on
-    // it can finish walking the chain.
+    // under the shard mutex. An unlinked node keeps its link so a reader
+    // paused on it can finish walking the chain.
     std::atomic<Entry*> next_hash{nullptr};
 
-    // This node's own position in lru_/garbage_, so an unlink found through
-    // the hash chain can splice the node out in O(1). Writer-only, guarded by
-    // the cache mutex.
+    // This node's own position in its shard's lru/garbage, so an unlink
+    // found through the hash chain can splice the node out in O(1).
+    // Writer-only, guarded by the shard mutex.
     std::list<Entry>::iterator self;
   };
 
@@ -230,6 +251,25 @@ class NameCache {
   }
 
   using EntryList = std::list<Entry>;
+
+  // One writer shard. Everything but structure_gen is written only under
+  // `mu` (live_count also by a reader that retires an expired node);
+  // structure_gen sits on its own line because every Lookup in the shard
+  // loads it, and the writers' mutex and list traffic should not evict it
+  // from the readers' caches.
+  struct alignas(64) Shard {
+    std::mutex mu;
+    EntryList lru;      // live entries; front = most recently inserted
+    EntryList garbage;  // unlinked entries awaiting a quiescent reclaim
+    size_t capacity = 0;                    // this shard's share
+    std::atomic<size_t> live_count{0};
+    std::atomic<size_t> garbage_count{0};  // garbage.size(), for Reclaim's skip
+    std::atomic<uint64_t> insertions{0};
+    std::atomic<uint64_t> evictions{0};
+    // Bumped whenever a node of this shard is unlinked or reclaimed;
+    // validates Hints.
+    alignas(64) std::atomic<uint64_t> structure_gen{0};
+  };
 
   // Read-path tallies. Every concurrent Namei walk bumps one of these per
   // component, so a single shared cache line here serializes the otherwise
@@ -244,52 +284,37 @@ class NameCache {
     std::atomic<uint64_t> misses{0};
   };
 
-  // Writer-path tallies. These are bumped only on structural mutation (mu_
-  // held) or on invalidations, which mutate a directory anyway — sharding
-  // would buy nothing.
-  struct Counters {
-    std::atomic<uint64_t> insertions{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> invalidations{0};
-  };
+  Shard& ShardFor(size_t hash) { return shards_[hash & shard_mask_]; }
+  std::atomic<Entry*>& BucketFor(size_t hash) { return buckets_[hash & bucket_mask_]; }
 
-  std::atomic<Entry*>& BucketOf(Ino dir_ino, std::string_view name) {
-    return buckets_[HashMix(dir_ino, name) & bucket_mask_];
-  }
+  // Inserts (or revalidates) an entry under its shard's mutex.
+  void Insert(const Inode& dir, std::string_view name, const InodeRef& child, bool negative,
+              const Hint* hint);
 
-  // Chain-walk probe; writer-side (mutex held). Returns dead nodes too (the
-  // caller re-maps them).
-  Entry* FindLocked(Ino dir_ino, std::string_view name);
+  // Unlinks `node` from its bucket chain and moves it to its shard's garbage
+  // list (it may still be visible to in-flight readers). Bumps the shard's
+  // structure generation; raises reclaim_due_ once the garbage passes the
+  // shard's share. `shard.mu` held.
+  void UnlinkLocked(Shard& shard, Entry* node);
 
-  // Inserts (or revalidates) an entry. `hinted` (may be null) is a stale node
-  // for the same key recorded by Lookup.
-  void InsertEntryLocked(const Inode& dir, std::string_view name, const InodeRef& child,
-                         bool negative, Entry* hinted);
-
-  // Unlinks `node` from its bucket chain and moves it to the garbage list
-  // (it may still be visible to in-flight readers). Bumps structure_gen_.
-  void UnlinkLocked(Entry* node);
-
-  // Frees the garbage list. Only callable while no lock-free reader can
-  // exist (mu_ and the VFS tree lock held exclusively, or single-threaded
-  // quiescence).
-  void ReclaimGarbageLocked();
+  // Frees one shard's garbage list. Only callable while no lock-free reader
+  // can exist (mu_ and the VFS tree lock held exclusively, or
+  // single-threaded quiescence), with `shard.mu` held.
+  static void ReclaimGarbageLocked(Shard& shard);
 
   size_t capacity_;
   size_t bucket_mask_ = 0;
+  size_t shard_mask_ = 0;
   std::atomic<bool> enabled_{true};
-  // Guards all structural state: bucket chains, lru_, garbage_. The innermost
-  // kernel lock; leaf only. The lock-free Lookup never takes it.
-  mutable std::mutex mu_;
-  // Bumped whenever a node is unlinked or reclaimed; validates Hints.
-  std::atomic<uint64_t> structure_gen_{0};
+  // Raised by the unlink that takes a shard's garbage past its share;
+  // lowered by Reclaim and Clear.
+  std::atomic<bool> reclaim_due_{false};
   std::unique_ptr<std::atomic<Entry*>[]> buckets_;
-  EntryList lru_;      // live entries; front = most recently inserted
-  EntryList garbage_;  // unlinked entries awaiting a quiescent reclaim
-  std::atomic<size_t> garbage_count_{0};  // garbage_.size(), for ReclaimDue
-  std::atomic<size_t> live_count_{0};
+  std::unique_ptr<Shard[]> shards_;
   ReadCounterShard read_shards_[kCounterShards];
-  Counters counters_;
+  // Bumped by invalidations, which mutate a directory anyway; on its own
+  // line, away from the fields every Lookup reads.
+  alignas(64) std::atomic<uint64_t> invalidations_{0};
 };
 
 }  // namespace ia

@@ -29,11 +29,11 @@
 // because shared-mode paths update atime and mtime; they read the caller's
 // host clock (now()), and the shared paths store a stamp only when its
 // second changes, so readers of one hot inode do not write its line. The
-// name cache carries its own internal mutex, and its grace-period reclaim
-// keys off the exclusive mode plus the kernel's mu_: a holder of both
+// name cache carries its own writer-shard mutexes, and its grace-period
+// reclaim keys off the exclusive mode plus the kernel's mu_: a holder of both
 // implies no lock-free cache reader is in flight (see namecache.h).
 // Lock order: kernel mu_ -> tree lock (either mode) -> Inode::data_mu ->
-// name-cache mutex. No one holds two inodes' data_mu at once.
+// a name-cache shard's mutex (leaf). No one holds two inodes' data_mu at once.
 #ifndef SRC_KERNEL_VFS_H_
 #define SRC_KERNEL_VFS_H_
 
@@ -172,8 +172,8 @@ class Inode : public std::enable_shared_from_this<Inode> {
   // the entries takes it. A writer holds it from its append-offset pick to
   // its copy (a writev across all its segments, so an O_APPEND writev lands
   // as one record); a truncating open holds it across the resize. A leaf
-  // under the tree lock: nothing is acquired while holding it but the name
-  // cache's mutex and the FaultInjector's mutex. One word: it grows an
+  // under the tree lock: nothing is acquired while holding it but a name-cache
+  // shard's mutex and the FaultInjector's mutex. One word: it grows an
   // Inode by 8 bytes where a std::mutex grew it by 40.
   mutable WordMutex data_mu;
 

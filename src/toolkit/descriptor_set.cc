@@ -67,6 +67,11 @@ int DescriptorSet::TrackedCount(Pid pid) {
   return count;
 }
 
+size_t DescriptorSet::TrackedProcesses() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return tables_.size();
+}
+
 OpenObjectRef DescriptorSet::MakeDefaultObject(AgentCall& call, int fd,
                                                std::string_view /*path*/) {
   DownApi api(call);
@@ -255,6 +260,23 @@ SyscallStatus DescriptorSet::sys_execve(AgentCall& call, const char* /*path*/) {
     DropAllForExec(call);
   }
   return status;
+}
+
+SyscallStatus DescriptorSet::sys_exit(AgentCall& call, int /*status*/) {
+  // _exit(2) closes every descriptor and does not return, so the table goes
+  // first. Its objects are released after the lock: their destructors are
+  // agent code.
+  Table dropped;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = tables_.find(call.ctx().process().pid);
+    if (it != tables_.end()) {
+      dropped = std::move(it->second);
+      tables_.erase(it);
+    }
+  }
+  dropped.clear();
+  return call.CallDown();
 }
 
 }  // namespace ia

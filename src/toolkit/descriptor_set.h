@@ -38,6 +38,8 @@ class DescriptorSet : public SymbolicSyscall {
 
   // Number of descriptors currently tracked for `pid` (tests/statistics).
   int TrackedCount(Pid pid);
+  // Number of processes that have a descriptor table (tests/statistics).
+  size_t TrackedProcesses();
 
  protected:
   void init(ProcessContext& ctx) override;
@@ -84,6 +86,7 @@ class DescriptorSet : public SymbolicSyscall {
   SyscallStatus sys_fcntl(AgentCall& call, int fd, int cmd, int64_t arg) override;
   SyscallStatus sys_pipe(AgentCall& call) override;
   SyscallStatus sys_execve(AgentCall& call, const char* path) override;
+  SyscallStatus sys_exit(AgentCall& call, int status) override;
 
   // Drops every tracked descriptor of the calling process (successful execve).
   void DropAllForExec(AgentCall& call);

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/base/strings.h"
@@ -234,6 +236,68 @@ TEST(NameCacheUnit, LruEvictsOldestEntry) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
+// The writer side has one shard per NameCache::kEntriesPerShard entries of
+// capacity, a power of two, at most kMaxShards: a small cache (like the
+// capacity-2 one above) is one shard with exact clock replacement.
+TEST(NameCacheUnit, ShardCountFollowsCapacity) {
+  EXPECT_EQ(NameCache(2).shard_count(), 1u);
+  EXPECT_EQ(NameCache(2 * NameCache::kEntriesPerShard - 1).shard_count(), 1u);
+  EXPECT_EQ(NameCache(2 * NameCache::kEntriesPerShard).shard_count(), 2u);
+  EXPECT_EQ(NameCache(2000).shard_count(), 4u);
+  EXPECT_EQ(NameCache().shard_count(), NameCache::kMaxShards);
+  EXPECT_EQ(NameCache(1 << 16).shard_count(), NameCache::kMaxShards);
+}
+
+// A Hint snapshots its key's shard's structure generation. Re-mapping a
+// name in another shard unlinks a node there and leaves the hint valid, so
+// the insert revalidates the hinted node; a re-map in the key's own shard
+// moves the generation the hint would be checked against.
+TEST(NameCacheUnit, HintStaysValidAcrossUnlinksInAnotherShard) {
+  NameCache cache;
+  ASSERT_GT(cache.shard_count(), 1u);
+  auto dir = std::make_shared<Inode>(100, InodeType::kDirectory, 0755, 0, 0);
+  auto x = std::make_shared<Inode>(101, InodeType::kRegular, 0644, 0, 0);
+  auto y = std::make_shared<Inode>(102, InodeType::kRegular, 0644, 0, 0);
+  const size_t x_shard = cache.ShardOf(dir->ino(), "x");
+  std::string other;
+  std::string same;
+  for (int i = 0; other.empty() || same.empty(); ++i) {
+    const std::string name = "n" + std::to_string(i);
+    std::string& slot = cache.ShardOf(dir->ino(), name) == x_shard ? same : other;
+    if (slot.empty()) {
+      slot = name;
+    }
+  }
+  cache.InsertPositive(*dir, "x", x);
+  cache.InsertNegative(*dir, other);
+  cache.InsertNegative(*dir, same);
+  cache.InvalidateDirShared(*dir);  // stales all three; nothing unlinked
+
+  Inode* out = nullptr;
+  NameCache::Hint hint;
+  ASSERT_EQ(cache.Lookup(*dir, "x", &out, &hint), NameCache::Outcome::kMiss);
+  ASSERT_NE(hint.node, nullptr);
+  cache.InsertPositive(*dir, other, y);  // negative -> positive: unlinks in another shard
+  NameCache::Hint again;
+  ASSERT_EQ(cache.Lookup(*dir, "x", &out, &again), NameCache::Outcome::kMiss);
+  EXPECT_EQ(again.node, hint.node);
+  EXPECT_EQ(again.gen, hint.gen);
+  const uint64_t insertions = cache.stats().insertions;
+  cache.InsertPositive(*dir, "x", x, &hint);
+  EXPECT_EQ(cache.stats().insertions, insertions);  // revalidated, not re-added
+  ASSERT_EQ(cache.Lookup(*dir, "x", &out), NameCache::Outcome::kHit);
+  EXPECT_EQ(out, x.get());
+
+  cache.InvalidateDirShared(*dir);
+  NameCache::Hint stale;
+  ASSERT_EQ(cache.Lookup(*dir, "x", &out, &stale), NameCache::Outcome::kMiss);
+  cache.InsertPositive(*dir, same, y);  // negative -> positive: unlinks in x's shard
+  NameCache::Hint moved;
+  ASSERT_EQ(cache.Lookup(*dir, "x", &out, &moved), NameCache::Outcome::kMiss);
+  EXPECT_EQ(moved.node, stale.node);
+  EXPECT_NE(moved.gen, stale.gen);
+}
+
 TEST(NameCacheUnit, WeakReferenceDoesNotExtendInodeLifetime) {
   NameCache cache(8);
   auto dir = std::make_shared<Inode>(100, InodeType::kDirectory, 0755, 0, 0);
@@ -419,6 +483,108 @@ TEST(NameCacheKernel, SpawnWalksAgainstBatchReclaim) {
   const int status = kernel->HostWaitPid(churner);
   EXPECT_TRUE(WifExited(status) && WExitStatus(status) == 0);
   EXPECT_GT(spawned, 0);
+}
+
+// Four roots stat paths over twice the cache's capacity, each its own
+// quarter plus one band that all four share, so misses insert, evict and
+// re-map in every shard at once and the batches' ends reclaim. A fifth root
+// meanwhile creates and unlinks one name in each of the statters'
+// directories, which the statters stat too: each create bumps a directory's
+// generation under the shared tree lock and flips a cached negative entry
+// to positive, and each unlink runs InvalidateDir's reclaim under mu_ and
+// the exclusive tree lock. Every stat must find the right file, and the
+// cache must still cache and hit a working set once the roots are done.
+TEST(NameCacheKernel, ShardsChurnUnderFourRootsAndACreator) {
+  constexpr int kStatters = 4;
+  constexpr int kDirs = 256;
+  constexpr int kFiles = 2 * static_cast<int>(NameCache::kDefaultCapacity);
+  constexpr int kFilesPerDir = kFiles / kDirs;
+  constexpr int kShared = kFiles / 8;
+  constexpr int kRounds = IA_TEST_UNDER_TSAN ? 1 : 3;
+  auto kernel = MakeWorld();
+  auto path_of = [](int i) {
+    return StringPrintf("/s/d%03d/f%02d", i / kFilesPerDir, i % kFilesPerDir);
+  };
+  for (int i = 0; i < kFiles; ++i) {
+    kernel->fs().InstallFile(path_of(i), std::string(static_cast<size_t>(1 + i % 7), 'x'));
+  }
+  std::atomic<int> arrivals{0};
+  std::atomic<int> statters_done{0};
+  auto start_together = [&arrivals] {
+    arrivals.fetch_add(1, std::memory_order_acq_rel);
+    while (arrivals.load(std::memory_order_acquire) < kStatters + 1) {
+      std::this_thread::yield();
+    }
+  };
+  std::vector<Pid> pids;
+  for (int r = 0; r < kStatters; ++r) {
+    SpawnOptions options;
+    options.body = [r, &start_together, &statters_done, &path_of](ProcessContext& ctx) {
+      start_together();
+      Stat st;
+      int rc = 0;
+      for (int round = 0; round < kRounds && rc == 0; ++round) {
+        for (int i = 0; i < kFiles; ++i) {
+          if (i % kStatters != r && i >= kShared) {
+            continue;
+          }
+          if (ctx.Stat(path_of(i), &st) != 0 || st.st_size != 1 + i % 7) {
+            rc = 1;
+            break;
+          }
+          if (i % kFilesPerDir == 0) {
+            const int err = ctx.Stat(StringPrintf("/s/d%03d/new", i / kFilesPerDir), &st);
+            if (err != 0 && err != -kENoent) {
+              rc = 2;
+              break;
+            }
+          }
+        }
+      }
+      statters_done.fetch_add(1, std::memory_order_release);
+      return rc;
+    };
+    pids.push_back(kernel->Spawn(options));
+  }
+  SpawnOptions creator;
+  creator.body = [&start_together, &statters_done](ProcessContext& ctx) {
+    start_together();
+    for (int i = 0; i < kDirs || statters_done.load(std::memory_order_acquire) < kStatters;
+         ++i) {
+      const std::string name = StringPrintf("/s/d%03d/new", i % kDirs);
+      const int fd = ctx.Open(name, kOWronly | kOCreat | kOExcl, 0644);
+      if (fd < 0 || ctx.Close(fd) != 0 || ctx.Unlink(name) != 0) {
+        return 1;
+      }
+    }
+    return 0;
+  };
+  pids.push_back(kernel->Spawn(creator));
+  for (const Pid pid : pids) {
+    const int status = kernel->HostWaitPid(pid);
+    EXPECT_TRUE(WifExited(status) && WExitStatus(status) == 0) << "pid " << pid;
+  }
+  const NameCacheStats churned = kernel->CacheStats();
+  EXPECT_GT(churned.evictions, 0u);
+  EXPECT_LE(churned.size, churned.capacity);
+
+  Kernel* const k = kernel.get();
+  EXPECT_EQ(ExitCodeOf(*kernel, [k, &path_of](ProcessContext& ctx) {
+              Stat st;
+              for (int pass = 0; pass < 2; ++pass) {
+                const NameCacheStats before = k->CacheStats();
+                for (int i = 0; i < kShared; ++i) {
+                  if (ctx.Stat(path_of(i), &st) != 0) {
+                    return 1;
+                  }
+                }
+                if (pass == 1 && k->CacheStats().misses != before.misses) {
+                  return 2;
+                }
+              }
+              return 0;
+            }),
+            0);
 }
 
 TEST(NameCacheKernel, ChrootKeepsLookupsCorrect) {

@@ -264,6 +264,43 @@ TEST(DescriptorLayer, TracksOpensDupsAndCloses) {
   EXPECT_EQ(agent->TrackedCount(client_pid), 0);
 }
 
+// exit(2) retires the caller's whole table, open objects included: 100
+// forked children each exit holding a descriptor, and once the parent has
+// reaped them and exited too, no process has a table left.
+TEST(DescriptorLayer, ExitDropsTheCallersTable) {
+  constexpr int kChildren = 100;
+  auto kernel = MakeWorld();
+  class TrackingSet final : public DescriptorSet {
+   public:
+    std::string name() const override { return "tracking"; }
+  };
+  auto agent = std::make_shared<TrackingSet>();
+  std::vector<Pid> children;
+  const int status = RunBodyUnder(*kernel, {agent}, [&](ProcessContext& ctx) {
+    for (int i = 0; i < kChildren; ++i) {
+      const Pid child = ctx.Fork([&agent](ProcessContext& c) {
+        const int fd = c.Open("/etc/motd", kORdonly);
+        return fd >= 0 && agent->TrackedCount(c.Getpid()) > 0 ? 0 : 1;
+      });
+      int wait_status = 0;
+      if (child <= 0 || ctx.Wait4(child, &wait_status, 0, nullptr) != child ||
+          !WifExited(wait_status) || WExitStatus(wait_status) != 0) {
+        return 1;
+      }
+      children.push_back(child);
+    }
+    return 0;
+  });
+  EXPECT_EQ(WExitStatus(status), 0);
+  ASSERT_EQ(children.size(), static_cast<size_t>(kChildren));
+  int tracked = 0;
+  for (const Pid child : children) {
+    tracked += agent->TrackedCount(child);
+  }
+  EXPECT_EQ(tracked, 0);
+  EXPECT_EQ(agent->TrackedProcesses(), 0u);
+}
+
 // A descriptor number no process can hold reaches the table through the lazy
 // lookup: the call fails with EBADF below, and the table does not grow to
 // that number (a table sized by it would exhaust memory).
