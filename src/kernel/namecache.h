@@ -252,16 +252,16 @@ class NameCache {
 
   using EntryList = std::list<Entry>;
 
-  // One writer shard. Everything but structure_gen is written only under
-  // `mu` (live_count also by a reader that retires an expired node);
-  // structure_gen sits on its own line because every Lookup in the shard
-  // loads it, and the writers' mutex and list traffic should not evict it
-  // from the readers' caches.
+  // One writer shard. Its fields are written only under `mu` (live_count
+  // also by a reader that retires an expired node). structure_gen sits on
+  // its own line because every Lookup in the shard loads it, and the
+  // writers' mutex and list traffic should not evict it from the readers'
+  // caches.
   struct alignas(64) Shard {
     std::mutex mu;
     EntryList lru;      // live entries; front = most recently inserted
     EntryList garbage;  // unlinked entries awaiting a quiescent reclaim
-    size_t capacity = 0;                    // this shard's share
+    size_t capacity = 0;  // this shard's share
     std::atomic<size_t> live_count{0};
     std::atomic<size_t> garbage_count{0};  // garbage.size(), for Reclaim's skip
     std::atomic<uint64_t> insertions{0};
