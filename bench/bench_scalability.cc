@@ -7,8 +7,8 @@
 // path walks and regular-file I/O under the shared-mode tree lock,
 // throughput should scale with host cores.
 //
-// Self-checks (exit status is nonzero if any fails). The host-independent
-// ones are enforced everywhere except under ThreadSanitizer. The two that
+// Self-checks (exit status is nonzero if any fails), enforced on any host
+// except under ThreadSanitizer. The two that
 // compare configurations within a few percent (single_client_parity and
 // compiled_routes) alternate their sides on one host thread for kGateRounds
 // rounds and gate on the median of the per-round ratios, printing the
@@ -23,11 +23,11 @@
 //   - socketpair_ping_pong: a socketpair transfer must reach >= 0.5x of the
 //     same transfer over a pipe.
 //
-// The scaling gates need a host with enough hardware threads and report
-// "skipped" (the rows are still printed and emitted) below it:
-//
-//   - 8-client speedup >= 2.5x over 1 client (>= 8 threads).
-//   - batch_speedup_at_16: 16 ring clients >= 2x per-call issue (>= 16).
+// Reported, not gated: the 8-client speedup over 1 client and
+// batch_speedup_at_16 (16 ring clients against per-call issue). Their gates
+// (2.5x and 2x) needed 8 and 16 hardware threads and skipped themselves on
+// every host this project has run on, so they were deleted; the rows are
+// still printed and emitted, the latter with "enforced": false.
 //
 // Alongside the human table the bench emits one JSON object per line
 // (clients/throughput/speedup and one per self-check) so future changes can
@@ -93,7 +93,6 @@ constexpr int kAttempts = 3;       // best-of-N against host scheduling noise
 // other, so a drift within the round lands on both sides alike.
 constexpr int kGateRounds = 15;
 constexpr int kGateSlices = 8;
-constexpr double kSpeedupGateAt8 = 2.5;
 // Tightened from 5.0 when dispatch moved to compiled routes: the narrowed
 // stack no longer pays the per-frame interest scan, so the measured margin
 // rose from ~5.9x to ~7.7x. 6.5 keeps headroom for host noise.
@@ -102,11 +101,6 @@ constexpr double kPayPerUseGate = 6.5;
 // stack must dispatch a non-path per-process mix at bare-kernel speed — at
 // most 3% over the agentless kernel (it was 1.06x under the per-frame scan).
 constexpr double kCompiledRouteGate = 1.03;
-// Ring gate: at 16 clients a batched mixed workload must clear 2x the
-// per-call throughput of the identical call sequence — the amortized batch
-// prologue (one clock advance / rusage update / stats flush per run) is what
-// the submission ring buys under contention. Enforced on >= 16-core hosts.
-constexpr double kRingGateAt16 = 2.0;
 // Ring parity gate: at 1 client a batch must never LOSE to per-call issue.
 // (It once did, 0.84x, when the batch prologue zeroed ~6KB of per-number
 // stat arrays per flush.) Per-call issue is the dispatch core's count-1
@@ -600,23 +594,8 @@ int main() {
     }
   }
   const double speedup8 = (at8 != nullptr && base > 0) ? at8->throughput / base : 0;
-  if (kUnderTsan) {
-    std::printf("\n  gate: skipped (%.2fx at 8 clients; running under ThreadSanitizer,\n"
-                "        which is a race-coverage run, not a perf run)\n",
-                speedup8);
-  } else if (cores >= 8) {
-    std::printf("\n  gate: %.2fx at 8 clients (self-check: >= %.1fx)\n", speedup8,
-                kSpeedupGateAt8);
-    if (speedup8 < kSpeedupGateAt8) {
-      std::printf("  FAIL: 8-client aggregate throughput below %.1fx of 1 client\n",
-                  kSpeedupGateAt8);
-      ok = false;
-    }
-  } else {
-    std::printf("\n  gate: skipped (%.2fx at 8 clients; host has %u < 8 hardware threads,\n"
-                "        so the kernel cannot scale past the machine)\n",
-                speedup8, cores);
-  }
+  std::printf("\n  %.2fx at 8 clients (reported; host has %u hardware threads)\n", speedup8,
+              cores);
 
   // --- ring: batched vs per-call issue --------------------------------------
   std::vector<RingPoint> ring_curve;
@@ -636,27 +615,11 @@ int main() {
     }
   }
   const double ring_speedup16 = ring16 != nullptr ? ring16->speedup : 0;
-  if (kUnderTsan) {
-    std::printf("    gate: skipped (%.2fx batched at 16 clients; ThreadSanitizer run)\n",
-                ring_speedup16);
-  } else if (cores >= 16) {
-    std::printf("    gate: %.2fx batched at 16 clients (self-check: >= %.1fx)\n",
-                ring_speedup16, kRingGateAt16);
-    if (ring_speedup16 < kRingGateAt16) {
-      std::printf("    FAIL: batched submission below %.1fx of per-call throughput —\n"
-                  "    the batch trap is not amortizing the dispatch prologue\n",
-                  kRingGateAt16);
-      ok = false;
-    }
-  } else {
-    std::printf("    gate: skipped (%.2fx batched at 16 clients; host has %u < 16 hardware\n"
-                "          threads, so contention never materializes)\n",
-                ring_speedup16, cores);
-  }
+  std::printf("    %.2fx batched at 16 clients (reported)\n", ring_speedup16);
 
   // Single-client ring parity: batching must never lose to per-call issue.
-  // Unlike the contention gates this needs no parallelism, so it is enforced
-  // on every host (except under TSan), on the median of alternated rounds.
+  // It needs no parallelism, so it is enforced on every host (except under
+  // TSan), on the median of alternated rounds.
   const RatioSpread parity = MeasureRingParity();
   const double ring_parity1 = parity.median;
   if (kUnderTsan) {
@@ -765,10 +728,11 @@ int main() {
                 "\"batched_speedup\":%.3f}\n",
                 p.clients, p.percall_tp, p.ring_tp, p.speedup);
   }
+  // The deleted 2x gate's row keeps its keys, so bench_compare.py still
+  // pairs it with earlier artifacts; "gate" is the old target.
   std::printf("{\"bench\":\"bench_ring\",\"check\":\"batch_speedup_at_16\","
-              "\"speedup\":%.3f,\"gate\":%.1f,\"enforced\":%s}\n",
-              ring_speedup16, kRingGateAt16,
-              (!kUnderTsan && cores >= 16) ? "true" : "false");
+              "\"speedup\":%.3f,\"gate\":2.0,\"enforced\":false}\n",
+              ring_speedup16);
   std::printf("{\"bench\":\"bench_ring\",\"check\":\"single_client_parity\","
               "\"speedup\":%.3f,\"p25\":%.3f,\"p75\":%.3f,\"rounds\":%d,"
               "\"gate\":%.2f,\"enforced\":%s}\n",

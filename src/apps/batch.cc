@@ -1,6 +1,7 @@
 #include "src/apps/batch.h"
 
 #include <cstdlib>
+#include <cstring>
 
 namespace ia {
 
@@ -121,7 +122,11 @@ int RingLoadMain(ProcessContext& ctx) {
   }
 
   const std::string file = base + "/ringload.dat";
-  const std::string payload(1024, 'r');
+  // Position-dependent bytes: a read at the wrong offset reads other data.
+  std::string payload(1024, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>('a' + i % 26);
+  }
   if (ctx.WriteWholeFile(file, payload) < 0) {
     return 1;
   }
@@ -138,6 +143,9 @@ int RingLoadMain(ProcessContext& ctx) {
     if (fd < 0) {
       return 1;
     }
+    std::memset(buf, 0, sizeof(buf));
+    st = ia::Stat{};
+    fst = ia::Stat{};
     batch.PushStat(file.c_str(), &st, 1);
     batch.PushFstat(fd, &fst, 2);
     batch.PushLseek(fd, 0, kSeekSet, 3);
@@ -145,14 +153,23 @@ int RingLoadMain(ProcessContext& ctx) {
     batch.PushGetpid(5);
     batch.PushClose(fd, 6);
     batch.Flush();
-    for (const SyscallCompletion& c : batch.completions()) {
+    const std::vector<SyscallCompletion>& done = batch.completions();
+    if (done.size() != 6) {
+      ++failures;
+      continue;
+    }
+    for (const SyscallCompletion& c : done) {
       if (c.status < 0) {
         ++failures;
       }
     }
-    if (batch.completions().size() != 6 ||
-        batch.completions()[3].result.rv[0] != static_cast<int64_t>(sizeof(buf)) ||
-        batch.completions()[4].result.rv[0] != ctx.Getpid()) {
+    const bool answers_match =
+        st.st_size == static_cast<Off>(payload.size()) && fst.st_size == st.st_size &&
+        fst.st_ino == st.st_ino && done[2].result.rv[0] == 0 &&
+        done[3].result.rv[0] == static_cast<int64_t>(sizeof(buf)) &&
+        std::memcmp(buf, payload.data(), sizeof(buf)) == 0 &&
+        done[4].result.rv[0] == ctx.Getpid() && done[5].status == 0;
+    if (!answers_match) {
       ++failures;
     }
   }

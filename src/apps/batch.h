@@ -65,7 +65,9 @@ class BatchClient {
 //   ringload <base-dir> <iterations>
 // Runs the scalability bench's mixed file workload (stat/open/read/fstat/
 // close/getpid) through the ring in batches instead of call-by-call. Exits 0
-// when every completion matches the synchronous expectation.
+// when every completion matches the synchronous expectation: stat and fstat
+// report the file's size and one inode, lseek and close return 0, the read
+// returns the file's first 256 bytes, and getpid the caller's pid.
 int RingLoadMain(ProcessContext& ctx);
 
 }  // namespace ia

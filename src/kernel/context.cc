@@ -272,20 +272,21 @@ uint32_t ProcessContext::SubmitBatch(const SyscallRequest* reqs, uint32_t count)
 }
 
 int ProcessContext::DrainRing() {
-  if (proc_->ring == nullptr) {
+  // A drain nested inside an entry (an agent's handler calling DrainRing)
+  // would complete the entries queued behind that entry ahead of it; it
+  // drains nothing instead.
+  if (proc_->ring == nullptr || syscall_depth_ > 0) {
     return 0;
   }
   SyscallRing& ring = *proc_->ring;
-  if (drain_run_ == nullptr) {
-    drain_run_ = std::make_unique<DrainRun>();
-  }
   int completed = 0;
   {
     DepthGuard guard(syscall_depth_);
     // Runs of consecutive kernel-lane entries go through the kernel's
-    // dispatch core as one batch each. kRunMax bounds the latency of
-    // exit/exec checks.
-    constexpr int kRunMax = DrainRun::kRunMax;
+    // dispatch core as one batch each. kRunMax bounds the tree hold the
+    // core keeps across a batch's entries, which a waiting writer sits
+    // behind (rwlock.h: "Writers wait for the run").
+    constexpr int kRunMax = 64;
     // Route amortization: with no emulation frames at all (the common
     // batch-client shape) skip the route lookup entirely; otherwise one
     // compiled-route consultation decides the lane.
@@ -298,113 +299,61 @@ int ProcessContext::DrainRing() {
     auto ends_run = [](int number) {
       return number == kSysExit || number == kSysExecve || number == kSysExecv;
     };
-    bool stop = false;
-    // A run that lies in one stretch of the ring's slots runs in place: the
-    // batch reads the submitted requests and writes the completions where
-    // the reaper reads them, with no copy of either (SyscallRing::PeekRun).
-    // A run that crosses the slot array's end, or one in a drain nested
-    // inside an agent-routed entry, is copied into drain_run_ below, so runs
-    // end at the same entries either way.
-    auto run_in_place = [&]() {
-      const SyscallRequest* reqs = nullptr;
-      SyscallCompletion* slots = nullptr;
-      const SyscallRing::Run peek = ring.PeekRun(&reqs, &slots);
-      const int limit = static_cast<int>(std::min<uint32_t>(peek.contiguous, kRunMax));
+    // Every entry is read from its submission slot and completes into the
+    // completion slot at the same position (SyscallRing::Queued), and
+    // entries complete one after another, so completions keep submission
+    // order.
+    for (SyscallBatch queued = ring.Queued(); queued.count > 0; queued = ring.Queued()) {
       int len = 0;
-      bool closed = false;
-      while (len < limit && !closed) {
-        if (!kernel_lane(reqs[len].number)) {
-          closed = true;
+      const int limit = std::min(queued.count, kRunMax);
+      while (len < limit && kernel_lane(queued.req(len).number)) {
+        if (ends_run(queued.req(len++).number)) {
           break;
         }
-        closed = ends_run(reqs[len].number);
-        ++len;
       }
-      if (len == 0 || !(closed || len == kRunMax || static_cast<uint32_t>(len) == peek.queued)) {
-        return false;
-      }
-      kernel_->DoSyscallBatch(*proc_, reqs, slots, len);
-      ring.CompleteRun(static_cast<uint32_t>(len));
-      completed += len;
-      stop = proc_->exit_pending || proc_->pending_exec.valid;
-      return true;
-    };
-    SyscallRequest* const run = drain_run_->reqs;
-    SyscallCompletion* const comps = drain_run_->comps;
-    int run_len = 0;
-    auto flush = [&]() {
-      if (run_len == 0) {
-        return;
-      }
-      kernel_->DoSyscallBatch(*proc_, run, comps, run_len);
-      for (int i = 0; i < run_len; ++i) {
-        ring.PushCompletion(comps[i]);
-      }
-      completed += run_len;
-      run_len = 0;
-      if (proc_->exit_pending || proc_->pending_exec.valid) {
-        stop = true;  // stop claiming entries; the rest stay queued
-      }
-    };
-    while (!stop) {
-      if (run_len == 0 && run_in_place()) {
-        continue;
-      }
-      // Otherwise each entry is popped straight into the run's next slot.
-      if (!ring.PopRequest(&run[run_len])) {
-        break;
-      }
-      const int number = run[run_len].number;
-      if (kernel_lane(number)) {
-        ++run_len;
-        if (run_len == kRunMax || ends_run(number)) {
-          flush();
+      if (len > 0) {
+        queued.count = len;
+        kernel_->DoSyscallBatch(*proc_, queued);
+      } else {
+        // Agent-routed (or out-of-table) entry: executed through the
+        // emulation stack exactly like a synchronous call.
+        len = 1;
+        const SyscallRequest& req = queued.req(0);
+        SyscallCompletion& comp = queued.comp(0);
+        comp = SyscallCompletion{};
+        comp.user_data = req.user_data;
+        try {
+          comp.status = ExecuteRequest(req, &comp.result);
+        } catch (const ExitUnwind&) {
+          // Process control flow: complete the claimed entry (EINTR, as a
+          // call cut short at the boundary) so every submission still
+          // completes, then let the unwind continue to the trampoline.
+          comp.status = -kEIntr;
+          comp.vtime_usec = proc_->host->clock().Now();
+          ring.Complete(1);
+          throw;
+        } catch (const ExecveUnwind&) {
+          comp.status = -kEIntr;
+          comp.vtime_usec = proc_->host->clock().Now();
+          ring.Complete(1);
+          throw;
+        } catch (...) {
+          // Poisoned entry: an UNCONTAINED frame (raw emulation().Push(), or
+          // containment disabled by policy) threw out of the drain. Complete
+          // the entry with EIO instead of leaving its ring slot in flight
+          // forever; the drain itself stays usable.
+          comp.status = -kEIo;
         }
-        continue;
-      }
-      // Agent-routed (or out-of-table) entry: flush the pending run so
-      // completions keep submission order, then execute it through the
-      // emulation stack exactly like a synchronous call (already claimed, so
-      // it completes even if the flush just set `stop`). It leaves the run,
-      // which a nested drain may reuse.
-      const SyscallRequest req = run[run_len];
-      flush();
-      SyscallCompletion comp;
-      comp.user_data = req.user_data;
-      try {
-        comp.status = ExecuteRequest(req, &comp.result);
-      } catch (const ExitUnwind&) {
-        // Process control flow: complete the claimed entry (EINTR, as a call
-        // cut short at the boundary) so every submission still completes,
-        // then let the unwind continue to the trampoline.
-        comp.status = -kEIntr;
         comp.vtime_usec = proc_->host->clock().Now();
-        ring.PushCompletion(comp);
-        throw;
-      } catch (const ExecveUnwind&) {
-        comp.status = -kEIntr;
-        comp.vtime_usec = proc_->host->clock().Now();
-        ring.PushCompletion(comp);
-        throw;
-      } catch (...) {
-        // Poisoned entry: an UNCONTAINED frame (raw emulation().Push(), or
-        // containment disabled by policy) threw out of the drain. Complete
-        // the entry with EIO instead of leaving its ring slot in flight
-        // forever; the drain itself stays usable.
-        comp.status = -kEIo;
       }
-      comp.vtime_usec = proc_->host->clock().Now();
-      ring.PushCompletion(comp);
-      ++completed;
+      ring.Complete(static_cast<uint32_t>(len));
+      completed += len;
       if (proc_->exit_pending || proc_->pending_exec.valid) {
-        stop = true;
+        break;  // stop claiming entries; the rest stay queued
       }
     }
-    flush();
   }
-  if (syscall_depth_ == 0) {
-    ProcessBoundary();
-  }
+  ProcessBoundary();
   return completed;
 }
 

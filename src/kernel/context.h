@@ -66,15 +66,18 @@ class ProcessContext {
   // refuses entries once capacity() requests are in flight).
   uint32_t SubmitBatch(const SyscallRequest* reqs, uint32_t count);
 
-  // Runs queued submissions in order and pushes one completion each. Runs of
-  // consecutive kernel-lane entries (no interested emulation frame) go to the
-  // kernel's dispatch core, Kernel::DoSyscallBatch, as one batch that pays the
-  // prologue once; entries an agent wants are executed one at a time through
-  // the compiled route, exactly like a synchronous call. An exit or exec entry
-  // ends its run, and the drain stops issuing once exit/exec is pending
-  // (remaining submissions stay queued, as synchronous issue never reaches
-  // them); signals and the return-to-user-mode boundary run once when the
-  // drain finishes. Returns completions produced.
+  // Runs queued submissions in order; each reads its submission slot and
+  // completes into the completion slot at the same position. Runs of up to
+  // 64 consecutive kernel-lane entries (no interested emulation frame) go to
+  // the kernel's dispatch core, Kernel::DoSyscallBatch, as one batch that
+  // pays the prologue once, even where a run crosses the slot array's end;
+  // entries an agent wants are executed one at a time through the compiled
+  // route, exactly like a synchronous call. An exit or exec entry ends its
+  // run, and the drain stops issuing once exit/exec is pending (remaining
+  // submissions stay queued, as synchronous issue never reaches them);
+  // signals and the return-to-user-mode boundary run once when the drain
+  // finishes. A drain called inside a system call (an agent's handler, say)
+  // drains nothing and returns 0. Returns completions produced.
   int DrainRing();
 
   // Pops completions (in submission order). Reap returns false when empty.
@@ -287,25 +290,11 @@ class ProcessContext {
   void ProcessBoundary();  // return-to-user-mode work: pending exec, signals
   [[noreturn]] void TerminateBySignal(int signo);
 
-  // DrainRing's copied run: up to kRunMax kernel-lane entries and their
-  // completions, for a run the ring cannot hold in place (one that crosses
-  // its slot array's end, or one in a nested drain). Allocated on the first
-  // drain and reused: built on the stack, the run constructed (and zeroed)
-  // 7 KB of entries on every drain, which cost a 1-client batch its edge
-  // over per-call issue. Only this process drains its ring, and a nested
-  // drain (from an agent-routed entry) starts with the run empty.
-  struct DrainRun {
-    static constexpr int kRunMax = 64;
-    SyscallRequest reqs[kRunMax];
-    SyscallCompletion comps[kRunMax];
-  };
-
   Kernel* kernel_;
   Process* proc_;
   int syscall_depth_ = 0;
   int signal_depth_ = 0;
   ActiveFrameBudget* active_budget_ = nullptr;
-  std::unique_ptr<DrainRun> drain_run_;
 };
 
 }  // namespace ia

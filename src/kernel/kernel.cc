@@ -489,13 +489,13 @@ SyscallStatus Kernel::DoSyscall(Process& proc, int number, const SyscallArgs& ar
   req.number = number;
   req.args = args;
   SyscallCompletion comp;
-  DoSyscallBatch(proc, &req, &comp, 1);
+  DoSyscallBatch(proc, SyscallBatch{&req, &comp, 0, 0, 1});
   *rv = comp.result;
   return comp.status;
 }
 
-void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCompletion* comps,
-                            int count) {
+void Kernel::DoSyscallBatch(Process& proc, const SyscallBatch& batch) {
+  const int count = batch.count;
   // Tallies go to this thread's stat shard — a single shared counter here
   // was a cache-line serializer at high client counts.
   StatShard& shard = stat_shards_[StatShardSlot(kStatShards)];
@@ -507,7 +507,7 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
   VirtualClock& clock = proc.host->clock();
   int64_t cost = 0;
   for (int i = 0; i < count; ++i) {
-    cost += SyscallCost(reqs[i].number);
+    cost += SyscallCost(batch.req(i).number);
   }
   clock.Advance(cost);
   int64_t last = clock.Now();
@@ -538,17 +538,17 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
     }
     acc_n = 0;
   };
-  // Completes entry i. Its virtual time is its charged cost plus whatever the
+  // Completes an entry. Its virtual time is its charged cost plus whatever the
   // clock advanced since the previous entry finished (blocking sleeps), which
   // is what a synchronous call would have tallied. Its ktrace record is
   // stamped with the time synchronous issue would give: the clock minus the
   // pre-charged cost of the entries after it.
   int64_t later_cost = cost;
-  auto finish = [&](int i, SyscallStatus status) {
-    const int number = reqs[i].number;
+  auto finish = [&](const SyscallRequest& req, SyscallCompletion& comp, SyscallStatus status) {
+    const int number = req.number;
     const int64_t now = clock.Now();
-    comps[i].status = status;
-    comps[i].vtime_usec = now;
+    comp.status = status;
+    comp.vtime_usec = now;
     const int64_t vtime = SyscallCost(number) + (now - last);
     last = now;
     later_cost -= SyscallCost(number);
@@ -560,10 +560,10 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
       record.result = status;
       record.vtime_usec = now - later_cost;
       if ((spec.flags & kTakesPath) != 0 && spec.path_arg >= 0) {
-        const char* path = reqs[i].args.Ptr<const char>(spec.path_arg);
+        const char* path = req.args.Ptr<const char>(spec.path_arg);
         record.path = path != nullptr ? path : "";
       } else if ((spec.flags & kTakesFd) != 0) {
-        record.fd = reqs[i].args.Int(0);
+        record.fd = req.args.Int(0);
       }
       DeliverKtrace(spec.flags, record);
     }
@@ -588,8 +588,8 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
   };
 
   for (int i = 0; i < count; ++i) {
-    comps[i].user_data = reqs[i].user_data;
-    comps[i].result = SyscallResult{};
+    batch.comp(i).user_data = batch.req(i).user_data;
+    batch.comp(i).result = SyscallResult{};
   }
   // The fault plane, read once per batch. Each entry consults the plan once,
   // in submission order, before its handler: an injected status completes
@@ -606,23 +606,25 @@ void Kernel::DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCo
     ~Keeping() { tree.StopKeeping(); }
   } keeping{fs_.TreeMutex()};
   for (int i = 0; i < count; ++i) {
+    const SyscallRequest& entry = batch.req(i);
+    SyscallCompletion& comp = batch.comp(i);
     SyscallStatus status = 0;
     FaultOutcome outcome = FaultOutcome::kNone;
     if (injector != nullptr) {
-      clamped = reqs[i];
+      clamped = entry;
       outcome = InjectFault(*injector, proc, static_cast<uint64_t>(seq + i + 1), &clamped, &status);
     }
-    const SyscallRequest& req = outcome == FaultOutcome::kClamped ? clamped : reqs[i];
+    const SyscallRequest& req = outcome == FaultOutcome::kClamped ? clamped : entry;
     if (outcome == FaultOutcome::kInjected) {
       // `status` is the plan's answer.
     } else if (ImplementsSyscall(req.number)) {
       keeping.tree.Keep();
       Lock lk;  // empty: a handler that needs mu_ takes it here (BigLock)
-      status = (this->*DispatchTable()[req.number])(proc, req.args, &comps[i].result, lk);
+      status = (this->*DispatchTable()[req.number])(proc, req.args, &comp.result, lk);
     } else {
       status = -kENosys;
     }
-    finish(i, status);
+    finish(entry, comp, status);
   }
   keeping.tree.StopKeeping();
   flush_stats();

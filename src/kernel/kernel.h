@@ -172,12 +172,13 @@ class Kernel {
   // --- the trap ------------------------------------------------------------------
   SyscallStatus DoSyscall(Process& proc, int number, const SyscallArgs& args, SyscallResult* rv);
 
-  // The dispatch core: runs `count` kernel-lane requests and fills one
-  // completion per request, in submission order (see the lock table at the
-  // top of this file). Ring drains call it with whole runs of entries;
-  // DoSyscall is the count-1 case.
-  void DoSyscallBatch(Process& proc, const SyscallRequest* reqs, SyscallCompletion* comps,
-                      int count);
+  // The dispatch core: runs `batch.count` kernel-lane requests and fills
+  // each one's completion, in submission order (see the lock table at the
+  // top of this file). A ring drain passes a run of entries in place, read
+  // from their submission slots and completed into the completion slots at
+  // the same positions, wrapping at the slot array's end (SyscallBatch);
+  // DoSyscall is the count-1 case, one entry on its stack.
+  void DoSyscallBatch(Process& proc, const SyscallBatch& batch);
 
   // --- support used by ProcessContext ---------------------------------------------
   // Picks, clears, and returns the next deliverable pending signal, or 0.

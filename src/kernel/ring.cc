@@ -28,8 +28,7 @@ uint32_t SyscallRing::SubmitBatch(const SyscallRequest* reqs, uint32_t count) {
   // completion, so an entry leaves flight only when it is reaped. The acquire
   // pairs with the reaper's release of cq_head_, which in turn follows the
   // drainer's reads of the submission slots being reused here (the drainer
-  // pops an entry, or reads it in place, before it publishes that entry's
-  // completion).
+  // reads an entry in place before it publishes that entry's completion).
   const uint32_t tail = sq_tail_.load(std::memory_order_relaxed);
   const uint32_t room = capacity_ - (tail - cq_head_.load(std::memory_order_acquire));
   const uint32_t n = count < room ? count : room;
@@ -42,50 +41,24 @@ uint32_t SyscallRing::SubmitBatch(const SyscallRequest* reqs, uint32_t count) {
   return n;
 }
 
-bool SyscallRing::PopRequest(SyscallRequest* out) {
-  const uint32_t head = sq_head_.load(std::memory_order_relaxed);
-  if (head == sq_tail_.load(std::memory_order_acquire)) {
-    return false;
-  }
-  *out = sq_slots_[head & mask_];
-  sq_head_.store(head + 1, std::memory_order_release);
-  return true;
+SyscallBatch SyscallRing::Queued() {
+  // The drainer writes drained_, so a relaxed load sees its own stores. In
+  // flight ends at sq_tail_ <= cq_head_ + capacity_, so no completion slot
+  // of a queued entry holds an unreaped completion.
+  const uint32_t head = drained_.load(std::memory_order_relaxed);
+  const uint32_t queued = sq_tail_.load(std::memory_order_acquire) - head;
+  return SyscallBatch{sq_slots_.data(), cq_slots_.data(), head, mask_, static_cast<int>(queued)};
 }
 
-void SyscallRing::PushCompletion(const SyscallCompletion& comp) {
-  const uint32_t tail = cq_tail_.load(std::memory_order_relaxed);
-  cq_slots_[tail & mask_] = comp;
-  cq_tail_.store(tail + 1, std::memory_order_release);
-}
-
-SyscallRing::Run SyscallRing::PeekRun(const SyscallRequest** reqs, SyscallCompletion** comps) {
-  // The drainer writes both indices, so relaxed loads see its own stores.
-  const uint32_t head = sq_head_.load(std::memory_order_relaxed);
-  Run run;
-  if (head != cq_tail_.load(std::memory_order_relaxed)) {
-    return run;
-  }
-  // In flight ends at sq_tail_ <= cq_head_ + capacity_, so no completion
-  // slot of the run holds an unreaped completion.
-  run.queued = sq_tail_.load(std::memory_order_acquire) - head;
-  const uint32_t to_end = capacity_ - (head & mask_);
-  run.contiguous = run.queued < to_end ? run.queued : to_end;
-  *reqs = &sq_slots_[head & mask_];
-  *comps = &cq_slots_[head & mask_];
-  return run;
-}
-
-void SyscallRing::CompleteRun(uint32_t n) {
-  const uint32_t head = sq_head_.load(std::memory_order_relaxed);
-  sq_head_.store(head + n, std::memory_order_release);
-  cq_tail_.store(head + n, std::memory_order_release);
+void SyscallRing::Complete(uint32_t n) {
+  drained_.store(drained_.load(std::memory_order_relaxed) + n, std::memory_order_release);
 }
 
 bool SyscallRing::Reap(SyscallCompletion* out) { return ReapBatch(out, 1) == 1; }
 
 uint32_t SyscallRing::ReapBatch(SyscallCompletion* out, uint32_t max) {
   const uint32_t head = cq_head_.load(std::memory_order_relaxed);
-  const uint32_t avail = cq_tail_.load(std::memory_order_acquire) - head;
+  const uint32_t avail = drained_.load(std::memory_order_acquire) - head;
   const uint32_t n = max < avail ? max : avail;
   for (uint32_t i = 0; i < n; ++i) {
     out[i] = cq_slots_[(head + i) & mask_];

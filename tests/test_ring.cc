@@ -50,16 +50,15 @@ TEST(RingUnit, RoundTripPreservesFifoOrderAndCookies) {
   EXPECT_EQ(ring.SubmissionsPending(), 3u);
   EXPECT_EQ(ring.InFlight(), 3u);
 
-  SyscallRequest req;
   for (uint64_t tag = 1; tag <= 3; ++tag) {
-    ASSERT_TRUE(ring.PopRequest(&req));
-    EXPECT_EQ(req.user_data, tag);
-    SyscallCompletion comp;
-    comp.user_data = req.user_data;
-    comp.status = 42;
-    ring.PushCompletion(comp);
+    const SyscallBatch queued = ring.Queued();
+    ASSERT_EQ(queued.count, static_cast<int>(4 - tag));
+    EXPECT_EQ(queued.req(0).user_data, tag);
+    queued.comp(0).user_data = queued.req(0).user_data;
+    queued.comp(0).status = 42;
+    ring.Complete(1);
   }
-  EXPECT_FALSE(ring.PopRequest(&req));
+  EXPECT_EQ(ring.Queued().count, 0);
   EXPECT_EQ(ring.CompletionsPending(), 3u);
 
   SyscallCompletion comp;
@@ -80,16 +79,15 @@ TEST(RingUnit, CapacityCountsInFlightNotJustQueued) {
   // Full: the 5th entry is refused.
   EXPECT_FALSE(ring.Submit(GetpidReq(99)));
 
-  // Draining a request to the completion queue does NOT free space — the
-  // reservation guarantees PushCompletion always has room, so only reaping
-  // releases it.
-  SyscallRequest req;
-  ASSERT_TRUE(ring.PopRequest(&req));
-  SyscallCompletion comp;
-  comp.user_data = req.user_data;
-  ring.PushCompletion(comp);
+  // Completing a request does NOT free space — the reservation keeps its
+  // completion slot until it is reaped, so only reaping releases it.
+  const SyscallBatch queued = ring.Queued();
+  ASSERT_EQ(queued.count, 4);
+  queued.comp(0).user_data = queued.req(0).user_data;
+  ring.Complete(1);
   EXPECT_FALSE(ring.Submit(GetpidReq(99)));
 
+  SyscallCompletion comp;
   ASSERT_TRUE(ring.Reap(&comp));
   EXPECT_TRUE(ring.Submit(GetpidReq(99)));
 }
@@ -102,9 +100,10 @@ TEST(RingUnit, SubmitBatchAcceptsExactlyTheRoom) {
   }
   EXPECT_EQ(ring.SubmitBatch(reqs, 5), 2u);
   EXPECT_EQ(ring.SubmitBatch(reqs + 2, 3), 0u);
-  SyscallRequest req;
-  ASSERT_TRUE(ring.PopRequest(&req));
-  EXPECT_EQ(req.user_data, 0u);
+  const SyscallBatch queued = ring.Queued();
+  ASSERT_EQ(queued.count, 2);
+  EXPECT_EQ(queued.req(0).user_data, 0u);
+  EXPECT_EQ(queued.req(1).user_data, 1u);
 }
 
 TEST(RingUnit, EntriesRoundUpToPowerOfTwo) {
@@ -221,9 +220,67 @@ TEST(Ring, AgentRoutedEntriesTraverseTheEmulationStack) {
   EXPECT_EQ(code, 0);
 }
 
+// A getpid frame that drains the ring from inside its handler, then passes
+// the call down: an agent may not complete the entries queued behind the one
+// it is handling.
+class DrainingFrame final : public SyscallHandler {
+ public:
+  SyscallStatus HandleSyscall(ProcessContext& ctx, int frame, int number,
+                              const SyscallArgs& args, SyscallResult* rv) override {
+    nested_drained.fetch_add(ctx.DrainRing(), std::memory_order_relaxed);
+    return ctx.SyscallBelow(frame, number, args, rv);
+  }
+  void HandleSignal(ProcessContext& ctx, int frame, int signo) override {
+    ctx.ForwardSignal(frame, signo);
+  }
+
+  std::atomic<int64_t> nested_drained{0};
+};
+
+TEST(Ring, DrainNestedInAnAgentRoutedEntryKeepsSubmissionOrder) {
+  auto kernel = MakeWorld();
+  auto drainer = std::make_shared<DrainingFrame>();
+  const int code = ExitCodeOf(*kernel, [drainer](ProcessContext& ctx) {
+    ctx.WriteWholeFile("/tmp/ringn", "x");
+    EmulationFrame frame;
+    frame.handler = drainer;
+    frame.syscall_interest.set(kSysGetpid);
+    ctx.PushEmulation(std::move(frame));
+
+    ia::Stat st{};
+    BatchClient batch(ctx, /*ring_entries=*/8);
+    for (int i = 0; i < 5; ++i) {
+      batch.PushStat("/tmp/ringn", &st, 100);
+    }
+    if (batch.Flush() != 5) {  // slots 0..4
+      return 1;
+    }
+    // Slots 5..10, across the slot array's end: an agent-routed getpid,
+    // four kernel-lane stats, and a second agent-routed getpid.
+    batch.PushGetpid(0);
+    for (uint64_t i = 1; i <= 4; ++i) {
+      batch.PushStat("/tmp/ringn", &st, i);
+    }
+    batch.PushGetpid(5);
+    if (batch.Flush() != 6) {
+      return 2;
+    }
+    for (uint64_t i = 0; i < 6; ++i) {
+      const SyscallCompletion& c = batch.completions()[i];
+      if (c.user_data != i || c.status < 0) {
+        return 3;  // a nested drain completed later entries ahead of a getpid
+      }
+    }
+    ctx.PopEmulation();
+    return drainer->nested_drained.load() == 0 ? 0 : 4;
+  });
+  EXPECT_EQ(code, 0);
+}
+
 // A run that crosses the end of the ring's slot array is still one batch:
-// the drain copies it instead of running it in place, so its entries all
-// complete at the clock the batch pre-charged, like any other run's.
+// the dispatch core reads its entries through a view that wraps at the
+// array's end, so they all complete at the clock the batch pre-charged,
+// like any other run's.
 TEST(Ring, RunAcrossTheSlotArrayEndIsOneBatch) {
   auto kernel = MakeWorld();
   Kernel* const k = kernel.get();
@@ -875,17 +932,19 @@ TEST(RingUnit, WraparoundAcrossProducerDrainerAndReaperThreads) {
     }
   });
   std::thread drainer([&ring] {
-    SyscallRequest req;
     uint64_t drained = 0;
     while (drained < kTotal) {
-      if (!ring.PopRequest(&req)) {
+      const SyscallBatch queued = ring.Queued();
+      if (queued.count == 0) {
         std::this_thread::yield();
         continue;
       }
-      SyscallCompletion comp;
-      comp.user_data = req.user_data;
-      ring.PushCompletion(comp);  // admission reserved the room: cannot fail
-      ++drained;
+      // Completes in place: admission reserved each entry's completion slot.
+      for (int i = 0; i < queued.count; ++i) {
+        queued.comp(i).user_data = queued.req(i).user_data;
+      }
+      ring.Complete(static_cast<uint32_t>(queued.count));
+      drained += static_cast<uint64_t>(queued.count);
     }
   });
   uint64_t next = 0;
